@@ -87,18 +87,14 @@ def load_dataset(path, policy):
     """Parse every .qasm file; unparseable files are skipped with a warning."""
     instances = []
     skipped = 0
-    n_cap = policy.prog_feature_dim if policy.feature_kind == "onehot" else None
     for f in sorted(Path(path).glob("*.qasm")):
         try:
             circ = parse_qasm(f.read_text())
+            policy.check_fits(circ.num_qubits)
             if policy.feature_kind == "engineered":
                 pg = build_program_graph(circ, features="engineered")
             else:
-                if circ.num_qubits > n_cap:
-                    raise QLayoutError(
-                        f"{circ.num_qubits} qubits exceed checkpoint n_max={n_cap}"
-                    )
-                pg = build_program_graph(circ, n_max=n_cap)
+                pg = build_program_graph(circ, n_max=policy.prog_feature_dim)
             instances.append((f.stem, pg))
         except QLayoutError as exc:
             log.warning("skipping %s: %s", f.name, exc)
@@ -115,9 +111,8 @@ def run_bench(cfg: BenchRun):
         family = family_from_name(name)
         for kind in cfg.strategies:
             for seed in cfg.seeds:
-                strategy = DecodeStrategy.make(
-                    kind, k=cfg.multistart_k if kind.startswith("multistart")
-                    else 1, seed=seed)
+                strategy = DecodeStrategy.make(kind, k=cfg.multistart_k,
+                                               seed=seed)
                 t0 = time.perf_counter()
                 layout, rl_cost = decode(pg, cfg.device, cfg.policy, strategy,
                                          cost_model)
@@ -295,9 +290,8 @@ def run_context_ablation(cg, train_cfg, enc_cfg, dec_cfg, test_instances,
         policy, _ = train_new(train_cfg, enc_cfg, dcfg, cg, log_fn=log_fn)
         row = {"context_encoding": kind}
         for strat in strategies:
-            strategy = DecodeStrategy.make(
-                strat, k=multistart_k if strat.startswith("multistart")
-                else 1, seed=train_cfg.seed)
+            strategy = DecodeStrategy.make(strat, k=multistart_k,
+                                           seed=train_cfg.seed)
             costs = [decode(pg, cg, policy, strategy, cost_model)[1]
                      for pg in test_instances]
             row[strat] = float(np.mean(costs))

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCircuitError, ParseError, UnsupportedGateError
+from .errors import (
+    EmptyCircuitError,
+    ParseError,
+    TooManyQubitsError,
+    UnsupportedGateError,
+)
 
 SINGLE_QUBIT_GATES = frozenset(
     "id x y z h s sdg t tdg sx sxdg rx ry rz p u u1 u2 u3".split()
@@ -157,6 +162,15 @@ def parse_qasm(source: str) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
+def check_qubit_count(num_qubits, limit, what):
+    """Reject a circuit with more qubits than ``limit`` before anything
+    n x n is allocated for it."""
+    if num_qubits > limit:
+        raise TooManyQubitsError(
+            f"circuit has {num_qubits} qubits, more than {what} = {limit}"
+        )
+
+
 @dataclass(frozen=True)
 class ProgramGraph:
     """Directed multigraph of logical-qubit interactions with node features.
@@ -201,8 +215,7 @@ class ProgramGraph:
 
 def onehot_features(n, n_max=None):
     n_max = n if n_max is None else n_max
-    if n_max < n:
-        raise ValueError(f"n_max={n_max} smaller than n={n}")
+    check_qubit_count(n, n_max, "the feature width n_max")
     feats = np.zeros((n, n_max), dtype=np.float64)
     feats[np.arange(n), np.arange(n)] = 1.0
     return feats

@@ -19,7 +19,12 @@ from .bench import (
     write_report,
     write_summary,
 )
-from .circuit import build_program_graph, extract_features, parse_qasm
+from .circuit import (
+    build_program_graph,
+    check_qubit_count,
+    extract_features,
+    parse_qasm,
+)
 from .errors import QLayoutError
 from .objective import CostModel, Layout, swap_cost
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
@@ -129,12 +134,12 @@ def map_cmd(circuit_path, ckpt, strategy, k, seed, cost_mode, out):
     """Map a circuit onto the checkpoint's device."""
     policy = PolicyNetwork.load(ckpt)
     circ = parse_qasm(Path(circuit_path).read_text())
+    policy.check_fits(circ.num_qubits)
     if policy.feature_kind == "engineered":
         pg = build_program_graph(circ, features="engineered")
     else:
         pg = build_program_graph(circ, n_max=policy.prog_feature_dim)
-    strat = DecodeStrategy.make(
-        strategy, k=k if strategy.startswith("multistart") else 1, seed=seed)
+    strat = DecodeStrategy.make(strategy, k=k, seed=seed)
     cm = CostModel(cost_mode, policy.cg.distances)
     layout, cost = decode(pg, policy.cg, policy, strat, cm)
     doc = layout.to_dict(policy.cg.num_physical)
@@ -164,6 +169,7 @@ def postprocess(layout_path, circuit_path, device, op, iters, patience, seed,
     """Refine a layout with hill-climbing local search."""
     cg = resolve_device(device)
     circ = parse_qasm(Path(circuit_path).read_text())
+    check_qubit_count(circ.num_qubits, cg.num_physical, "the device's N")
     pg = build_program_graph(circ)
     layout = Layout.load(layout_path)
     cfg = SearchConfig(neighborhood=op, n_iters=iters, patience=patience,

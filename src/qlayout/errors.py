@@ -56,3 +56,11 @@ class InfeasibleStateError(QLayoutError):
 
 class ConfigError(QLayoutError):
     pass
+
+
+class TooManyQubitsError(ConfigError):
+    """A circuit is wider than the device or the policy's feature width."""
+
+
+class CheckpointError(QLayoutError):
+    """A checkpoint file does not describe the network its header builds."""

@@ -20,6 +20,7 @@ from .circuit import ProgramGraph
 from .errors import (
     ConstraintViolationError,
     IncompleteLayoutError,
+    ParseError,
     SearchSpaceTooLargeError,
 )
 from .topology import CouplingGraph, DistanceMatrix
@@ -78,12 +79,30 @@ class Layout:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(np.asarray(data["assign"], dtype=np.int64))
+        assign = data.get("assign") if isinstance(data, dict) else None
+        if not isinstance(assign, list):
+            raise ParseError(
+                "a layout needs an \"assign\" list of physical seats"
+            )
+        # bool is an int subclass, but true/false are not seats
+        bad = [a for a in assign if type(a) is not int]
+        if bad:
+            raise ParseError(
+                f"\"assign\" must hold integers only, got {bad[0]!r}"
+            )
+        try:
+            return cls(np.asarray(assign, dtype=np.int64))
+        except OverflowError:
+            raise ParseError("\"assign\" holds a seat beyond int64")
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"cannot read layout {path}: {exc}")
+        return cls.from_dict(data)
 
     def save(self, path, num_physical=None):
         with open(path, "w") as fh:

@@ -6,23 +6,38 @@ GAT layers (optionally shared between the two encoders). The decoder
 builds a fixed-size context query from the current/placed program-node
 embeddings and scores every physical node with a multi-head glimpse
 feeding a single clipped compatibility head.
+
+The logits never depend on the seats already taken: a context reads only
+program embeddings along the placement order, and the glimpse attends over
+every physical node unmasked. So ``make_context`` and ``pointer_logits``
+compute the whole (n, N) logit table of an episode in one batched pass, and
+the taken seats enter only through the mask of ``masked_distribution``.
+Parameters join the autodiff tape only when the inputs are on it, so eval
+builds no tape; the eval-mode device embedding is memoised on the policy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
-from .circuit import ProgramGraph
+from .circuit import ProgramGraph, check_qubit_count
 from .diffcore import Tensor
-from .errors import ConfigError, InfeasibleStateError, ShapeError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    InfeasibleStateError,
+    ShapeError,
+)
 from .topology import CouplingGraph, coupling_graph_from_dict
 
 NORM_KINDS = ("layer", "batch", "graph")
 CONTEXT_KINDS = ("project_concat", "concat_project", "stack_project")
+CHECKPOINT_VERSION = 1
 
 _NORM_EPS = 1e-5
 _BN_MOMENTUM = 0.1
@@ -50,7 +65,6 @@ class DecoderConfig:
     context_kind: str = "concat_project"
     clip: float = 10.0
     context_dim: int = 128
-    stack_pool: str = "mean"  # mean | sum | last
 
     def __post_init__(self):
         if self.heads < 1:
@@ -86,6 +100,13 @@ class ParamStore:
 
     def __getitem__(self, name):
         return self.params[name]
+
+    def lookup(self, on_tape):
+        """Name -> tensor: the trainable leaves, or constants that put
+        nothing on the tape."""
+        if on_tape:
+            return self.params.__getitem__
+        return lambda name: Tensor(self.params[name].data)
 
     def zero_grad(self):
         for t in self.params.values():
@@ -123,6 +144,8 @@ class PolicyNetwork:
         self.store = ParamStore()
         self._cg_adj = self._with_self_loops(cg.adjacency_matrix())
         self._phys_feats = np.eye(cg.num_physical)
+        # (copies of the arrays it was computed from, eval embedding)
+        self._device_memo = None
         self._init_params(np.random.default_rng(seed))
 
     # --- construction ----------------------------------------------
@@ -181,12 +204,20 @@ class PolicyNetwork:
         add("ptr.W_G", _uniform_init(rng, (d_c, d_c), d_c))
         add("ptr.W_Kf", _uniform_init(rng, (d_c, d_e), d_e))
 
+    def check_fits(self, num_qubits):
+        """Reject a circuit wider than the device or, with one-hot
+        features, than the feature width n_max."""
+        check_qubit_count(num_qubits, self.cg.num_physical, "the device's N")
+        if self.feature_kind == "onehot":
+            check_qubit_count(num_qubits, self.prog_feature_dim,
+                              "the checkpoint's n_max")
+
     # --- encoder ----------------------------------------------------
 
-    def _norm(self, h, prefix, train, update_running):
+    def _norm(self, h, prefix, p, train, update_running):
         kind = self.enc_cfg.norm_kind
-        g = self.store[f"{prefix}.g"]
-        b = self.store[f"{prefix}.b"]
+        g = p(f"{prefix}.g")
+        b = p(f"{prefix}.b")
         if kind == "layer":
             m = h.mean(axis=1, keepdims=True)
             centered = h - m
@@ -209,14 +240,14 @@ class PolicyNetwork:
         h_hat = dc.mul(centered, dc.powi(var + _NORM_EPS, -0.5))
         return h_hat * g.reshape(1, -1) + b.reshape(1, -1)
 
-    def _gat_layer(self, h, adj, prefix, train, update_running):
+    def _gat_layer(self, h, adj, prefix, p, train, update_running):
         e = self.enc_cfg
         n = h.shape[0]
         k, dh = e.heads, e.embed_dim // e.heads
-        z = dc.matmul(h, self.store[f"{prefix}.W"].T)  # (n, d_e)
+        z = dc.matmul(h, p(f"{prefix}.W").T)  # (n, d_e)
         zh = z.reshape(n, k, dh)
-        s_src = dc.tsum(zh * self.store[f"{prefix}.a_src"].reshape(1, k, dh), axis=2)
-        s_dst = dc.tsum(zh * self.store[f"{prefix}.a_dst"].reshape(1, k, dh), axis=2)
+        s_src = dc.tsum(zh * p(f"{prefix}.a_src").reshape(1, k, dh), axis=2)
+        s_dst = dc.tsum(zh * p(f"{prefix}.a_dst").reshape(1, k, dh), axis=2)
         scores = dc.leaky_relu(
             s_src.reshape(n, 1, k) + s_dst.reshape(1, n, k), 0.2
         )
@@ -226,20 +257,49 @@ class PolicyNetwork:
             alpha.reshape(n, n, k, 1) * zh.reshape(1, n, k, dh), axis=1
         )  # (n, k, dh)
         out = dc.elu(agg).reshape(n, e.embed_dim)
-        return self._norm(out, f"{prefix}.norm", train, update_running)
+        return self._norm(out, f"{prefix}.norm", p, train, update_running)
 
     def _encode_graph(self, feats, adj, which, train, update_running):
-        if feats.shape[1] != self.store[f"in.{which}.W"].shape[1]:
+        p = self.store.lookup(train)
+        w_in = p(f"in.{which}.W")
+        if feats.shape[1] != w_in.shape[1]:
             raise ShapeError(
                 "feature dimension does not match the input projection",
-                feats.shape, self.store[f"in.{which}.W"].shape,
+                feats.shape, w_in.shape,
             )
-        h = dc.matmul(Tensor(feats), self.store[f"in.{which}.W"].T)
+        h = dc.matmul(Tensor(feats), w_in.T)
         prefix = self._enc_prefix(which)
         for layer in range(self.enc_cfg.layers):
-            h = self._gat_layer(h, adj, f"{prefix}.l{layer}", train,
+            h = self._gat_layer(h, adj, f"{prefix}.l{layer}", p, train,
                                 update_running)
         return h
+
+    def _device_sources(self):
+        """The parameters and norm buffers the device embedding reads."""
+        prefix = self._enc_prefix("phys") + "."
+        out = {k: t.data for k, t in self.store.params.items()
+               if k == "in.phys.W" or k.startswith(prefix)}
+        out.update((k, v) for k, v in self.store.buffers.items()
+                   if k.startswith(prefix))
+        return out
+
+    def _device_embedding(self):
+        """Eval-mode embedding of the device graph, memoised by value.
+
+        The memo is reused only while every array it was computed from
+        still equals the copy taken then, so in-place edits (Adam,
+        finite differences) and running-stat updates invalidate it.
+        """
+        sources = self._device_sources()
+        memo = self._device_memo
+        if memo is not None and memo[0].keys() == sources.keys() and all(
+                np.array_equal(memo[0][k], v) for k, v in sources.items()):
+            return memo[1]
+        physical = self._encode_graph(self._phys_feats, self._cg_adj, "phys",
+                                      False, False)
+        self._device_memo = ({k: v.copy() for k, v in sources.items()},
+                             physical)
+        return physical
 
     def encode(self, pg: ProgramGraph, train=False, update_running=None
                ) -> NodeEmbeddings:
@@ -248,66 +308,93 @@ class PolicyNetwork:
         adj_p = self._with_self_loops(pg.undirected_adjacency())
         program = self._encode_graph(pg.node_features, adj_p, "prog", train,
                                      update_running)
-        physical = self._encode_graph(self._phys_feats, self._cg_adj, "phys",
-                                      train, update_running)
+        if train:
+            physical = self._encode_graph(self._phys_feats, self._cg_adj,
+                                          "phys", True, update_running)
+        else:
+            physical = self._device_embedding()
         return NodeEmbeddings(program, physical)
 
     # --- decoder ----------------------------------------------------
 
-    def make_context(self, emb: NodeEmbeddings, t: int, order) -> Tensor:
+    def make_context(self, emb: NodeEmbeddings, t, order) -> Tensor:
+        """Context query of step ``t``, shape (d_c,); with ``t=None`` the
+        (len(order), d_c) queries of every step. Step t reads only
+        ``order[:t + 1]``, never the seats already chosen."""
+        if t is not None:
+            return dc.gather(self._contexts(emb, order[: t + 1]), t)
+        return self._contexts(emb, order)
+
+    def logit_table(self, emb: NodeEmbeddings, order) -> Tensor:
+        """The (len(order), N) pointer logits of every step of an episode
+        placing the program nodes in ``order``."""
+        return self.pointer_logits(self.make_context(emb, None, order),
+                                   emb.physical)
+
+    def _contexts(self, emb, order):
         kind = self.dec_cfg.context_kind
-        prog = emb.program
-        w = self.store["ctx.W"]
-        h_c = dc.gather(prog, int(order[t]))
+        p = self.store.lookup(emb.program.requires_grad)
+        w = p("ctx.W")
+        order = np.asarray(order, dtype=np.intp)
+        steps = len(order)
+        current = dc.gather(emb.program, order)  # (T, d_e)
         if kind == "stack_project":
-            if t == 0:
-                return dc.matmul(w, h_c)
-            stacked = dc.gather(prog, np.asarray(order[: t + 1], dtype=np.intp))
-            proj = dc.matmul(stacked, w.T)  # (t+1, d_e)
-            if self.dec_cfg.stack_pool == "sum":
-                return dc.tsum(proj, axis=0)
-            if self.dec_cfg.stack_pool == "last":
-                return dc.gather(proj, t)
-            return dc.tmean(proj, axis=0)
-        h_p = self.store["ctx.start"] if t == 0 else dc.gather(prog, int(order[t - 1]))
+            # row t averages the projections of order[0..t]
+            prefix_mean = np.tril(np.ones((steps, steps)))
+            prefix_mean /= np.arange(1, steps + 1)[:, None]
+            return dc.matmul(Tensor(prefix_mean), dc.matmul(current, w.T))
+        previous = dc.concat([p("ctx.start").reshape(1, -1),
+                              dc.gather(emb.program, order[:-1])])
         if kind == "project_concat":
-            return dc.concat([dc.matmul(w, h_c), dc.matmul(w, h_p)])
-        return dc.matmul(w, dc.concat([h_c, h_p]))
+            return dc.concat([dc.matmul(current, w.T),
+                              dc.matmul(previous, w.T)], axis=1)
+        return dc.matmul(dc.concat([current, previous], axis=1), w.T)
 
     def pointer_logits(self, context: Tensor, physical: Tensor) -> Tensor:
+        """Clipped compatibility of every physical node: shape (N,) for one
+        context (d_c,), (T, N) for a (T, d_c) stack of contexts. The key,
+        value and final-key projections are computed once per call."""
         d_c = self.dec_cfg.context_dim
         m = self.dec_cfg.heads
         d = d_c // m
         n_phys = physical.shape[0]
-        s = self.store
+        one_step = context.ndim == 1
+        ctx = context.reshape(1, d_c) if one_step else context
+        steps = ctx.shape[0]
+        p = self.store.lookup(ctx.requires_grad or physical.requires_grad)
 
-        q = dc.matmul(s["ptr.W_Q"], context)  # (d_c,)
-        keys = dc.matmul(physical, s["ptr.W_K"].T)  # (N, d_c)
-        vals = dc.matmul(physical, s["ptr.W_V"].T)
+        q = dc.matmul(ctx, p("ptr.W_Q").T)  # (T, d_c)
+        keys = dc.matmul(physical, p("ptr.W_K").T)  # (N, d_c)
+        vals = dc.matmul(physical, p("ptr.W_V").T)
         scores = dc.tsum(
-            dc.mul(keys, q.reshape(1, d_c)).reshape(n_phys, m, d), axis=2
-        ) * Tensor(1.0 / np.sqrt(d))  # (N, m)
-        weights = dc.softmax(scores, axis=0)
+            dc.mul(keys.reshape(1, n_phys, m, d), q.reshape(steps, 1, m, d)),
+            axis=3,
+        ) * Tensor(1.0 / np.sqrt(d))  # (T, N, m)
+        weights = dc.softmax(scores, axis=1)
         glimpse = dc.tsum(
-            weights.reshape(n_phys, m, 1) * vals.reshape(n_phys, m, d), axis=0
-        ).reshape(d_c)
-        q_final = dc.matmul(s["ptr.W_G"], glimpse)
-        keys_final = dc.matmul(physical, s["ptr.W_Kf"].T)  # (N, d_c)
-        compat = dc.matmul(keys_final, q_final) * Tensor(1.0 / np.sqrt(d_c))
-        return dc.tanh(compat) * Tensor(self.dec_cfg.clip)
+            weights.reshape(steps, n_phys, m, 1)
+            * vals.reshape(1, n_phys, m, d), axis=1
+        ).reshape(steps, d_c)
+        q_final = dc.matmul(glimpse, p("ptr.W_G").T)  # (T, d_c)
+        keys_final = dc.matmul(physical, p("ptr.W_Kf").T)  # (N, d_c)
+        compat = dc.matmul(q_final, keys_final.T) * Tensor(1.0 / np.sqrt(d_c))
+        logits = dc.tanh(compat) * Tensor(self.dec_cfg.clip)
+        return logits.reshape(n_phys) if one_step else logits
 
     @staticmethod
     def masked_distribution(logits: Tensor, feasible) -> Tensor:
+        """Softmax over the last axis with zero mass on infeasible seats:
+        one step (N,), or a stack of rows (T, N) with a mask per row."""
         feasible = np.asarray(feasible, dtype=bool)
-        if not feasible.any():
+        if not feasible.any(axis=-1).all():
             raise InfeasibleStateError("no feasible action remains")
-        return dc.softmax(dc.masked_fill(logits, ~feasible, -np.inf), axis=0)
+        return dc.softmax(dc.masked_fill(logits, ~feasible, -np.inf), axis=-1)
 
     # --- checkpointing ----------------------------------------------
 
     def config_header(self):
         return {
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "d_e": self.enc_cfg.embed_dim,
             "d_c": self.dec_cfg.context_dim,
             "layers": self.enc_cfg.layers,
@@ -316,7 +403,6 @@ class PolicyNetwork:
             "norm_kind": self.enc_cfg.norm_kind,
             "context_kind": self.dec_cfg.context_kind,
             "clip": self.dec_cfg.clip,
-            "stack_pool": self.dec_cfg.stack_pool,
             "n_max": self.prog_feature_dim,
             "N": self.cg.num_physical,
             "feature_kind": self.feature_kind,
@@ -342,22 +428,79 @@ class PolicyNetwork:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
+        """Restore a saved policy; any checkpoint that does not describe
+        exactly the network its header builds raises ``CheckpointError``."""
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
+        try:
+            return cls._from_doc(doc)
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint lacks the key {exc}")
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint: {exc}")
+
+    @classmethod
+    def _from_doc(cls, doc):
         h = doc["header"]
+        if h["version"] != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {h['version']!r}"
+            )
+        # written by older versions, when "mean" was the only pooling used
+        if h.get("stack_pool", "mean") != "mean":
+            raise CheckpointError(
+                f"unsupported stack_pool {h['stack_pool']!r}"
+            )
         cg = coupling_graph_from_dict(doc["device"])
+        if h["topology_hash"] != cg.topology_hash():
+            raise CheckpointError(
+                "header topology_hash does not match the stored device"
+            )
         enc = EncoderConfig(layers=h["layers"], heads=h["heads"],
                             embed_dim=h["d_e"], norm_kind=h["norm_kind"])
         dec = DecoderConfig(heads=h["m_heads"], context_kind=h["context_kind"],
-                            clip=h["clip"], context_dim=h["d_c"],
-                            stack_pool=h.get("stack_pool", "mean"))
+                            clip=h["clip"], context_dim=h["d_c"])
         net = cls(cg, enc, dec, h["n_max"], feature_kind=h["feature_kind"],
                   shared_encoder=h["shared_encoder"], seed=h.get("seed", 0))
-        for name, entry in doc["params"].items():
-            net.store.params[name] = Tensor(
-                np.asarray(entry["values"]).reshape(entry["shape"]),
-                requires_grad=True,
-            )
-        for name, values in doc["buffers"].items():
-            net.store.buffers[name] = np.asarray(values, dtype=np.float64)
+        for name, entry in _same_names(doc["params"], net.store.params,
+                                       "parameter"):
+            arr = _checked_array(name, entry["values"],
+                                 net.store.params[name].shape, entry["shape"])
+            net.store.params[name] = Tensor(arr, requires_grad=True)
+        for name, values in _same_names(doc["buffers"], net.store.buffers,
+                                        "buffer"):
+            net.store.buffers[name] = _checked_array(
+                name, values, net.store.buffers[name].shape)
         return net
+
+
+def _same_names(stored, expected, what):
+    """Items of ``stored`` after checking its names are exactly the ones
+    the configured network has."""
+    missing = sorted(set(expected) - set(stored))
+    extra = sorted(set(stored) - set(expected))
+    if missing or extra:
+        raise CheckpointError(
+            f"checkpoint {what} names differ from the configured network: "
+            f"missing {missing}, unexpected {extra}"
+        )
+    return stored.items()
+
+
+def _checked_array(name, values, want, stated=None):
+    """``values`` as a finite float array of shape ``want``; ``stated`` is
+    the shape the file gives, when it gives one."""
+    arr = np.asarray(values, dtype=np.float64)
+    stated = arr.shape if stated is None else tuple(stated)
+    if stated != want or arr.size != math.prod(want):
+        raise CheckpointError(
+            f"'{name}' has shape {stated} and {arr.size} values, the "
+            f"configured network needs shape {want}"
+        )
+    arr = arr.reshape(want)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"'{name}' holds non-finite values")
+    return arr

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .circuit import ProgramGraph, onehot_features
+from .circuit import ProgramGraph, check_qubit_count, onehot_features
+from .diffcore import Tensor
 from .errors import ConfigError
 from .objective import CostModel, Layout, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
@@ -64,28 +65,11 @@ class DecodeStrategy:
             raise ConfigError(f"strategy '{self.kind}' requires k=1")
 
     @classmethod
-    def make(cls, kind, k=None, seed=0):
-        if k is None:
-            k = 10 if kind.startswith("multistart") else 1
-        return cls(kind, k=k, seed=seed)
-
-
-@dataclass
-class EpisodeState:
-    """Decoder-facing MDP state at one placement step."""
-
-    pg: ProgramGraph
-    cg: CouplingGraph
-    layout: Layout
-    current: int
-    mask: np.ndarray
-
-    @property
-    def t(self):
-        return int((self.layout.assign != -1).sum())
-
-    def is_terminal(self):
-        return self.t == self.pg.num_logical
+    def make(cls, kind, k=10, seed=0):
+        """Strategy by name; ``k`` is the number of starts of a multistart
+        kind and is ignored by the single-start kinds."""
+        return cls(kind, k=k if kind.startswith("multistart") else 1,
+                   seed=seed)
 
 
 def gen_random_instance(n, edge_prob, rng, n_max=None) -> ProgramGraph:
@@ -119,47 +103,64 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
 
     ``mode`` is "greedy" (argmax, first index on ties) or "sample".
     ``sample_first`` samples only the t=0 action and decodes greedily
-    afterwards (used by multistart greedy for diversity).
+    afterwards (used by multistart greedy for diversity). With ``train``
+    the result's ``log_prob`` is a tape whose gradient is that of the
+    episode's log-probability.
     """
-    n, n_phys = pg.num_logical, cg.num_physical
-    if n > n_phys:
-        raise ConfigError(f"instance n={n} exceeds device N={n_phys}")
+    check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
     if cost_model is None:
         cost_model = CostModel.for_graph(cg)
-    if order is None:
-        order = list(range(n))
+    order = np.arange(pg.num_logical) if order is None else np.asarray(order)
     if emb is None:
         emb = policy.encode(pg, train=train)
-
-    mask = np.ones(n_phys, dtype=bool)
-    assign = np.full(n, -1, dtype=np.int64)
-    log_terms = []
-    log_prob_value = 0.0
-    for t in range(n):
-        ctx = policy.make_context(emb, t, order)
-        logits = policy.pointer_logits(ctx, emb.physical)
-        probs = policy.masked_distribution(logits, mask)
-        p = probs.data
-        sample_now = mode == "sample" or (sample_first and t == 0)
-        if sample_now:
-            action = int(rng.choice(n_phys, p=p / p.sum()))
-        else:
-            action = int(np.argmax(p))
-        if train:
-            log_terms.append(dc.log(dc.gather(probs, action)))
-        log_prob_value += float(np.log(p[action]))
-        assign[order[t]] = action
-        mask[action] = False
-
-    layout = Layout(assign)
+    table = policy.logit_table(emb, order)
+    n_sampled = pg.num_logical if mode == "sample" else int(sample_first)
+    seats, log_p = _walk(table.data, [rng], [n_sampled])
+    assign = np.empty(pg.num_logical, dtype=np.int64)
+    assign[order] = seats[0]
     cost = fast_cost_fn(pg, cost_model)(assign)
-    log_prob = None
-    if train:
-        log_prob = log_terms[0]
-        for term in log_terms[1:]:
-            log_prob = log_prob + term
-    return RolloutResult(layout, log_prob if train else log_prob_value,
-                         -cost, cost)
+    log_prob = _log_prob(table, seats[0]) if train else float(log_p[0])
+    return RolloutResult(Layout(assign), log_prob, -cost, cost)
+
+
+def _walk(logits, rngs, n_sampled):
+    """Advance one start per RNG in lockstep over an (n, N) logit table.
+
+    Start s samples its first ``n_sampled[s]`` steps from ``rngs[s]`` and
+    takes the argmax (first index on ties) after that. Returns the seats
+    chosen at each step, shape (k, n), and each start's log-probability.
+    """
+    n, n_phys = logits.shape
+    k = len(rngs)
+    starts = np.arange(k)
+    feasible = np.ones((k, n_phys), dtype=bool)
+    seats = np.empty((k, n), dtype=np.int64)
+    log_p = np.zeros(k)
+    for t in range(n):
+        rows = Tensor(np.broadcast_to(logits[t], (k, n_phys)))
+        probs = PolicyNetwork.masked_distribution(rows, feasible).data
+        actions = np.argmax(probs, axis=1)
+        for s in range(k):
+            if t < n_sampled[s]:
+                p = probs[s]
+                actions[s] = rngs[s].choice(n_phys, p=p / p.sum())
+        seats[:, t] = actions
+        log_p += np.log(probs[starts, actions])
+        feasible[starts, actions] = False
+    return seats, log_p
+
+
+def _log_prob(table, seats):
+    """The episode's log-probability on the tape: every step's masked
+    softmax in one (n, N) op, read at the chosen seats."""
+    n, n_phys = table.shape
+    feasible = np.ones((n, n_phys), dtype=bool)
+    for t, seat in enumerate(seats[:-1]):
+        feasible[t + 1:, seat] = False
+    probs = PolicyNetwork.masked_distribution(table, feasible)
+    chosen = dc.gather(probs.reshape(n * n_phys),
+                       np.arange(n) * n_phys + seats)
+    return dc.tsum(dc.log(chosen))
 
 
 def _start_rng(seed, start):
@@ -170,27 +171,26 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
            strategy: DecodeStrategy, cost_model=None):
     """Decode one instance under the given strategy; returns (Layout, cost).
 
-    Multistart runs k rollouts on independent RNG streams derived from the
-    strategy seed; the stream of start 0 matches the corresponding
-    single-start strategy, so best-of-k can never be worse.
+    All k starts share one logit table and advance in lockstep, each on its
+    own RNG stream derived from the strategy seed; the stream of start 0
+    matches the corresponding single-start strategy, so best-of-k can never
+    be worse.
     """
+    check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
     if cost_model is None:
         cost_model = CostModel.for_graph(cg)
-    emb = policy.encode(pg, train=False)
-    greedy_family = "greedy" in strategy.kind
-    best = None
-    for start in range(strategy.k):
-        rng = _start_rng(strategy.seed, start)
-        if greedy_family:
-            res = rollout(pg, cg, policy, mode="greedy", rng=rng,
-                          cost_model=cost_model, emb=emb,
-                          sample_first=start > 0)
-        else:
-            res = rollout(pg, cg, policy, mode="sample", rng=rng,
-                          cost_model=cost_model, emb=emb)
-        if best is None or res.cost < best.cost:
-            best = res
-    return best.layout, best.cost
+    n = pg.num_logical
+    table = policy.logit_table(policy.encode(pg, train=False), np.arange(n))
+    rngs = [_start_rng(strategy.seed, start) for start in range(strategy.k)]
+    if "greedy" in strategy.kind:
+        n_sampled = [0] + [1] * (strategy.k - 1)
+    else:
+        n_sampled = [n] * strategy.k
+    seats, _ = _walk(table.data, rngs, n_sampled)
+    cost_fn = fast_cost_fn(pg, cost_model)
+    costs = [cost_fn(assign) for assign in seats]
+    best = int(np.argmin(costs))
+    return Layout(seats[best]), costs[best]
 
 
 @dataclass

@@ -6,12 +6,13 @@ from qlayout.topology import build_grid
 
 
 def tiny_policy(cg=None, n_max=4, norm="graph", context="concat_project",
-                seed=0, layers=2, heads=2, d=8, m_heads=2):
+                seed=0, layers=2, heads=2, d=8, m_heads=2, shared=False):
     cg = cg or build_grid(2, 2)
     enc = EncoderConfig(layers=layers, heads=heads, embed_dim=d,
                         norm_kind=norm)
     dec = DecoderConfig(heads=m_heads, context_dim=d, context_kind=context)
-    return PolicyNetwork(cg, enc, dec, prog_feature_dim=n_max, seed=seed)
+    return PolicyNetwork(cg, enc, dec, prog_feature_dim=n_max,
+                         shared_encoder=shared, seed=seed)
 
 
 def rel_err(a, b, floor=1e-7):

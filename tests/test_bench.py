@@ -69,6 +69,16 @@ class TestDataset:
         assert len(instances) == 3
         assert "broken.qasm" in caplog.text and "huge_9.qasm" in caplog.text
 
+    def test_skips_circuits_wider_than_the_device(self, dataset, caplog):
+        write_qasm(dataset, "wide_6", 6)
+        pol = tiny_policy(cg=build_grid(2, 2), n_max=8)
+        with caplog.at_level("WARNING"):
+            instances, skipped = load_dataset(dataset, pol)
+        assert skipped == 1
+        assert [name for name, _ in instances] == ["chain_2", "ghz_3",
+                                                    "ghz_4"]
+        assert "6 qubits, more than the device's N = 4" in caplog.text
+
     def test_family_parsing(self):
         assert family_from_name("ghz_12") == "ghz"
         assert family_from_name("qft_big_5") == "qft"

@@ -3,12 +3,18 @@ import pytest
 
 from qlayout.circuit import (
     build_program_graph,
+    check_qubit_count,
     extract_features,
     feature_matrix,
     onehot_features,
     parse_qasm,
 )
-from qlayout.errors import EmptyCircuitError, ParseError, UnsupportedGateError
+from qlayout.errors import (
+    EmptyCircuitError,
+    ParseError,
+    TooManyQubitsError,
+    UnsupportedGateError,
+)
 
 GHZ3 = """
 OPENQASM 2.0;
@@ -100,6 +106,17 @@ class TestProgramGraph:
         assert feats.shape == (3, 5)
         assert (feats[:, :3] == np.eye(3)).all()
         assert (feats[:, 3:] == 0).all()
+
+    def test_onehot_wider_than_n_max(self):
+        with pytest.raises(TooManyQubitsError, match="6 qubits.*n_max = 4"):
+            onehot_features(6, n_max=4)
+
+    def test_huge_register_rejected_before_allocation(self):
+        circ = parse_qasm("OPENQASM 2.0;\nqreg q[99999999999];\n")
+        assert circ.num_qubits == 99999999999
+        with pytest.raises(TooManyQubitsError, match="99999999999.*65"):
+            check_qubit_count(circ.num_qubits, 65, "the device's N")
+        check_qubit_count(65, 65, "the device's N")
 
 
 class TestFeatures:

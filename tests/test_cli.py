@@ -1,10 +1,13 @@
 import csv
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from qlayout.cli import main, resolve_device
+from qlayout.cli import entry, main, resolve_device
+
+from conftest import tiny_policy
 
 QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -149,3 +152,65 @@ class TestAblation:
             rows = list(csv.DictReader(fh))
         assert [r["context_encoding"] for r in rows] == [
             "project_concat", "concat_project", "stack_project"]
+
+
+def run_entry(monkeypatch, capsys, *args):
+    """Run the installed ``qlayout`` entry point; returns (exit code,
+    stderr)."""
+    monkeypatch.setattr(sys, "argv", ["qlayout", *map(str, args)])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    return exc.value.code, capsys.readouterr().err
+
+
+class TestInputBoundaries:
+    HUGE = "OPENQASM 2.0;\nqreg q[99999999999];\ncx q[0], q[1];\n"
+
+    @pytest.fixture
+    def huge_circuit(self, tmp_path):
+        f = tmp_path / "huge.qasm"
+        f.write_text(self.HUGE)
+        return f
+
+    @pytest.fixture
+    def layout_file(self, tmp_path):
+        f = tmp_path / "layout.json"
+        f.write_text(json.dumps({"n": 3, "assign": [0, 1, 2]}))
+        return f
+
+    def assert_one_line_error(self, code, err, *fragments):
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_map_rejects_more_qubits_than_the_device(
+            self, monkeypatch, capsys, tmp_path, huge_circuit):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        code, err = run_entry(monkeypatch, capsys, "map", "--circuit",
+                              huge_circuit, "--ckpt", ckpt)
+        self.assert_one_line_error(code, err, "99999999999", "N = 4")
+
+    def test_map_rejects_more_qubits_than_n_max(
+            self, monkeypatch, capsys, tmp_path, qasm_file):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy(n_max=2).save(ckpt)
+        code, err = run_entry(monkeypatch, capsys, "map", "--circuit",
+                              qasm_file, "--ckpt", ckpt)
+        self.assert_one_line_error(code, err, "3 qubits", "n_max = 2")
+
+    def test_postprocess_rejects_more_qubits_than_the_device(
+            self, monkeypatch, capsys, huge_circuit, layout_file):
+        code, err = run_entry(monkeypatch, capsys, "postprocess", "--layout",
+                              layout_file, "--circuit", huge_circuit,
+                              "--device", "grid2x2")
+        self.assert_one_line_error(code, err, "99999999999", "N = 4")
+
+    def test_postprocess_rejects_a_layout_without_assign(
+            self, monkeypatch, capsys, qasm_file, layout_file):
+        layout_file.write_text(json.dumps({"n": 2}))
+        code, err = run_entry(monkeypatch, capsys, "postprocess", "--layout",
+                              layout_file, "--circuit", qasm_file,
+                              "--device", "grid2x2")
+        self.assert_one_line_error(code, err, '"assign"')

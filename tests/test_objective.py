@@ -7,6 +7,7 @@ from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.errors import (
     ConstraintViolationError,
     IncompleteLayoutError,
+    ParseError,
     SearchSpaceTooLargeError,
 )
 from qlayout.objective import (
@@ -192,3 +193,23 @@ class TestLayoutJson:
         lay.save(p, num_physical=64)
         back = Layout.load(p)
         assert back.assign.tolist() == [7, 12, 3]
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 2},                      # no assign
+        {"assign": [0, "1"]},          # a string seat
+        {"assign": [0, 1.5]},          # a fractional seat
+        {"assign": [0, True]},         # a boolean seat
+        {"assign": [[0, 1], [2, 3]]},  # nested one level too deep
+        {"assign": 3},                 # not a list
+        [0, 1],                        # not an object
+        {"assign": [2**70]},           # beyond int64
+    ])
+    def test_malformed_documents_rejected(self, doc):
+        with pytest.raises(ParseError):
+            Layout.from_dict(doc)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        p = tmp_path / "layout.json"
+        p.write_text('{"assign": [0, 1')
+        with pytest.raises(ParseError):
+            Layout.load(p)

@@ -1,10 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 import qlayout.diffcore as dc
 from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.diffcore import Tensor
-from qlayout.errors import ConfigError, InfeasibleStateError, ShapeError
+from qlayout.errors import (
+    CheckpointError,
+    ConfigError,
+    InfeasibleStateError,
+    ShapeError,
+)
 from qlayout.policy import DecoderConfig, EncoderConfig, PolicyNetwork
 from qlayout.topology import build_grid
 
@@ -261,3 +268,100 @@ class TestCheckpoint:
         a = pol.encode(pg).program.data
         b = back.encode(pg).program.data
         assert np.allclose(a, b, atol=0)
+
+class TestStrictCheckpoint:
+    """``load`` accepts only a checkpoint that describes exactly the network
+    its header builds; everything else is a CheckpointError."""
+
+    def saved(self, tmp_path):
+        pol = tiny_policy(seed=3, norm="batch")
+        path = tmp_path / "ckpt.json"
+        pol.save(path)
+        return path, json.loads(path.read_text())
+
+    def load_edited(self, tmp_path, edit):
+        path, doc = self.saved(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return PolicyNetwork.load(path)
+
+    def test_version(self, tmp_path):
+        def edit(doc):
+            doc["header"]["version"] = 99
+        with pytest.raises(CheckpointError, match="version"):
+            self.load_edited(tmp_path, edit)
+
+    def test_missing_parameter(self, tmp_path):
+        def edit(doc):
+            del doc["params"]["ptr.W_Q"]
+        with pytest.raises(CheckpointError, match="ptr.W_Q"):
+            self.load_edited(tmp_path, edit)
+
+    def test_unknown_parameter(self, tmp_path):
+        def edit(doc):
+            doc["params"]["ptr.W_X"] = {"shape": [2], "values": [0.0, 1.0]}
+        with pytest.raises(CheckpointError, match="ptr.W_X"):
+            self.load_edited(tmp_path, edit)
+
+    def test_missing_buffer(self, tmp_path):
+        def edit(doc):
+            del doc["buffers"]["enc.prog.l0.norm.var"]
+        with pytest.raises(CheckpointError, match="norm.var"):
+            self.load_edited(tmp_path, edit)
+
+    def test_shape_mismatch(self, tmp_path):
+        def edit(doc):
+            entry = doc["params"]["ptr.W_G"]
+            entry["shape"] = [entry["shape"][0] // 2, entry["shape"][1] * 2]
+        with pytest.raises(CheckpointError, match="shape"):
+            self.load_edited(tmp_path, edit)
+
+    def test_value_count_mismatch(self, tmp_path):
+        def edit(doc):
+            doc["params"]["ptr.W_G"]["values"].pop()
+        with pytest.raises(CheckpointError, match="ptr.W_G"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("section", ["params", "buffers"])
+    def test_non_finite(self, tmp_path, section):
+        def edit(doc):
+            if section == "params":
+                doc["params"]["ctx.W"]["values"][0] = float("nan")
+            else:
+                doc["buffers"]["enc.phys.l0.norm.mean"][0] = float("inf")
+        with pytest.raises(CheckpointError, match="non-finite"):
+            self.load_edited(tmp_path, edit)
+
+    def test_topology_hash(self, tmp_path):
+        def edit(doc):
+            doc["device"]["edges"].pop()
+        with pytest.raises(CheckpointError, match="topology_hash"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("key", ["header", "params", "d_e", "values"])
+    def test_missing_key(self, tmp_path, key):
+        def edit(doc):
+            if key in doc:
+                del doc[key]
+            elif key in doc["header"]:
+                del doc["header"][key]
+            else:
+                del doc["params"]["ptr.W_K"][key]
+        with pytest.raises(CheckpointError, match=key):
+            self.load_edited(tmp_path, edit)
+
+    def test_malformed_json(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        path.write_text(path.read_text()[:200])
+        with pytest.raises(CheckpointError, match="cannot read"):
+            PolicyNetwork.load(path)
+
+    def test_legacy_stack_pool(self, tmp_path):
+        def mean(doc):
+            doc["header"]["stack_pool"] = "mean"
+        assert self.load_edited(tmp_path, mean).config_header()["d_e"] == 8
+
+        def other(doc):
+            doc["header"]["stack_pool"] = "sum"
+        with pytest.raises(CheckpointError, match="stack_pool"):
+            self.load_edited(tmp_path, other)
