@@ -14,18 +14,18 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import ProgramGraph, build_program_graph, parse_qasm
+from .circuit import ProgramGraph, onehot_features, parse_qasm
 from .errors import ConfigError, ParseError, QLayoutError
-from .objective import CostModel
+from .objective import CostModel, fast_cost_fn
 from .policy import PolicyNetwork
 from .postprocess import SearchConfig, local_search
 from .topology import CouplingGraph
-from .training import DecodeStrategy, decode
+from .training import DecodeStrategy, decode, train_new
 
 log = logging.getLogger(__name__)
 
@@ -84,17 +84,13 @@ def _gate_bucket(count):
 
 
 def load_dataset(path, policy):
-    """Parse every .qasm file; unparseable files are skipped with a warning."""
+    """Parse every .qasm file; files that fail to parse or do not fit the
+    policy are skipped with a warning."""
     instances = []
     skipped = 0
     for f in sorted(Path(path).glob("*.qasm")):
         try:
-            circ = parse_qasm(f.read_text())
-            policy.check_fits(circ.num_qubits)
-            if policy.feature_kind == "engineered":
-                pg = build_program_graph(circ, features="engineered")
-            else:
-                pg = build_program_graph(circ, n_max=policy.prog_feature_dim)
+            pg = policy.program_graph(parse_qasm(f.read_text()))
             instances.append((f.stem, pg))
         except QLayoutError as exc:
             log.warning("skipping %s: %s", f.name, exc)
@@ -124,8 +120,6 @@ def run_bench(cfg: BenchRun):
                     t1 = time.perf_counter()
                     refined = local_search(layout, pg, cfg.device, search)
                     wall_pp = (time.perf_counter() - t1) * 1e3
-                    from .objective import fast_cost_fn
-
                     pp_cost = fast_cost_fn(pg, cost_model)(refined.assign)
                 rows.append(ReportRow(
                     instance=name, family=family, n=pg.num_logical,
@@ -240,8 +234,6 @@ def gen_embeddable_instance(cg: CouplingGraph, n, rng, n_max=None
     """Program graph sampled as a random connected n-node subgraph of the
     device, so a zero-cost layout exists by construction (adjacent-free
     mode)."""
-    from .circuit import onehot_features
-
     adj = cg.adjacency_matrix()
     start = int(rng.integers(cg.num_physical))
     chosen = [start]
@@ -275,10 +267,6 @@ def run_context_ablation(cg, train_cfg, enc_cfg, dec_cfg, test_instances,
                          out_path=None, multistart_k=10, log_fn=None):
     """Train one policy per context encoding and report the mean decoded
     cost under all four strategies as a CSV grid."""
-    from dataclasses import replace
-
-    from .training import train_new
-
     cost_model = CostModel(train_cfg.cost_mode, cg.distances)
     strategies = ["greedy", "sampling", "multistart_greedy",
                   "multistart_sampling"]

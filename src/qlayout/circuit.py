@@ -184,6 +184,8 @@ class ProgramGraph:
     node_features: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        if self.num_logical < 1:
+            raise EmptyCircuitError("circuit has no qubits")
         feats = np.asarray(self.node_features, dtype=np.float64)
         if feats.shape[0] != self.num_logical:
             raise ValueError(
@@ -221,15 +223,11 @@ def onehot_features(n, n_max=None):
     return feats
 
 
-def build_program_graph(c: Circuit, features="onehot", n_max=None, walk_radius=4):
-    """One directed edge (control -> target) per two-qubit gate occurrence."""
+def build_program_graph(c: Circuit, n_max=None):
+    """One directed edge (control -> target) per two-qubit gate occurrence;
+    one-hot node features padded to ``n_max``."""
     edges = tuple(g.qubits for g in c.gates if g.is_two_qubit)
-    if features == "onehot":
-        feats = onehot_features(c.num_qubits, n_max)
-    elif features == "engineered":
-        feats = feature_matrix(extract_features(c, walk_radius))
-    else:
-        raise ValueError(f"unknown feature kind '{features}'")
+    feats = onehot_features(c.num_qubits, n_max)
     return ProgramGraph(c.num_qubits, edges, feats)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .bench import (
     import_baseline,
     run_bench,
     run_context_ablation,
+    summarize,
     write_report,
     write_summary,
 )
@@ -25,20 +27,31 @@ from .circuit import (
     extract_features,
     parse_qasm,
 )
-from .errors import QLayoutError
+from .errors import QLayoutError, TopologyError
 from .objective import CostModel, Layout, swap_cost
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
 from .postprocess import SearchConfig, local_search
 from .topology import build_grid, build_heavy_hex, load_coupling_graph
-from .training import DecodeStrategy, TrainConfig, decode, train_new, \
-    write_metrics_csv
+from .training import (
+    DecodeStrategy,
+    TrainConfig,
+    decode,
+    gen_random_instance,
+    train_new,
+    write_metrics_csv,
+)
 
 
 def resolve_device(name):
-    """grid<R>x<C>, heavyhex65, or a path to an edge-list JSON file."""
+    """grid<R>x<C> with positive R and C, heavyhex65, or a path to an
+    edge-list JSON file."""
     if name.startswith("grid"):
-        rows, cols = name[4:].split("x")
-        return build_grid(int(rows), int(cols))
+        m = re.fullmatch(r"grid0*([1-9]\d*)x0*([1-9]\d*)", name)
+        if m is None:
+            raise TopologyError(
+                f"device '{name}' is not grid<R>x<C> with positive integers"
+            )
+        return build_grid(int(m[1]), int(m[2]))
     if name in ("heavyhex65", "heavyhex"):
         return build_heavy_hex()
     return load_coupling_graph(name)
@@ -133,12 +146,7 @@ def train(device, n_min, n_max, epochs, batches, batch_size, lr, edge_prob,
 def map_cmd(circuit_path, ckpt, strategy, k, seed, cost_mode, out):
     """Map a circuit onto the checkpoint's device."""
     policy = PolicyNetwork.load(ckpt)
-    circ = parse_qasm(Path(circuit_path).read_text())
-    policy.check_fits(circ.num_qubits)
-    if policy.feature_kind == "engineered":
-        pg = build_program_graph(circ, features="engineered")
-    else:
-        pg = build_program_graph(circ, n_max=policy.prog_feature_dim)
+    pg = policy.program_graph(parse_qasm(Path(circuit_path).read_text()))
     strat = DecodeStrategy.make(strategy, k=k, seed=seed)
     cm = CostModel(cost_mode, policy.cg.distances)
     layout, cost = decode(pg, policy.cg, policy, strat, cm)
@@ -188,7 +196,6 @@ def postprocess(layout_path, circuit_path, device, op, iters, patience, seed,
 
 @main.command()
 @click.option("--dataset", required=True, type=click.Path(exists=True))
-@click.option("--device", required=True)
 @click.option("--ckpt", required=True, type=click.Path(exists=True))
 @click.option("--strategies", default="greedy", show_default=True,
               help="Comma-separated strategy kinds.")
@@ -204,13 +211,13 @@ def postprocess(layout_path, circuit_path, device, op, iters, patience, seed,
               help="Report CSV path.")
 @click.option("--summary", "summary_path", type=click.Path(),
               help="Summary JSON path.")
-def bench(dataset, device, ckpt, strategies, pp, k, seeds, cost_mode,
-          baseline_path, out, summary_path):
-    """Evaluate a checkpoint over a dataset of .qasm files."""
-    cg = resolve_device(device)
+def bench(dataset, ckpt, strategies, pp, k, seeds, cost_mode, baseline_path,
+          out, summary_path):
+    """Evaluate a checkpoint over a dataset of .qasm files on the
+    checkpoint's device."""
     policy = PolicyNetwork.load(ckpt)
     cfg = BenchRun(
-        dataset=Path(dataset), device=cg, policy=policy,
+        dataset=Path(dataset), device=policy.cg, policy=policy,
         strategies=[s.strip() for s in strategies.split(",") if s.strip()],
         postprocess=pp, cost_mode=cost_mode,
         seeds=[int(s) for s in seeds.split(",")], multistart_k=k,
@@ -218,8 +225,6 @@ def bench(dataset, device, ckpt, strategies, pp, k, seeds, cost_mode,
     rows, summary = run_bench(cfg)
     baseline = import_baseline(baseline_path) if baseline_path else None
     if baseline is not None:
-        from .bench import summarize
-
         summary = summarize(rows, skipped=summary["skipped"],
                             baseline=baseline)
     write_report(rows, out, baseline=baseline)
@@ -254,8 +259,6 @@ def ablate_context(device, n_min, n_max, epochs, batches, batch_size,
     enc = EncoderConfig(layers=layers, heads=heads, embed_dim=d_e)
     dec = DecoderConfig(heads=m_heads, context_dim=d_e)
     rng = np.random.default_rng([seed, 99])
-    from .training import gen_random_instance
-
     test = [gen_random_instance(int(rng.integers(n_min, n_max + 1)), 0.3,
                                 rng, n_max=n_max) for _ in range(test_size)]
     run_context_ablation(cg, cfg, enc, dec, test, out_path=out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class Layout:
 
     def __post_init__(self):
         self.assign = np.asarray(self.assign, dtype=np.int64)
-
-    @classmethod
-    def empty(cls, n):
-        return cls(np.full(n, UNASSIGNED, dtype=np.int64))
 
     @property
     def n(self):
@@ -111,37 +107,37 @@ class Layout:
 
 @dataclass(frozen=True)
 class CostModel:
+    """A cost mode over a device's distances; ``edge_costs[p, q]`` is the
+    SWAP cost of one interaction placed on seats p and q."""
+
     mode: str
     distance: DistanceMatrix
+    edge_costs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in COST_MODES:
             raise ValueError(f"unknown cost mode '{self.mode}'")
+        d = self.distance.entries.astype(np.float64)
+        # exact small integers, so any sum of them is exact too
+        table = 2.0 * d if self.mode == "literal" else 2.0 * (d - 1)
+        object.__setattr__(self, "edge_costs", table)
 
     @classmethod
     def for_graph(cls, cg: CouplingGraph, mode="adjacent-free"):
         return cls(mode, cg.distances)
-
-    def edge_cost(self, dist):
-        if self.mode == "literal":
-            return 2.0 * dist
-        return 2.0 * (dist - 1)
 
 
 def fast_cost_fn(pg: ProgramGraph, cm: CostModel):
     """Closure evaluating the SWAP cost of a total assignment array.
 
     Skips layout validation; callers own the invariants. Used in the hot
-    loops of local search and brute force.
+    loops of local search and decoding.
     """
     ei, ej = pg.edge_arrays()
-    d = cm.distance.entries
-    if cm.mode == "literal":
-        def cost(assign):
-            return float(2 * d[assign[ei], assign[ej]].sum())
-    else:
-        def cost(assign):
-            return float(2 * (d[assign[ei], assign[ej]] - 1).sum())
+    table = cm.edge_costs
+
+    def cost(assign):
+        return float(table[assign[ei], assign[ej]].sum())
     return cost
 
 
@@ -174,12 +170,7 @@ def brute_force_optimal(pg: ProgramGraph, cg: CouplingGraph, cm: CostModel,
             f"{space} injections exceed the cap of {cap}"
         )
 
-    d = cm.distance.entries.astype(np.float64)
-    if cm.mode == "literal":
-        edge_cost = 2.0 * d
-    else:
-        edge_cost = 2.0 * (d - 1)
-
+    edge_cost = cm.edge_costs
     # edges from qubit t back to already-placed qubits, for incremental cost
     back_edges = [[] for _ in range(n)]
     for i, j in pg.edges:

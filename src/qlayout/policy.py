@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .circuit import ProgramGraph, check_qubit_count
+from .circuit import ProgramGraph, build_program_graph, check_qubit_count
 from .diffcore import Tensor
 from .errors import (
     CheckpointError,
@@ -132,13 +132,11 @@ def _uniform_init(rng, shape, fan_in):
 class PolicyNetwork:
     def __init__(self, cg: CouplingGraph, enc_cfg: EncoderConfig,
                  dec_cfg: DecoderConfig, prog_feature_dim: int,
-                 feature_kind: str = "onehot", shared_encoder: bool = False,
-                 seed: int = 0):
+                 shared_encoder: bool = False, seed: int = 0):
         self.cg = cg
         self.enc_cfg = enc_cfg
         self.dec_cfg = dec_cfg
         self.prog_feature_dim = prog_feature_dim
-        self.feature_kind = feature_kind
         self.shared_encoder = shared_encoder
         self.seed = seed
         self.store = ParamStore()
@@ -204,13 +202,15 @@ class PolicyNetwork:
         add("ptr.W_G", _uniform_init(rng, (d_c, d_c), d_c))
         add("ptr.W_Kf", _uniform_init(rng, (d_c, d_e), d_e))
 
-    def check_fits(self, num_qubits):
-        """Reject a circuit wider than the device or, with one-hot
-        features, than the feature width n_max."""
-        check_qubit_count(num_qubits, self.cg.num_physical, "the device's N")
-        if self.feature_kind == "onehot":
-            check_qubit_count(num_qubits, self.prog_feature_dim,
-                              "the checkpoint's n_max")
+    def program_graph(self, circ) -> ProgramGraph:
+        """The program graph this policy reads for ``circ``; a circuit wider
+        than the device or the feature width n_max is rejected before
+        anything n x n is built."""
+        check_qubit_count(circ.num_qubits, self.cg.num_physical,
+                          "the device's N")
+        check_qubit_count(circ.num_qubits, self.prog_feature_dim,
+                          "the checkpoint's n_max")
+        return build_program_graph(circ, n_max=self.prog_feature_dim)
 
     # --- encoder ----------------------------------------------------
 
@@ -405,7 +405,6 @@ class PolicyNetwork:
             "clip": self.dec_cfg.clip,
             "n_max": self.prog_feature_dim,
             "N": self.cg.num_physical,
-            "feature_kind": self.feature_kind,
             "shared_encoder": self.shared_encoder,
             "seed": self.seed,
             "topology_hash": self.cg.topology_hash(),
@@ -449,11 +448,10 @@ class PolicyNetwork:
             raise CheckpointError(
                 f"unsupported checkpoint version {h['version']!r}"
             )
-        # written by older versions, when "mean" was the only pooling used
-        if h.get("stack_pool", "mean") != "mean":
-            raise CheckpointError(
-                f"unsupported stack_pool {h['stack_pool']!r}"
-            )
+        # written by older versions, which had only these values in use
+        for key, legacy in (("stack_pool", "mean"), ("feature_kind", "onehot")):
+            if h.get(key, legacy) != legacy:
+                raise CheckpointError(f"unsupported {key} {h[key]!r}")
         cg = coupling_graph_from_dict(doc["device"])
         if h["topology_hash"] != cg.topology_hash():
             raise CheckpointError(
@@ -463,8 +461,8 @@ class PolicyNetwork:
                             embed_dim=h["d_e"], norm_kind=h["norm_kind"])
         dec = DecoderConfig(heads=h["m_heads"], context_kind=h["context_kind"],
                             clip=h["clip"], context_dim=h["d_c"])
-        net = cls(cg, enc, dec, h["n_max"], feature_kind=h["feature_kind"],
-                  shared_encoder=h["shared_encoder"], seed=h.get("seed", 0))
+        net = cls(cg, enc, dec, h["n_max"], shared_encoder=h["shared_encoder"],
+                  seed=h.get("seed", 0))
         for name, entry in _same_names(doc["params"], net.store.params,
                                        "parameter"):
             arr = _checked_array(name, entry["values"],

@@ -6,6 +6,7 @@ eagerly (N is at most a few hundred, so BFS from every source is cheap).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -100,9 +101,6 @@ class CouplingGraph:
     def edge_list(self):
         return sorted(self.edges)
 
-    def degree(self, node):
-        return sum(1 for a, b in self.edges if node in (a, b))
-
     def max_degree(self):
         deg = np.zeros(self.num_physical, dtype=int)
         for a, b in self.edges:
@@ -117,8 +115,6 @@ class CouplingGraph:
         return a
 
     def topology_hash(self):
-        import hashlib
-
         payload = json.dumps([self.num_physical, self.edge_list]).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -190,8 +186,11 @@ def build_heavy_hex() -> CouplingGraph:
 
 def load_coupling_graph(path) -> CouplingGraph:
     """Load a custom topology from an edge-list JSON file."""
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise TopologyError(f"cannot read device file {path}: {exc}") from exc
     return coupling_graph_from_dict(data)
 
 
@@ -199,6 +198,6 @@ def coupling_graph_from_dict(data) -> CouplingGraph:
     try:
         n = int(data["n"])
         edges = frozenset((int(a), int(b)) for a, b in data["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TopologyError(f"malformed edge-list document: {exc}") from exc
     return CouplingGraph(n, edges, name=str(data.get("name", "custom")))

@@ -10,6 +10,7 @@ that epoch.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass
 
@@ -96,30 +97,30 @@ class RolloutResult:
     cost: float
 
 
-def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
-            mode="greedy", rng=None, cost_model=None, train=False,
-            emb=None, sample_first=False, order=None) -> RolloutResult:
-    """Run one episode placing every logical qubit.
-
-    ``mode`` is "greedy" (argmax, first index on ties) or "sample".
-    ``sample_first`` samples only the t=0 action and decodes greedily
-    afterwards (used by multistart greedy for diversity). With ``train``
-    the result's ``log_prob`` is a tape whose gradient is that of the
-    episode's log-probability.
-    """
+def _episode(pg, cg, policy, cost_model, train):
+    """The (n, N) logit table of an episode placing the logical qubits in
+    ascending order, and the cost function its layouts are scored by."""
     check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
-    if cost_model is None:
-        cost_model = CostModel.for_graph(cg)
-    order = np.arange(pg.num_logical) if order is None else np.asarray(order)
-    if emb is None:
-        emb = policy.encode(pg, train=train)
-    table = policy.logit_table(emb, order)
-    n_sampled = pg.num_logical if mode == "sample" else int(sample_first)
+    table = policy.logit_table(policy.encode(pg, train=train),
+                               np.arange(pg.num_logical))
+    return table, fast_cost_fn(pg, cost_model or CostModel.for_graph(cg))
+
+
+def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
+            mode="greedy", rng=None, cost_model=None, train=False
+            ) -> RolloutResult:
+    """Run one episode placing every logical qubit in ascending order.
+
+    ``mode`` is "greedy" (argmax, first index on ties) or "sample". With
+    ``train`` the result's ``log_prob`` is a tape whose gradient is that of
+    the episode's log-probability.
+    """
+    table, cost_fn = _episode(pg, cg, policy, cost_model, train)
+    n_sampled = pg.num_logical if mode == "sample" else 0
     seats, log_p = _walk(table.data, [rng], [n_sampled])
-    assign = np.empty(pg.num_logical, dtype=np.int64)
-    assign[order] = seats[0]
-    cost = fast_cost_fn(pg, cost_model)(assign)
-    log_prob = _log_prob(table, seats[0]) if train else float(log_p[0])
+    assign = seats[0]
+    cost = cost_fn(assign)
+    log_prob = _log_prob(table, assign) if train else float(log_p[0])
     return RolloutResult(Layout(assign), log_prob, -cost, cost)
 
 
@@ -176,18 +177,13 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     matches the corresponding single-start strategy, so best-of-k can never
     be worse.
     """
-    check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
-    if cost_model is None:
-        cost_model = CostModel.for_graph(cg)
-    n = pg.num_logical
-    table = policy.logit_table(policy.encode(pg, train=False), np.arange(n))
+    table, cost_fn = _episode(pg, cg, policy, cost_model, False)
     rngs = [_start_rng(strategy.seed, start) for start in range(strategy.k)]
     if "greedy" in strategy.kind:
         n_sampled = [0] + [1] * (strategy.k - 1)
     else:
-        n_sampled = [n] * strategy.k
+        n_sampled = [pg.num_logical] * strategy.k
     seats, _ = _walk(table.data, rngs, n_sampled)
-    cost_fn = fast_cost_fn(pg, cost_model)
     costs = [cost_fn(assign) for assign in seats]
     best = int(np.argmin(costs))
     return Layout(seats[best]), costs[best]
@@ -287,8 +283,6 @@ def train_new(cfg: TrainConfig, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
 
 
 def write_metrics_csv(metrics, path):
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_reward", "baseline", "grad_norm",

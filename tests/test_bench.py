@@ -79,6 +79,16 @@ class TestDataset:
                                                     "ghz_4"]
         assert "6 qubits, more than the device's N = 4" in caplog.text
 
+    def test_skips_a_circuit_without_qubits(self, dataset, caplog):
+        (dataset / "empty_0.qasm").write_text("OPENQASM 2.0;\nqreg q[0];\n")
+        pol = tiny_policy(cg=build_grid(2, 3), n_max=5)
+        with caplog.at_level("WARNING"):
+            instances, skipped = load_dataset(dataset, pol)
+        assert skipped == 1
+        assert [name for name, _ in instances] == ["chain_2", "ghz_3",
+                                                    "ghz_4"]
+        assert "empty_0.qasm: circuit has no qubits" in caplog.text
+
     def test_family_parsing(self):
         assert family_from_name("ghz_12") == "ghz"
         assert family_from_name("qft_big_5") == "qft"

@@ -101,6 +101,11 @@ class TestProgramGraph:
         assert pg.num_edges == 0
         assert pg.num_logical == 2
 
+    def test_no_qubits_rejected(self):
+        c = parse_qasm("OPENQASM 2.0;\nqreg q[0];\n")
+        with pytest.raises(EmptyCircuitError, match="no qubits"):
+            build_program_graph(c, n_max=4)
+
     def test_onehot_padding(self):
         feats = onehot_features(3, n_max=5)
         assert feats.shape == (3, 5)
@@ -193,7 +198,3 @@ class TestFeatures:
         singles = sum(v.mu_s for v in f) * eta
         twoq = sum(1 for g in c.gates if g.is_two_qubit)
         assert singles + 2 * twoq == sum(len(g.qubits) for g in c.gates)
-
-    def test_engineered_graph_features(self):
-        pg = build_program_graph(parse_qasm(GHZ3), features="engineered")
-        assert pg.node_features.shape == (3, 6)

@@ -96,10 +96,9 @@ class TestPipeline:
         report = tmp_path / "report.csv"
         summary = tmp_path / "summary.json"
         res = runner.invoke(main, [
-            "bench", "--dataset", str(dataset), "--device", "grid2x2",
-            "--ckpt", str(ckpt), "--strategies", "greedy,sampling",
-            "--k", "3", "--seeds", "0,1", "--out", str(report),
-            "--summary", str(summary),
+            "bench", "--dataset", str(dataset), "--ckpt", str(ckpt),
+            "--strategies", "greedy,sampling", "--k", "3", "--seeds", "0,1",
+            "--out", str(report), "--summary", str(summary),
         ])
         assert res.exit_code == 0, res.output
         with open(report, newline="") as fh:
@@ -125,9 +124,9 @@ class TestPipeline:
         report = tmp_path / "report.csv"
         summary = tmp_path / "summary.json"
         res = runner.invoke(main, [
-            "bench", "--dataset", str(dataset), "--device", "grid2x2",
-            "--ckpt", str(ckpt), "--no-pp", "--baseline", str(base),
-            "--out", str(report), "--summary", str(summary),
+            "bench", "--dataset", str(dataset), "--ckpt", str(ckpt),
+            "--no-pp", "--baseline", str(base), "--out", str(report),
+            "--summary", str(summary),
         ])
         assert res.exit_code == 0, res.output
         doc = json.loads(summary.read_text())
@@ -214,3 +213,40 @@ class TestInputBoundaries:
                               layout_file, "--circuit", qasm_file,
                               "--device", "grid2x2")
         self.assert_one_line_error(code, err, '"assign"')
+
+    def test_postprocess_rejects_a_malformed_device(
+            self, monkeypatch, capsys, tmp_path, qasm_file, layout_file):
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        infinite = tmp_path / "infinite.json"
+        infinite.write_text('{"n": 1e400, "edges": []}')
+        none = tmp_path / "none.json"
+        for device, fragment in (("gridx", "gridx"), ("grid2x", "grid2x"),
+                                 ("grid0x4", "grid0x4"), (none, str(none)),
+                                 (bad_json, str(bad_json)),
+                                 (infinite, "malformed edge-list")):
+            code, err = run_entry(monkeypatch, capsys, "postprocess",
+                                  "--layout", layout_file, "--circuit",
+                                  qasm_file, "--device", device)
+            self.assert_one_line_error(code, err, fragment)
+
+    @pytest.fixture
+    def no_qubits(self, tmp_path):
+        f = tmp_path / "empty.qasm"
+        f.write_text("OPENQASM 2.0;\nqreg q[0];\n")
+        return f
+
+    def test_map_rejects_a_circuit_without_qubits(
+            self, monkeypatch, capsys, tmp_path, no_qubits):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        code, err = run_entry(monkeypatch, capsys, "map", "--circuit",
+                              no_qubits, "--ckpt", ckpt)
+        self.assert_one_line_error(code, err, "no qubits")
+
+    def test_postprocess_rejects_a_circuit_without_qubits(
+            self, monkeypatch, capsys, no_qubits, layout_file):
+        code, err = run_entry(monkeypatch, capsys, "postprocess", "--layout",
+                              layout_file, "--circuit", no_qubits,
+                              "--device", "grid2x2")
+        self.assert_one_line_error(code, err, "no qubits")

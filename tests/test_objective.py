@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.errors import (
@@ -104,6 +106,37 @@ class TestSwapCost:
             lay = Layout(rng.permutation(9)[:4])
             assert swap_cost(lay, pg, cm) == \
                 swap_cost(Layout(sigma[lay.assign]), pg, cm)
+
+
+@st.composite
+def placed_programs(draw):
+    """A random connected device, a program on it and a total injective
+    layout of that program."""
+    big_n = draw(st.integers(2, 9))
+    # a random spanning tree keeps the device connected
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, big_n)}
+    seat = st.integers(0, big_n - 1)
+    edges |= set(draw(st.lists(st.tuples(seat, seat).filter(
+        lambda e: e[0] != e[1]), max_size=8)))
+    n = draw(st.integers(2, big_n))
+    qubit = st.integers(0, n - 1)
+    gates = draw(st.lists(st.tuples(qubit, qubit).filter(
+        lambda g: g[0] != g[1]), max_size=15))
+    assign = np.asarray(draw(st.permutations(range(big_n)))[:n])
+    return CouplingGraph(big_n, frozenset(edges)), make_pg(n, gates), assign
+
+
+class TestCostTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(placed_programs(), st.sampled_from(["literal", "adjacent-free"]))
+    def test_matches_a_per_gate_sum(self, placed, mode):
+        cg, pg, assign = placed
+        d = cg.distances.entries
+        free = 0 if mode == "literal" else 1
+        plain = sum(2 * (int(d[assign[i], assign[j]]) - free)
+                    for i, j in pg.edges)
+        cost = fast_cost_fn(pg, CostModel(mode, cg.distances))(assign)
+        assert type(cost) is float and cost == plain
 
 
 class TestReward:

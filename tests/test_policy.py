@@ -14,6 +14,7 @@ from qlayout.errors import (
 )
 from qlayout.policy import DecoderConfig, EncoderConfig, PolicyNetwork
 from qlayout.topology import build_grid
+from qlayout.training import DecodeStrategy, decode
 
 from conftest import tiny_policy
 
@@ -365,3 +366,22 @@ class TestStrictCheckpoint:
             doc["header"]["stack_pool"] = "sum"
         with pytest.raises(CheckpointError, match="stack_pool"):
             self.load_edited(tmp_path, other)
+
+    def test_legacy_feature_kind(self, tmp_path):
+        pg = make_pg(3, [(0, 1), (1, 2), (0, 2)], n_max=4)
+        strategy = DecodeStrategy.make("multistart_sampling", k=4, seed=2)
+        want = decode(pg, build_grid(2, 2), tiny_policy(seed=3, norm="batch"),
+                      strategy)
+
+        def onehot(doc):
+            doc["header"]["feature_kind"] = "onehot"
+        pol = self.load_edited(tmp_path, onehot)
+        assert "feature_kind" not in pol.config_header()
+        got = decode(pg, pol.cg, pol, strategy)
+        assert got[0].assign.tolist() == want[0].assign.tolist()
+        assert got[1] == want[1]
+
+        def engineered(doc):
+            doc["header"]["feature_kind"] = "engineered"
+        with pytest.raises(CheckpointError, match="feature_kind"):
+            self.load_edited(tmp_path, engineered)

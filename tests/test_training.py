@@ -125,10 +125,9 @@ class TestDecode:
         _, best = decode(pg, pol.cg, pol, strategy)
         cm = CostModel.for_graph(pol.cg)
         individual = []
-        emb = pol.encode(pg)
         for start in range(10):
             res = rollout(pg, pol.cg, pol, mode="sample",
-                          rng=_start_rng(42, start), cost_model=cm, emb=emb)
+                          rng=_start_rng(42, start), cost_model=cm)
             individual.append(res.cost)
         assert best == min(individual)
 
