@@ -12,8 +12,10 @@ program embeddings along the placement order, and the glimpse attends over
 every physical node unmasked. So ``make_context`` and ``pointer_logits``
 compute the whole (n, N) logit table of an episode in one batched pass, and
 the taken seats enter only through the mask of ``masked_distribution``.
-Parameters join the autodiff tape only when the inputs are on it, so eval
-builds no tape; the eval-mode device embedding is memoised on the policy.
+Episodes that share a device embedding stack their tables and take one
+pointer pass together (``stacked_logit_table``). Parameters join the
+autodiff tape only when the inputs are on it, so eval builds no tape; the
+eval-mode device embedding is memoised on the policy.
 """
 
 from __future__ import annotations
@@ -260,6 +262,8 @@ class PolicyNetwork:
         return self._norm(out, f"{prefix}.norm", p, train, update_running)
 
     def _encode_graph(self, feats, adj, which, train, update_running):
+        if update_running is None:
+            update_running = train
         p = self.store.lookup(train)
         w_in = p(f"in.{which}.W")
         if feats.shape[1] != w_in.shape[1]:
@@ -301,19 +305,26 @@ class PolicyNetwork:
                              physical)
         return physical
 
+    def encode_device(self, train=False, update_running=None) -> Tensor:
+        """The (N, d_e) device embedding: on the tape in training, the
+        memoised constant in eval."""
+        if not train:
+            return self._device_embedding()
+        return self._encode_graph(self._phys_feats, self._cg_adj, "phys",
+                                  True, update_running)
+
+    def encode_program(self, pg: ProgramGraph, train=False,
+                       update_running=None) -> Tensor:
+        """The (n, d_e) embedding of a program graph."""
+        adj_p = self._with_self_loops(pg.undirected_adjacency())
+        return self._encode_graph(pg.node_features, adj_p, "prog", train,
+                                  update_running)
+
     def encode(self, pg: ProgramGraph, train=False, update_running=None
                ) -> NodeEmbeddings:
-        if update_running is None:
-            update_running = train
-        adj_p = self._with_self_loops(pg.undirected_adjacency())
-        program = self._encode_graph(pg.node_features, adj_p, "prog", train,
-                                     update_running)
-        if train:
-            physical = self._encode_graph(self._phys_feats, self._cg_adj,
-                                          "phys", True, update_running)
-        else:
-            physical = self._device_embedding()
-        return NodeEmbeddings(program, physical)
+        program = self.encode_program(pg, train, update_running)
+        return NodeEmbeddings(program,
+                              self.encode_device(train, update_running))
 
     # --- decoder ----------------------------------------------------
 
@@ -322,29 +333,51 @@ class PolicyNetwork:
         (len(order), d_c) queries of every step. Step t reads only
         ``order[:t + 1]``, never the seats already chosen."""
         if t is not None:
-            return dc.gather(self._contexts(emb, order[: t + 1]), t)
-        return self._contexts(emb, order)
+            return dc.gather(self._contexts(emb.program, order[: t + 1], [0]),
+                             t)
+        return self._contexts(emb.program, order, [0])
 
     def logit_table(self, emb: NodeEmbeddings, order) -> Tensor:
         """The (len(order), N) pointer logits of every step of an episode
         placing the program nodes in ``order``."""
-        return self.pointer_logits(self.make_context(emb, None, order),
-                                   emb.physical)
+        return self.stacked_logit_table([emb.program], emb.physical, [order])
 
-    def _contexts(self, emb, order):
+    def stacked_logit_table(self, programs, physical, orders) -> Tensor:
+        """The logit tables of episodes that share one device embedding,
+        stacked episode after episode into one (sum of len(order), N)
+        table. The contexts of all steps are built together and one
+        pointer pass serves them all, so the device key, value and
+        final-key projections are computed once."""
+        offsets = np.cumsum([0] + [prog.shape[0] for prog in programs[:-1]])
+        order = np.concatenate([np.asarray(o, dtype=np.intp) + off
+                                for o, off in zip(orders, offsets)])
+        starts = np.cumsum([0] + [len(o) for o in orders[:-1]])
+        program = programs[0] if len(programs) == 1 else dc.concat(programs)
+        return self.pointer_logits(self._contexts(program, order, starts),
+                                   physical)
+
+    def _contexts(self, program, order, starts):
+        """The (len(order), d_c) context queries of steps reading the rows
+        ``order`` of ``program``; an episode begins at each step in
+        ``starts``."""
         kind = self.dec_cfg.context_kind
-        p = self.store.lookup(emb.program.requires_grad)
+        p = self.store.lookup(program.requires_grad)
         w = p("ctx.W")
         order = np.asarray(order, dtype=np.intp)
-        steps = len(order)
-        current = dc.gather(emb.program, order)  # (T, d_e)
+        first = np.zeros(len(order), dtype=bool)
+        first[starts] = True
+        current = dc.gather(program, order)  # (T, d_e)
         if kind == "stack_project":
-            # row t averages the projections of order[0..t]
-            prefix_mean = np.tril(np.ones((steps, steps)))
-            prefix_mean /= np.arange(1, steps + 1)[:, None]
+            # row t averages the projections of its episode's steps up to t
+            episode = np.cumsum(first)
+            prefix_mean = np.tril(episode[:, None] == episode).astype(float)
+            prefix_mean /= prefix_mean.sum(axis=1, keepdims=True)
             return dc.matmul(Tensor(prefix_mean), dc.matmul(current, w.T))
-        previous = dc.concat([p("ctx.start").reshape(1, -1),
-                              dc.gather(emb.program, order[:-1])])
+        # an episode's first step reads the start token, later steps the
+        # node placed before them (row 0 is the token, row r + 1 node r)
+        previous = dc.gather(
+            dc.concat([p("ctx.start").reshape(1, -1), program]),
+            np.where(first, 0, np.roll(order, 1) + 1))
         if kind == "project_concat":
             return dc.concat([dc.matmul(current, w.T),
                               dc.matmul(previous, w.T)], axis=1)

@@ -5,12 +5,15 @@ reward is given; the terminal reward is the negated SWAP cost of the
 finished layout. Training uses a greedy-rollout baseline: at the start of
 each epoch the current policy is decoded greedily over a fixed validation
 set and the scalar mean reward becomes the baseline for every episode of
-that epoch.
+that epoch. Each training batch builds one tape: the device graph is
+encoded once, every episode's rows join one stacked logit table, and one
+backward gives the batch's gradient.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -20,7 +23,7 @@ from . import diffcore as dc
 from .circuit import ProgramGraph, check_qubit_count, onehot_features
 from .diffcore import Tensor
 from .errors import ConfigError
-from .objective import CostModel, Layout, fast_cost_fn
+from .objective import COST_MODES, CostModel, Layout, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
 from .topology import CouplingGraph
 
@@ -42,8 +45,13 @@ class TrainConfig:
     whiten_advantage: bool = False
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
+        for name in ("epochs", "batches_per_epoch", "batch_size", "val_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, not {self.lr}")
+        if self.cost_mode not in COST_MODES:
+            raise ConfigError(f"unknown cost mode '{self.cost_mode}'")
         if not 0 < self.edge_prob <= 1:
             raise ConfigError("edge_prob must be in (0, 1]")
         if self.n_min < 2 or self.n_max < self.n_min:
@@ -97,13 +105,24 @@ class RolloutResult:
     cost: float
 
 
-def _episode(pg, cg, policy, cost_model, train):
-    """The (n, N) logit table of an episode placing the logical qubits in
-    ascending order, and the cost function its layouts are scored by."""
-    check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
-    table = policy.logit_table(policy.encode(pg, train=train),
-                               np.arange(pg.num_logical))
-    return table, fast_cost_fn(pg, cost_model or CostModel.for_graph(cg))
+def _episodes(batch, cg, policy, cost_model, train):
+    """The stacked logit table of one episode per program graph in
+    ``batch``, each placing its logical qubits in ascending order, and the
+    cost functions their layouts are scored by.
+
+    ``encode`` embeds the first program graph and the device graph; the
+    other program graphs are embedded against that one device embedding,
+    and one pointer pass scores every episode's rows.
+    """
+    for pg in batch:
+        check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
+    first = policy.encode(batch[0], train=train)
+    programs = [first.program] + [policy.encode_program(pg, train=train)
+                                  for pg in batch[1:]]
+    table = policy.stacked_logit_table(
+        programs, first.physical, [np.arange(pg.num_logical) for pg in batch])
+    cost_model = cost_model or CostModel.for_graph(cg)
+    return table, [fast_cost_fn(pg, cost_model) for pg in batch]
 
 
 def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
@@ -114,14 +133,30 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     ``mode`` is "greedy" (argmax, first index on ties) or "sample". With
     ``train`` the result's ``log_prob`` is a tape whose gradient is that of
     the episode's log-probability.
+
+    Given a list of program graphs, run one episode per graph, drawing from
+    ``rng`` one episode after another, and return a list of results. The
+    episodes share one device encode, one pointer pass and, with
+    ``train``, one tape.
     """
-    table, cost_fn = _episode(pg, cg, policy, cost_model, train)
-    n_sampled = pg.num_logical if mode == "sample" else 0
-    seats, log_p = _walk(table.data, [rng], [n_sampled])
-    assign = seats[0]
-    cost = cost_fn(assign)
-    log_prob = _log_prob(table, assign) if train else float(log_p[0])
-    return RolloutResult(Layout(assign), log_prob, -cost, cost)
+    batch = pg if isinstance(pg, list) else [pg]
+    table, cost_fns = _episodes(batch, cg, policy, cost_model, train)
+    seats, log_ps = [], []
+    lo = 0
+    for one in batch:
+        n = one.num_logical
+        chosen, log_p = _walk(table.data[lo:lo + n], [rng],
+                              [n if mode == "sample" else 0])
+        seats.append(chosen[0])
+        log_ps.append(float(log_p[0]))
+        lo += n
+    if train:
+        log_ps = _log_probs(table, seats)
+    results = []
+    for assign, log_p, cost_fn in zip(seats, log_ps, cost_fns):
+        cost = cost_fn(assign)
+        results.append(RolloutResult(Layout(assign), log_p, -cost, cost))
+    return results if isinstance(pg, list) else results[0]
 
 
 def _walk(logits, rngs, n_sampled):
@@ -151,17 +186,24 @@ def _walk(logits, rngs, n_sampled):
     return seats, log_p
 
 
-def _log_prob(table, seats):
-    """The episode's log-probability on the tape: every step's masked
-    softmax in one (n, N) op, read at the chosen seats."""
-    n, n_phys = table.shape
-    feasible = np.ones((n, n_phys), dtype=bool)
-    for t, seat in enumerate(seats[:-1]):
-        feasible[t + 1:, seat] = False
+def _log_probs(table, seats):
+    """Each episode's log-probability on the tape. ``table`` stacks the
+    episodes' rows and ``seats[i]`` holds episode i's chosen seats; every
+    step's masked softmax is one (rows, N) op, read at the chosen seats."""
+    rows, n_phys = table.shape
+    feasible = np.ones((rows, n_phys), dtype=bool)
+    lo = 0
+    for assign in seats:
+        # step t of an episode may not reuse the seats of its steps < t
+        step, earlier = np.tril_indices(len(assign), -1)
+        feasible[lo + step, assign[earlier]] = False
+        lo += len(assign)
     probs = PolicyNetwork.masked_distribution(table, feasible)
-    chosen = dc.gather(probs.reshape(n * n_phys),
-                       np.arange(n) * n_phys + seats)
-    return dc.tsum(dc.log(chosen))
+    logs = dc.log(dc.gather(probs.reshape(rows * n_phys),
+                            np.arange(rows) * n_phys + np.concatenate(seats)))
+    ends = np.cumsum([len(assign) for assign in seats])
+    return [dc.tsum(dc.gather(logs, np.arange(end - len(assign), end)))
+            for assign, end in zip(seats, ends)]
 
 
 def _start_rng(seed, start):
@@ -177,7 +219,7 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     matches the corresponding single-start strategy, so best-of-k can never
     be worse.
     """
-    table, cost_fn = _episode(pg, cg, policy, cost_model, False)
+    table, (cost_fn,) = _episodes([pg], cg, policy, cost_model, False)
     rngs = [_start_rng(strategy.seed, start) for start in range(strategy.k)]
     if "greedy" in strategy.kind:
         n_sampled = [0] + [1] * (strategy.k - 1)
@@ -210,6 +252,31 @@ def _mean_greedy_reward(instances, cg, policy, cost_model):
     return total / len(instances)
 
 
+def _batch_gradient(batch, cg, policy, cost_model, rng, baseline, whiten):
+    """Sample one episode per instance of ``batch`` from ``rng`` and return
+    the rewards and the REINFORCE gradient of the batch, the mean over
+    episodes of -advantage * grad log-probability.
+
+    The batch's episodes share one tape and one backward runs. Each
+    parameter's gradient is an array, zero if the tape does not reach it.
+    """
+    episodes = rollout(batch, cg, policy, mode="sample", rng=rng,
+                       cost_model=cost_model, train=True)
+    rewards = [res.reward for res in episodes]
+    advantages = np.array(rewards) - baseline
+    if whiten and len(advantages) > 1:
+        std = advantages.std()
+        advantages = (advantages - advantages.mean()) / (std + 1e-8)
+    policy.store.zero_grad()
+    sum(res.log_prob * (-float(adv))
+        for res, adv in zip(episodes, advantages)).backward()
+    reached = policy.store.grads()
+    grads = {name: reached[name] / len(batch) if name in reached
+             else np.zeros_like(t.data)
+             for name, t in policy.store.params.items()}
+    return rewards, grads
+
+
 def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
           log_fn=None):
     """REINFORCE with a greedy-rollout baseline; returns per-epoch metrics."""
@@ -233,33 +300,18 @@ def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
         epoch_rewards = []
         grad_norms = []
         for _ in range(cfg.batches_per_epoch):
-            episodes = []
+            batch = []
             for _ in range(cfg.batch_size):
                 n = int(inst_rng.integers(cfg.n_min, cfg.n_max + 1))
-                pg = gen_random_instance(n, cfg.edge_prob, inst_rng,
-                                         n_max=policy.prog_feature_dim)
-                res = rollout(pg, cg, policy, mode="sample", rng=episode_rng,
-                              cost_model=cost_model, train=True)
-                episodes.append(res)
-                epoch_rewards.append(res.reward)
-
-            advantages = np.array([r.reward - baseline for r in episodes])
-            if cfg.whiten_advantage and len(advantages) > 1:
-                std = advantages.std()
-                advantages = (advantages - advantages.mean()) / (std + 1e-8)
-
-            grad_acc = {k: np.zeros_like(v) for k, v in params.items()}
-            for res, adv in zip(episodes, advantages):
-                if adv == 0.0:
-                    continue
-                loss = res.log_prob * (-float(adv))
-                policy.store.zero_grad()
-                loss.backward()
-                for name, g in policy.store.grads().items():
-                    grad_acc[name] += g / cfg.batch_size
-            dc.adam_step(params, grad_acc, state, lr=cfg.lr)
+                batch.append(gen_random_instance(
+                    n, cfg.edge_prob, inst_rng, n_max=policy.prog_feature_dim))
+            rewards, grads = _batch_gradient(
+                batch, cg, policy, cost_model, episode_rng, baseline,
+                cfg.whiten_advantage)
+            epoch_rewards.extend(rewards)
+            dc.adam_step(params, grads, state, lr=cfg.lr)
             grad_norms.append(
-                float(np.sqrt(sum(np.sum(g * g) for g in grad_acc.values())))
+                float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
             )
         row = EpochMetrics(
             epoch=epoch,

@@ -1,0 +1,274 @@
+"""The batched training step against per-episode references.
+
+``train`` builds one tape per batch: the device graph is encoded once,
+every episode's rows join one stacked logit table from one pointer pass,
+and one backward gives the batch's gradient. These tests pin that step to
+references that treat each episode on its own: each episode's own logit
+table, per-episode ``rollout(train=True)`` gradients, and a REINFORCE loop
+with one tape and one backward per episode. They cover every norm kind,
+context kind and encoder sharing.
+"""
+
+import copy
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import qlayout.diffcore as dc
+from qlayout.circuit import ProgramGraph, onehot_features
+from qlayout.objective import CostModel, fast_cost_fn
+from qlayout.policy import (
+    CONTEXT_KINDS,
+    NORM_KINDS,
+    DecoderConfig,
+    EncoderConfig,
+    NodeEmbeddings,
+    PolicyNetwork,
+)
+from qlayout.topology import build_grid
+from qlayout.training import (
+    TrainConfig,
+    _batch_gradient,
+    gen_random_instance,
+    rollout,
+    train,
+)
+
+from conftest import tiny_policy
+
+N_MAX = 5
+VARIANTS = list(itertools.product(NORM_KINDS, CONTEXT_KINDS, (False, True)))
+SETTINGS = settings(max_examples=6, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def make_policy(norm, context, shared, seed=0):
+    return tiny_policy(cg=build_grid(2, 3), n_max=N_MAX, norm=norm,
+                       context=context, seed=seed, shared=shared)
+
+
+@st.composite
+def batches(draw):
+    """2-5 instances of mixed sizes, 1..N_MAX logical qubits each."""
+    out = []
+    for _ in range(draw(st.integers(2, 5))):
+        n = draw(st.integers(1, N_MAX))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=6)) \
+            if pairs else []
+        out.append(ProgramGraph(n, tuple(edges), onehot_features(n, N_MAX)))
+    return out
+
+
+def grads_of(pol, loss):
+    pol.store.zero_grad()
+    loss.backward()
+    return {k: g.copy() for k, g in pol.store.grads().items()}
+
+
+def assert_grads_close(got, want, tol):
+    assert got.keys() >= want.keys()
+    for name, g in got.items():
+        ref = want.get(name, np.zeros_like(g))
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(g - ref).max() <= tol * scale, name
+
+
+@pytest.mark.parametrize("norm,context,shared", VARIANTS)
+class TestBatchStep:
+    @SETTINGS
+    @given(batch=batches())
+    def test_stacked_table_rows_are_each_episodes_table(
+            self, norm, context, shared, batch):
+        pol = make_policy(norm, context, shared)
+        orders = [np.arange(pg.num_logical) for pg in batch]
+        for train_mode in (False, True):
+            physical = pol.encode_device(train_mode, update_running=False)
+            programs = [pol.encode_program(pg, train_mode,
+                                           update_running=False)
+                        for pg in batch]
+            table = pol.stacked_logit_table(programs, physical, orders).data
+            assert table.shape == (sum(len(o) for o in orders),
+                                   pol.cg.num_physical)
+            lo = 0
+            for pg, order in zip(batch, orders):
+                own = pol.logit_table(
+                    pol.encode(pg, train_mode, update_running=False),
+                    order).data
+                assert np.abs(table[lo:lo + len(order)] - own).max() <= 1e-12
+                lo += len(order)
+
+    @SETTINGS
+    @given(batch=batches(), seed=st.integers(0, 50),
+           whiten=st.booleans())
+    def test_one_backward_equals_per_episode_rollouts(
+            self, norm, context, shared, batch, seed, whiten):
+        pol = make_policy(norm, context, shared, seed=seed)
+        ref_pol = copy.deepcopy(pol)
+        cm = CostModel.for_graph(pol.cg)
+        ref_rng = np.random.default_rng(seed)
+        episodes = [rollout(pg, ref_pol.cg, ref_pol, mode="sample",
+                            rng=ref_rng, cost_model=cm, train=True)
+                    for pg in batch]
+        rewards = np.array([res.reward for res in episodes])
+        # the first episode's advantage is exactly zero
+        baseline = float(rewards[0])
+        adv = rewards - baseline
+        if whiten:
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        reference = {k: np.zeros_like(t.data)
+                     for k, t in ref_pol.store.params.items()}
+        for res, a in zip(episodes, adv):
+            for name, g in grads_of(ref_pol, res.log_prob).items():
+                reference[name] += -a * g / len(batch)
+
+        got_rewards, grads = _batch_gradient(
+            batch, pol.cg, pol, cm, np.random.default_rng(seed), baseline,
+            whiten)
+        assert got_rewards == rewards.tolist()
+        assert grads.keys() == reference.keys()
+        assert_grads_close(grads, reference, 1e-10)
+
+    def test_all_zero_advantages_give_a_zero_gradient(
+            self, norm, context, shared):
+        pol = make_policy(norm, context, shared)
+        batch = [ProgramGraph(1, (), onehot_features(1, N_MAX))] * 3
+        rewards, grads = _batch_gradient(
+            batch, pol.cg, pol, CostModel.for_graph(pol.cg),
+            np.random.default_rng(0), 0.0, False)
+        assert rewards == [0.0, 0.0, 0.0]
+        assert grads.keys() == pol.store.params.keys()
+        assert all(not g.any() for g in grads.values())
+
+
+def reference_train(cfg, policy, cg):
+    """REINFORCE with one tape and one backward per episode, sampled step
+    by step. As in ``train``, the device's running statistics are updated
+    once per batch, right after the first program graph's; returns the
+    (mean_reward, baseline, grad_norm) of each epoch."""
+    cost_model = CostModel(cfg.cost_mode, cg.distances)
+    inst_rng = np.random.default_rng([cfg.seed, 0])
+    episode_rng = np.random.default_rng([cfg.seed, 1])
+    val_rng = np.random.default_rng([cfg.seed, 2])
+    validation = [
+        gen_random_instance(int(val_rng.integers(cfg.n_min, cfg.n_max + 1)),
+                            cfg.edge_prob, val_rng,
+                            n_max=policy.prog_feature_dim)
+        for _ in range(cfg.val_size)
+    ]
+    n_phys = cg.num_physical
+    params = policy.store.data()
+    state = dc.adam_init(params)
+    rows = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for pg in validation:
+            total += rollout(pg, cg, policy, cost_model=cost_model).reward
+        baseline = total / len(validation)
+        epoch_rewards, grad_norms = [], []
+        for _ in range(cfg.batches_per_epoch):
+            episodes = []
+            for i in range(cfg.batch_size):
+                n = int(inst_rng.integers(cfg.n_min, cfg.n_max + 1))
+                pg = gen_random_instance(n, cfg.edge_prob, inst_rng,
+                                         n_max=policy.prog_feature_dim)
+                emb = NodeEmbeddings(
+                    policy.encode_program(pg, train=True),
+                    policy.encode_device(train=True, update_running=i == 0))
+                table = policy.logit_table(emb, np.arange(n))
+                mask = np.ones(n_phys, dtype=bool)
+                assign = np.empty(n, dtype=np.int64)
+                log_prob = None
+                for t in range(n):
+                    probs = PolicyNetwork.masked_distribution(
+                        dc.gather(table, t), mask)
+                    p = probs.data
+                    seat = int(episode_rng.choice(n_phys, p=p / p.sum()))
+                    term = dc.log(dc.gather(probs, seat))
+                    log_prob = term if log_prob is None else log_prob + term
+                    assign[t] = seat
+                    mask[seat] = False
+                reward = -fast_cost_fn(pg, cost_model)(assign)
+                episodes.append((reward, log_prob))
+                epoch_rewards.append(reward)
+            grad_acc = {k: np.zeros_like(v) for k, v in params.items()}
+            for reward, log_prob in episodes:
+                adv = reward - baseline
+                if adv == 0.0:
+                    continue
+                for name, g in grads_of(policy,
+                                        log_prob * (-float(adv))).items():
+                    grad_acc[name] += g / cfg.batch_size
+            dc.adam_step(params, grad_acc, state, lr=cfg.lr)
+            grad_norms.append(
+                float(np.sqrt(sum(np.sum(g * g) for g in grad_acc.values()))))
+        rows.append((float(np.mean(epoch_rewards)), float(baseline),
+                     float(np.mean(grad_norms))))
+    return rows
+
+
+def desk_policy(norm="graph", context="concat_project", shared=False):
+    enc = EncoderConfig(layers=2, heads=4, embed_dim=16, norm_kind=norm)
+    dec = DecoderConfig(heads=4, context_dim=16, context_kind=context)
+    return PolicyNetwork(build_grid(4, 4), enc, dec, prog_feature_dim=12,
+                         shared_encoder=shared, seed=0)
+
+
+def assert_same_epochs(cfg, make):
+    policy, ref_policy = make(), make()
+    got = [(m.mean_reward, m.baseline, m.grad_norm)
+           for m in train(cfg, policy, policy.cg)]
+    want = reference_train(cfg, ref_policy, ref_policy.cg)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for (_, _, g), (_, _, w) in zip(got, want):
+        assert abs(g - w) <= 1e-9 * abs(w)
+
+
+def test_desk_scale_epochs_match_the_per_episode_loop():
+    cfg = TrainConfig(epochs=2, batches_per_epoch=8, batch_size=32, n_min=6,
+                      n_max=12, edge_prob=0.3, seed=3, val_size=32, lr=3e-3)
+    assert_same_epochs(cfg, desk_policy)
+
+
+@pytest.mark.parametrize("norm,context,shared", VARIANTS)
+def test_desk_model_epochs_match_the_per_episode_loop(norm, context, shared):
+    """The desk-scale model of every variant, over fewer and smaller
+    batches so that all eighteen stay quick."""
+    cfg = TrainConfig(epochs=2, batches_per_epoch=2, batch_size=8, n_min=6,
+                      n_max=12, edge_prob=0.3, seed=3, val_size=8, lr=3e-3)
+    assert_same_epochs(cfg, lambda: desk_policy(norm, context, shared))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_batch_norm_device_stats_update_once_per_batch(shared):
+    """Under batch norm the device encoder's running statistics move once
+    per batch, after the first program graph's and before the others'
+    (with a shared encoder both update the same buffers)."""
+    cfg = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4, n_min=2,
+                      n_max=5, edge_prob=0.5, seed=7, val_size=2)
+    pol = make_policy("batch", "concat_project", shared)
+    start = copy.deepcopy(pol)
+    train(cfg, pol, pol.cg)
+
+    inst_rng = np.random.default_rng([cfg.seed, 0])
+    batch = [gen_random_instance(int(inst_rng.integers(2, 6)), 0.5,
+                                 inst_rng, n_max=N_MAX)
+             for _ in range(cfg.batch_size)]
+
+    def replay(device_updates):
+        p = copy.deepcopy(start)
+        p.encode_program(batch[0], train=True)
+        for _ in range(device_updates):
+            p.encode_device(train=True)
+        for pg in batch[1:]:
+            p.encode_program(pg, train=True)
+        return p.store.buffers
+
+    once, per_episode = replay(1), replay(cfg.batch_size)
+    assert pol.store.buffers.keys() == once.keys()
+    for name, value in pol.store.buffers.items():
+        assert np.array_equal(value, once[name]), name
+    assert any(not np.array_equal(once[k], per_episode[k]) for k in once)

@@ -230,6 +230,24 @@ class TestInputBoundaries:
                                   qasm_file, "--device", device)
             self.assert_one_line_error(code, err, fragment)
 
+    @pytest.mark.parametrize("option,value,fragment", [
+        ("--val-size", "0", "val_size"), ("--batches", "0", "batches"),
+        ("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
+        ("--lr", "-1", "lr"), ("--lr", "nan", "lr"),
+    ])
+    def test_train_rejects_values_that_cannot_train(
+            self, monkeypatch, capsys, tmp_path, option, value, fragment):
+        ckpt = tmp_path / "policy.json"
+        code, err = run_entry(monkeypatch, capsys, "train", "--device",
+                              "grid2x3", "--n-min", "2", "--n-max", "3",
+                              "--epochs", "1", "--batches", "1",
+                              "--batch-size", "2", "--val-size", "2",
+                              "--d-e", "8", "--d-c", "8", "--layers", "1",
+                              "--heads", "2", "--m-heads", "2", option, value,
+                              "--out", ckpt)
+        self.assert_one_line_error(code, err, fragment)
+        assert not ckpt.exists()
+
     @pytest.fixture
     def no_qubits(self, tmp_path):
         f = tmp_path / "empty.qasm"

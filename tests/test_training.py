@@ -173,6 +173,18 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(n_min=5, n_max=3)
 
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("epochs", 0, "epochs"), ("epochs", -1, "epochs"),
+        ("batches_per_epoch", 0, "batches_per_epoch"),
+        ("val_size", 0, "val_size"),
+        ("lr", -1.0, "lr"), ("lr", 0.0, "lr"), ("lr", float("nan"), "lr"),
+        ("lr", float("inf"), "lr"), ("cost_mode", "x", "cost mode 'x'"),
+    ])
+    def test_config_rejects_values_that_cannot_train(self, field, value,
+                                                     fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            TrainConfig(**{field: value})
+
     def test_whiten_flag_runs(self):
         cg = build_grid(2, 2)
         cfg = self.small_cfg(whiten_advantage=True, epochs=1)
