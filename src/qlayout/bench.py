@@ -22,10 +22,10 @@ import numpy as np
 from .circuit import ProgramGraph, onehot_features, parse_qasm
 from .errors import ConfigError, ParseError, QLayoutError
 from .objective import CostModel, fast_cost_fn
-from .policy import PolicyNetwork
+from .policy import CONTEXT_KINDS, PolicyNetwork
 from .postprocess import SearchConfig, local_search
 from .topology import CouplingGraph
-from .training import DecodeStrategy, decode, train_new
+from .training import STRATEGY_KINDS, DecodeStrategy, decode, train_new
 
 log = logging.getLogger(__name__)
 
@@ -267,17 +267,18 @@ def run_context_ablation(cg, train_cfg, enc_cfg, dec_cfg, test_instances,
                          out_path=None, multistart_k=10, log_fn=None):
     """Train one policy per context encoding and report the mean decoded
     cost under all four strategies as a CSV grid."""
+    if not test_instances:
+        raise ConfigError("the context ablation needs at least one test "
+                          "instance")
     cost_model = CostModel(train_cfg.cost_mode, cg.distances)
-    strategies = ["greedy", "sampling", "multistart_greedy",
-                  "multistart_sampling"]
     results = []
-    for kind in ("project_concat", "concat_project", "stack_project"):
+    for kind in CONTEXT_KINDS:
         dcfg = replace(dec_cfg, context_kind=kind)
         if kind == "stack_project":
             dcfg = replace(dcfg, context_dim=enc_cfg.embed_dim)
         policy, _ = train_new(train_cfg, enc_cfg, dcfg, cg, log_fn=log_fn)
         row = {"context_encoding": kind}
-        for strat in strategies:
+        for strat in STRATEGY_KINDS:
             strategy = DecodeStrategy.make(strat, k=multistart_k,
                                            seed=train_cfg.seed)
             costs = [decode(pg, cg, policy, strategy, cost_model)[1]
@@ -287,7 +288,7 @@ def run_context_ablation(cg, train_cfg, enc_cfg, dec_cfg, test_instances,
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(
-                fh, fieldnames=["context_encoding"] + strategies)
+                fh, fieldnames=["context_encoding", *STRATEGY_KINDS])
             writer.writeheader()
             writer.writerows(results)
     return results

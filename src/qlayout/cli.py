@@ -27,12 +27,19 @@ from .circuit import (
     extract_features,
     parse_qasm,
 )
-from .errors import QLayoutError, TopologyError
-from .objective import CostModel, Layout, swap_cost
-from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
-from .postprocess import SearchConfig, local_search
+from .errors import ConfigError, QLayoutError, TopologyError
+from .objective import COST_MODES, CostModel, Layout, swap_cost
+from .policy import (
+    CONTEXT_KINDS,
+    NORM_KINDS,
+    DecoderConfig,
+    EncoderConfig,
+    PolicyNetwork,
+)
+from .postprocess import NEIGHBORHOODS, SearchConfig, local_search
 from .topology import build_grid, build_heavy_hex, load_coupling_graph
 from .training import (
+    STRATEGY_KINDS,
     DecodeStrategy,
     TrainConfig,
     decode,
@@ -89,7 +96,7 @@ def features(qasm_file, walk_radius):
 @click.option("--edge-prob", default=0.3, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--cost-mode", default="adjacent-free", show_default=True,
-              type=click.Choice(["literal", "adjacent-free"]))
+              type=click.Choice(COST_MODES))
 @click.option("--val-size", default=256, show_default=True)
 @click.option("--d-e", default=128, show_default=True)
 @click.option("--d-c", default=128, show_default=True)
@@ -97,10 +104,9 @@ def features(qasm_file, walk_radius):
 @click.option("--heads", default=8, show_default=True)
 @click.option("--m-heads", default=16, show_default=True)
 @click.option("--norm", default="batch", show_default=True,
-              type=click.Choice(["layer", "batch", "graph"]))
+              type=click.Choice(NORM_KINDS))
 @click.option("--context", default="concat_project", show_default=True,
-              type=click.Choice(["project_concat", "concat_project",
-                                 "stack_project"]))
+              type=click.Choice(CONTEXT_KINDS))
 @click.option("--shared-encoder", is_flag=True)
 @click.option("--out", required=True, type=click.Path(),
               help="Checkpoint output path.")
@@ -135,13 +141,12 @@ def train(device, n_min, n_max, epochs, batches, batch_size, lr, edge_prob,
               type=click.Path(exists=True))
 @click.option("--ckpt", required=True, type=click.Path(exists=True))
 @click.option("--strategy", default="greedy", show_default=True,
-              type=click.Choice(["greedy", "sampling", "multistart_greedy",
-                                 "multistart_sampling"]))
+              type=click.Choice(STRATEGY_KINDS))
 @click.option("--k", default=10, show_default=True,
               help="Starts for multistart strategies.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--cost-mode", default="adjacent-free", show_default=True,
-              type=click.Choice(["literal", "adjacent-free"]))
+              type=click.Choice(COST_MODES))
 @click.option("--out", type=click.Path(), help="Layout JSON output path.")
 def map_cmd(circuit_path, ckpt, strategy, k, seed, cost_mode, out):
     """Map a circuit onto the checkpoint's device."""
@@ -164,12 +169,12 @@ def map_cmd(circuit_path, ckpt, strategy, k, seed, cost_mode, out):
               type=click.Path(exists=True))
 @click.option("--device", required=True)
 @click.option("--op", default="random_assignment", show_default=True,
-              type=click.Choice(["random_swap", "random_assignment"]))
+              type=click.Choice(NEIGHBORHOODS))
 @click.option("--iters", default=10000, show_default=True)
 @click.option("--patience", default=500, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--cost-mode", default="adjacent-free", show_default=True,
-              type=click.Choice(["literal", "adjacent-free"]))
+              type=click.Choice(COST_MODES))
 @click.option("--reset-patience", is_flag=True)
 @click.option("--out", type=click.Path())
 def postprocess(layout_path, circuit_path, device, op, iters, patience, seed,
@@ -204,7 +209,7 @@ def postprocess(layout_path, circuit_path, device, op, iters, patience, seed,
 @click.option("--seeds", default="0", show_default=True,
               help="Comma-separated seeds.")
 @click.option("--cost-mode", default="adjacent-free", show_default=True,
-              type=click.Choice(["literal", "adjacent-free"]))
+              type=click.Choice(COST_MODES))
 @click.option("--baseline", "baseline_path", type=click.Path(exists=True),
               help="CSV of externally produced per-instance costs.")
 @click.option("--out", required=True, type=click.Path(),
@@ -215,12 +220,16 @@ def bench(dataset, ckpt, strategies, pp, k, seeds, cost_mode, baseline_path,
           out, summary_path):
     """Evaluate a checkpoint over a dataset of .qasm files on the
     checkpoint's device."""
+    try:
+        seed_list = [int(s) for s in seeds.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds {seeds!r}: {exc}") from None
     policy = PolicyNetwork.load(ckpt)
     cfg = BenchRun(
         dataset=Path(dataset), device=policy.cg, policy=policy,
         strategies=[s.strip() for s in strategies.split(",") if s.strip()],
         postprocess=pp, cost_mode=cost_mode,
-        seeds=[int(s) for s in seeds.split(",")], multistart_k=k,
+        seeds=seed_list, multistart_k=k,
     )
     rows, summary = run_bench(cfg)
     baseline = import_baseline(baseline_path) if baseline_path else None

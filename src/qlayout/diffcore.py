@@ -377,11 +377,16 @@ def masked_fill(a, mask, value):
     return _make(data, (a,), bwd)
 
 
+def softmax_array(x, axis):
+    """Softmax of a plain array along ``axis``; entries of -inf get zero
+    mass. The forward value of ``softmax``."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis=-1):
     a = _as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = softmax_array(a.data, axis)
 
     def bwd(g):
         dot = (g * data).sum(axis=axis, keepdims=True)

@@ -53,6 +53,9 @@ class EncoderConfig:
     norm_kind: str = "batch"
 
     def __post_init__(self):
+        for name in ("layers", "heads", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"encoder {name} must be at least 1")
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
@@ -69,8 +72,9 @@ class DecoderConfig:
     context_dim: int = 128
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ConfigError("decoder needs at least one head")
+        for name in ("heads", "context_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"decoder {name} must be at least 1")
         if self.clip <= 0:
             raise ConfigError("clip must be positive")
         if self.context_kind not in CONTEXT_KINDS:
@@ -216,33 +220,29 @@ class PolicyNetwork:
 
     # --- encoder ----------------------------------------------------
 
-    def _norm(self, h, prefix, p, train, update_running):
+    def _norm(self, h, prefix, p, train):
         kind = self.enc_cfg.norm_kind
         g = p(f"{prefix}.g")
         b = p(f"{prefix}.b")
-        if kind == "layer":
-            m = h.mean(axis=1, keepdims=True)
+        if kind == "batch" and not train:
+            m = Tensor(self.store.buffers[f"{prefix}.mean"].reshape(1, -1))
+            var = Tensor(self.store.buffers[f"{prefix}.var"].reshape(1, -1))
             centered = h - m
-            var = dc.tmean(dc.mul(centered, centered), axis=1, keepdims=True)
-            h_hat = dc.mul(centered, dc.powi(var + _NORM_EPS, -0.5))
-            return h_hat * g.reshape(1, -1) + b.reshape(1, -1)
-        if kind == "graph" or train:
-            m = h.mean(axis=0, keepdims=True)
+        else:
+            axis = 1 if kind == "layer" else 0
+            m = h.mean(axis=axis, keepdims=True)
             centered = h - m
-            var = dc.tmean(dc.mul(centered, centered), axis=0, keepdims=True)
-            if kind == "batch" and update_running:
+            var = dc.tmean(dc.mul(centered, centered), axis=axis,
+                           keepdims=True)
+            if kind == "batch":
                 rm = self.store.buffers[f"{prefix}.mean"]
                 rv = self.store.buffers[f"{prefix}.var"]
                 rm += _BN_MOMENTUM * (m.data.ravel() - rm)
                 rv += _BN_MOMENTUM * (var.data.ravel() - rv)
-        else:
-            m = Tensor(self.store.buffers[f"{prefix}.mean"].reshape(1, -1))
-            var = Tensor(self.store.buffers[f"{prefix}.var"].reshape(1, -1))
-            centered = h - m
         h_hat = dc.mul(centered, dc.powi(var + _NORM_EPS, -0.5))
         return h_hat * g.reshape(1, -1) + b.reshape(1, -1)
 
-    def _gat_layer(self, h, adj, prefix, p, train, update_running):
+    def _gat_layer(self, h, adj, prefix, p, train):
         e = self.enc_cfg
         n = h.shape[0]
         k, dh = e.heads, e.embed_dim // e.heads
@@ -259,11 +259,9 @@ class PolicyNetwork:
             alpha.reshape(n, n, k, 1) * zh.reshape(1, n, k, dh), axis=1
         )  # (n, k, dh)
         out = dc.elu(agg).reshape(n, e.embed_dim)
-        return self._norm(out, f"{prefix}.norm", p, train, update_running)
+        return self._norm(out, f"{prefix}.norm", p, train)
 
-    def _encode_graph(self, feats, adj, which, train, update_running):
-        if update_running is None:
-            update_running = train
+    def _encode_graph(self, feats, adj, which, train):
         p = self.store.lookup(train)
         w_in = p(f"in.{which}.W")
         if feats.shape[1] != w_in.shape[1]:
@@ -274,8 +272,7 @@ class PolicyNetwork:
         h = dc.matmul(Tensor(feats), w_in.T)
         prefix = self._enc_prefix(which)
         for layer in range(self.enc_cfg.layers):
-            h = self._gat_layer(h, adj, f"{prefix}.l{layer}", p, train,
-                                update_running)
+            h = self._gat_layer(h, adj, f"{prefix}.l{layer}", p, train)
         return h
 
     def _device_sources(self):
@@ -300,31 +297,29 @@ class PolicyNetwork:
                 np.array_equal(memo[0][k], v) for k, v in sources.items()):
             return memo[1]
         physical = self._encode_graph(self._phys_feats, self._cg_adj, "phys",
-                                      False, False)
+                                      False)
         self._device_memo = ({k: v.copy() for k, v in sources.items()},
                              physical)
         return physical
 
-    def encode_device(self, train=False, update_running=None) -> Tensor:
+    def encode_device(self, train=False) -> Tensor:
         """The (N, d_e) device embedding: on the tape in training, the
         memoised constant in eval."""
         if not train:
             return self._device_embedding()
         return self._encode_graph(self._phys_feats, self._cg_adj, "phys",
-                                  True, update_running)
+                                  True)
 
-    def encode_program(self, pg: ProgramGraph, train=False,
-                       update_running=None) -> Tensor:
+    def encode_program(self, pg: ProgramGraph, train=False) -> Tensor:
         """The (n, d_e) embedding of a program graph."""
         adj_p = self._with_self_loops(pg.undirected_adjacency())
-        return self._encode_graph(pg.node_features, adj_p, "prog", train,
-                                  update_running)
+        return self._encode_graph(pg.node_features, adj_p, "prog", train)
 
-    def encode(self, pg: ProgramGraph, train=False, update_running=None
-               ) -> NodeEmbeddings:
-        program = self.encode_program(pg, train, update_running)
-        return NodeEmbeddings(program,
-                              self.encode_device(train, update_running))
+    def encode(self, pg: ProgramGraph, train=False) -> NodeEmbeddings:
+        """Both embeddings; training encodes (and, under batch norm,
+        updates the running statistics of) the program graph first."""
+        program = self.encode_program(pg, train)
+        return NodeEmbeddings(program, self.encode_device(train))
 
     # --- decoder ----------------------------------------------------
 
@@ -418,9 +413,7 @@ class PolicyNetwork:
     def masked_distribution(logits: Tensor, feasible) -> Tensor:
         """Softmax over the last axis with zero mass on infeasible seats:
         one step (N,), or a stack of rows (T, N) with a mask per row."""
-        feasible = np.asarray(feasible, dtype=bool)
-        if not feasible.any(axis=-1).all():
-            raise InfeasibleStateError("no feasible action remains")
+        feasible = check_feasible(feasible)
         return dc.softmax(dc.masked_fill(logits, ~feasible, -np.inf), axis=-1)
 
     # --- checkpointing ----------------------------------------------
@@ -471,7 +464,7 @@ class PolicyNetwork:
             return cls._from_doc(doc)
         except KeyError as exc:
             raise CheckpointError(f"checkpoint lacks the key {exc}")
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, ConfigError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc}")
 
     @classmethod
@@ -506,6 +499,14 @@ class PolicyNetwork:
             net.store.buffers[name] = _checked_array(
                 name, values, net.store.buffers[name].shape)
         return net
+
+
+def check_feasible(feasible):
+    """``feasible`` as a bool mask in which every row leaves a seat."""
+    feasible = np.asarray(feasible, dtype=bool)
+    if not feasible.any(axis=-1).all():
+        raise InfeasibleStateError("no feasible action remains")
+    return feasible
 
 
 def _same_names(stored, expected, what):

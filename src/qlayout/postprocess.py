@@ -72,25 +72,25 @@ def neighbor(layout: Layout, cg: CouplingGraph, kind: str, rng) -> Layout:
 
 def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
                  cfg: SearchConfig) -> Layout:
-    """Strict hill climbing; the returned cost never exceeds the input cost."""
+    """Strict hill climbing; the returned cost never exceeds the input cost.
+    Only a cheaper neighbour is accepted, so the current layout is the best
+    one seen."""
     initial.validate(cg.num_physical)
     cost_fn = fast_cost_fn(pg, CostModel(cfg.cost_mode, cg.distances))
     rng = np.random.default_rng(cfg.seed)
 
-    best = curr = initial.copy()
-    c_best = c_curr = cost_fn(initial.assign)
+    curr = initial.copy()
+    c_curr = cost_fn(initial.assign)
     p = 0
     for _ in range(cfg.n_iters):
         cand = neighbor(curr, cg, cfg.neighborhood, rng)
         c_cand = cost_fn(cand.assign)
         if c_cand < c_curr:
             curr, c_curr = cand, c_cand
-            if c_curr < c_best:
-                best, c_best = curr, c_curr
             if cfg.reset_patience:
                 p = 0
         else:
             p += 1
         if p > cfg.patience:
             break
-    return best
+    return curr

@@ -4,10 +4,11 @@ Episodes consume logical qubits in ascending index order. No intermediate
 reward is given; the terminal reward is the negated SWAP cost of the
 finished layout. Training uses a greedy-rollout baseline: at the start of
 each epoch the current policy is decoded greedily over a fixed validation
-set and the scalar mean reward becomes the baseline for every episode of
-that epoch. Each training batch builds one tape: the device graph is
-encoded once, every episode's rows join one stacked logit table, and one
-backward gives the batch's gradient.
+set, in one batched rollout as for a training batch, and the scalar mean
+reward becomes the baseline for every episode of that epoch. Each training
+batch builds one tape: the device graph is encoded once, every episode's
+rows join one stacked logit table, and one backward gives the batch's
+gradient.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import diffcore as dc
 from .circuit import ProgramGraph, check_qubit_count, onehot_features
-from .diffcore import Tensor
 from .errors import ConfigError
 from .objective import COST_MODES, CostModel, Layout, fast_cost_fn
-from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
+from .policy import DecoderConfig, EncoderConfig, PolicyNetwork, check_feasible
 from .topology import CouplingGraph
 
 STRATEGY_KINDS = ("greedy", "sampling", "multistart_greedy", "multistart_sampling")
@@ -42,7 +42,6 @@ class TrainConfig:
     seed: int = 0
     cost_mode: str = "adjacent-free"
     val_size: int = 256
-    whiten_advantage: bool = False
 
     def __post_init__(self):
         for name in ("epochs", "batches_per_epoch", "batch_size", "val_size"):
@@ -160,7 +159,9 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
 
 
 def _walk(logits, rngs, n_sampled):
-    """Advance one start per RNG in lockstep over an (n, N) logit table.
+    """Advance one start per RNG in lockstep over a plain (n, N) logit
+    table; each step's (k, N) probabilities are those of
+    ``masked_distribution``, computed without a tape.
 
     Start s samples its first ``n_sampled[s]`` steps from ``rngs[s]`` and
     takes the argmax (first index on ties) after that. Returns the seats
@@ -173,8 +174,8 @@ def _walk(logits, rngs, n_sampled):
     seats = np.empty((k, n), dtype=np.int64)
     log_p = np.zeros(k)
     for t in range(n):
-        rows = Tensor(np.broadcast_to(logits[t], (k, n_phys)))
-        probs = PolicyNetwork.masked_distribution(rows, feasible).data
+        check_feasible(feasible)
+        probs = dc.softmax_array(np.where(feasible, logits[t], -np.inf), 1)
         actions = np.argmax(probs, axis=1)
         for s in range(k):
             if t < n_sampled[s]:
@@ -239,20 +240,8 @@ class EpochMetrics:
     grad_norm: float
     wallclock_s: float
 
-    def as_row(self):
-        return [self.epoch, self.mean_reward, self.baseline, self.grad_norm,
-                self.wallclock_s]
 
-
-def _mean_greedy_reward(instances, cg, policy, cost_model):
-    total = 0.0
-    for pg in instances:
-        total += rollout(pg, cg, policy, mode="greedy",
-                         cost_model=cost_model).reward
-    return total / len(instances)
-
-
-def _batch_gradient(batch, cg, policy, cost_model, rng, baseline, whiten):
+def _batch_gradient(batch, cg, policy, cost_model, rng, baseline):
     """Sample one episode per instance of ``batch`` from ``rng`` and return
     the rewards and the REINFORCE gradient of the batch, the mean over
     episodes of -advantage * grad log-probability.
@@ -264,9 +253,6 @@ def _batch_gradient(batch, cg, policy, cost_model, rng, baseline, whiten):
                        cost_model=cost_model, train=True)
     rewards = [res.reward for res in episodes]
     advantages = np.array(rewards) - baseline
-    if whiten and len(advantages) > 1:
-        std = advantages.std()
-        advantages = (advantages - advantages.mean()) / (std + 1e-8)
     policy.store.zero_grad()
     sum(res.log_prob * (-float(adv))
         for res, adv in zip(episodes, advantages)).backward()
@@ -285,29 +271,26 @@ def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
     episode_rng = np.random.default_rng([cfg.seed, 1])
     val_rng = np.random.default_rng([cfg.seed, 2])
 
-    validation = [
-        gen_random_instance(int(val_rng.integers(cfg.n_min, cfg.n_max + 1)),
-                            cfg.edge_prob, val_rng, n_max=policy.prog_feature_dim)
-        for _ in range(cfg.val_size)
-    ]
+    def draw(rng):
+        n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
+        return gen_random_instance(n, cfg.edge_prob, rng,
+                                   n_max=policy.prog_feature_dim)
+
+    validation = [draw(val_rng) for _ in range(cfg.val_size)]
 
     params = policy.store.data()
     state = dc.adam_init(params)
     metrics = []
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
-        baseline = _mean_greedy_reward(validation, cg, policy, cost_model)
+        greedy = rollout(validation, cg, policy, cost_model=cost_model)
+        baseline = sum(res.reward for res in greedy) / len(greedy)
         epoch_rewards = []
         grad_norms = []
         for _ in range(cfg.batches_per_epoch):
-            batch = []
-            for _ in range(cfg.batch_size):
-                n = int(inst_rng.integers(cfg.n_min, cfg.n_max + 1))
-                batch.append(gen_random_instance(
-                    n, cfg.edge_prob, inst_rng, n_max=policy.prog_feature_dim))
+            batch = [draw(inst_rng) for _ in range(cfg.batch_size)]
             rewards, grads = _batch_gradient(
-                batch, cg, policy, cost_model, episode_rng, baseline,
-                cfg.whiten_advantage)
+                batch, cg, policy, cost_model, episode_rng, baseline)
             epoch_rewards.extend(rewards)
             dc.adam_step(params, grads, state, lr=cfg.lr)
             grad_norms.append(
@@ -337,7 +320,5 @@ def train_new(cfg: TrainConfig, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
 def write_metrics_csv(metrics, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_reward", "baseline", "grad_norm",
-                         "wallclock_s"])
-        for row in metrics:
-            writer.writerow(row.as_row())
+        writer.writerow([f.name for f in fields(EpochMetrics)])
+        writer.writerows(astuple(row) for row in metrics)

@@ -275,3 +275,14 @@ class TestContextAblation:
             for strat in ("greedy", "sampling", "multistart_greedy",
                           "multistart_sampling"):
                 assert float(rec[strat]) >= 0
+
+    def test_empty_test_set_rejected_before_training(self, tmp_path):
+        train_cfg = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=2,
+                                n_min=2, n_max=3, val_size=2)
+        enc = EncoderConfig(layers=1, heads=2, embed_dim=8)
+        dec = DecoderConfig(heads=2, context_dim=8)
+        out = tmp_path / "ablation.csv"
+        with pytest.raises(ConfigError, match="test instance"):
+            run_context_ablation(build_grid(2, 2), train_cfg, enc, dec, [],
+                                 out_path=out)
+        assert not out.exists()

@@ -234,6 +234,9 @@ class TestInputBoundaries:
         ("--val-size", "0", "val_size"), ("--batches", "0", "batches"),
         ("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
         ("--lr", "-1", "lr"), ("--lr", "nan", "lr"),
+        ("--heads", "0", "encoder heads"), ("--heads", "-2", "encoder heads"),
+        ("--d-e", "0", "embed_dim"), ("--d-c", "0", "context_dim"),
+        ("--layers", "-1", "layers"), ("--m-heads", "0", "decoder heads"),
     ])
     def test_train_rejects_values_that_cannot_train(
             self, monkeypatch, capsys, tmp_path, option, value, fragment):
@@ -247,6 +250,40 @@ class TestInputBoundaries:
                               "--out", ckpt)
         self.assert_one_line_error(code, err, fragment)
         assert not ckpt.exists()
+
+    def test_map_rejects_a_checkpoint_with_zero_heads(
+            self, monkeypatch, capsys, tmp_path, qasm_file):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        doc = json.loads(ckpt.read_text())
+        doc["header"]["heads"] = 0
+        ckpt.write_text(json.dumps(doc))
+        code, err = run_entry(monkeypatch, capsys, "map", "--circuit",
+                              qasm_file, "--ckpt", ckpt)
+        self.assert_one_line_error(code, err, "checkpoint", "heads")
+
+    @pytest.mark.parametrize("seeds,bad", [("a", "'a'"), ("0,,1", "''"),
+                                           ("1,2.5", "'2.5'")])
+    def test_bench_rejects_a_seed_that_is_not_an_integer(
+            self, monkeypatch, capsys, tmp_path, qasm_file, seeds, bad):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        report = tmp_path / "report.csv"
+        code, err = run_entry(monkeypatch, capsys, "bench", "--dataset",
+                              qasm_file.parent, "--ckpt", ckpt, "--seeds",
+                              seeds, "--out", report)
+        self.assert_one_line_error(code, err, bad, seeds)
+        assert not report.exists()
+
+    def test_ablate_context_rejects_an_empty_test_set(
+            self, monkeypatch, capsys, tmp_path):
+        out = tmp_path / "ablation.csv"
+        code, err = run_entry(monkeypatch, capsys, "ablate-context",
+                              "--device", "grid2x2", "--n-min", "2",
+                              "--n-max", "3", "--test-size", "0",
+                              "--out", out)
+        self.assert_one_line_error(code, err, "test instance")
+        assert not out.exists()
 
     @pytest.fixture
     def no_qubits(self, tmp_path):

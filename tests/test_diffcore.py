@@ -42,6 +42,16 @@ class TestForward:
         assert out.data[1] == 0.0
         assert out.data.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_softmax_array_is_the_value_of_the_op(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(3, 6))
+        mask = rng.random((3, 6)) < 0.4
+        mask[:, 0] = False
+        op = dc.softmax(dc.masked_fill(Tensor(x), mask, -np.inf), axis=1)
+        plain = dc.softmax_array(np.where(mask, -np.inf, x), 1)
+        assert np.array_equal(plain, op.data)
+        assert not plain[mask].any()
+
     def test_tanh_clipping_behaviour(self):
         c = 10.0
         assert float((dc.tanh(Tensor(0.0)) * Tensor(c)).data) == 0.0

@@ -128,8 +128,7 @@ class TestTable:
     def test_table_matches_step_reference(self, norm, context, shared, case):
         pg, order = case
         pol = make_policy(norm, context, shared)
-        for emb in (pol.encode(pg), pol.encode(pg, train=True,
-                                               update_running=False)):
+        for emb in (pol.encode(pg), pol.encode(pg, train=True)):
             table = pol.logit_table(emb, order).data
             assert table.shape == (pg.num_logical, pol.cg.num_physical)
             for t in range(pg.num_logical):

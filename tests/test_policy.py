@@ -32,6 +32,21 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             DecoderConfig(clip=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("layers", 0), ("layers", -1), ("heads", 0), ("heads", -2),
+        ("embed_dim", 0),
+    ])
+    def test_encoder_sizes_at_least_one(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
+            EncoderConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("heads", 0), ("heads", -2), ("context_dim", 0), ("context_dim", -16),
+    ])
+    def test_decoder_sizes_at_least_one(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
+            DecoderConfig(**{field: value})
+
     def test_stack_project_needs_matching_dims(self):
         cg = build_grid(2, 2)
         enc = EncoderConfig(layers=1, heads=2, embed_dim=8)
@@ -349,6 +364,14 @@ class TestStrictCheckpoint:
             else:
                 del doc["params"]["ptr.W_K"][key]
         with pytest.raises(CheckpointError, match=key):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("key,value", [("heads", 0), ("layers", -1),
+                                           ("d_c", 0)])
+    def test_header_size_below_one(self, tmp_path, key, value):
+        def edit(doc):
+            doc["header"][key] = value
+        with pytest.raises(CheckpointError, match="must be at least 1"):
             self.load_edited(tmp_path, edit)
 
     def test_malformed_json(self, tmp_path):

@@ -185,14 +185,6 @@ class TestTrain:
         with pytest.raises(ConfigError, match=fragment):
             TrainConfig(**{field: value})
 
-    def test_whiten_flag_runs(self):
-        cg = build_grid(2, 2)
-        cfg = self.small_cfg(whiten_advantage=True, epochs=1)
-        pol = tiny_policy(cg=cg, n_max=cfg.n_max)
-        metrics = train(cfg, pol, cg)
-        assert len(metrics) == 1
-        assert np.isfinite(metrics[0].grad_norm)
-
 
 class TestReinforceEstimator:
     def test_gradient_estimator_unbiased(self):
