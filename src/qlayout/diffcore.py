@@ -193,7 +193,10 @@ def mul(a, b):
 
 def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data / b.data
+    try:
+        data = a.data / b.data
+    except ValueError:
+        raise ShapeError("div operands do not broadcast", a.shape, b.shape)
 
     def bwd(g):
         if a.requires_grad:
@@ -270,29 +273,29 @@ def elu(a, alpha=1.0):
 # --- structural -----------------------------------------------------
 
 def matmul(a, b):
+    """Matrix product with the semantics of ``np.matmul``: leading batch
+    dimensions broadcast, and a 1-D operand is promoted to a matrix whose
+    added axis the result drops."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim > 2 or b.ndim > 2:
-        raise ShapeError("matmul supports at most 2-D operands", a.shape, b.shape)
     try:
-        data = a.data @ b.data
+        data = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError("matmul shape mismatch", a.shape, b.shape)
 
     def bwd(g):
-        ad, bd = a.data, b.data
-        ga = gb = None
-        if a.ndim == 1 and b.ndim == 1:  # dot product, g scalar
-            ga, gb = g * bd, g * ad
-        elif a.ndim == 2 and b.ndim == 2:
-            ga, gb = g @ bd.T, ad.T @ g
-        elif a.ndim == 2 and b.ndim == 1:  # (m,k)@(k,) -> (m,)
-            ga, gb = np.outer(g, bd), ad.T @ g
-        else:  # (k,)@(k,n) -> (n,)
-            ga, gb = bd @ g, np.outer(ad, g)
+        # the promoted operands, and g with the axes the result dropped
+        ad = a.data[None] if a.ndim == 1 else a.data
+        bd = b.data[:, None] if b.ndim == 1 else b.data
+        if b.ndim == 1:
+            g = g[..., None]
+        if a.ndim == 1:
+            g = g[..., None, :]
         if a.requires_grad:
-            a._accum(ga)
+            ga = g @ np.swapaxes(bd, -1, -2)
+            a._accum(_unbroadcast(ga, ad.shape).reshape(a.shape))
         if b.requires_grad:
-            b._accum(gb)
+            gb = np.swapaxes(ad, -1, -2) @ g
+            b._accum(_unbroadcast(gb, bd.shape).reshape(b.shape))
 
     return _make(data, (a, b), bwd)
 
@@ -307,13 +310,20 @@ def reshape(a, shape):
     return _make(data, (a,), bwd)
 
 
-def transpose(a):
+def transpose(a, axes=None):
+    """Permute the axes as ``np.transpose`` does; by default reverse them."""
     a = _as_tensor(a)
+    try:
+        data = np.transpose(a.data, axes)
+    except ValueError:
+        raise ShapeError(f"axes {axes} do not permute the operand", a.shape)
+    inverse = None if axes is None else np.argsort(
+        [ax % a.ndim for ax in axes])
 
     def bwd(g):
-        a._accum(g.T)
+        a._accum(np.transpose(g, inverse))
 
-    return _make(a.data.T, (a,), bwd)
+    return _make(data, (a,), bwd)
 
 
 def concat(parts, axis=0):

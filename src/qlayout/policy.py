@@ -243,21 +243,19 @@ class PolicyNetwork:
         return h_hat * g.reshape(1, -1) + b.reshape(1, -1)
 
     def _gat_layer(self, h, adj, prefix, p, train):
+        """One multi-head GAT layer as per-head batched matmuls: head h's
+        (n, n) attention weights times its (n, dh) slice of the values."""
         e = self.enc_cfg
         n = h.shape[0]
         k, dh = e.heads, e.embed_dim // e.heads
         z = dc.matmul(h, p(f"{prefix}.W").T)  # (n, d_e)
-        zh = z.reshape(n, k, dh)
-        s_src = dc.tsum(zh * p(f"{prefix}.a_src").reshape(1, k, dh), axis=2)
-        s_dst = dc.tsum(zh * p(f"{prefix}.a_dst").reshape(1, k, dh), axis=2)
-        scores = dc.leaky_relu(
-            s_src.reshape(n, 1, k) + s_dst.reshape(1, n, k), 0.2
-        )
-        scores = dc.masked_fill(scores, ~adj[:, :, None], -np.inf)
-        alpha = dc.softmax(scores, axis=1)  # (n, n, k)
-        agg = dc.tsum(
-            alpha.reshape(n, n, k, 1) * zh.reshape(1, n, k, dh), axis=1
-        )  # (n, k, dh)
+        zh = dc.transpose(z.reshape(n, k, dh), (1, 0, 2))  # (k, n, dh)
+        s_src = dc.matmul(zh, p(f"{prefix}.a_src").reshape(k, dh, 1))
+        s_dst = dc.matmul(zh, p(f"{prefix}.a_dst").reshape(k, dh, 1))
+        scores = dc.leaky_relu(s_src + s_dst.reshape(k, 1, n), 0.2)
+        scores = dc.masked_fill(scores, ~adj[None], -np.inf)
+        alpha = dc.softmax(scores, axis=-1)  # (k, n, n)
+        agg = dc.transpose(dc.matmul(alpha, zh), (1, 0, 2))  # (n, k, dh)
         out = dc.elu(agg).reshape(n, e.embed_dim)
         return self._norm(out, f"{prefix}.norm", p, train)
 
@@ -391,18 +389,23 @@ class PolicyNetwork:
         steps = ctx.shape[0]
         p = self.store.lookup(ctx.requires_grad or physical.requires_grad)
 
-        q = dc.matmul(ctx, p("ptr.W_Q").T)  # (T, d_c)
-        keys = dc.matmul(physical, p("ptr.W_K").T)  # (N, d_c)
-        vals = dc.matmul(physical, p("ptr.W_V").T)
-        scores = dc.tsum(
-            dc.mul(keys.reshape(1, n_phys, m, d), q.reshape(steps, 1, m, d)),
-            axis=3,
-        ) * Tensor(1.0 / np.sqrt(d))  # (T, N, m)
-        weights = dc.softmax(scores, axis=1)
-        glimpse = dc.tsum(
-            weights.reshape(steps, n_phys, m, 1)
-            * vals.reshape(1, n_phys, m, d), axis=1
-        ).reshape(steps, d_c)
+        # per-head (m, T, d) queries, (m, d, N) keys and (m, N, d) values
+        q = dc.matmul(ctx, p("ptr.W_Q").T) * Tensor(1.0 / np.sqrt(d))
+        q = dc.transpose(q.reshape(steps, m, d), (1, 0, 2))
+        keys = dc.matmul(physical, p("ptr.W_K").T).reshape(n_phys, m, d)
+        vals = dc.matmul(physical, p("ptr.W_V").T).reshape(n_phys, m, d)
+        weights = dc.softmax(
+            dc.matmul(q, dc.transpose(keys, (1, 2, 0))), axis=-1)  # (m, T, N)
+        # Each step's glimpse is its own (1, N) @ (N, d) product (steps are
+        # a batch axis), so its rounding does not depend on how many steps
+        # share the pass. Under graph or batch norm the values of a head can
+        # average to exactly zero, and then the logits are rounding alone:
+        # the one-step view must round them as the table does.
+        glimpse = dc.matmul(
+            weights.reshape(m, steps, 1, n_phys),
+            dc.transpose(vals, (1, 0, 2)).reshape(m, 1, n_phys, d),
+        )  # (m, T, 1, d)
+        glimpse = dc.transpose(glimpse, (1, 0, 2, 3)).reshape(steps, d_c)
         q_final = dc.matmul(glimpse, p("ptr.W_G").T)  # (T, d_c)
         keys_final = dc.matmul(physical, p("ptr.W_Kf").T)  # (N, d_c)
         compat = dc.matmul(q_final, keys_final.T) * Tensor(1.0 / np.sqrt(d_c))

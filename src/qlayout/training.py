@@ -28,6 +28,7 @@ from .policy import DecoderConfig, EncoderConfig, PolicyNetwork, check_feasible
 from .topology import CouplingGraph
 
 STRATEGY_KINDS = ("greedy", "sampling", "multistart_greedy", "multistart_sampling")
+ROLLOUT_MODES = ("greedy", "sample")
 
 
 @dataclass
@@ -138,6 +139,9 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     episodes share one device encode, one pointer pass and, with
     ``train``, one tape.
     """
+    if mode not in ROLLOUT_MODES:
+        raise ConfigError(
+            f"unknown rollout mode {mode!r}; use one of {ROLLOUT_MODES}")
     batch = pg if isinstance(pg, list) else [pg]
     table, cost_fns = _episodes(batch, cg, policy, cost_model, train)
     seats, log_ps = [], []

@@ -1,0 +1,133 @@
+"""The attention kernels against broadcast-multiply-sum references.
+
+The GAT layer and the pointer decoder compute attention as per-head
+batched matmuls. The references here write the same attention out in
+plain numpy as elementwise products summed over an axis, with the heads
+as a trailing axis: (n, n, k, dh) for GAT aggregation and (T, N, m, d)
+for the pointer scores and the glimpse. The two must agree to 1e-12
+relative for every norm kind, context kind and encoder sharing.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qlayout.diffcore import Tensor
+from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
+from qlayout.topology import build_grid
+
+from conftest import tiny_policy
+
+VARIANTS = list(itertools.product(NORM_KINDS, CONTEXT_KINDS, (False, True)))
+SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+TOL = 1e-12
+
+
+def make_policy(norm, context, shared):
+    return tiny_policy(cg=build_grid(2, 3), n_max=5, norm=norm,
+                       context=context, shared=shared, heads=4, d=16,
+                       m_heads=4)
+
+
+def params(pol):
+    return {k: v.data for k, v in pol.store.params.items()}
+
+
+def softmax(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_gat_layer(pol, h, adj, prefix, train):
+    """One GAT layer with its norm; attention over (n, n, k)."""
+    w = params(pol)
+    e = pol.enc_cfg
+    n, k = h.shape[0], e.heads
+    dh = e.embed_dim // k
+    zh = (h @ w[f"{prefix}.W"].T).reshape(n, k, dh)
+    s_src = (zh * w[f"{prefix}.a_src"][None]).sum(axis=2)
+    s_dst = (zh * w[f"{prefix}.a_dst"][None]).sum(axis=2)
+    scores = s_src[:, None, :] + s_dst[None, :, :]
+    scores = np.where(scores >= 0, scores, 0.2 * scores)
+    alpha = softmax(np.where(adj[:, :, None], scores, -np.inf), axis=1)
+    agg = (alpha[:, :, :, None] * zh[None]).sum(axis=1)  # (n, k, dh)
+    out = np.where(agg >= 0, agg, np.expm1(agg)).reshape(n, e.embed_dim)
+    if e.norm_kind == "batch" and not train:
+        mean = pol.store.buffers[f"{prefix}.norm.mean"]
+        var = pol.store.buffers[f"{prefix}.norm.var"]
+    else:
+        axis = 1 if e.norm_kind == "layer" else 0
+        mean = out.mean(axis=axis, keepdims=True)
+        var = ((out - mean) ** 2).mean(axis=axis, keepdims=True)
+    h_hat = (out - mean) / np.sqrt(var + 1e-5)
+    return h_hat * w[f"{prefix}.norm.g"] + w[f"{prefix}.norm.b"]
+
+
+def reference_pointer_logits(pol, ctx, phys):
+    """Clipped compatibilities of a (T, d_c) context stack; scores and
+    glimpse over (T, N, m, d)."""
+    w = params(pol)
+    d_c, m = pol.dec_cfg.context_dim, pol.dec_cfg.heads
+    d = d_c // m
+    steps, n_phys = ctx.shape[0], phys.shape[0]
+    q = (ctx @ w["ptr.W_Q"].T).reshape(steps, 1, m, d)
+    keys = (phys @ w["ptr.W_K"].T).reshape(1, n_phys, m, d)
+    vals = (phys @ w["ptr.W_V"].T).reshape(1, n_phys, m, d)
+    weights = softmax((keys * q).sum(axis=3) / np.sqrt(d), axis=1)
+    glimpse = (weights[:, :, :, None] * vals).sum(axis=1).reshape(steps, d_c)
+    compat = (glimpse @ w["ptr.W_G"].T) @ (phys @ w["ptr.W_Kf"].T).T
+    return pol.dec_cfg.clip * np.tanh(compat / np.sqrt(d_c))
+
+
+def assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= TOL * max(1.0, np.abs(ref).max())
+
+
+@st.composite
+def graphs(draw):
+    """A symmetric adjacency with self-loops and a seed for the inputs."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    adj = np.eye(n, dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return adj, draw(st.integers(0, 2**16))
+
+
+@pytest.mark.parametrize("norm,context,shared", VARIANTS)
+class TestKernels:
+    @SETTINGS
+    @given(case=graphs(), layer=st.integers(0, 1),
+           which=st.sampled_from(["prog", "phys"]))
+    def test_gat_layer(self, norm, context, shared, case, layer, which):
+        adj, seed = case
+        pol = make_policy(norm, context, shared)
+        prefix = f"{pol._enc_prefix(which)}.l{layer}"
+        h = 2.0 * np.random.default_rng(seed).standard_normal(
+            (adj.shape[0], pol.enc_cfg.embed_dim))
+        # eval first: under batch norm it reads the running statistics
+        # that a training pass then updates
+        for train in (False, True):
+            ref = reference_gat_layer(pol, h, adj, prefix, train)
+            got = pol._gat_layer(Tensor(h), adj, prefix,
+                                 pol.store.lookup(train), train)
+            assert_close(got.data, ref)
+
+    @SETTINGS
+    @given(steps=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_pointer_logits(self, norm, context, shared, steps, seed):
+        pol = make_policy(norm, context, shared)
+        rng = np.random.default_rng(seed)
+        ctx = rng.standard_normal((steps, pol.dec_cfg.context_dim))
+        phys = rng.standard_normal((pol.cg.num_physical,
+                                    pol.enc_cfg.embed_dim))
+        ref = reference_pointer_logits(pol, ctx, phys)
+        assert_close(pol.pointer_logits(Tensor(ctx), Tensor(phys)).data, ref)
+        one = pol.pointer_logits(Tensor(ctx[0]), Tensor(phys)).data
+        assert_close(one, ref[0])

@@ -70,9 +70,40 @@ class TestForward:
             dc.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
         assert "(3,)" in str(exc.value) and "(4,)" in str(exc.value)
 
+    @pytest.mark.parametrize("op", [dc.add, dc.sub, dc.mul, dc.div])
+    def test_elementwise_broadcast_failure(self, op):
+        with pytest.raises(ShapeError, match="do not broadcast"):
+            op(Tensor(np.zeros(3)), Tensor(np.ones(4)))
+
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError):
             dc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("a,b", [((2, 2, 3), (3, 3, 1)), ((2, 3), (4,)),
+                                     ((3,), (4,)), ((), (3,))])
+    def test_matmul_nd_shape_mismatch(self, a, b):
+        with pytest.raises(ShapeError):
+            dc.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+
+    @pytest.mark.parametrize("axes", [(0, 0, 1), (0, 1), (0, 1, 3)])
+    def test_transpose_bad_axes(self, axes):
+        with pytest.raises(ShapeError):
+            dc.transpose(Tensor(np.zeros((2, 3, 4))), axes)
+
+    @pytest.mark.parametrize("a,b", [((2, 4, 3), (2, 3, 5)), ((4, 3), (2, 3, 5)),
+                                     ((1, 4, 3), (2, 3, 5)), ((3,), (2, 3, 5)),
+                                     ((2, 4, 3), (3,)), ((2, 1, 4, 3), (5, 3, 2))])
+    def test_matmul_nd_value_is_np_matmul(self, a, b):
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(a), rng.standard_normal(b)
+        assert np.array_equal(dc.matmul(Tensor(x), Tensor(y)).data,
+                              np.matmul(x, y))
+
+    def test_transpose_axes_value(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        assert np.array_equal(dc.transpose(Tensor(x), (2, 0, 1)).data,
+                              np.transpose(x, (2, 0, 1)))
+        assert np.array_equal(Tensor(x).T.data, x.T)
 
 
 class TestGradients:
@@ -96,6 +127,44 @@ class TestGradients:
 
     def test_dot(self):
         check_grad(lambda a, b: dc.mul(a @ b, a @ b), [(5,), (5,)])
+
+    @pytest.mark.parametrize("shapes", [
+        [(2, 3, 4), (2, 4, 5)],  # 3-D @ 3-D
+        [(3, 4), (2, 4, 5)],  # 2-D @ 3-D
+        [(2, 3, 4), (4, 5)],  # 3-D @ 2-D
+        [(1, 3, 4), (2, 4, 5)],  # broadcast batch
+        [(2, 1, 3, 4), (3, 4, 2)],  # broadcast over two batch axes
+        [(4,), (2, 4, 5)],  # 1-D @ 3-D
+        [(2, 3, 4), (4,)],  # 3-D @ 1-D
+    ])
+    def test_matmul_batched(self, shapes):
+        check_grad(lambda a, b: scalarize(a @ b), shapes)
+
+    @pytest.mark.parametrize("shape,axes", [
+        ((2, 3, 4), (1, 0, 2)), ((2, 3, 4), (2, 0, 1)),
+        ((2, 3, 4, 2), (0, 2, 3, 1)), ((2, 3, 4), (-1, 0, 1)),
+        ((3, 4), None),
+    ])
+    def test_transpose_axes(self, shape, axes):
+        # a fixed weight per entry, so a wrong permutation of the
+        # gradient changes the result
+        w = Tensor(np.random.default_rng(1).standard_normal(
+            np.transpose(np.zeros(shape), axes).shape))
+        check_grad(lambda a: dc.tsum(dc.mul(dc.transpose(a, axes), w)),
+                   [shape])
+
+    def test_matmul_2d_is_bitwise_the_plain_products(self):
+        rng = np.random.default_rng(5)
+        for m, k, n in [(1, 1, 1), (3, 4, 2), (7, 1, 5), (40, 128, 128),
+                        (65, 16, 33)]:
+            a = Tensor(rng.standard_normal((m, k)), requires_grad=True)
+            b = Tensor(rng.standard_normal((k, n)), requires_grad=True)
+            g = rng.standard_normal((m, n))
+            out = a @ b
+            out.backward(g)
+            assert np.array_equal(out.data, a.data @ b.data)
+            assert np.array_equal(a.grad, g @ b.data.T)
+            assert np.array_equal(b.grad, a.data.T @ g)
 
     def test_softmax(self):
         check_grad(lambda a: scalarize(dc.softmax(a, axis=1)), [(3, 5)])

@@ -86,6 +86,14 @@ class TestRollout:
         with pytest.raises(ConfigError):
             rollout(pg, pol.cg, pol)
 
+    @pytest.mark.parametrize("mode", ["sampling", "Greedy", "", None])
+    def test_unknown_mode_raises(self, rng, mode):
+        # a strategy name such as "sampling" must not decode greedily
+        pol = tiny_policy()
+        pg = gen_random_instance(3, 0.5, rng, n_max=4)
+        with pytest.raises(ConfigError, match="rollout mode"):
+            rollout(pg, pol.cg, pol, mode=mode, rng=rng)
+
 
 class TestDecode:
     def test_strategy_validation(self):

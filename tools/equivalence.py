@@ -1,0 +1,259 @@
+"""Record what qlayout computes on fixed inputs, and compare two records.
+
+Run ``record`` in two checkouts and ``compare`` the files to see whether a
+change alters any output:
+
+    PYTHONPATH=src python3 tools/equivalence.py record parent.json
+    PYTHONPATH=src python3 tools/equivalence.py compare parent.json change.json
+
+A record holds, as exact JSON floats:
+
+- ``decode``: the layout and cost of every decoding strategy on the
+  untrained default policy for heavyhex65 (the policy ``qlayout map``
+  uses, on 20-40 qubit circuits, both cost modes) and on a desk-scale
+  4x4-grid policy for each of the 18 norm x context x sharing settings;
+- ``rollout``: sampled batched rollouts of those 18 policies, their
+  layouts and log-probabilities in eval and in training mode;
+- ``local_search``: refined layouts and costs on heavyhex65 for both
+  neighbourhoods, both cost modes and both patience rules;
+- ``train``: four desk-scale epochs (mean reward, baseline, gradient norm)
+  and every final parameter.
+
+Each decode also stores its smallest decision margin: over every step of
+every start, the gap between the two most probable free seats where the
+step takes the argmax, and the distance of the uniform draw from the
+nearest edge of the cumulative distribution where it samples. A layout
+that differs between two records is a near-tie when that margin is below
+1e-9 in either record: rounding alone can then move the choice.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import random
+import sys
+
+import numpy as np
+
+import qlayout as ql
+from qlayout.diffcore import softmax_array
+from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
+
+STRATEGIES = ("greedy", "sampling", "multistart_greedy", "multistart_sampling")
+COST_MODES = ("adjacent-free", "literal")
+NEAR_TIE = 1e-9
+
+
+def random_qasm(rng, n, gates):
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
+    for _ in range(gates):
+        a, b = rng.sample(range(n), 2)
+        lines.append(f"cx q[{a}],q[{b}];")
+    return "\n".join(lines) + "\n"
+
+
+def map_graphs(policy, count=10):
+    rng = random.Random("equivalence:map")
+    graphs = []
+    for i in range(count):
+        n = 20 + (20 * i) // (count - 1)
+        circ = ql.parse_qasm(random_qasm(rng, n, rng.randint(n, 6 * n)))
+        graphs.append(ql.build_program_graph(circ,
+                                             n_max=policy.prog_feature_dim))
+    return graphs
+
+
+def desk_policy(norm="graph", context="concat_project", shared=False):
+    enc = ql.EncoderConfig(layers=2, heads=4, embed_dim=16, norm_kind=norm)
+    dec = ql.DecoderConfig(heads=4, context_dim=16, context_kind=context)
+    return ql.PolicyNetwork(ql.build_grid(4, 4), enc, dec, prog_feature_dim=12,
+                            shared_encoder=shared, seed=0)
+
+
+def desk_graphs(count, seed):
+    rng = np.random.default_rng(seed)
+    return [ql.gen_random_instance(int(rng.integers(6, 13)), 0.3, rng,
+                                   n_max=12) for _ in range(count)]
+
+
+def decision_margin(policy, pg, strategy):
+    """The smallest decision margin of ``decode`` under ``strategy``, and
+    the seats of each start, from the episode's logit table.
+
+    Start s draws from ``default_rng([seed, s])``; the greedy kinds sample
+    only the first step of starts after the first, the sampling kinds
+    sample every step."""
+    n = pg.num_logical
+    table = policy.logit_table(policy.encode(pg), np.arange(n)).data
+    margin = np.inf
+    seats = []
+    for start in range(strategy.k):
+        rng = np.random.default_rng([strategy.seed, start])
+        if "greedy" in strategy.kind:
+            sampled = 0 if start == 0 else 1
+        else:
+            sampled = n
+        free = np.ones(table.shape[1], dtype=bool)
+        chosen = []
+        for t in range(n):
+            probs = softmax_array(np.where(free, table[t], -np.inf), 0)
+            if t < sampled:
+                cdf = np.cumsum(probs / probs.sum())
+                cdf /= cdf[-1]
+                u = rng.random()
+                seat = int(np.searchsorted(cdf, u, side="right"))
+                margin = min(margin, float(np.abs(cdf[:-1] - u).min(
+                    initial=np.inf)))
+            else:
+                seat = int(np.argmax(probs))
+                top = np.sort(probs[free])[::-1]
+                if len(top) > 1:
+                    margin = min(margin, float(top[0] - top[1]))
+            chosen.append(seat)
+            free[seat] = False
+        seats.append(chosen)
+    return margin, seats
+
+
+def decode_record(policy, pg, kind, cost_mode):
+    strategy = ql.DecodeStrategy.make(kind, k=4 if "multistart" in kind
+                                      else 1, seed=0)
+    cm = ql.CostModel(cost_mode, policy.cg.distances)
+    layout, cost = ql.decode(pg, policy.cg, policy, strategy, cm)
+    margin, seats = decision_margin(policy, pg, strategy)
+    if layout.assign.tolist() not in seats:
+        raise SystemExit("the margin replay does not reproduce decode; "
+                         "update decision_margin to the decode loop")
+    return {"layout": layout.assign.tolist(), "cost": float(cost),
+            "margin": margin}
+
+
+def record():
+    out = {"decode": {}, "rollout": {}, "local_search": {}, "train": {}}
+
+    hh = ql.PolicyNetwork(ql.build_heavy_hex(), ql.EncoderConfig(),
+                          ql.DecoderConfig(), prog_feature_dim=40, seed=0)
+    hh_graphs = map_graphs(hh)
+    for i, pg in enumerate(hh_graphs):
+        for kind, mode in itertools.product(STRATEGIES, COST_MODES):
+            out["decode"][f"heavyhex65/c{i}/{kind}/{mode}"] = decode_record(
+                hh, pg, kind, mode)
+
+    for norm, context, shared in itertools.product(NORM_KINDS, CONTEXT_KINDS,
+                                                   (False, True)):
+        name = f"grid4x4/{norm}/{context}/shared={shared}"
+        policy = desk_policy(norm, context, shared)
+        for i, pg in enumerate(desk_graphs(25, 11)):
+            for kind in STRATEGIES:
+                out["decode"][f"{name}/g{i}/{kind}"] = decode_record(
+                    policy, pg, kind, "adjacent-free")
+        batch = desk_graphs(8, 12)
+        for train in (False, True):
+            results = ql.rollout(batch, policy.cg, policy, mode="sample",
+                                 rng=np.random.default_rng(5), train=train)
+            out["rollout"][f"{name}/train={train}"] = [
+                {"layout": r.layout.assign.tolist(),
+                 "log_prob": float(getattr(r.log_prob, "data", r.log_prob))}
+                for r in results]
+
+    rng = np.random.default_rng(3)
+    n_phys = hh.cg.num_physical
+    for i, pg in enumerate(hh_graphs[:4]):
+        initial = ql.Layout(rng.permutation(n_phys)[:pg.num_logical])
+        for hood, mode, reset in itertools.product(
+                ("random_assignment", "random_swap"), COST_MODES,
+                (False, True)):
+            cfg = ql.SearchConfig(neighborhood=hood, seed=i, cost_mode=mode,
+                                  reset_patience=reset)
+            refined = ql.local_search(initial, pg, hh.cg, cfg)
+            out["local_search"][f"c{i}/{hood}/{mode}/reset={reset}"] = {
+                "layout": refined.assign.tolist(),
+                "cost": float(ql.swap_cost(
+                    refined, pg, ql.CostModel(mode, hh.cg.distances)))}
+
+    policy = desk_policy()
+    cfg = ql.TrainConfig(epochs=4, batches_per_epoch=8, batch_size=32,
+                         n_min=6, n_max=12, edge_prob=0.3, seed=0,
+                         val_size=32, lr=3e-3)
+    metrics = ql.train(cfg, policy, policy.cg)
+    out["train"]["epochs"] = [
+        {"mean_reward": m.mean_reward, "baseline": m.baseline,
+         "grad_norm": m.grad_norm} for m in metrics]
+    out["train"]["params"] = {k: v.ravel().tolist()
+                              for k, v in sorted(policy.store.data().items())}
+    return out
+
+
+def leaves(doc, prefix=""):
+    """(path, value) for every list of numbers or number in ``doc``."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from leaves(value, f"{prefix}/{key}" if prefix else key)
+    elif isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        for i, value in enumerate(doc):
+            yield from leaves(value, f"{prefix}[{i}]")
+    else:
+        yield prefix, doc
+
+
+def compare(path_a, path_b):
+    """Print, per section, how many outputs are equal bit for bit; every
+    decode layout that differs with its margins; and the largest relative
+    difference of the numbers that differ. Returns 1 if a layout differs
+    without a near-tie."""
+    with open(path_a) as fh:
+        a = json.load(fh)
+    with open(path_b) as fh:
+        b = json.load(fh)
+    status = 0
+    for section in a:
+        va, vb = dict(leaves(a[section])), dict(leaves(b[section]))
+        if va.keys() != vb.keys():
+            print(f"{section}: the records hold different cases")
+            status = 1
+            continue
+        keys = [k for k in va if not k.endswith("/margin")]
+        same = [k for k in keys if va[k] == vb[k]]
+        print(f"{section}: {len(same)} of {len(keys)} outputs identical")
+        moved = set()
+        for key in keys:
+            if key.endswith("/layout") and va[key] != vb[key]:
+                base = key[: -len("layout")]
+                moved.add(base)
+                margins = [va.get(base + "margin"), vb.get(base + "margin")]
+                tie = any(m is not None and m < NEAR_TIE for m in margins)
+                status |= not tie
+                print(f"  layout differs: {key} margins {margins}"
+                      f"{'' if tie else '  NOT A NEAR-TIE'}")
+        worst = 0.0
+        for key in keys:
+            if key.endswith("/layout") or key.rsplit("/", 1)[0] + "/" in moved:
+                continue
+            x, y = np.asarray(va[key], float), np.asarray(vb[key], float)
+            scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-300)
+            worst = max(worst, float((np.abs(x - y) / scale).max(initial=0.0)))
+        print(f"  {len(moved)} layouts differ; largest relative difference "
+              f"of the other numbers: {worst:.3g}")
+    return status
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="write the record of this checkout")
+    rec.add_argument("out")
+    cmp_ = sub.add_parser("compare", help="compare two records")
+    cmp_.add_argument("a")
+    cmp_.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        with open(args.out, "w") as fh:
+            json.dump(record(), fh)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
