@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+of config fields."""
+
+import numbers
 
 
 class QLayoutError(Exception):
@@ -56,6 +59,15 @@ class InfeasibleStateError(QLayoutError):
 
 class ConfigError(QLayoutError):
     pass
+
+
+def check_integer(name, value, minimum):
+    """Raise ConfigError unless ``value`` is an integer, not a bool, of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, not {value}")
 
 
 class TooManyQubitsError(ConfigError):

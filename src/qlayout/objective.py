@@ -141,12 +141,17 @@ def fast_cost_fn(pg: ProgramGraph, cm: CostModel):
     return cost
 
 
-def swap_cost(layout: Layout, pg: ProgramGraph, cm: CostModel) -> float:
-    layout.validate(cm.distance.n)
+def check_covers(layout: Layout, pg: ProgramGraph):
+    """Raise unless ``layout`` places exactly the program's qubits."""
     if layout.n != pg.num_logical:
         raise ConstraintViolationError(
             f"layout covers {layout.n} qubits, program graph has {pg.num_logical}"
         )
+
+
+def swap_cost(layout: Layout, pg: ProgramGraph, cm: CostModel) -> float:
+    layout.validate(cm.distance.n)
+    check_covers(layout, pg)
     return fast_cost_fn(pg, cm)(layout.assign)
 
 

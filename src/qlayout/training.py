@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .circuit import ProgramGraph, check_qubit_count, onehot_features
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .objective import COST_MODES, CostModel, Layout, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork, check_feasible
 from .topology import CouplingGraph
@@ -46,16 +46,16 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batches_per_epoch", "batch_size", "val_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+            check_integer(name, getattr(self, name), 1)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, not {self.lr}")
         if self.cost_mode not in COST_MODES:
             raise ConfigError(f"unknown cost mode '{self.cost_mode}'")
         if not 0 < self.edge_prob <= 1:
             raise ConfigError("edge_prob must be in (0, 1]")
-        if self.n_min < 2 or self.n_max < self.n_min:
-            raise ConfigError("need 2 <= n_min <= n_max")
+        check_integer("n_min", self.n_min, 2)
+        check_integer("n_max", self.n_max, self.n_min)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass
@@ -67,11 +67,10 @@ class DecodeStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown decoding strategy '{self.kind}'")
-        multistart = self.kind.startswith("multistart")
-        if multistart and self.k < 1:
-            raise ConfigError("multistart strategies need k >= 1")
-        if not multistart and self.k != 1:
+        check_integer("k", self.k, 1)
+        if not self.kind.startswith("multistart") and self.k != 1:
             raise ConfigError(f"strategy '{self.kind}' requires k=1")
+        check_integer("seed", self.seed, 0)
 
     @classmethod
     def make(cls, kind, k=10, seed=0):

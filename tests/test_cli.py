@@ -275,6 +275,29 @@ class TestInputBoundaries:
         self.assert_one_line_error(code, err, bad, seeds)
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["postprocess", "map", "train",
+                                         "bench", "ablate-context"])
+    def test_negative_seed_rejected(self, monkeypatch, capsys, tmp_path,
+                                    qasm_file, layout_file, command):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        out = tmp_path / "out"
+        args = {
+            "postprocess": ["--layout", layout_file, "--circuit", qasm_file,
+                            "--device", "grid2x2", "--seed", "-1"],
+            "map": ["--circuit", qasm_file, "--ckpt", ckpt, "--strategy",
+                    "sampling", "--seed", "-1"],
+            "train": ["--device", "grid2x2", "--n-min", "2", "--n-max", "3",
+                      "--seed", "-1", "--out", out],
+            "bench": ["--dataset", qasm_file.parent, "--ckpt", ckpt,
+                      "--seeds", "0,-1", "--out", out],
+            "ablate-context": ["--device", "grid2x2", "--n-min", "2",
+                               "--n-max", "3", "--seed", "-1", "--out", out],
+        }[command]
+        code, err = run_entry(monkeypatch, capsys, command, *args)
+        self.assert_one_line_error(code, err, "seed must be at least 0")
+        assert not out.exists()
+
     def test_ablate_context_rejects_an_empty_test_set(
             self, monkeypatch, capsys, tmp_path):
         out = tmp_path / "ablation.csv"

@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qlayout import postprocess
 from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.errors import ConfigError, ConstraintViolationError
 from qlayout.objective import (
+    COST_MODES,
     CostModel,
     Layout,
     brute_force_optimal,
     fast_cost_fn,
     swap_cost,
 )
-from qlayout.postprocess import SearchConfig, local_search, neighbor
+from qlayout.postprocess import (
+    NEIGHBORHOODS,
+    SearchConfig,
+    apply_move,
+    local_search,
+    move_delta,
+    neighbor,
+    weighted_neighbours,
+)
 from qlayout.topology import CouplingGraph, build_grid
 
 
@@ -40,52 +52,262 @@ def random_layout(n, big_n, rng):
     return Layout(rng.permutation(big_n)[:n])
 
 
+def owners(assign, big_n):
+    """Seat -> qubit list of ``assign``, -1 for a free seat."""
+    owner = [-1] * big_n
+    for q, seat in enumerate(assign):
+        owner[seat] = q
+    return owner
+
+
+def propose(layout, cg, kind, rng):
+    """One ``neighbor`` move of ``layout``, from fresh state lists."""
+    assign = layout.assign.tolist()
+    return neighbor(assign, owners(assign, cg.num_physical), kind, rng)
+
+
+def applied(layout, move):
+    """A copy of ``layout`` with ``move`` applied (None is no move)."""
+    out = layout.copy()
+    if move is not None:
+        qubit, seat, displaced = move
+        if displaced is not None:
+            out.assign[displaced] = layout.assign[qubit]
+        out.assign[qubit] = seat
+    return out
+
+
 class TestNeighbor:
     def test_swap_on_two_qubits_is_the_transposition(self, rng):
         cg = build_grid(2, 2)
         lay = Layout(np.array([0, 3]))
-        out = neighbor(lay, cg, "random_swap", rng)
+        out = applied(lay, propose(lay, cg, "random_swap", rng))
         assert out.assign.tolist() == [3, 0]
 
     def test_swap_single_qubit_noop(self, rng):
         cg = build_grid(2, 2)
         lay = Layout(np.array([2]))
-        out = neighbor(lay, cg, "random_swap", rng)
-        assert out.assign.tolist() == [2]
+        move = propose(lay, cg, "random_swap", rng)
+        assert move is None
+        assert applied(lay, move).assign.tolist() == [2]
 
     def test_full_device_always_swaps(self, rng):
         cg = build_grid(2, 2)
         lay = Layout(np.array([0, 1, 2, 3]))
         for _ in range(50):
-            out = neighbor(lay, cg, "random_assignment", rng)
+            move = propose(lay, cg, "random_assignment", rng)
+            out = applied(lay, move)
             assert sorted(out.assign.tolist()) == [0, 1, 2, 3]
-            assert (out.assign != lay.assign).sum() in (0, 2)
+            # every seat is occupied, so the move swaps two qubits
+            assert move[2] is not None
+            assert (out.assign != lay.assign).sum() == 2
 
     def test_random_assignment_can_use_free_seat(self, rng):
         cg = build_grid(3, 3)
         lay = Layout(np.array([0, 1]))
         used_free_seat = False
         for _ in range(200):
-            out = neighbor(lay, cg, "random_assignment", rng)
+            move = propose(lay, cg, "random_assignment", rng)
+            out = applied(lay, move)
             assert out.is_total() and out.is_injective()
             if set(out.assign.tolist()) != {0, 1}:
                 used_free_seat = True
+                assert move[2] is None and move[1] not in (0, 1)
         assert used_free_seat
 
     def test_injective_under_stress(self, rng):
         cg = build_grid(3, 3)
         lay = random_layout(5, 9, rng)
-        for kind in ("random_swap", "random_assignment"):
+        for kind in NEIGHBORHOODS:
             cur = lay
             for _ in range(5000):
-                cur = neighbor(cur, cg, kind, rng)
+                cur = applied(cur, propose(cur, cg, kind, rng))
                 assert cur.is_total() and cur.is_injective()
 
     def test_does_not_mutate_input(self, rng):
-        cg = build_grid(2, 2)
-        lay = Layout(np.array([0, 3]))
-        neighbor(lay, cg, "random_swap", rng)
-        assert lay.assign.tolist() == [0, 3]
+        for kind in NEIGHBORHOODS:
+            assign, owner = [0, 3], [0, -1, -1, 1]
+            for _ in range(20):
+                neighbor(assign, owner, kind, rng)
+            assert assign == [0, 3] and owner == [0, -1, -1, 1]
+
+    def test_single_qubit_on_an_occupied_seat_is_no_move(self):
+        # seat 0 is the only draw of integers(1), and qubit 0 holds it
+        rng = np.random.default_rng(0)
+        assert neighbor([0], [0], "random_assignment", rng) is None
+
+
+def reference_neighbor(layout, cg, kind, rng):
+    """The copy-and-recompute search's move: a fresh ``Layout`` per call,
+    with the same random draws as ``neighbor``."""
+    out = layout.copy()
+    assign = out.assign
+    n = len(assign)
+    if kind == "random_swap":
+        if n < 2:
+            return out
+        i, j = rng.choice(n, size=2, replace=False)
+        assign[i], assign[j] = assign[j], assign[i]
+        return out
+    seat = int(rng.integers(cg.num_physical))
+    holders = np.nonzero(assign == seat)[0]
+    if len(holders) == 0:
+        assign[int(rng.integers(n))] = seat
+        return out
+    if n < 2:
+        return out
+    j = int(holders[0])
+    i = int(rng.integers(n - 1))
+    if i >= j:
+        i += 1
+    assign[i], assign[j] = assign[j], assign[i]
+    return out
+
+
+def reference_local_search(initial, pg, cg, cfg):
+    """The oracle: strict hill climbing that copies the layout and
+    recomputes the whole cost for every candidate. Returns the layout and
+    the number of accepted moves."""
+    cost_fn = fast_cost_fn(pg, CostModel(cfg.cost_mode, cg.distances))
+    rng = np.random.default_rng(cfg.seed)
+    curr, c_curr = initial.copy(), cost_fn(initial.assign)
+    p = accepted = 0
+    for _ in range(cfg.n_iters):
+        cand = reference_neighbor(curr, cg, cfg.neighborhood, rng)
+        c_cand = cost_fn(cand.assign)
+        if c_cand < c_curr:
+            curr, c_curr = cand, c_cand
+            accepted += 1
+            if cfg.reset_patience:
+                p = 0
+        else:
+            p += 1
+        if p > cfg.patience:
+            break
+    return curr, accepted
+
+
+@st.composite
+def search_cases(draw):
+    """A connected device, a program with repeated, reversed and
+    one-qubit-twice gates, and an initial layout that is often one qubit
+    or fills every seat."""
+    big_n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, big_n)}
+    seat = st.integers(0, big_n - 1)
+    edges |= set(draw(st.lists(st.tuples(seat, seat).filter(
+        lambda e: e[0] != e[1]), max_size=8)))
+    n = draw(st.sampled_from([1, big_n]) | st.integers(1, big_n))
+    qubit = st.integers(0, n - 1)
+    gates = draw(st.lists(st.tuples(qubit, qubit), max_size=4 * n))
+    assign = draw(st.permutations(range(big_n)))[:n]
+    return (CouplingGraph(big_n, frozenset(edges)), make_pg(n, gates),
+            Layout(np.asarray(assign)))
+
+
+class TestAgainstCopyAndRecompute:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(search_cases(), st.sampled_from(NEIGHBORHOODS),
+           st.sampled_from(COST_MODES), st.booleans(),
+           st.integers(1, 400), st.integers(0, 60), st.integers(0, 2**32))
+    def test_same_layout_as_the_oracle(self, case, kind, mode, reset,
+                                       n_iters, patience, seed):
+        cg, pg, initial = case
+        cfg = SearchConfig(neighborhood=kind, n_iters=n_iters,
+                           patience=patience, seed=seed, cost_mode=mode,
+                           reset_patience=reset)
+        expected, _ = reference_local_search(initial, pg, cg, cfg)
+        assert (local_search(initial, pg, cg, cfg).assign.tolist()
+                == expected.assign.tolist())
+
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("kind", NEIGHBORHOODS)
+    @pytest.mark.parametrize("mode", COST_MODES)
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_one_qubit_and_full_device(self, n, kind, mode, reset):
+        cg = build_grid(3, 3)
+        rng = np.random.default_rng(n)
+        pg = make_pg(n, [tuple(rng.integers(n, size=2)) for _ in range(3 * n)])
+        initial = random_layout(n, 9, rng)
+        cfg = SearchConfig(neighborhood=kind, n_iters=500, patience=40,
+                           seed=n, cost_mode=mode, reset_patience=reset)
+        expected, _ = reference_local_search(initial, pg, cg, cfg)
+        assert (local_search(initial, pg, cg, cfg).assign.tolist()
+                == expected.assign.tolist())
+
+    @pytest.mark.parametrize("kind", NEIGHBORHOODS)
+    @pytest.mark.parametrize("mode", COST_MODES)
+    def test_both_patience_rules_on_a_mid_size_case(self, kind, mode):
+        cg = build_grid(4, 4)
+        rng = np.random.default_rng(8)
+        pg = make_pg(10, [tuple(rng.choice(10, 2, replace=False))
+                          for _ in range(40)])
+        initial = random_layout(10, 16, rng)
+        accepted = []
+        for reset in (False, True):
+            cfg = SearchConfig(neighborhood=kind, n_iters=3000, patience=15,
+                               seed=4, cost_mode=mode, reset_patience=reset)
+            expected, count = reference_local_search(initial, pg, cg, cfg)
+            accepted.append(count)
+            assert (local_search(initial, pg, cg, cfg).assign.tolist()
+                    == expected.assign.tolist())
+        # the case tells the two rules apart
+        assert accepted[0] < accepted[1]
+
+    def test_cost_closure_runs_once_and_once_per_accepted_move(
+            self, monkeypatch, rng):
+        pg, cg = random_instance(rng, n_max=6, big_n_max=9)
+        initial = random_layout(pg.num_logical, cg.num_physical, rng)
+        cfg = SearchConfig(n_iters=2000, patience=2000, seed=3)
+        costs = []
+
+        def recording(pg, cm):
+            cost = fast_cost_fn(pg, cm)
+
+            def record(assign):
+                costs.append(cost(assign))
+                return costs[-1]
+            return record
+
+        monkeypatch.setattr(postprocess, "fast_cost_fn", recording)
+        local_search(initial, pg, cg, cfg)
+        _, accepted = reference_local_search(initial, pg, cg, cfg)
+        assert len(costs) == 1 + accepted
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+
+
+class TestMoveDelta:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(search_cases(), st.sampled_from(NEIGHBORHOODS),
+           st.sampled_from(COST_MODES), st.integers(0, 2**32))
+    def test_walk_matches_the_oracle_move_by_move(self, case, kind, mode,
+                                                  seed):
+        # every proposed move, better or worse, is scored and applied
+        cg, pg, layout = case
+        cm = CostModel(mode, cg.distances)
+        cost_fn = fast_cost_fn(pg, cm)
+        nbrs, rows = weighted_neighbours(pg), cm.edge_costs.tolist()
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assign = layout.assign.tolist()
+        owner = owners(assign, cg.num_physical)
+        for _ in range(60):
+            before = cost_fn(np.asarray(assign))
+            expected = reference_neighbor(Layout(np.asarray(assign)), cg,
+                                          kind, twin)
+            move = neighbor(assign, owner, kind, rng)
+            delta = 0.0
+            if move is not None:
+                delta = move_delta(move, assign, nbrs, rows)
+                apply_move(move, assign, owner)
+            assert assign == expected.assign.tolist()
+            assert owner == owners(assign, cg.num_physical)
+            # the delta equals the difference of two full costs exactly
+            assert delta == cost_fn(np.asarray(assign)) - before
+
+    def test_neighbour_lists_count_gates_per_pair(self):
+        pg = make_pg(3, [(0, 1), (1, 0), (0, 1), (2, 2), (1, 2)])
+        assert weighted_neighbours(pg) == [[(1, 3)], [(0, 3), (2, 1)],
+                                           [(1, 1)]]
 
 
 class TestLocalSearch:
@@ -95,6 +317,15 @@ class TestLocalSearch:
         with pytest.raises(ConstraintViolationError):
             local_search(Layout(np.array([1, 1])), pg, cg, SearchConfig())
 
+    @pytest.mark.parametrize("n_assigned", [2, 4])
+    def test_layout_of_another_width_rejected(self, n_assigned):
+        cg = build_grid(2, 3)
+        pg = make_pg(3, [(0, 1), (1, 2)])
+        with pytest.raises(ConstraintViolationError,
+                           match=f"covers {n_assigned} qubits.* has 3"):
+            local_search(Layout(np.arange(n_assigned)), pg, cg,
+                         SearchConfig())
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SearchConfig(neighborhood="anneal")
@@ -102,6 +333,23 @@ class TestLocalSearch:
             SearchConfig(n_iters=0)
         with pytest.raises(ConfigError):
             SearchConfig(patience=-1)
+
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("n_iters", 2.5, "n_iters must be an integer, not 2.5"),
+        ("n_iters", True, "n_iters must be an integer, not True"),
+        ("patience", 1.5, "patience must be an integer, not 1.5"),
+        ("patience", False, "patience must be an integer, not False"),
+        ("seed", -1, "seed must be at least 0, not -1"),
+        ("seed", 0.5, "seed must be an integer"),
+    ])
+    def test_config_rejects_boundary_values(self, field, value, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            SearchConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = SearchConfig(n_iters=np.int64(5), patience=np.int32(0),
+                           seed=np.uint8(3))
+        assert (cfg.n_iters, cfg.patience, cfg.seed) == (5, 0, 3)
 
     def test_already_optimal_stays_optimal(self, rng):
         cg = build_grid(2, 2)

@@ -103,6 +103,21 @@ class TestDecode:
             DecodeStrategy("nope")
         assert DecodeStrategy.make("multistart_greedy").k == 10
 
+    def test_non_integral_starts_rejected(self):
+        # 2.5 starts used to pass and end in a TypeError inside decode
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            DecodeStrategy("multistart_greedy", k=2.5)
+        with pytest.raises(ConfigError, match="k must be at least 1"):
+            DecodeStrategy("multistart_sampling", k=0)
+
+    @pytest.mark.parametrize("kind", ["greedy", "sampling",
+                                      "multistart_sampling"])
+    def test_negative_seed_rejected(self, kind):
+        # numpy's default_rng would raise ValueError, and only once a
+        # start draws
+        with pytest.raises(ConfigError, match="seed must be at least 0"):
+            DecodeStrategy.make(kind, seed=-1)
+
     def test_multistart_k1_degenerates(self, rng):
         pol = tiny_policy()
         pg = gen_random_instance(3, 0.6, rng, n_max=4)
@@ -187,6 +202,12 @@ class TestTrain:
         ("val_size", 0, "val_size"),
         ("lr", -1.0, "lr"), ("lr", 0.0, "lr"), ("lr", float("nan"), "lr"),
         ("lr", float("inf"), "lr"), ("cost_mode", "x", "cost mode 'x'"),
+        ("seed", -1, "seed must be at least 0"),
+        ("epochs", 2.5, "epochs must be an integer, not 2.5"),
+        ("batch_size", True, "batch_size must be an integer, not True"),
+        ("n_min", 2.5, "n_min must be an integer"),
+        ("n_min", 1, "n_min must be at least 2"),
+        ("n_max", 5, "n_max must be at least 6"),
     ])
     def test_config_rejects_values_that_cannot_train(self, field, value,
                                                      fragment):

@@ -15,7 +15,14 @@ A record holds, as exact JSON floats:
 - ``rollout``: sampled batched rollouts of those 18 policies, their
   layouts and log-probabilities in eval and in training mode;
 - ``local_search``: refined layouts and costs on heavyhex65 for both
-  neighbourhoods, both cost modes and both patience rules;
+  neighbourhoods, both cost modes and both patience rules, keyed
+  ``<case>/<neighbourhood>/<cost mode>/reset=<rule>``. The cases are
+  ``c0``-``c3`` (20-40 qubit circuits, the default budget), ``full`` (a
+  65-qubit circuit on every seat, so each move swaps an occupied pair),
+  ``one-qubit`` (a 1-qubit program, so every move is a no-op or a move to
+  a free seat) and ``refine0``-``refine7`` (30-60 qubit circuits with up
+  to 10 gates per qubit, ``n_iters == patience == 2000`` as in the
+  refine benchmark workload, ``reset=False`` only);
 - ``train``: four desk-scale epochs (mean reward, baseline, gradient norm)
   and every final parameter.
 
@@ -130,6 +137,21 @@ def decode_record(policy, pg, kind, cost_mode):
             "margin": margin}
 
 
+def search_records(out, name, pg, cg, initial, seed, resets=(False, True),
+                   **budget):
+    """Refine ``initial`` under both neighbourhoods, both cost modes and
+    each patience rule in ``resets``; store each layout and cost."""
+    for hood, mode, reset in itertools.product(
+            ("random_assignment", "random_swap"), COST_MODES, resets):
+        cfg = ql.SearchConfig(neighborhood=hood, seed=seed, cost_mode=mode,
+                              reset_patience=reset, **budget)
+        refined = ql.local_search(initial, pg, cg, cfg)
+        out[f"{name}/{hood}/{mode}/reset={reset}"] = {
+            "layout": refined.assign.tolist(),
+            "cost": float(ql.swap_cost(refined, pg,
+                                       ql.CostModel(mode, cg.distances)))}
+
+
 def record():
     out = {"decode": {}, "rollout": {}, "local_search": {}, "train": {}}
 
@@ -158,20 +180,28 @@ def record():
                  "log_prob": float(getattr(r.log_prob, "data", r.log_prob))}
                 for r in results]
 
+    searches = out["local_search"]
     rng = np.random.default_rng(3)
     n_phys = hh.cg.num_physical
     for i, pg in enumerate(hh_graphs[:4]):
         initial = ql.Layout(rng.permutation(n_phys)[:pg.num_logical])
-        for hood, mode, reset in itertools.product(
-                ("random_assignment", "random_swap"), COST_MODES,
-                (False, True)):
-            cfg = ql.SearchConfig(neighborhood=hood, seed=i, cost_mode=mode,
-                                  reset_patience=reset)
-            refined = ql.local_search(initial, pg, hh.cg, cfg)
-            out["local_search"][f"c{i}/{hood}/{mode}/reset={reset}"] = {
-                "layout": refined.assign.tolist(),
-                "cost": float(ql.swap_cost(
-                    refined, pg, ql.CostModel(mode, hh.cg.distances)))}
+        search_records(searches, f"c{i}", pg, hh.cg, initial, seed=i)
+    qrng = random.Random("equivalence:search")
+    full = ql.build_program_graph(ql.parse_qasm(random_qasm(qrng, n_phys,
+                                                            3 * n_phys)))
+    search_records(searches, "full", full, hh.cg,
+                   ql.Layout(rng.permutation(n_phys)), seed=4)
+    one = ql.build_program_graph(ql.parse_qasm(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\n'))
+    search_records(searches, "one-qubit", one, hh.cg,
+                   ql.Layout(rng.permutation(n_phys)[:1]), seed=5)
+    for i in range(8):
+        n = 30 + (30 * i) // 7
+        pg = ql.build_program_graph(ql.parse_qasm(
+            random_qasm(qrng, n, qrng.randint(n, 10 * n))))
+        initial = ql.Layout(rng.permutation(n_phys)[:n])
+        search_records(searches, f"refine{i}", pg, hh.cg, initial, seed=i,
+                       resets=(False,), n_iters=2000, patience=2000)
 
     policy = desk_policy()
     cfg = ql.TrainConfig(epochs=4, batches_per_epoch=8, batch_size=32,
