@@ -8,6 +8,7 @@ are parsed and discarded.
 
 from __future__ import annotations
 
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -15,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConstraintViolationError,
     EmptyCircuitError,
     ParseError,
+    ShapeError,
     TooManyQubitsError,
     UnsupportedGateError,
 )
@@ -176,7 +179,8 @@ class ProgramGraph:
     """Directed multigraph of logical-qubit interactions with node features.
 
     ``edges`` keeps one entry per two-qubit gate occurrence; multiplicity is
-    implicit in the repetition.
+    implicit in the repetition. Every edge is a pair of qubits in
+    0..n-1; a pair on one qubit twice is accepted and costs nothing.
     """
 
     num_logical: int
@@ -184,16 +188,16 @@ class ProgramGraph:
     node_features: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if self.num_logical < 1:
+        n = self.num_logical
+        if n < 1:
             raise EmptyCircuitError("circuit has no qubits")
         feats = np.asarray(self.node_features, dtype=np.float64)
-        if feats.shape[0] != self.num_logical:
-            raise ValueError(
-                f"need one feature row per node, got {feats.shape[0]} rows for "
-                f"{self.num_logical} nodes"
-            )
+        if feats.ndim != 2 or feats.shape[0] != n:
+            raise ShapeError(
+                f"need one feature row per node for {n} nodes", feats.shape)
         object.__setattr__(self, "node_features", feats)
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges",
+                           tuple([_checked_edge(e, n) for e in self.edges]))
 
     @property
     def num_edges(self):
@@ -213,6 +217,21 @@ class ProgramGraph:
         for i, j in self.edges:
             a[i, j] = a[j, i] = True
         return a
+
+
+def _checked_edge(edge, n):
+    """``edge`` as a pair of Python ints in 0..n-1."""
+    try:
+        a, b = edge
+    except (TypeError, ValueError):
+        a = b = None
+    if type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n:
+        return a, b
+    if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool)
+               and 0 <= q < n for q in (a, b)):
+        raise ConstraintViolationError(
+            f"edge {edge!r} is not a pair of qubits in 0..{n - 1}")
+    return int(a), int(b)
 
 
 def onehot_features(n, n_max=None):

@@ -7,6 +7,16 @@ builds a fixed-size context query from the current/placed program-node
 embeddings and scores every physical node with a multi-head glimpse
 feeding a single clipped compatibility head.
 
+The encoder has one code path: a zero-padded (B, M, d_e) stack of graphs,
+M the largest node count. A pad row attends only to itself, graph and
+batch norm take each graph's statistics over its real rows, and the real
+rows are gathered at the end, so a graph's rows do not depend on the
+graphs stacked with it. ``encode`` of a list of program graphs is one
+such stack; one program graph or the device graph is a stack of one, with
+no pads. Batch-norm running statistics move once per graph, replayed from
+the stack's per-graph statistics in the order first program graph,
+device, other program graphs.
+
 The logits never depend on the seats already taken: a context reads only
 program embeddings along the placement order, and the glimpse attends over
 every physical node unmasked. So ``make_context`` and ``pointer_logits``
@@ -89,8 +99,20 @@ class DecoderConfig:
 
 @dataclass
 class NodeEmbeddings:
-    program: Tensor  # n x d_e
+    program: Tensor  # n x d_e, or sum of n x d_e for a list of graphs
     physical: Tensor  # N x d_e
+
+
+class _Pads:
+    """The padding of a (B, M, .) stack of graphs with ``sizes`` nodes."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+        self.inv_sizes = 1.0 / np.array(sizes, dtype=float).reshape(-1, 1, 1)
+        rows = np.arange(max(sizes)) < np.array(sizes).reshape(-1, 1)
+        # (B, M, 1) ones on the real rows; None when no row is a pad
+        self.real = None if rows.all() else rows[..., None].astype(float)
+        self.stats = []  # (norm prefix, (B, d_e) means, (B, d_e) variances)
 
 
 class ParamStore:
@@ -220,7 +242,10 @@ class PolicyNetwork:
 
     # --- encoder ----------------------------------------------------
 
-    def _norm(self, h, prefix, p, train):
+    def _norm(self, h, prefix, p, train, pads):
+        """Normalise a (B, M, d_e) stack. Graph norm, and batch norm in
+        training, take each graph's statistics over its real rows and
+        record them in ``pads.stats`` for the running-statistics replay."""
         kind = self.enc_cfg.norm_kind
         g = p(f"{prefix}.g")
         b = p(f"{prefix}.b")
@@ -228,50 +253,95 @@ class PolicyNetwork:
             m = Tensor(self.store.buffers[f"{prefix}.mean"].reshape(1, -1))
             var = Tensor(self.store.buffers[f"{prefix}.var"].reshape(1, -1))
             centered = h - m
-        else:
-            axis = 1 if kind == "layer" else 0
-            m = h.mean(axis=axis, keepdims=True)
+        elif kind == "layer":
+            m = h.mean(axis=2, keepdims=True)
             centered = h - m
-            var = dc.tmean(dc.mul(centered, centered), axis=axis,
-                           keepdims=True)
+            var = dc.tmean(dc.mul(centered, centered), axis=2, keepdims=True)
+        else:
+            inv_n = Tensor(pads.inv_sizes)
+            real = h if pads.real is None else dc.mul(h, pads.real)
+            m = dc.mul(dc.tsum(real, axis=1, keepdims=True), inv_n)
+            centered = h - m
+            if pads.real is not None:
+                centered = dc.mul(centered, pads.real)
+            var = dc.mul(dc.tsum(dc.mul(centered, centered), axis=1,
+                                 keepdims=True), inv_n)
             if kind == "batch":
-                rm = self.store.buffers[f"{prefix}.mean"]
-                rv = self.store.buffers[f"{prefix}.var"]
-                rm += _BN_MOMENTUM * (m.data.ravel() - rm)
-                rv += _BN_MOMENTUM * (var.data.ravel() - rv)
+                pads.stats.append((prefix, m.data[:, 0], var.data[:, 0]))
         h_hat = dc.mul(centered, dc.powi(var + _NORM_EPS, -0.5))
         return h_hat * g.reshape(1, -1) + b.reshape(1, -1)
 
-    def _gat_layer(self, h, adj, prefix, p, train):
-        """One multi-head GAT layer as per-head batched matmuls: head h's
-        (n, n) attention weights times its (n, dh) slice of the values."""
+    def _gat_layer(self, h, adj, prefix, p, train, pads):
+        """One multi-head GAT layer on a (B, M, d_e) stack as per-head
+        batched matmuls: head h's (M, M) attention weights times its
+        (M, dh) slice of the values, for every graph of the stack."""
         e = self.enc_cfg
-        n = h.shape[0]
+        n_graphs, m_rows = h.shape[:2]
         k, dh = e.heads, e.embed_dim // e.heads
-        z = dc.matmul(h, p(f"{prefix}.W").T)  # (n, d_e)
-        zh = dc.transpose(z.reshape(n, k, dh), (1, 0, 2))  # (k, n, dh)
+        z = dc.matmul(h.reshape(n_graphs * m_rows, e.embed_dim),
+                      p(f"{prefix}.W").T)
+        zh = dc.transpose(z.reshape(n_graphs, m_rows, k, dh),
+                          (0, 2, 1, 3))  # (B, k, M, dh)
         s_src = dc.matmul(zh, p(f"{prefix}.a_src").reshape(k, dh, 1))
         s_dst = dc.matmul(zh, p(f"{prefix}.a_dst").reshape(k, dh, 1))
-        scores = dc.leaky_relu(s_src + s_dst.reshape(k, 1, n), 0.2)
-        scores = dc.masked_fill(scores, ~adj[None], -np.inf)
-        alpha = dc.softmax(scores, axis=-1)  # (k, n, n)
-        agg = dc.transpose(dc.matmul(alpha, zh), (1, 0, 2))  # (n, k, dh)
-        out = dc.elu(agg).reshape(n, e.embed_dim)
-        return self._norm(out, f"{prefix}.norm", p, train)
+        scores = dc.leaky_relu(
+            s_src + s_dst.reshape(n_graphs, k, 1, m_rows), 0.2)
+        scores = dc.masked_fill(scores, ~adj[:, None], -np.inf)
+        alpha = dc.softmax(scores, axis=-1)  # (B, k, M, M)
+        agg = dc.transpose(dc.matmul(alpha, zh), (0, 2, 1, 3))  # (B, M, k, dh)
+        out = dc.elu(agg).reshape(n_graphs, m_rows, e.embed_dim)
+        return self._norm(out, f"{prefix}.norm", p, train, pads)
 
-    def _encode_graph(self, feats, adj, which, train):
+    def _encode_stack(self, feats, adjs, which, train):
+        """Encode graphs as one zero-padded (B, M, .) stack, M the largest
+        node count; returns the (sum of n, d_e) real rows in graph order
+        and the stack's ``_Pads``, whose ``stats`` hold the batch-norm
+        statistics of every graph (``_update_running`` applies them).
+
+        A pad row attends only to itself and never enters a real row or a
+        graph's statistics, so each graph's rows are its own encoding.
+        """
         p = self.store.lookup(train)
         w_in = p(f"in.{which}.W")
-        if feats.shape[1] != w_in.shape[1]:
-            raise ShapeError(
-                "feature dimension does not match the input projection",
-                feats.shape, w_in.shape,
-            )
-        h = dc.matmul(Tensor(feats), w_in.T)
+        for f in feats:
+            if f.shape[1] != w_in.shape[1]:
+                raise ShapeError(
+                    "feature dimension does not match the input projection",
+                    f.shape, w_in.shape,
+                )
+        pads = _Pads([len(f) for f in feats])
+        n_graphs, m_rows = len(feats), max(pads.sizes)
+        x = np.zeros((n_graphs, m_rows, w_in.shape[1]))
+        adj = np.zeros((n_graphs, m_rows, m_rows), dtype=bool)
+        adj[:, np.arange(m_rows), np.arange(m_rows)] = True
+        for i, (f, a) in enumerate(zip(feats, adjs)):
+            x[i, :len(f)] = f
+            adj[i, :len(f), :len(f)] = a
+        h = dc.matmul(Tensor(x.reshape(n_graphs * m_rows, -1)), w_in.T)
+        h = h.reshape(n_graphs, m_rows, -1)
         prefix = self._enc_prefix(which)
         for layer in range(self.enc_cfg.layers):
-            h = self._gat_layer(h, adj, f"{prefix}.l{layer}", p, train)
-        return h
+            h = self._gat_layer(h, adj, f"{prefix}.l{layer}", p, train, pads)
+        rows = h.reshape(n_graphs * m_rows, -1)
+        if pads.real is not None:
+            rows = dc.gather(rows, np.flatnonzero(pads.real))
+        return rows, pads
+
+    def _update_running(self, pads, graphs):
+        """Move the batch-norm running statistics once per graph of the
+        stack in ``graphs``, in that order."""
+        for prefix, means, variances in pads.stats:
+            rm = self.store.buffers[f"{prefix}.mean"]
+            rv = self.store.buffers[f"{prefix}.var"]
+            for i in graphs:
+                rm += _BN_MOMENTUM * (means[i] - rm)
+                rv += _BN_MOMENTUM * (variances[i] - rv)
+
+    def _encode_device(self, train):
+        rows, pads = self._encode_stack([self._phys_feats], [self._cg_adj],
+                                        "phys", train)
+        self._update_running(pads, [0])
+        return rows
 
     def _device_sources(self):
         """The parameters and norm buffers the device embedding reads."""
@@ -294,8 +364,7 @@ class PolicyNetwork:
         if memo is not None and memo[0].keys() == sources.keys() and all(
                 np.array_equal(memo[0][k], v) for k, v in sources.items()):
             return memo[1]
-        physical = self._encode_graph(self._phys_feats, self._cg_adj, "phys",
-                                      False)
+        physical = self._encode_device(False)
         self._device_memo = ({k: v.copy() for k, v in sources.items()},
                              physical)
         return physical
@@ -305,19 +374,36 @@ class PolicyNetwork:
         memoised constant in eval."""
         if not train:
             return self._device_embedding()
-        return self._encode_graph(self._phys_feats, self._cg_adj, "phys",
-                                  True)
+        return self._encode_device(True)
+
+    def _encode_programs(self, graphs, train):
+        return self._encode_stack(
+            [pg.node_features for pg in graphs],
+            [self._with_self_loops(pg.undirected_adjacency())
+             for pg in graphs],
+            "prog", train)
 
     def encode_program(self, pg: ProgramGraph, train=False) -> Tensor:
         """The (n, d_e) embedding of a program graph."""
-        adj_p = self._with_self_loops(pg.undirected_adjacency())
-        return self._encode_graph(pg.node_features, adj_p, "prog", train)
+        rows, pads = self._encode_programs([pg], train)
+        self._update_running(pads, [0])
+        return rows
 
-    def encode(self, pg: ProgramGraph, train=False) -> NodeEmbeddings:
-        """Both embeddings; training encodes (and, under batch norm,
-        updates the running statistics of) the program graph first."""
-        program = self.encode_program(pg, train)
-        return NodeEmbeddings(program, self.encode_device(train))
+    def encode(self, graphs, train=False) -> NodeEmbeddings:
+        """Both embeddings of a program graph, or of a list of program
+        graphs encoded as one padded stack; then ``program`` holds every
+        graph's (n, d_e) rows, graph after graph.
+
+        Under batch norm, training moves the running statistics once per
+        graph in the order first program graph, device, other program
+        graphs (with a shared encoder all three update one buffer set).
+        """
+        batch = graphs if isinstance(graphs, list) else [graphs]
+        program, pads = self._encode_programs(batch, train)
+        self._update_running(pads, [0])
+        physical = self.encode_device(train)
+        self._update_running(pads, range(1, len(batch)))
+        return NodeEmbeddings(program, physical)
 
     # --- decoder ----------------------------------------------------
 
@@ -333,19 +419,19 @@ class PolicyNetwork:
     def logit_table(self, emb: NodeEmbeddings, order) -> Tensor:
         """The (len(order), N) pointer logits of every step of an episode
         placing the program nodes in ``order``."""
-        return self.stacked_logit_table([emb.program], emb.physical, [order])
+        return self.stacked_logit_table(emb.program, emb.physical, [order])
 
-    def stacked_logit_table(self, programs, physical, orders) -> Tensor:
+    def stacked_logit_table(self, program, physical, orders) -> Tensor:
         """The logit tables of episodes that share one device embedding,
         stacked episode after episode into one (sum of len(order), N)
-        table. The contexts of all steps are built together and one
-        pointer pass serves them all, so the device key, value and
-        final-key projections are computed once."""
-        offsets = np.cumsum([0] + [prog.shape[0] for prog in programs[:-1]])
-        order = np.concatenate([np.asarray(o, dtype=np.intp) + off
-                                for o, off in zip(orders, offsets)])
+        table. ``program`` stacks the episodes' program rows in the same
+        order, as ``encode`` of a list returns them, and each order places
+        all of its graph's nodes. The contexts of all steps are built
+        together and one pointer pass serves them all, so the device key,
+        value and final-key projections are computed once."""
         starts = np.cumsum([0] + [len(o) for o in orders[:-1]])
-        program = programs[0] if len(programs) == 1 else dc.concat(programs)
+        order = np.concatenate([np.asarray(o, dtype=np.intp) + start
+                                for o, start in zip(orders, starts)])
         return self.pointer_logits(self._contexts(program, order, starts),
                                    physical)
 

@@ -6,9 +6,18 @@ finished layout. Training uses a greedy-rollout baseline: at the start of
 each epoch the current policy is decoded greedily over a fixed validation
 set, in one batched rollout as for a training batch, and the scalar mean
 reward becomes the baseline for every episode of that epoch. Each training
-batch builds one tape: the device graph is encoded once, every episode's
-rows join one stacked logit table, and one backward gives the batch's
-gradient.
+batch builds one tape: one encode call embeds the batch's program graphs
+as one padded stack and the device graph once, every episode's rows join
+one stacked logit table, and one backward gives the batch's gradient.
+
+Every rollout and decode chooses its seats with one lockstep walk over the
+plain logit table (``_walk``), every episode or start at once with a mask
+per episode. A sampled step inverts the CDF with one uniform, exactly as
+``Generator.choice`` does, and the uniforms are drawn up front: a batch's
+sampled rollout draws all of them from its one ``rng`` in episode order,
+and each decode start from its own stream. ``choice`` draws one double per
+call, so the seats and the state of every stream are the same as with one
+``choice`` per step.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .circuit import ProgramGraph, check_qubit_count, onehot_features
-from .errors import ConfigError, check_integer
+from .errors import ConfigError, NumericError, check_integer
 from .objective import COST_MODES, CostModel, Layout, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork, check_feasible
 from .topology import CouplingGraph
@@ -109,17 +118,16 @@ def _episodes(batch, cg, policy, cost_model, train):
     ``batch``, each placing its logical qubits in ascending order, and the
     cost functions their layouts are scored by.
 
-    ``encode`` embeds the first program graph and the device graph; the
-    other program graphs are embedded against that one device embedding,
-    and one pointer pass scores every episode's rows.
+    One ``encode`` call embeds every program graph, as one padded stack,
+    and the device graph; one pointer pass scores every episode's rows.
     """
+    if not batch:
+        raise ConfigError("a rollout needs at least one program graph")
     for pg in batch:
         check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
-    first = policy.encode(batch[0], train=train)
-    programs = [first.program] + [policy.encode_program(pg, train=train)
-                                  for pg in batch[1:]]
+    emb = policy.encode(batch, train=train)
     table = policy.stacked_logit_table(
-        programs, first.physical, [np.arange(pg.num_logical) for pg in batch])
+        emb.program, emb.physical, [np.arange(pg.num_logical) for pg in batch])
     cost_model = cost_model or CostModel.for_graph(cg)
     return table, [fast_cost_fn(pg, cost_model) for pg in batch]
 
@@ -129,31 +137,30 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
             ) -> RolloutResult:
     """Run one episode placing every logical qubit in ascending order.
 
-    ``mode`` is "greedy" (argmax, first index on ties) or "sample". With
-    ``train`` the result's ``log_prob`` is a tape whose gradient is that of
-    the episode's log-probability.
+    ``mode`` is "greedy" (argmax, first index on ties) or "sample", which
+    draws from ``rng``. With ``train`` the result's ``log_prob`` is a tape
+    whose gradient is that of the episode's log-probability.
 
-    Given a list of program graphs, run one episode per graph, drawing from
-    ``rng`` one episode after another, and return a list of results. The
-    episodes share one device encode, one pointer pass and, with
-    ``train``, one tape.
+    Given a list of program graphs, run one episode per graph and return a
+    list of results. The episodes share one encode call, one pointer pass,
+    one lockstep walk and, with ``train``, one tape; sampled episodes draw
+    from ``rng`` one episode after another.
     """
     if mode not in ROLLOUT_MODES:
         raise ConfigError(
             f"unknown rollout mode {mode!r}; use one of {ROLLOUT_MODES}")
+    if mode == "sample" and rng is None:
+        raise ConfigError("a sampled rollout needs an rng")
     batch = pg if isinstance(pg, list) else [pg]
     table, cost_fns = _episodes(batch, cg, policy, cost_model, train)
-    seats, log_ps = [], []
-    lo = 0
-    for one in batch:
-        n = one.num_logical
-        chosen, log_p = _walk(table.data[lo:lo + n], [rng],
-                              [n if mode == "sample" else 0])
-        seats.append(chosen[0])
-        log_ps.append(float(log_p[0]))
-        lo += n
-    if train:
-        log_ps = _log_probs(table, seats)
+    sizes = [one.num_logical for one in batch]
+    firsts = np.cumsum([0] + sizes[:-1])
+    if mode == "sample":
+        uniforms = np.split(rng.random(sum(sizes)), firsts[1:])
+    else:
+        uniforms = [()] * len(batch)
+    seats, log_ps = _walk(table.data, firsts, sizes, uniforms)
+    log_ps = _log_probs(table, seats) if train else log_ps.tolist()
     results = []
     for assign, log_p, cost_fn in zip(seats, log_ps, cost_fns):
         cost = cost_fn(assign)
@@ -161,33 +168,58 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     return results if isinstance(pg, list) else results[0]
 
 
-def _walk(logits, rngs, n_sampled):
-    """Advance one start per RNG in lockstep over a plain (n, N) logit
-    table; each step's (k, N) probabilities are those of
-    ``masked_distribution``, computed without a tape.
+def _walk(logits, firsts, sizes, uniforms):
+    """Advance every episode in lockstep over a plain logit table; each
+    step's probabilities are those of ``masked_distribution``, computed
+    without a tape.
 
-    Start s samples its first ``n_sampled[s]`` steps from ``rngs[s]`` and
-    takes the argmax (first index on ties) after that. Returns the seats
-    chosen at each step, shape (k, n), and each start's log-probability.
+    Episode e takes its ``sizes[e]`` steps from the rows ``firsts[e]``
+    onwards (episodes may share rows). It samples its first
+    ``len(uniforms[e])`` steps, step t with the uniform ``uniforms[e][t]``,
+    and takes the argmax (first index on ties) after that. A draw inverts
+    the distribution's CDF exactly as ``Generator.choice(p=...)`` does:
+    normalise, cumulative sum, divide by the last entry, and count the
+    entries <= u. Returns each episode's seats and log-probability.
     """
-    n, n_phys = logits.shape
-    k = len(rngs)
-    starts = np.arange(k)
-    feasible = np.ones((k, n_phys), dtype=bool)
-    seats = np.empty((k, n), dtype=np.int64)
-    log_p = np.zeros(k)
-    for t in range(n):
-        check_feasible(feasible)
-        probs = dc.softmax_array(np.where(feasible, logits[t], -np.inf), 1)
+    # longest episodes first, so that the episodes still running at any
+    # step are a prefix and the per-step arrays are slices
+    order = np.argsort(-np.asarray(sizes), kind="stable")
+    sizes = np.asarray(sizes)[order]
+    rows = np.asarray(firsts, dtype=np.intp)[order]
+    n_sampled = np.array([len(uniforms[e]) for e in order])
+    n_eps, n_phys = len(order), logits.shape[1]
+    most_sampled = n_sampled.max()
+    draws = np.zeros((n_eps, sizes[0]))
+    for i, e in enumerate(order):
+        draws[i, :n_sampled[i]] = uniforms[e]
+    # each episode's step-t row, clipped for the steps it does not take
+    steps = logits[np.minimum(rows[:, None] + np.arange(sizes[0]),
+                              len(logits) - 1)]
+    eps = np.arange(n_eps)
+    live = (sizes > np.arange(sizes[0])[:, None]).sum(axis=1)
+    feasible = np.ones((n_eps, n_phys), dtype=bool)
+    seats = np.zeros((n_eps, sizes[0]), dtype=np.int64)
+    log_p = np.zeros(n_eps)
+    for t, m in enumerate(live):
+        free = check_feasible(feasible[:m])
+        probs = dc.softmax_array(np.where(free, steps[:m, t], -np.inf), 1)
         actions = np.argmax(probs, axis=1)
-        for s in range(k):
-            if t < n_sampled[s]:
-                p = probs[s]
-                actions[s] = rngs[s].choice(n_phys, p=p / p.sum())
-        seats[:, t] = actions
-        log_p += np.log(probs[starts, actions])
-        feasible[starts, actions] = False
-    return seats, log_p
+        if t < most_sampled:
+            sampled = np.flatnonzero(n_sampled[:m] > t)
+            p = probs[sampled]
+            cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+            cdf /= cdf[:, -1:]
+            u = draws[sampled, t]
+            actions[sampled] = (cdf <= u[:, None]).sum(axis=1)
+        seats[:m, t] = actions
+        log_p[:m] += np.log(probs[eps[:m], actions])
+        feasible[eps[:m], actions] = False
+    # a softmax row with a non-finite entry is NaN throughout, and so is
+    # the log-probability of every episode that met one
+    if not np.isfinite(log_p).all():
+        raise NumericError("a walk step has non-finite probabilities")
+    back = np.argsort(order)
+    return [seats[i, :sizes[i]] for i in back], log_p[back]
 
 
 def _log_probs(table, seats):
@@ -224,12 +256,14 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     be worse.
     """
     table, (cost_fn,) = _episodes([pg], cg, policy, cost_model, False)
-    rngs = [_start_rng(strategy.seed, start) for start in range(strategy.k)]
     if "greedy" in strategy.kind:
         n_sampled = [0] + [1] * (strategy.k - 1)
     else:
         n_sampled = [pg.num_logical] * strategy.k
-    seats, _ = _walk(table.data, rngs, n_sampled)
+    uniforms = [_start_rng(strategy.seed, start).random(count)
+                for start, count in enumerate(n_sampled)]
+    seats, _ = _walk(table.data, [0] * strategy.k,
+                     [pg.num_logical] * strategy.k, uniforms)
     costs = [cost_fn(assign) for assign in seats]
     best = int(np.argmin(costs))
     return Layout(seats[best]), costs[best]

@@ -1,7 +1,7 @@
 """The attention kernels against broadcast-multiply-sum references.
 
 The GAT layer and the pointer decoder compute attention as per-head
-batched matmuls. The references here write the same attention out in
+batched matmuls, the GAT layer over a zero-padded stack of graphs. The references here write the same attention out in
 plain numpy as elementwise products summed over an axis, with the heads
 as a trailing axis: (n, n, k, dh) for GAT aggregation and (T, N, m, d)
 for the pointer scores and the glimpse. The two must agree to 1e-12
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qlayout.diffcore import Tensor
-from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
+from qlayout.policy import CONTEXT_KINDS, NORM_KINDS, _Pads
 from qlayout.topology import build_grid
 
 from conftest import tiny_policy
@@ -107,17 +107,33 @@ class TestKernels:
            which=st.sampled_from(["prog", "phys"]))
     def test_gat_layer(self, norm, context, shared, case, layer, which):
         adj, seed = case
+        n = adj.shape[0]
         pol = make_policy(norm, context, shared)
         prefix = f"{pol._enc_prefix(which)}.l{layer}"
-        h = 2.0 * np.random.default_rng(seed).standard_normal(
-            (adj.shape[0], pol.enc_cfg.embed_dim))
-        # eval first: under batch norm it reads the running statistics
-        # that a training pass then updates
+        rng = np.random.default_rng(seed)
+        h = 2.0 * rng.standard_normal((n, pol.enc_cfg.embed_dim))
+        # the same graph alone, and padded below a larger graph of n + 2
+        # nodes on a path
+        big = np.eye(n + 2, dtype=bool) | np.eye(n + 2, k=1, dtype=bool)
+        big |= big.T
+        padded_h = np.zeros((2, n + 2, pol.enc_cfg.embed_dim))
+        padded_h[0] = 2.0 * rng.standard_normal(padded_h[0].shape)
+        padded_h[1, :n] = h
+        padded_adj = np.zeros((2, n + 2, n + 2), dtype=bool)
+        padded_adj[:, np.arange(n + 2), np.arange(n + 2)] = True
+        padded_adj[0] = big
+        padded_adj[1, :n, :n] = adj
         for train in (False, True):
+            p = pol.store.lookup(train)
             ref = reference_gat_layer(pol, h, adj, prefix, train)
-            got = pol._gat_layer(Tensor(h), adj, prefix,
-                                 pol.store.lookup(train), train)
-            assert_close(got.data, ref)
+            alone = pol._gat_layer(Tensor(h[None]), adj[None], prefix, p,
+                                   train, _Pads([n]))
+            assert_close(alone.data[0], ref)
+            stacked = pol._gat_layer(Tensor(padded_h), padded_adj, prefix, p,
+                                     train, _Pads([n + 2, n]))
+            assert_close(stacked.data[1, :n], ref)
+            assert_close(stacked.data[0], reference_gat_layer(
+                pol, padded_h[0], big, prefix, train))
 
     @SETTINGS
     @given(steps=st.integers(1, 9), seed=st.integers(0, 2**16))

@@ -1,12 +1,14 @@
 """The batched training step against per-episode references.
 
-``train`` builds one tape per batch: the device graph is encoded once,
-every episode's rows join one stacked logit table from one pointer pass,
-and one backward gives the batch's gradient. These tests pin that step to
-references that treat each episode on its own: each episode's own logit
-table, per-episode ``rollout(train=True)`` gradients, and a REINFORCE loop
-with one tape and one backward per episode. They cover every norm kind,
-context kind and encoder sharing.
+``train`` builds one tape per batch: one encode call embeds every program
+graph as one padded stack and the device graph once, every episode's rows
+join one stacked logit table from one pointer pass, one lockstep walk
+chooses every episode's seats, and one backward gives the batch's
+gradient. These tests pin that step to references that treat each episode
+on its own: each episode's own logit table, a per-episode walk that draws
+with ``Generator.choice``, per-episode ``rollout(train=True)`` gradients,
+and a REINFORCE loop with one tape and one backward per episode. They
+cover every norm kind, context kind and encoder sharing.
 """
 
 import copy
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import qlayout.diffcore as dc
 from qlayout.circuit import ProgramGraph, onehot_features
+from qlayout.errors import NumericError
 from qlayout.objective import CostModel, fast_cost_fn
 from qlayout.policy import (
     CONTEXT_KINDS,
@@ -30,8 +33,13 @@ from qlayout.policy import (
 )
 from qlayout.topology import build_grid
 from qlayout.training import (
+    STRATEGY_KINDS,
+    DecodeStrategy,
     TrainConfig,
     _batch_gradient,
+    _start_rng,
+    _walk,
+    decode,
     gen_random_instance,
     rollout,
     train,
@@ -88,7 +96,8 @@ class TestBatchStep:
         for train_mode in (False, True):
             physical = pol.encode_device(train_mode)
             programs = [pol.encode_program(pg, train_mode) for pg in batch]
-            table = pol.stacked_logit_table(programs, physical, orders).data
+            table = pol.stacked_logit_table(dc.concat(programs), physical,
+                                            orders).data
             assert table.shape == (sum(len(o) for o in orders),
                                    pol.cg.num_physical)
             lo = 0
@@ -134,6 +143,109 @@ class TestBatchStep:
         assert rewards == [0.0, 0.0, 0.0]
         assert grads.keys() == pol.store.params.keys()
         assert all(not g.any() for g in grads.values())
+
+
+def reference_walk(logits, rngs, n_sampled):
+    """The per-episode walk that the lockstep walk replaced, kept as an
+    oracle: the k starts of one (n, N) table, each sampled step one
+    ``Generator.choice`` call on the start's own stream."""
+    n, n_phys = logits.shape
+    k = len(rngs)
+    starts = np.arange(k)
+    feasible = np.ones((k, n_phys), dtype=bool)
+    seats = np.empty((k, n), dtype=np.int64)
+    log_p = np.zeros(k)
+    for t in range(n):
+        probs = dc.softmax_array(np.where(feasible, logits[t], -np.inf), 1)
+        actions = np.argmax(probs, axis=1)
+        for s in range(k):
+            if t < n_sampled[s]:
+                p = probs[s]
+                actions[s] = rngs[s].choice(n_phys, p=p / p.sum())
+        seats[:, t] = actions
+        log_p += np.log(probs[starts, actions])
+        feasible[starts, actions] = False
+    return seats, log_p
+
+
+@pytest.mark.parametrize("norm,context,shared", VARIANTS)
+class TestLockstepWalk:
+    @SETTINGS
+    @given(batch=batches(), seed=st.integers(0, 50))
+    def test_rollouts_match_the_per_episode_walk(
+            self, norm, context, shared, batch, seed):
+        pol = make_policy(norm, context, shared, seed=seed)
+        for mode, train_mode in itertools.product(("sample", "greedy"),
+                                                  (False, True)):
+            emb = pol.encode(batch, train_mode)
+            table = pol.stacked_logit_table(
+                emb.program, emb.physical,
+                [np.arange(pg.num_logical) for pg in batch]).data
+            ref_rng = np.random.default_rng(seed)
+            lo, want = 0, []
+            for pg in batch:
+                n = pg.num_logical
+                seats, log_p = reference_walk(
+                    table[lo:lo + n], [ref_rng],
+                    [n if mode == "sample" else 0])
+                want.append((seats[0].tolist(), float(log_p[0])))
+                lo += n
+            rng = np.random.default_rng(seed)
+            got = rollout(batch, pol.cg, pol, mode=mode, rng=rng,
+                          train=train_mode)
+            assert [r.layout.assign.tolist() for r in got] == \
+                [seats for seats, _ in want]
+            log_ps = [float(getattr(r.log_prob, "data", r.log_prob))
+                      for r in got]
+            for got_lp, (_, want_lp) in zip(log_ps, want):
+                if train_mode:
+                    assert abs(got_lp - want_lp) <= 1e-12 * abs(want_lp)
+                else:
+                    assert got_lp == want_lp
+            assert rng.random() == ref_rng.random()
+
+    @SETTINGS
+    @given(batch=batches(), seed=st.integers(0, 50),
+           k=st.integers(1, 4))
+    def test_decode_matches_the_per_episode_walk(
+            self, norm, context, shared, batch, seed, k):
+        pol = make_policy(norm, context, shared)
+        cm = CostModel.for_graph(pol.cg)
+        for pg in batch:
+            n = pg.num_logical
+            table = pol.logit_table(pol.encode(pg), np.arange(n)).data
+            cost_fn = fast_cost_fn(pg, cm)
+            for kind in STRATEGY_KINDS:
+                strategy = DecodeStrategy.make(kind, k=k, seed=seed)
+                starts = range(strategy.k)
+                n_sampled = ([0] + [1] * (strategy.k - 1)
+                             if "greedy" in kind else [n] * strategy.k)
+                ref_rngs = [_start_rng(seed, s) for s in starts]
+                want, want_lp = reference_walk(table, ref_rngs, n_sampled)
+                rngs = [_start_rng(seed, s) for s in starts]
+                seats, log_p = _walk(
+                    table, [0] * strategy.k, [n] * strategy.k,
+                    [rng.random(c) for rng, c in zip(rngs, n_sampled)])
+                assert [row.tolist() for row in seats] == want.tolist()
+                assert log_p.tolist() == want_lp.tolist()
+                assert [rng.random() for rng in rngs] == \
+                    [rng.random() for rng in ref_rngs]
+                costs = [cost_fn(row) for row in want]
+                best = int(np.argmin(costs))
+                layout, cost = decode(pg, pol.cg, pol, strategy, cm)
+                assert (layout.assign.tolist(), cost) == \
+                    (want[best].tolist(), costs[best])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("sampled", [0, 1])
+def test_walk_over_non_finite_logits_raises(bad, sampled):
+    # step 1 of both episodes reads the bad row
+    logits = np.zeros((3, 4))
+    logits[1] = bad
+    with pytest.raises(NumericError, match="non-finite"), \
+            np.errstate(invalid="ignore"):
+        _walk(logits, [0, 0], [3, 3], [np.full(3 * sampled, 0.5)] * 2)
 
 
 def reference_train(cfg, policy, cg):

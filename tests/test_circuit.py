@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlayout.circuit import (
+    ProgramGraph,
     build_program_graph,
     check_qubit_count,
     extract_features,
@@ -10,8 +11,11 @@ from qlayout.circuit import (
     parse_qasm,
 )
 from qlayout.errors import (
+    ConstraintViolationError,
     EmptyCircuitError,
     ParseError,
+    QLayoutError,
+    ShapeError,
     TooManyQubitsError,
     UnsupportedGateError,
 )
@@ -105,6 +109,32 @@ class TestProgramGraph:
         c = parse_qasm("OPENQASM 2.0;\nqreg q[0];\n")
         with pytest.raises(EmptyCircuitError, match="no qubits"):
             build_program_graph(c, n_max=4)
+
+    @pytest.mark.parametrize("edge", [
+        (0, -1), (0, 5), (3, 0), (0,), (0, 1, 2), 7, "01", (0, 1.0),
+        (True, 0), (None, 1),
+    ])
+    def test_bad_edge_named(self, edge):
+        with pytest.raises(ConstraintViolationError, match="edge") as info:
+            ProgramGraph(3, ((0, 1), edge), onehot_features(3))
+        assert repr(edge) in str(info.value)
+
+    def test_edges_are_python_int_pairs(self):
+        pg = ProgramGraph(3, [np.array([2, 0]), (np.int64(1), 2)],
+                          onehot_features(3))
+        assert pg.edges == ((2, 0), (1, 2))
+        assert all(type(q) is int for e in pg.edges for q in e)
+
+    def test_gate_on_one_qubit_twice_accepted(self):
+        pg = ProgramGraph(2, ((1, 1), (0, 1)), onehot_features(2))
+        assert pg.edges == ((1, 1), (0, 1))
+
+    @pytest.mark.parametrize("feats", [np.zeros((2, 3)), np.zeros((4, 3)),
+                                       np.zeros(3), np.zeros((3, 1, 1))])
+    def test_feature_rows_must_match_nodes(self, feats):
+        with pytest.raises(ShapeError, match="one feature row per node"):
+            ProgramGraph(3, ((0, 1),), feats)
+        assert issubclass(ShapeError, QLayoutError)
 
     def test_onehot_padding(self):
         feats = onehot_features(3, n_max=5)

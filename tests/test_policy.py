@@ -1,7 +1,11 @@
+import copy
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qlayout.diffcore as dc
 from qlayout.circuit import ProgramGraph, onehot_features
@@ -12,7 +16,13 @@ from qlayout.errors import (
     InfeasibleStateError,
     ShapeError,
 )
-from qlayout.policy import DecoderConfig, EncoderConfig, PolicyNetwork
+from qlayout.policy import (
+    CONTEXT_KINDS,
+    NORM_KINDS,
+    DecoderConfig,
+    EncoderConfig,
+    PolicyNetwork,
+)
 from qlayout.topology import build_grid
 from qlayout.training import DecodeStrategy, decode
 
@@ -118,6 +128,162 @@ class TestEncoder:
         frozen = after.copy()
         pol.encode(pg, train=False)
         assert np.allclose(frozen, pol.store.buffers["enc.prog.l0.norm.mean"])
+
+
+N_MAX = 5
+VARIANTS = list(itertools.product(NORM_KINDS, CONTEXT_KINDS, (False, True)))
+STACK_SETTINGS = settings(max_examples=6, deadline=None, derandomize=True,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+def reference_encode(pol, feats, adj, which, train):
+    """The one-graph (n, d_e) encoder that the padded stack replaced, kept
+    as an oracle: 2-D rows, attention over (k, n, n), statistics over the
+    graph's rows and the running statistics moved in place."""
+    e = pol.enc_cfg
+    p = pol.store.lookup(train)
+    k, dh = e.heads, e.embed_dim // e.heads
+
+    def norm(h, prefix):
+        g, b = p(f"{prefix}.g"), p(f"{prefix}.b")
+        if e.norm_kind == "batch" and not train:
+            m = Tensor(pol.store.buffers[f"{prefix}.mean"].reshape(1, -1))
+            var = Tensor(pol.store.buffers[f"{prefix}.var"].reshape(1, -1))
+            centered = h - m
+        else:
+            axis = 1 if e.norm_kind == "layer" else 0
+            m = h.mean(axis=axis, keepdims=True)
+            centered = h - m
+            var = dc.tmean(dc.mul(centered, centered), axis=axis,
+                           keepdims=True)
+            if e.norm_kind == "batch":
+                rm = pol.store.buffers[f"{prefix}.mean"]
+                rv = pol.store.buffers[f"{prefix}.var"]
+                rm += 0.1 * (m.data.ravel() - rm)
+                rv += 0.1 * (var.data.ravel() - rv)
+        h_hat = dc.mul(centered, dc.powi(var + 1e-5, -0.5))
+        return h_hat * g.reshape(1, -1) + b.reshape(1, -1)
+
+    h = dc.matmul(Tensor(feats), p(f"in.{which}.W").T)
+    n = h.shape[0]
+    for layer in range(e.layers):
+        prefix = f"{pol._enc_prefix(which)}.l{layer}"
+        z = dc.matmul(h, p(f"{prefix}.W").T)
+        zh = dc.transpose(z.reshape(n, k, dh), (1, 0, 2))
+        s_src = dc.matmul(zh, p(f"{prefix}.a_src").reshape(k, dh, 1))
+        s_dst = dc.matmul(zh, p(f"{prefix}.a_dst").reshape(k, dh, 1))
+        scores = dc.leaky_relu(s_src + s_dst.reshape(k, 1, n), 0.2)
+        scores = dc.masked_fill(scores, ~adj[None], -np.inf)
+        alpha = dc.softmax(scores, axis=-1)
+        agg = dc.transpose(dc.matmul(alpha, zh), (1, 0, 2))
+        h = norm(dc.elu(agg).reshape(n, e.embed_dim), f"{prefix}.norm")
+    return h
+
+
+def reference_program(pol, pg, train):
+    adj = pg.undirected_adjacency() | np.eye(pg.num_logical, dtype=bool)
+    return reference_encode(pol, pg.node_features, adj, "prog", train)
+
+
+def reference_device(pol, train):
+    return reference_encode(pol, pol._phys_feats, pol._cg_adj, "phys", train)
+
+
+@st.composite
+def program_graphs(draw, n):
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) \
+        if pairs else []
+    return ProgramGraph(n, tuple(edges), onehot_features(n, N_MAX))
+
+
+@st.composite
+def mixed_batches(draw):
+    """1-4 graphs of 1..N_MAX nodes plus one of 1 and one of N_MAX nodes,
+    in a drawn order."""
+    sizes = draw(st.lists(st.integers(1, N_MAX), max_size=4)) + [1, N_MAX]
+    sizes = draw(st.permutations(sizes))
+    return [draw(program_graphs(n)) for n in sizes]
+
+
+def loss_grads(pol, rows, seed):
+    """Parameter gradients of a fixed random linear function of ``rows``."""
+    weights = np.random.default_rng(seed).standard_normal(rows.shape)
+    pol.store.zero_grad()
+    dc.tsum(dc.mul(rows, Tensor(weights))).backward()
+    return {k: g.copy() for k, g in pol.store.grads().items()}
+
+
+def assert_same_buffers(got, want, tol=0.0):
+    assert got.keys() == want.keys()
+    for name in got:
+        scale = max(1.0, np.abs(want[name]).max())
+        assert np.abs(got[name] - want[name]).max() <= tol * scale, name
+
+
+@pytest.mark.parametrize("norm,context,shared", VARIANTS)
+class TestPaddedEncoder:
+    @STACK_SETTINGS
+    @given(n=st.integers(1, N_MAX), data=st.data())
+    def test_one_graph_is_bit_identical_to_the_2d_encoder(
+            self, norm, context, shared, n, data):
+        pg = data.draw(program_graphs(n))
+        pol = tiny_policy(cg=build_grid(2, 3), n_max=N_MAX, norm=norm,
+                          context=context, shared=shared)
+        ref = copy.deepcopy(pol)
+        for train in (False, True):
+            got = pol.encode_program(pg, train)
+            want = reference_program(ref, pg, train)
+            assert np.array_equal(got.data, want.data)
+            got_dev = pol.encode_device(train)
+            want_dev = reference_device(ref, train)
+            assert np.array_equal(got_dev.data, want_dev.data)
+            assert_same_buffers(pol.store.buffers, ref.store.buffers)
+            if train:
+                assert_same_buffers(loss_grads(pol, got, n),
+                                    loss_grads(ref, want, n))
+
+    @STACK_SETTINGS
+    @given(batch=mixed_batches(), seed=st.integers(0, 50))
+    def test_stack_rows_equal_each_graphs_encoding(
+            self, norm, context, shared, batch, seed):
+        pol = tiny_policy(cg=build_grid(2, 3), n_max=N_MAX, norm=norm,
+                          context=context, shared=shared, seed=seed)
+        ref = copy.deepcopy(pol)
+        for train in (False, True):
+            emb = pol.encode(batch, train)
+            # the per-graph encodes in the order of the running-statistics
+            # updates: first graph, device, other graphs
+            own = [ref.encode_program(batch[0], train)]
+            physical = ref.encode_device(train)
+            own += [ref.encode_program(pg, train) for pg in batch[1:]]
+            want = dc.concat(own)
+            assert emb.program.shape == (sum(pg.num_logical for pg in batch),
+                                         pol.enc_cfg.embed_dim)
+            scale = max(1.0, np.abs(want.data).max())
+            assert np.abs(emb.program.data - want.data).max() \
+                <= 1e-12 * scale
+            assert np.array_equal(emb.physical.data, physical.data)
+            assert_same_buffers(pol.store.buffers, ref.store.buffers, 1e-12)
+            if train:
+                got_g = loss_grads(pol, emb.program, seed)
+                want_g = loss_grads(ref, want, seed)
+                assert got_g.keys() == want_g.keys()
+                for name, g in want_g.items():
+                    scale = max(1.0, np.abs(g).max())
+                    assert np.abs(got_g[name] - g).max() <= 1e-12 * scale, \
+                        name
+
+    def test_wrong_feature_width_is_named_before_stacking(
+            self, norm, context, shared):
+        pol = tiny_policy(cg=build_grid(2, 3), n_max=N_MAX, norm=norm,
+                          context=context, shared=shared)
+        good = make_pg(3, [(0, 1)], n_max=N_MAX)
+        wide = make_pg(2, [(0, 1)], n_max=N_MAX + 1)
+        before = copy.deepcopy(pol.store.buffers)
+        with pytest.raises(ShapeError, match="feature dimension"):
+            pol.encode([good, wide], train=True)
+        assert_same_buffers(pol.store.buffers, before)
 
 
 class TestContext:

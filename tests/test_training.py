@@ -95,6 +95,19 @@ class TestRollout:
             rollout(pg, pol.cg, pol, mode=mode, rng=rng)
 
 
+    def test_empty_batch_raises(self):
+        pol = tiny_policy()
+        with pytest.raises(ConfigError, match="at least one program graph"):
+            rollout([], pol.cg, pol)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_sampling_without_rng_raises(self, rng, batched):
+        pol = tiny_policy()
+        pg = gen_random_instance(3, 0.5, rng, n_max=4)
+        with pytest.raises(ConfigError, match="needs an rng"):
+            rollout([pg] if batched else pg, pol.cg, pol, mode="sample")
+
+
 class TestDecode:
     def test_strategy_validation(self):
         with pytest.raises(ConfigError):
