@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numbers
 import re
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -180,7 +180,8 @@ class ProgramGraph:
 
     ``edges`` keeps one entry per two-qubit gate occurrence; multiplicity is
     implicit in the repetition. Every edge is a pair of qubits in
-    0..n-1; a pair on one qubit twice is accepted and costs nothing.
+    0..n-1; a pair on one qubit twice (a self-pair) is accepted and costs
+    nothing in either cost mode.
     """
 
     num_logical: int
@@ -203,20 +204,15 @@ class ProgramGraph:
     def num_edges(self):
         return len(self.edges)
 
-    def multiplicities(self):
-        return Counter(self.edges)
-
-    def edge_arrays(self):
-        if not self.edges:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        arr = np.asarray(self.edges, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
-
-    def undirected_adjacency(self):
-        a = np.zeros((self.num_logical, self.num_logical), dtype=bool)
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = True
-        return a
+    @cached_property
+    def gate_pairs(self):
+        """Read-only (2, m) int64 array of the qubits of the m gates on two
+        distinct qubits, in gate order, which every SWAP cost and the
+        encoder's adjacency read; a self-pair needs no SWAP on any seat."""
+        pairs = np.array([[a for a, b in self.edges if a != b],
+                          [b for a, b in self.edges if a != b]], np.int64)
+        pairs.flags.writeable = False
+        return pairs
 
 
 def _checked_edge(edge, n):

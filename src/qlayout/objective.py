@@ -6,18 +6,23 @@ Two cost modes are supported:
   (the round-trip proxy), so even adjacent placements cost 2.
 * ``adjacent-free``: 2*(d-1), so adjacent placements are free. This is the
   default for benchmarking since it makes embeddable circuits reach cost 0.
+
+A gate on one qubit twice (a self-pair) costs nothing in either mode: every
+cost here reads ``ProgramGraph.gate_pairs``, which leaves self-pairs out.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import ProgramGraph
 from .errors import (
+    ConfigError,
     ConstraintViolationError,
     IncompleteLayoutError,
     ParseError,
@@ -105,6 +110,11 @@ class Layout:
             json.dump(self.to_dict(num_physical), fh)
 
 
+def check_cost_mode(mode):
+    if mode not in COST_MODES:
+        raise ConfigError(f"unknown cost mode '{mode}'")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """A cost mode over a device's distances; ``edge_costs[p, q]`` is the
@@ -115,8 +125,7 @@ class CostModel:
     edge_costs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in COST_MODES:
-            raise ValueError(f"unknown cost mode '{self.mode}'")
+        check_cost_mode(self.mode)
         d = self.distance.entries.astype(np.float64)
         # exact small integers, so any sum of them is exact too
         table = 2.0 * d if self.mode == "literal" else 2.0 * (d - 1)
@@ -133,12 +142,24 @@ def fast_cost_fn(pg: ProgramGraph, cm: CostModel):
     Skips layout validation; callers own the invariants. Used in the hot
     loops of local search and decoding.
     """
-    ei, ej = pg.edge_arrays()
+    ei, ej = pg.gate_pairs
     table = cm.edge_costs
 
     def cost(assign):
         return float(table[assign[ei], assign[ej]].sum())
     return cost
+
+
+def weighted_neighbours(pg: ProgramGraph):
+    """Per qubit, ``(other qubit, gate count)`` over the undirected pairs of
+    its gates in ``pg.gate_pairs``, in order of first appearance."""
+    nbrs = [[] for _ in range(pg.num_logical)]
+    ei, ej = pg.gate_pairs.tolist()
+    pairs = Counter((a, b) if a < b else (b, a) for a, b in zip(ei, ej))
+    for (a, b), w in pairs.items():
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    return nbrs
 
 
 def check_covers(layout: Layout, pg: ProgramGraph):
@@ -175,15 +196,13 @@ def brute_force_optimal(pg: ProgramGraph, cg: CouplingGraph, cm: CostModel,
             f"{space} injections exceed the cap of {cap}"
         )
 
-    edge_cost = cm.edge_costs
-    # edges from qubit t back to already-placed qubits, for incremental cost
-    back_edges = [[] for _ in range(n)]
-    for i, j in pg.edges:
-        lo, hi = min(i, j), max(i, j)
-        back_edges[hi].append(lo)
+    rows = cm.edge_costs.tolist()
+    # qubit t's gates with the qubits placed before it, for incremental cost
+    placed = [[(r, w) for r, w in nbrs if r < t]
+              for t, nbrs in enumerate(weighted_neighbours(pg))]
 
-    assign = np.full(n, UNASSIGNED, dtype=np.int64)
-    used = np.zeros(big_n, dtype=bool)
+    assign = [UNASSIGNED] * n
+    used = [False] * big_n
     best = {"cost": math.inf, "assign": None}
 
     def dfs(t, partial):
@@ -191,12 +210,12 @@ def brute_force_optimal(pg: ProgramGraph, cg: CouplingGraph, cm: CostModel,
             return
         if t == n:
             best["cost"] = partial
-            best["assign"] = assign.copy()
+            best["assign"] = list(assign)
             return
         for seat in range(big_n):
             if used[seat]:
                 continue
-            inc = sum(edge_cost[assign[q], seat] for q in back_edges[t])
+            inc = sum(w * rows[seat][assign[r]] for r, w in placed[t])
             if partial + inc >= best["cost"]:
                 continue
             assign[t] = seat

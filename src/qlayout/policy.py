@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     InfeasibleStateError,
     ShapeError,
+    check_integer,
 )
 from .topology import CouplingGraph, coupling_graph_from_dict
 
@@ -64,8 +65,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("layers", "heads", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"encoder {name} must be at least 1")
+            check_integer(f"encoder {name}", getattr(self, name), 1)
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
@@ -83,10 +83,10 @@ class DecoderConfig:
 
     def __post_init__(self):
         for name in ("heads", "context_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"decoder {name} must be at least 1")
-        if self.clip <= 0:
-            raise ConfigError("clip must be positive")
+            check_integer(f"decoder {name}", getattr(self, name), 1)
+        if not (math.isfinite(self.clip) and self.clip > 0):
+            raise ConfigError(
+                f"clip must be positive and finite, not {self.clip}")
         if self.context_kind not in CONTEXT_KINDS:
             raise ConfigError(f"unknown context kind '{self.context_kind}'")
         if self.context_dim % self.heads:
@@ -168,19 +168,13 @@ class PolicyNetwork:
         self.shared_encoder = shared_encoder
         self.seed = seed
         self.store = ParamStore()
-        self._cg_adj = self._with_self_loops(cg.adjacency_matrix())
+        self._cg_pairs = np.array(cg.edge_list, dtype=np.int64).reshape(-1, 2).T
         self._phys_feats = np.eye(cg.num_physical)
         # (copies of the arrays it was computed from, eval embedding)
         self._device_memo = None
         self._init_params(np.random.default_rng(seed))
 
     # --- construction ----------------------------------------------
-
-    @staticmethod
-    def _with_self_loops(adj):
-        adj = adj.copy()
-        np.fill_diagonal(adj, True)
-        return adj
 
     def _encoder_names(self):
         return ("shared",) if self.shared_encoder else ("prog", "phys")
@@ -292,11 +286,13 @@ class PolicyNetwork:
         out = dc.elu(agg).reshape(n_graphs, m_rows, e.embed_dim)
         return self._norm(out, f"{prefix}.norm", p, train, pads)
 
-    def _encode_stack(self, feats, adjs, which, train):
+    def _encode_stack(self, feats, pairs, which, train):
         """Encode graphs as one zero-padded (B, M, .) stack, M the largest
-        node count; returns the (sum of n, d_e) real rows in graph order
-        and the stack's ``_Pads``, whose ``stats`` hold the batch-norm
-        statistics of every graph (``_update_running`` applies them).
+        node count, each graph's edges a (2, m) array of node pairs as in
+        ``ProgramGraph.gate_pairs``; returns the (sum of n, d_e) real rows
+        in graph order and the stack's ``_Pads``, whose ``stats`` hold the
+        batch-norm statistics of every graph (``_update_running`` applies
+        them).
 
         A pad row attends only to itself and never enters a real row or a
         graph's statistics, so each graph's rows are its own encoding.
@@ -312,11 +308,14 @@ class PolicyNetwork:
         pads = _Pads([len(f) for f in feats])
         n_graphs, m_rows = len(feats), max(pads.sizes)
         x = np.zeros((n_graphs, m_rows, w_in.shape[1]))
+        for i, f in enumerate(feats):
+            x[i, :len(f)] = f
+        # every row, pads too, attends to itself and its undirected partners
         adj = np.zeros((n_graphs, m_rows, m_rows), dtype=bool)
         adj[:, np.arange(m_rows), np.arange(m_rows)] = True
-        for i, (f, a) in enumerate(zip(feats, adjs)):
-            x[i, :len(f)] = f
-            adj[i, :len(f), :len(f)] = a
+        graph = np.repeat(np.arange(n_graphs), [e.shape[1] for e in pairs])
+        i, j = np.concatenate(pairs, axis=1)
+        adj[graph, i, j] = adj[graph, j, i] = True
         h = dc.matmul(Tensor(x.reshape(n_graphs * m_rows, -1)), w_in.T)
         h = h.reshape(n_graphs, m_rows, -1)
         prefix = self._enc_prefix(which)
@@ -338,7 +337,7 @@ class PolicyNetwork:
                 rv += _BN_MOMENTUM * (variances[i] - rv)
 
     def _encode_device(self, train):
-        rows, pads = self._encode_stack([self._phys_feats], [self._cg_adj],
+        rows, pads = self._encode_stack([self._phys_feats], [self._cg_pairs],
                                         "phys", train)
         self._update_running(pads, [0])
         return rows
@@ -377,11 +376,9 @@ class PolicyNetwork:
         return self._encode_device(True)
 
     def _encode_programs(self, graphs, train):
-        return self._encode_stack(
-            [pg.node_features for pg in graphs],
-            [self._with_self_loops(pg.undirected_adjacency())
-             for pg in graphs],
-            "prog", train)
+        return self._encode_stack([pg.node_features for pg in graphs],
+                                  [pg.gate_pairs for pg in graphs], "prog",
+                                  train)
 
     def encode_program(self, pg: ProgramGraph, train=False) -> Tensor:
         """The (n, d_e) embedding of a program graph."""

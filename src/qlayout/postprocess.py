@@ -21,14 +21,14 @@ candidate takes: the same seed gives the same layout.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import ProgramGraph
 from .errors import ConfigError, check_integer
-from .objective import CostModel, Layout, check_covers, fast_cost_fn
+from .objective import (CostModel, Layout, check_cost_mode, check_covers,
+                        fast_cost_fn, weighted_neighbours)
 from .topology import CouplingGraph
 
 NEIGHBORHOODS = ("random_swap", "random_assignment")
@@ -46,6 +46,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.neighborhood not in NEIGHBORHOODS:
             raise ConfigError(f"unknown neighborhood '{self.neighborhood}'")
+        check_cost_mode(self.cost_mode)
         check_integer("n_iters", self.n_iters, 1)
         check_integer("patience", self.patience, 0)
         check_integer("seed", self.seed, 0)
@@ -81,18 +82,6 @@ def neighbor(assign, owner, kind: str, rng):
     if i >= j:
         i += 1
     return i, seat, j
-
-
-def weighted_neighbours(pg: ProgramGraph):
-    """Per qubit, ``(other qubit, gate count)`` over the undirected pairs of
-    its two-qubit gates. A gate on one qubit twice costs the same on every
-    seat, so it is left out."""
-    nbrs = [[] for _ in range(pg.num_logical)]
-    pairs = Counter((min(a, b), max(a, b)) for a, b in pg.edges if a != b)
-    for (a, b), w in pairs.items():
-        nbrs[a].append((b, w))
-        nbrs[b].append((a, w))
-    return nbrs
 
 
 def move_delta(move, assign, nbrs, rows):

@@ -32,7 +32,7 @@ import numpy as np
 from . import diffcore as dc
 from .circuit import ProgramGraph, check_qubit_count, onehot_features
 from .errors import ConfigError, NumericError, check_integer
-from .objective import COST_MODES, CostModel, Layout, fast_cost_fn
+from .objective import CostModel, Layout, check_cost_mode, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork, check_feasible
 from .topology import CouplingGraph
 
@@ -58,8 +58,7 @@ class TrainConfig:
             check_integer(name, getattr(self, name), 1)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, not {self.lr}")
-        if self.cost_mode not in COST_MODES:
-            raise ConfigError(f"unknown cost mode '{self.cost_mode}'")
+        check_cost_mode(self.cost_mode)
         if not 0 < self.edge_prob <= 1:
             raise ConfigError("edge_prob must be in (0, 1]")
         check_integer("n_min", self.n_min, 2)

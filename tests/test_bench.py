@@ -234,12 +234,14 @@ class TestEmbeddableInstances:
         pg = gen_embeddable_instance(cg, 6, rng, n_max=8)
         assert pg.num_logical == 6
         assert pg.node_features.shape == (6, 8)
-        adj = pg.undirected_adjacency()
+        nbrs = {q: set() for q in range(pg.num_logical)}
+        for i, j in pg.edges:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
         seen = {0}
         frontier = {0}
         while frontier:
-            frontier = {int(v) for u in frontier
-                        for v in np.nonzero(adj[u])[0]} - seen
+            frontier = {v for u in frontier for v in nbrs[u]} - seen
             seen |= frontier
         assert seen == set(range(6))
 

@@ -97,7 +97,8 @@ class TestProgramGraph:
     def test_edge_multiplicity(self):
         c = parse_qasm("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
         pg = build_program_graph(c)
-        assert pg.multiplicities()[(0, 1)] == 2
+        assert pg.edges.count((0, 1)) == 2
+        assert pg.gate_pairs.tolist() == [[0, 0], [1, 1]]
 
     def test_no_two_qubit_gates(self):
         c = parse_qasm("qreg q[2]; h q[0]; x q[1];")

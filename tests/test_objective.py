@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.errors import (
+    ConfigError,
     ConstraintViolationError,
     IncompleteLayoutError,
     ParseError,
@@ -29,6 +30,16 @@ def make_pg(n, edges):
 
 def path3():
     return CouplingGraph(3, frozenset({(0, 1), (1, 2)}), name="path3")
+
+
+def random_tree_device(rng, big_n):
+    """A random spanning tree on ``big_n`` seats, so a connected device."""
+    order = rng.permutation(big_n)
+    edges = set()
+    for i in range(1, big_n):
+        a, b = order[i], order[rng.integers(i)]
+        edges.add((min(a, b), max(a, b)))
+    return CouplingGraph(big_n, frozenset(edges))
 
 
 def exhaustive_optimal(pg, cg, cm):
@@ -120,8 +131,8 @@ def placed_programs(draw):
         lambda e: e[0] != e[1]), max_size=8)))
     n = draw(st.integers(2, big_n))
     qubit = st.integers(0, n - 1)
-    gates = draw(st.lists(st.tuples(qubit, qubit).filter(
-        lambda g: g[0] != g[1]), max_size=15))
+    # a gate on one qubit twice (a self-pair) included
+    gates = draw(st.lists(st.tuples(qubit, qubit), max_size=15))
     assign = np.asarray(draw(st.permutations(range(big_n)))[:n])
     return CouplingGraph(big_n, frozenset(edges)), make_pg(n, gates), assign
 
@@ -134,9 +145,68 @@ class TestCostTable:
         d = cg.distances.entries
         free = 0 if mode == "literal" else 1
         plain = sum(2 * (int(d[assign[i], assign[j]]) - free)
-                    for i, j in pg.edges)
+                    for i, j in pg.edges if i != j)
         cost = fast_cost_fn(pg, CostModel(mode, cg.distances))(assign)
         assert type(cost) is float and cost == plain
+
+
+def per_gate_cost(pg, cg, mode, assign):
+    """Independent reference: 2*d or 2*(d-1) per gate on two distinct
+    qubits; a self-pair needs no SWAP."""
+    d = cg.distances.entries
+    free = 0 if mode == "literal" else 1
+    return float(sum(2 * (int(d[assign[i], assign[j]]) - free)
+                     for i, j in pg.edges if i != j))
+
+
+class TestSelfPairs:
+    def test_grid1x3_adjacent_free(self):
+        # a gate on qubit 2 twice and one on (2, 0): the optimum puts 2 and
+        # 0 on adjacent seats, cost 0
+        cg = build_grid(1, 3)
+        pg = make_pg(3, [(2, 2), (2, 0)])
+        cm = CostModel("adjacent-free", cg.distances)
+        lay, cost = brute_force_optimal(pg, cg, cm)
+        assert cost == 0.0
+        assert lay.assign.tolist() == [0, 2, 1]
+        assert swap_cost(lay, pg, cm) == 0.0
+        assert min(per_gate_cost(pg, cg, "adjacent-free", perm)
+                   for perm in itertools.permutations(range(3))) == 0.0
+
+    @pytest.mark.parametrize("mode", ["literal", "adjacent-free"])
+    def test_self_pair_adds_nothing(self, mode, rng):
+        cg = build_grid(3, 3)
+        cm = CostModel(mode, cg.distances)
+        base = [(0, 1), (1, 2), (2, 0), (1, 3)]
+        plain = make_pg(4, base)
+        for q in range(4):
+            looped = make_pg(4, base[:2] + [(q, q)] * 3 + base[2:])
+            assert np.array_equal(looped.gate_pairs, plain.gate_pairs)
+            for _ in range(10):
+                lay = Layout(rng.permutation(9)[:4])
+                assert swap_cost(lay, looped, cm) == swap_cost(lay, plain, cm)
+        only = make_pg(2, [(1, 1)])
+        assert swap_cost(Layout(np.array([0, 8])), only, cm) == 0.0
+        _, opt = brute_force_optimal(only, cg, cm)
+        assert opt == 0.0
+
+    @pytest.mark.parametrize("mode", ["literal", "adjacent-free"])
+    def test_brute_force_matches_enumeration(self, mode, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 6))
+            cg = random_tree_device(rng, int(rng.integers(n, 8)))
+            edges = [(int(a), int(b)) for a, b in
+                     rng.integers(0, n, size=(int(rng.integers(0, 10)), 2))]
+            pg = make_pg(n, edges)
+            lay, cost = brute_force_optimal(pg, cg,
+                                            CostModel(mode, cg.distances))
+            costs = {perm: per_gate_cost(pg, cg, mode, perm) for perm in
+                     itertools.permutations(range(cg.num_physical), n)}
+            best = min(costs.values())
+            assert cost == best
+            # first minimum in lexicographic enumeration order
+            assert lay.assign.tolist() == list(
+                min(p for p, c in costs.items() if c == best))
 
 
 class TestReward:
@@ -182,13 +252,7 @@ class TestBruteForce:
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 6))
-            big_n = int(rng.integers(n, 10))
-            cg_edges = set()
-            order = rng.permutation(big_n)
-            for i in range(1, big_n):
-                a, b = order[i], order[rng.integers(i)]
-                cg_edges.add((min(a, b), max(a, b)))
-            cg = CouplingGraph(big_n, frozenset(cg_edges))
+            cg = random_tree_device(rng, int(rng.integers(n, 10)))
             edges = [
                 (i, j) for i in range(n) for j in range(n)
                 if i != j and rng.random() < 0.3
@@ -201,6 +265,10 @@ class TestBruteForce:
             assert cost == oracle_cost
             # first minimum in lexicographic enumeration order
             assert lay.assign.tolist() == oracle_assign.tolist()
+
+    def test_unknown_cost_mode(self):
+        with pytest.raises(ConfigError, match="unknown cost mode 'bogus'"):
+            CostModel("bogus", path3().distances)
 
     def test_cap(self):
         cg = build_grid(4, 4)

@@ -57,6 +57,28 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
             DecoderConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("layers", True), ("layers", 1.5), ("heads", 2.0),
+        ("embed_dim", "8"),
+    ])
+    def test_encoder_sizes_are_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            EncoderConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("heads", 2.0), ("heads", True), ("context_dim", 16.5),
+    ])
+    def test_decoder_sizes_are_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            DecoderConfig(**{field: value})
+
+    @pytest.mark.parametrize("clip", [-1.0, float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_clip_finite_and_positive(self, clip):
+        with pytest.raises(ConfigError, match="clip must be positive and "
+                                              "finite"):
+            DecoderConfig(clip=clip)
+
     def test_stack_project_needs_matching_dims(self):
         cg = build_grid(2, 2)
         enc = EncoderConfig(layers=1, heads=2, embed_dim=8)
@@ -98,6 +120,21 @@ class TestEncoder:
         emb = pol.encode(pg).program.data
         emb_perm = pol.encode(pg_perm).program.data
         assert np.abs(emb_perm[perm] - emb).max() < 1e-9
+
+    @pytest.mark.parametrize("norm", ["layer", "batch", "graph"])
+    def test_self_pair_changes_nothing(self, norm):
+        # a gate on one qubit twice adds no neighbour: the adjacency and
+        # every embedding stay as they are
+        pol = tiny_policy(n_max=4, norm=norm)
+        plain = make_pg(3, [(0, 1), (1, 2)], n_max=4)
+        looped = make_pg(3, [(0, 1), (2, 2), (1, 1), (1, 2)], n_max=4)
+        assert np.array_equal(looped.gate_pairs, plain.gate_pairs)
+        for train in (False, True):
+            a = pol.encode_program(plain, train).data
+            b = pol.encode_program(looped, train).data
+            assert np.array_equal(a, b)
+        a = pol.encode([plain, looped]).program.data
+        assert np.array_equal(a[:3], a[3:])
 
     def test_isomorphic_nodes_identical(self):
         # nodes 0 and 2 have identical features and neighbourhoods
@@ -181,12 +218,15 @@ def reference_encode(pol, feats, adj, which, train):
 
 
 def reference_program(pol, pg, train):
-    adj = pg.undirected_adjacency() | np.eye(pg.num_logical, dtype=bool)
+    adj = np.eye(pg.num_logical, dtype=bool)
+    for i, j in pg.edges:
+        adj[i, j] = adj[j, i] = True
     return reference_encode(pol, pg.node_features, adj, "prog", train)
 
 
 def reference_device(pol, train):
-    return reference_encode(pol, pol._phys_feats, pol._cg_adj, "phys", train)
+    adj = pol.cg.adjacency_matrix() | np.eye(pol.cg.num_physical, dtype=bool)
+    return reference_encode(pol, pol._phys_feats, adj, "phys", train)
 
 
 @st.composite
@@ -538,6 +578,21 @@ class TestStrictCheckpoint:
         def edit(doc):
             doc["header"][key] = value
         with pytest.raises(CheckpointError, match="must be at least 1"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_header_clip_not_finite_positive(self, tmp_path, value):
+        def edit(doc):
+            doc["header"]["clip"] = value
+        with pytest.raises(CheckpointError, match="clip must be positive"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("key,value", [("layers", 1.5), ("heads", 2.0),
+                                           ("m_heads", True)])
+    def test_header_size_not_integer(self, tmp_path, key, value):
+        def edit(doc):
+            doc["header"][key] = value
+        with pytest.raises(CheckpointError, match="must be an integer"):
             self.load_edited(tmp_path, edit)
 
     def test_malformed_json(self, tmp_path):

@@ -13,6 +13,7 @@ from qlayout.objective import (
     brute_force_optimal,
     fast_cost_fn,
     swap_cost,
+    weighted_neighbours,
 )
 from qlayout.postprocess import (
     NEIGHBORHOODS,
@@ -21,7 +22,6 @@ from qlayout.postprocess import (
     local_search,
     move_delta,
     neighbor,
-    weighted_neighbours,
 )
 from qlayout.topology import CouplingGraph, build_grid
 
@@ -333,6 +333,10 @@ class TestLocalSearch:
             SearchConfig(n_iters=0)
         with pytest.raises(ConfigError):
             SearchConfig(patience=-1)
+
+    def test_unknown_cost_mode_rejected(self):
+        with pytest.raises(ConfigError, match="unknown cost mode 'bogus'"):
+            SearchConfig(cost_mode="bogus")
 
     @pytest.mark.parametrize("field,value,fragment", [
         ("n_iters", 2.5, "n_iters must be an integer, not 2.5"),

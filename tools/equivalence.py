@@ -23,6 +23,9 @@ A record holds, as exact JSON floats:
   a free seat) and ``refine0``-``refine7`` (30-60 qubit circuits with up
   to 10 gates per qubit, ``n_iters == patience == 2000`` as in the
   refine benchmark workload, ``reset=False`` only);
+- ``brute_force``: the exact optimum (layout and cost) of 40 random
+  2-5 qubit circuits on 1x3, 2x2, 2x3 and 3x3 grids in both cost modes,
+  keyed ``b<i>/<device>/<cost mode>``;
 - ``train``: four desk-scale epochs (mean reward, baseline, gradient norm)
   and every final parameter.
 
@@ -153,7 +156,8 @@ def search_records(out, name, pg, cg, initial, seed, resets=(False, True),
 
 
 def record():
-    out = {"decode": {}, "rollout": {}, "local_search": {}, "train": {}}
+    out = {"decode": {}, "rollout": {}, "local_search": {},
+           "brute_force": {}, "train": {}}
 
     hh = ql.PolicyNetwork(ql.build_heavy_hex(), ql.EncoderConfig(),
                           ql.DecoderConfig(), prog_feature_dim=40, seed=0)
@@ -202,6 +206,20 @@ def record():
         initial = ql.Layout(rng.permutation(n_phys)[:n])
         search_records(searches, f"refine{i}", pg, hh.cg, initial, seed=i,
                        resets=(False,), n_iters=2000, patience=2000)
+
+    brng = random.Random("equivalence:brute_force")
+    grids = [(1, 3), (2, 2), (2, 3), (3, 3)]
+    for i in range(40):
+        rows, cols = grids[i % len(grids)]
+        cg = ql.build_grid(rows, cols)
+        n = brng.randint(2, min(5, cg.num_physical))
+        pg = ql.build_program_graph(ql.parse_qasm(
+            random_qasm(brng, n, brng.randint(1, 3 * n))))
+        for mode in COST_MODES:
+            layout, cost = ql.brute_force_optimal(
+                pg, cg, ql.CostModel(mode, cg.distances))
+            out["brute_force"][f"b{i}/grid{rows}x{cols}/{mode}"] = {
+                "layout": layout.assign.tolist(), "cost": float(cost)}
 
     policy = desk_policy()
     cfg = ql.TrainConfig(epochs=4, batches_per_epoch=8, batch_size=32,
