@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the integer check
-of config fields."""
+"""Exception hierarchy shared across the package, and the integer and
+positive-float checks of config fields."""
 
+import math
 import numbers
 
 
@@ -68,6 +69,14 @@ def check_integer(name, value, minimum):
         raise ConfigError(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, not {value}")
+
+
+def check_positive_float(name, value):
+    """Raise ConfigError unless ``value`` is a real number, not a bool,
+    that is finite and greater than 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise ConfigError(f"{name} must be positive and finite, not {value}")
 
 
 class TooManyQubitsError(ConfigError):

@@ -45,6 +45,7 @@ from .errors import (
     InfeasibleStateError,
     ShapeError,
     check_integer,
+    check_positive_float,
 )
 from .topology import CouplingGraph, coupling_graph_from_dict
 
@@ -84,9 +85,7 @@ class DecoderConfig:
     def __post_init__(self):
         for name in ("heads", "context_dim"):
             check_integer(f"decoder {name}", getattr(self, name), 1)
-        if not (math.isfinite(self.clip) and self.clip > 0):
-            raise ConfigError(
-                f"clip must be positive and finite, not {self.clip}")
+        check_positive_float("clip", self.clip)
         if self.context_kind not in CONTEXT_KINDS:
             raise ConfigError(f"unknown context kind '{self.context_kind}'")
         if self.context_dim % self.heads:

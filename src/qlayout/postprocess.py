@@ -16,7 +16,18 @@ seat -> qubit inverse, per-qubit weighted neighbour lists and the rows of
 applied in place. The full cost is recomputed only on an accepted move.
 Edge costs are exact small integers, so every delta and running cost is
 exact, and the search takes the decisions that a full recompute of every
-candidate takes: the same seed gives the same layout.
+candidate takes.
+
+The moves are drawn from a ``Draws`` source over ``default_rng(seed)``.
+It takes the generator's raw 32-bit outputs in blocks of ``BLOCK`` and
+replays numpy's own algorithms on them in plain Python: Lemire's bounded
+draw with its rejection loop for ``Generator.integers(m)``, and for
+``Generator.choice(n, 2, replace=False)`` Floyd's two draws followed by
+the two-element shuffle. The search makes a fresh generator and drops it
+at the end, so only the sequence of values drawn matters, not where the
+generator is left: the values, hence the moves, are those of the earlier
+per-move ``Generator`` calls, and the same seed gives the same layout as
+every earlier version.
 """
 
 from __future__ import annotations
@@ -52,10 +63,59 @@ class SearchConfig:
         check_integer("seed", self.seed, 0)
 
 
-def neighbor(assign, owner, kind: str, rng):
-    """Draw one random neighbourhood move of the layout ``assign`` (a list,
-    qubit -> seat) whose inverse is ``owner`` (a list, seat -> qubit, -1
-    for a free seat). Reads but never changes either list.
+# raw 32-bit words fetched per refill of a Draws source; one refill costs
+# about one per-call draw, and a search uses a few words per iteration
+BLOCK = 256
+
+
+class Draws:
+    """The values of ``rng``'s ``integers`` and ``choice`` calls, drawn
+    from blocks of its raw 32-bit outputs:
+    ``rng.integers(0, 2**32, size=k, dtype=np.uint64)`` yields its next
+    ``k`` of them in order. ``rng`` ends further on than per-call draws
+    would leave it, by the unused rest of the last block."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._words = iter(())
+
+    def _word(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._rng.integers(
+                0, 1 << 32, size=BLOCK, dtype=np.uint64).tolist())
+            return next(self._words)
+
+    def below(self, m: int) -> int:
+        """``Generator.integers(m)`` for ``1 <= m <= 2**32``: Lemire's
+        multiply-shift with numpy's rejection rule. ``below(1)`` is 0 and
+        consumes nothing."""
+        if m == 1:
+            return 0
+        x = self._word() * m
+        if (x & 0xFFFFFFFF) < m:
+            threshold = (1 << 32) % m  # numpy's (2**32 - m) % m
+            while (x & 0xFFFFFFFF) < threshold:
+                x = self._word() * m
+        return x >> 32
+
+    def pair(self, n: int) -> tuple[int, int]:
+        """``Generator.choice(n, 2, replace=False)`` for ``n >= 2``:
+        Floyd's draws from ``[0, n - 1)`` and ``[0, n)``, with ``n - 1``
+        taken on a collision, then numpy's shuffle of the two."""
+        a = self.below(n - 1)
+        b = self.below(n)
+        if b == a:
+            b = n - 1
+        return (b, a) if self.below(2) == 0 else (a, b)
+
+
+def neighbor(assign, owner, kind: str, draws: Draws):
+    """Draw one random neighbourhood move from ``draws`` for the layout
+    ``assign`` (a list, qubit -> seat) whose inverse is ``owner`` (a list,
+    seat -> qubit, -1 for a free seat). Reads but never changes either
+    list.
 
     Returns ``(qubit, seat, displaced)``: ``qubit`` moves to ``seat``, and
     ``displaced``, the qubit on ``seat`` or None if it is free, moves to
@@ -66,19 +126,19 @@ def neighbor(assign, owner, kind: str, rng):
     if kind == "random_swap":
         if n < 2:
             return None
-        i, j = rng.choice(n, size=2, replace=False).tolist()
+        i, j = draws.pair(n)
         return i, assign[j], j
     if kind != "random_assignment":
         raise ConfigError(f"unknown neighborhood '{kind}'")
 
-    seat = int(rng.integers(len(owner)))
+    seat = draws.below(len(owner))
     j = owner[seat]
     if j < 0:
-        return int(rng.integers(n)), seat, None
+        return draws.below(n), seat, None
     # occupied seat: fall back to swapping with another assigned pair
     if n < 2:
         return None
-    i = int(rng.integers(n - 1))
+    i = draws.below(n - 1)
     if i >= j:
         i += 1
     return i, seat, j
@@ -129,7 +189,7 @@ def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
     cost_fn = fast_cost_fn(pg, cm)
     rows = cm.edge_costs.tolist()
     nbrs = weighted_neighbours(pg)
-    rng = np.random.default_rng(cfg.seed)
+    draws = Draws(np.random.default_rng(cfg.seed))
 
     curr = initial.copy()
     assign = curr.assign.tolist()
@@ -139,7 +199,7 @@ def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
     c_curr = cost_fn(curr.assign)
     p = 0
     for _ in range(cfg.n_iters):
-        move = neighbor(assign, owner, cfg.neighborhood, rng)
+        move = neighbor(assign, owner, cfg.neighborhood, draws)
         c_cand = (c_curr if move is None
                   else c_curr + move_delta(move, assign, nbrs, rows))
         if c_cand < c_curr:

@@ -23,7 +23,6 @@ call, so the seats and the state of every stream are the same as with one
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import astuple, dataclass, fields
 
@@ -31,7 +30,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .circuit import ProgramGraph, check_qubit_count, onehot_features
-from .errors import ConfigError, NumericError, check_integer
+from .errors import (ConfigError, NumericError, check_integer,
+                     check_positive_float)
 from .objective import CostModel, Layout, check_cost_mode, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork, check_feasible
 from .topology import CouplingGraph
@@ -56,8 +56,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batches_per_epoch", "batch_size", "val_size"):
             check_integer(name, getattr(self, name), 1)
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be positive and finite, not {self.lr}")
+        check_positive_float("lr", self.lr)
         check_cost_mode(self.cost_mode)
         if not 0 < self.edge_prob <= 1:
             raise ConfigError("edge_prob must be in (0, 1]")

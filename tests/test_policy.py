@@ -72,11 +72,11 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             DecoderConfig(**{field: value})
 
-    @pytest.mark.parametrize("clip", [-1.0, float("nan"), float("inf"),
-                                      float("-inf")])
+    @pytest.mark.parametrize("clip", [-1.0, 0, float("nan"), float("inf"),
+                                      float("-inf"), True, "10"])
     def test_clip_finite_and_positive(self, clip):
         with pytest.raises(ConfigError, match="clip must be positive and "
-                                              "finite"):
+                                              f"finite, not {clip}"):
             DecoderConfig(clip=clip)
 
     def test_stack_project_needs_matching_dims(self):

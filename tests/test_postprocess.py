@@ -17,6 +17,7 @@ from qlayout.objective import (
 )
 from qlayout.postprocess import (
     NEIGHBORHOODS,
+    Draws,
     SearchConfig,
     apply_move,
     local_search,
@@ -60,10 +61,15 @@ def owners(assign, big_n):
     return owner
 
 
-def propose(layout, cg, kind, rng):
+@pytest.fixture
+def draws(rng):
+    return Draws(rng)
+
+
+def propose(layout, cg, kind, draws):
     """One ``neighbor`` move of ``layout``, from fresh state lists."""
     assign = layout.assign.tolist()
-    return neighbor(assign, owners(assign, cg.num_physical), kind, rng)
+    return neighbor(assign, owners(assign, cg.num_physical), kind, draws)
 
 
 def applied(layout, move):
@@ -78,36 +84,36 @@ def applied(layout, move):
 
 
 class TestNeighbor:
-    def test_swap_on_two_qubits_is_the_transposition(self, rng):
+    def test_swap_on_two_qubits_is_the_transposition(self, draws):
         cg = build_grid(2, 2)
         lay = Layout(np.array([0, 3]))
-        out = applied(lay, propose(lay, cg, "random_swap", rng))
+        out = applied(lay, propose(lay, cg, "random_swap", draws))
         assert out.assign.tolist() == [3, 0]
 
-    def test_swap_single_qubit_noop(self, rng):
+    def test_swap_single_qubit_noop(self, draws):
         cg = build_grid(2, 2)
         lay = Layout(np.array([2]))
-        move = propose(lay, cg, "random_swap", rng)
+        move = propose(lay, cg, "random_swap", draws)
         assert move is None
         assert applied(lay, move).assign.tolist() == [2]
 
-    def test_full_device_always_swaps(self, rng):
+    def test_full_device_always_swaps(self, draws):
         cg = build_grid(2, 2)
         lay = Layout(np.array([0, 1, 2, 3]))
         for _ in range(50):
-            move = propose(lay, cg, "random_assignment", rng)
+            move = propose(lay, cg, "random_assignment", draws)
             out = applied(lay, move)
             assert sorted(out.assign.tolist()) == [0, 1, 2, 3]
             # every seat is occupied, so the move swaps two qubits
             assert move[2] is not None
             assert (out.assign != lay.assign).sum() == 2
 
-    def test_random_assignment_can_use_free_seat(self, rng):
+    def test_random_assignment_can_use_free_seat(self, draws):
         cg = build_grid(3, 3)
         lay = Layout(np.array([0, 1]))
         used_free_seat = False
         for _ in range(200):
-            move = propose(lay, cg, "random_assignment", rng)
+            move = propose(lay, cg, "random_assignment", draws)
             out = applied(lay, move)
             assert out.is_total() and out.is_injective()
             if set(out.assign.tolist()) != {0, 1}:
@@ -118,23 +124,57 @@ class TestNeighbor:
     def test_injective_under_stress(self, rng):
         cg = build_grid(3, 3)
         lay = random_layout(5, 9, rng)
+        draws = Draws(rng)
         for kind in NEIGHBORHOODS:
             cur = lay
             for _ in range(5000):
-                cur = applied(cur, propose(cur, cg, kind, rng))
+                cur = applied(cur, propose(cur, cg, kind, draws))
                 assert cur.is_total() and cur.is_injective()
 
-    def test_does_not_mutate_input(self, rng):
+    def test_does_not_mutate_input(self, draws):
         for kind in NEIGHBORHOODS:
             assign, owner = [0, 3], [0, -1, -1, 1]
             for _ in range(20):
-                neighbor(assign, owner, kind, rng)
+                neighbor(assign, owner, kind, draws)
             assert assign == [0, 3] and owner == [0, -1, -1, 1]
 
     def test_single_qubit_on_an_occupied_seat_is_no_move(self):
-        # seat 0 is the only draw of integers(1), and qubit 0 holds it
-        rng = np.random.default_rng(0)
-        assert neighbor([0], [0], "random_assignment", rng) is None
+        # seat 0 is the only draw of below(1), and qubit 0 holds it
+        draws = Draws(np.random.default_rng(0))
+        assert neighbor([0], [0], "random_assignment", draws) is None
+
+
+class TestDraws:
+    """The draw source replays the installed numpy's ``integers`` and
+    ``choice`` value for value; a numpy whose algorithms differ fails here
+    instead of silently changing every seed's layout."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_block(self, monkeypatch):
+        # three words per refill, so draws and rejections cross refills
+        monkeypatch.setattr(postprocess, "BLOCK", 3)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_below_matches_integers(self, seed):
+        # 2**31 + 1 and 3 * 10**9 reject about a half and a third of their
+        # words; 2**31 and 2**32 reject none
+        bounds = list(range(1, 131)) + [2**31, 2**31 + 1, 2**31 + 3,
+                                        3 * 10**9, 2**32 - 5, 2**32]
+        order = np.random.default_rng(10**6 + seed).permutation(2 * bounds)
+        draws = Draws(np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        for m in order.tolist():
+            assert draws.below(m) == int(twin.integers(m))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_pair_matches_choice(self, seed):
+        # n = 2 draws its first Floyd value from below(1), consuming nothing
+        draws = Draws(np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        for n in list(range(2, 131)) * 2:
+            assert (draws.pair(n)
+                    == tuple(twin.choice(n, size=2, replace=False).tolist()))
+            assert draws.below(n) == int(twin.integers(n))
 
 
 def reference_neighbor(layout, cg, kind, rng):
@@ -287,14 +327,15 @@ class TestMoveDelta:
         cm = CostModel(mode, cg.distances)
         cost_fn = fast_cost_fn(pg, cm)
         nbrs, rows = weighted_neighbours(pg), cm.edge_costs.tolist()
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = Draws(np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
         assign = layout.assign.tolist()
         owner = owners(assign, cg.num_physical)
         for _ in range(60):
             before = cost_fn(np.asarray(assign))
             expected = reference_neighbor(Layout(np.asarray(assign)), cg,
                                           kind, twin)
-            move = neighbor(assign, owner, kind, rng)
+            move = neighbor(assign, owner, kind, draws)
             delta = 0.0
             if move is not None:
                 delta = move_delta(move, assign, nbrs, rows)

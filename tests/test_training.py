@@ -214,7 +214,9 @@ class TestTrain:
         ("batches_per_epoch", 0, "batches_per_epoch"),
         ("val_size", 0, "val_size"),
         ("lr", -1.0, "lr"), ("lr", 0.0, "lr"), ("lr", float("nan"), "lr"),
-        ("lr", float("inf"), "lr"), ("cost_mode", "x", "cost mode 'x'"),
+        ("lr", float("inf"), "lr"), ("lr", 0, "lr must be positive"),
+        ("lr", True, "lr must be positive and finite, not True"),
+        ("cost_mode", "x", "cost mode 'x'"),
         ("seed", -1, "seed must be at least 0"),
         ("epochs", 2.5, "epochs must be an integer, not 2.5"),
         ("batch_size", True, "batch_size must be an integer, not True"),

@@ -20,9 +20,11 @@ A record holds, as exact JSON floats:
   ``c0``-``c3`` (20-40 qubit circuits, the default budget), ``full`` (a
   65-qubit circuit on every seat, so each move swaps an occupied pair),
   ``one-qubit`` (a 1-qubit program, so every move is a no-op or a move to
-  a free seat) and ``refine0``-``refine7`` (30-60 qubit circuits with up
+  a free seat), ``refine0``-``refine7`` (30-60 qubit circuits with up
   to 10 gates per qubit, ``n_iters == patience == 2000`` as in the
-  refine benchmark workload, ``reset=False`` only);
+  refine benchmark workload, ``reset=False`` only) and ``two-qubit`` (a
+  2-qubit program: a swap's first draw and an occupied seat's partner
+  draw are both from one value, and take no random number);
 - ``brute_force``: the exact optimum (layout and cost) of 40 random
   2-5 qubit circuits on 1x3, 2x2, 2x3 and 3x3 grids in both cost modes,
   keyed ``b<i>/<device>/<cost mode>``;
@@ -206,6 +208,11 @@ def record():
         initial = ql.Layout(rng.permutation(n_phys)[:n])
         search_records(searches, f"refine{i}", pg, hh.cg, initial, seed=i,
                        resets=(False,), n_iters=2000, patience=2000)
+    two = ql.build_program_graph(ql.parse_qasm(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+        'cx q[0],q[1];\ncx q[1],q[0];\n'))
+    search_records(searches, "two-qubit", two, hh.cg,
+                   ql.Layout(rng.permutation(n_phys)[:2]), seed=6)
 
     brng = random.Random("equivalence:brute_force")
     grids = [(1, 3), (2, 2), (2, 3), (3, 3)]
