@@ -14,7 +14,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +45,7 @@ class BenchRun:
     multistart_k: int = 10
 
     def __post_init__(self):
-        if self.policy.cg.topology_hash() != self.device.topology_hash():
-            raise ConfigError(
-                "checkpoint was trained for a different device topology"
-            )
+        self.policy.check_device(self.device)
 
 
 @dataclass
@@ -63,12 +60,6 @@ class ReportRow:
     pp_cost: float
     wall_ms_rl: float
     wall_ms_pp: float
-
-    FIELDS = ("instance", "family", "n", "two_qubit_gates", "strategy",
-              "seed", "rl_cost", "pp_cost", "wall_ms_rl", "wall_ms_pp")
-
-    def as_row(self):
-        return [getattr(self, f) for f in self.FIELDS]
 
 
 def family_from_name(stem):
@@ -211,12 +202,12 @@ def import_baseline(path):
 def write_report(rows, path, baseline=None):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(ReportRow.FIELDS)
+        header = [f.name for f in fields(ReportRow)]
         if baseline is not None:
             header.append("baseline_cost")
         writer.writerow(header)
         for r in rows:
-            row = r.as_row()
+            row = list(astuple(r))
             if baseline is not None:
                 row.append(baseline.get(r.instance, ""))
             writer.writerow(row)
@@ -255,10 +246,6 @@ def gen_embeddable_instance(cg: CouplingGraph, n, rng, n_max=None
             i, j = relabel[a], relabel[b]
             edges.append((i, j) if rng.random() < 0.5 else (j, i))
     return ProgramGraph(n, tuple(edges), onehot_features(n, n_max))
-
-
-def gen_embeddable_dataset(cg, n, count, rng, n_max=None):
-    return [gen_embeddable_instance(cg, n, rng, n_max) for _ in range(count)]
 
 
 # --- context-encoding ablation --------------------------------------

@@ -262,10 +262,6 @@ class FeatureVector:
         )
 
 
-def feature_matrix(features):
-    return np.stack([f.as_array() for f in features])
-
-
 def _pagerank(adj_counts, damping=0.85, tol=1e-9, max_iter=200):
     """Power iteration on the row-normalized adjacency; dangling rows
     redistribute uniformly."""

@@ -32,9 +32,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accum(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer and
-positive-float checks of config fields."""
+"""Exception hierarchy shared across the package, and the integer,
+positive-float, probability and flag checks of config fields."""
 
 import math
 import numbers
@@ -77,6 +77,20 @@ def check_positive_float(name, value):
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not (math.isfinite(value) and value > 0)):
         raise ConfigError(f"{name} must be positive and finite, not {value}")
+
+
+def check_probability(name, value):
+    """Raise ConfigError unless ``value`` is a real number, not a bool, in
+    (0, 1]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value <= 1):
+        raise ConfigError(f"{name} must be in (0, 1], not {value!r}")
+
+
+def check_flag(name, value):
+    """Raise ConfigError unless ``value`` is a bool."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be True or False, not {value!r}")
 
 
 class TooManyQubitsError(ConfigError):

@@ -19,13 +19,14 @@ device, other program graphs.
 
 The logits never depend on the seats already taken: a context reads only
 program embeddings along the placement order, and the glimpse attends over
-every physical node unmasked. So ``make_context`` and ``pointer_logits``
-compute the whole (n, N) logit table of an episode in one batched pass, and
-the taken seats enter only through the mask of ``masked_distribution``.
-Episodes that share a device embedding stack their tables and take one
-pointer pass together (``stacked_logit_table``). Parameters join the
-autodiff tape only when the inputs are on it, so eval builds no tape; the
-eval-mode device embedding is memoised on the policy.
+every physical node unmasked. So the whole (n, N) logit table of an
+episode is computed in one batched pass, and the taken seats enter only
+through the mask of ``masked_distribution``. ``stacked_logit_table`` is
+that pass for every episode that shares a device embedding, one episode or
+many; ``make_context`` of one step and ``pointer_logits`` of one context
+are its one-row views. Parameters join the autodiff tape only when the
+inputs are on it, so eval builds no tape; the eval-mode device embedding
+is memoised on the policy.
 """
 
 from __future__ import annotations
@@ -147,9 +148,6 @@ class ParamStore:
     def data(self):
         return {k: t.data for k, t in self.params.items()}
 
-    def num_values(self):
-        return sum(t.data.size for t in self.params.values())
-
 
 def _uniform_init(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
@@ -232,6 +230,16 @@ class PolicyNetwork:
         check_qubit_count(circ.num_qubits, self.prog_feature_dim,
                           "the checkpoint's n_max")
         return build_program_graph(circ, n_max=self.prog_feature_dim)
+
+    def check_device(self, cg: CouplingGraph):
+        """Raise ConfigError unless ``cg`` has this policy's qubits and
+        couplings, the two things ``topology_hash`` digests."""
+        if cg is not self.cg and (cg.num_physical != self.cg.num_physical
+                                  or cg.edges != self.cg.edges):
+            raise ConfigError(
+                f"the policy was built for the {self.cg.num_physical}-qubit "
+                f"device '{self.cg.name}', not for '{cg.name}' "
+                f"({cg.num_physical} qubits)")
 
     # --- encoder ----------------------------------------------------
 
@@ -367,55 +375,33 @@ class PolicyNetwork:
                              physical)
         return physical
 
-    def encode_device(self, train=False) -> Tensor:
-        """The (N, d_e) device embedding: on the tape in training, the
-        memoised constant in eval."""
-        if not train:
-            return self._device_embedding()
-        return self._encode_device(True)
-
-    def _encode_programs(self, graphs, train):
-        return self._encode_stack([pg.node_features for pg in graphs],
-                                  [pg.gate_pairs for pg in graphs], "prog",
-                                  train)
-
-    def encode_program(self, pg: ProgramGraph, train=False) -> Tensor:
-        """The (n, d_e) embedding of a program graph."""
-        rows, pads = self._encode_programs([pg], train)
-        self._update_running(pads, [0])
-        return rows
-
     def encode(self, graphs, train=False) -> NodeEmbeddings:
         """Both embeddings of a program graph, or of a list of program
         graphs encoded as one padded stack; then ``program`` holds every
-        graph's (n, d_e) rows, graph after graph.
+        graph's (n, d_e) rows, graph after graph. The device rows are on
+        the tape in training and the memoised constant in eval.
 
         Under batch norm, training moves the running statistics once per
         graph in the order first program graph, device, other program
         graphs (with a shared encoder all three update one buffer set).
         """
         batch = graphs if isinstance(graphs, list) else [graphs]
-        program, pads = self._encode_programs(batch, train)
+        program, pads = self._encode_stack([pg.node_features for pg in batch],
+                                           [pg.gate_pairs for pg in batch],
+                                           "prog", train)
         self._update_running(pads, [0])
-        physical = self.encode_device(train)
+        physical = (self._encode_device(True) if train
+                    else self._device_embedding())
         self._update_running(pads, range(1, len(batch)))
         return NodeEmbeddings(program, physical)
 
     # --- decoder ----------------------------------------------------
 
     def make_context(self, emb: NodeEmbeddings, t, order) -> Tensor:
-        """Context query of step ``t``, shape (d_c,); with ``t=None`` the
-        (len(order), d_c) queries of every step. Step t reads only
+        """Context query of step ``t``, shape (d_c,): the one-step view of
+        ``stacked_logit_table``'s contexts. Step t reads only
         ``order[:t + 1]``, never the seats already chosen."""
-        if t is not None:
-            return dc.gather(self._contexts(emb.program, order[: t + 1], [0]),
-                             t)
-        return self._contexts(emb.program, order, [0])
-
-    def logit_table(self, emb: NodeEmbeddings, order) -> Tensor:
-        """The (len(order), N) pointer logits of every step of an episode
-        placing the program nodes in ``order``."""
-        return self.stacked_logit_table(emb.program, emb.physical, [order])
+        return dc.gather(self._contexts(emb.program, order[: t + 1], [0]), t)
 
     def stacked_logit_table(self, program, physical, orders) -> Tensor:
         """The logit tables of episodes that share one device embedding,

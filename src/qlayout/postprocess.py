@@ -16,7 +16,10 @@ seat -> qubit inverse, per-qubit weighted neighbour lists and the rows of
 applied in place. The full cost is recomputed only on an accepted move.
 Edge costs are exact small integers, so every delta and running cost is
 exact, and the search takes the decisions that a full recompute of every
-candidate takes.
+candidate takes. ``SearchConfig.cost_mode`` changes no move: the literal
+cost is the adjacent-free cost plus 2 per gate pair, a constant of the
+program, so every delta, and the layout a seed gives, is the same in both
+modes.
 
 The moves are drawn from a ``Draws`` source over ``default_rng(seed)``.
 It takes the generator's raw 32-bit outputs in blocks of ``BLOCK`` and
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ProgramGraph
-from .errors import ConfigError, check_integer
+from .errors import ConfigError, check_flag, check_integer
 from .objective import (CostModel, Layout, check_cost_mode, check_covers,
                         fast_cost_fn, weighted_neighbours)
 from .topology import CouplingGraph
@@ -61,6 +64,7 @@ class SearchConfig:
         check_integer("n_iters", self.n_iters, 1)
         check_integer("patience", self.patience, 0)
         check_integer("seed", self.seed, 0)
+        check_flag("reset_patience", self.reset_patience)
 
 
 # raw 32-bit words fetched per refill of a Draws source; one refill costs

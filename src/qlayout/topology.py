@@ -101,13 +101,6 @@ class CouplingGraph:
     def edge_list(self):
         return sorted(self.edges)
 
-    def max_degree(self):
-        deg = np.zeros(self.num_physical, dtype=int)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return int(deg.max()) if self.num_physical else 0
-
     def adjacency_matrix(self):
         a = np.zeros((self.num_physical, self.num_physical), dtype=bool)
         for i, j in self.edges:

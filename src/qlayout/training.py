@@ -31,7 +31,7 @@ import numpy as np
 from . import diffcore as dc
 from .circuit import ProgramGraph, check_qubit_count, onehot_features
 from .errors import (ConfigError, NumericError, check_integer,
-                     check_positive_float)
+                     check_positive_float, check_probability)
 from .objective import CostModel, Layout, check_cost_mode, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork, check_feasible
 from .topology import CouplingGraph
@@ -58,8 +58,7 @@ class TrainConfig:
             check_integer(name, getattr(self, name), 1)
         check_positive_float("lr", self.lr)
         check_cost_mode(self.cost_mode)
-        if not 0 < self.edge_prob <= 1:
-            raise ConfigError("edge_prob must be in (0, 1]")
+        check_probability("edge_prob", self.edge_prob)
         check_integer("n_min", self.n_min, 2)
         check_integer("n_max", self.n_max, self.n_min)
         check_integer("seed", self.seed, 0)
@@ -121,6 +120,7 @@ def _episodes(batch, cg, policy, cost_model, train):
     """
     if not batch:
         raise ConfigError("a rollout needs at least one program graph")
+    policy.check_device(cg)
     for pg in batch:
         check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
     emb = policy.encode(batch, train=train)
@@ -301,6 +301,7 @@ def _batch_gradient(batch, cg, policy, cost_model, rng, baseline):
 def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
           log_fn=None):
     """REINFORCE with a greedy-rollout baseline; returns per-epoch metrics."""
+    policy.check_device(cg)
     cost_model = CostModel(cfg.cost_mode, cg.distances)
     inst_rng = np.random.default_rng([cfg.seed, 0])
     episode_rng = np.random.default_rng([cfg.seed, 1])

@@ -15,6 +15,23 @@ def tiny_policy(cg=None, n_max=4, norm="graph", context="concat_project",
                          shared_encoder=shared, seed=seed)
 
 
+def program_rows(pol, pg, train):
+    """A program graph's (n, d_e) rows, encoded on its own as a stack of
+    one, with the running statistics moved once for it as ``encode`` moves
+    them for each graph."""
+    rows, pads = pol._encode_stack([pg.node_features], [pg.gate_pairs],
+                                   "prog", train)
+    pol._update_running(pads, [0])
+    return rows
+
+
+def device_rows(pol, train):
+    """The device rows ``encode`` reads: encoded on the tape, with the
+    running statistics moved, in training; the memoised constant in
+    eval."""
+    return pol._encode_device(True) if train else pol._device_embedding()
+
+
 def rel_err(a, b, floor=1e-7):
     return abs(a - b) / max(floor, abs(a), abs(b))
 

@@ -28,7 +28,6 @@ from qlayout.policy import (
     NORM_KINDS,
     DecoderConfig,
     EncoderConfig,
-    NodeEmbeddings,
     PolicyNetwork,
 )
 from qlayout.topology import build_grid
@@ -45,7 +44,7 @@ from qlayout.training import (
     train,
 )
 
-from conftest import tiny_policy
+from conftest import device_rows, program_rows, tiny_policy
 
 N_MAX = 5
 VARIANTS = list(itertools.product(NORM_KINDS, CONTEXT_KINDS, (False, True)))
@@ -94,15 +93,17 @@ class TestBatchStep:
         pol = make_policy(norm, context, shared)
         orders = [np.arange(pg.num_logical) for pg in batch]
         for train_mode in (False, True):
-            physical = pol.encode_device(train_mode)
-            programs = [pol.encode_program(pg, train_mode) for pg in batch]
+            physical = device_rows(pol, train_mode)
+            programs = [program_rows(pol, pg, train_mode) for pg in batch]
             table = pol.stacked_logit_table(dc.concat(programs), physical,
                                             orders).data
             assert table.shape == (sum(len(o) for o in orders),
                                    pol.cg.num_physical)
             lo = 0
             for pg, order in zip(batch, orders):
-                own = pol.logit_table(pol.encode(pg, train_mode), order).data
+                emb = pol.encode(pg, train_mode)
+                own = pol.stacked_logit_table(emb.program, emb.physical,
+                                              [order]).data
                 assert np.abs(table[lo:lo + len(order)] - own).max() <= 1e-12
                 lo += len(order)
 
@@ -213,7 +214,9 @@ class TestLockstepWalk:
         cm = CostModel.for_graph(pol.cg)
         for pg in batch:
             n = pg.num_logical
-            table = pol.logit_table(pol.encode(pg), np.arange(n)).data
+            emb = pol.encode(pg)
+            table = pol.stacked_logit_table(emb.program, emb.physical,
+                                            [np.arange(n)]).data
             cost_fn = fast_cost_fn(pg, cm)
             for kind in STRATEGY_KINDS:
                 strategy = DecodeStrategy.make(kind, k=k, seed=seed)
@@ -279,15 +282,15 @@ def reference_train(cfg, policy, cg):
                 n = int(inst_rng.integers(cfg.n_min, cfg.n_max + 1))
                 pg = gen_random_instance(n, cfg.edge_prob, inst_rng,
                                          n_max=policy.prog_feature_dim)
-                program = policy.encode_program(pg, train=True)
+                program = program_rows(policy, pg, train=True)
                 # as in train, only the batch's first device encode moves
                 # the running statistics: undo the others' update
                 saved = {k: v.copy() for k, v in policy.store.buffers.items()}
-                emb = NodeEmbeddings(program,
-                                     policy.encode_device(train=True))
+                physical = device_rows(policy, train=True)
                 if i > 0:
                     policy.store.buffers.update(saved)
-                table = policy.logit_table(emb, np.arange(n))
+                table = policy.stacked_logit_table(program, physical,
+                                                   [np.arange(n)])
                 mask = np.ones(n_phys, dtype=bool)
                 assign = np.empty(n, dtype=np.int64)
                 log_prob = None
@@ -369,11 +372,11 @@ def test_batch_norm_device_stats_update_once_per_batch(shared):
 
     def replay(device_updates):
         p = copy.deepcopy(start)
-        p.encode_program(batch[0], train=True)
+        program_rows(p, batch[0], train=True)
         for _ in range(device_updates):
-            p.encode_device(train=True)
+            device_rows(p, train=True)
         for pg in batch[1:]:
-            p.encode_program(pg, train=True)
+            program_rows(p, pg, train=True)
         return p.store.buffers
 
     once, per_episode = replay(1), replay(cfg.batch_size)

@@ -6,7 +6,6 @@ import pytest
 from qlayout.bench import (
     BenchRun,
     family_from_name,
-    gen_embeddable_dataset,
     gen_embeddable_instance,
     import_baseline,
     load_dataset,
@@ -251,8 +250,9 @@ class TestEmbeddableInstances:
 
     def test_dataset_deterministic(self):
         cg = build_grid(3, 3)
-        a = gen_embeddable_dataset(cg, 4, 5, np.random.default_rng(3))
-        b = gen_embeddable_dataset(cg, 4, 5, np.random.default_rng(3))
+        a, b = ([gen_embeddable_instance(cg, 4, rng) for _ in range(5)]
+                for rng in (np.random.default_rng(3),
+                            np.random.default_rng(3)))
         assert [p.edges for p in a] == [p.edges for p in b]
 
 
@@ -264,7 +264,8 @@ class TestContextAblation:
                                 seed=0)
         enc = EncoderConfig(layers=1, heads=2, embed_dim=8, norm_kind="graph")
         dec = DecoderConfig(heads=2, context_dim=8)
-        tests = gen_embeddable_dataset(cg, 3, 2, rng, n_max=3)
+        tests = [gen_embeddable_instance(cg, 3, rng, n_max=3)
+                 for _ in range(2)]
         out = tmp_path / "ablation.csv"
         results = run_context_ablation(cg, train_cfg, enc, dec, tests,
                                        out_path=out, multistart_k=3)

@@ -129,7 +129,8 @@ class TestTable:
         pg, order = case
         pol = make_policy(norm, context, shared)
         for emb in (pol.encode(pg), pol.encode(pg, train=True)):
-            table = pol.logit_table(emb, order).data
+            table = pol.stacked_logit_table(emb.program, emb.physical,
+                                            [order]).data
             assert table.shape == (pg.num_logical, pol.cg.num_physical)
             for t in range(pg.num_logical):
                 ref = reference_step_logits(pol, emb, t, order)

@@ -26,7 +26,7 @@ from qlayout.policy import (
 from qlayout.topology import build_grid
 from qlayout.training import DecodeStrategy, decode
 
-from conftest import tiny_policy
+from conftest import device_rows, program_rows, tiny_policy
 
 
 def make_pg(n, edges, n_max=None):
@@ -130,8 +130,8 @@ class TestEncoder:
         looped = make_pg(3, [(0, 1), (2, 2), (1, 1), (1, 2)], n_max=4)
         assert np.array_equal(looped.gate_pairs, plain.gate_pairs)
         for train in (False, True):
-            a = pol.encode_program(plain, train).data
-            b = pol.encode_program(looped, train).data
+            a = pol.encode(plain, train).program.data
+            b = pol.encode(looped, train).program.data
             assert np.array_equal(a, b)
         a = pol.encode([plain, looped]).program.data
         assert np.array_equal(a[:3], a[3:])
@@ -151,7 +151,11 @@ class TestEncoder:
         sep = PolicyNetwork(cg, enc, dec, prog_feature_dim=4)
         shared = PolicyNetwork(cg, enc, dec, prog_feature_dim=4,
                                shared_encoder=True)
-        assert shared.store.num_values() < sep.store.num_values()
+
+        def param_count(pol):
+            return sum(t.data.size for t in pol.store.params.values())
+
+        assert param_count(shared) < param_count(sep)
         shared.encode(make_pg(3, [(0, 1)], n_max=4))  # still runs
 
     def test_batch_norm_running_stats_move(self):
@@ -272,10 +276,10 @@ class TestPaddedEncoder:
                           context=context, shared=shared)
         ref = copy.deepcopy(pol)
         for train in (False, True):
-            got = pol.encode_program(pg, train)
+            emb = pol.encode(pg, train)
+            got, got_dev = emb.program, emb.physical
             want = reference_program(ref, pg, train)
             assert np.array_equal(got.data, want.data)
-            got_dev = pol.encode_device(train)
             want_dev = reference_device(ref, train)
             assert np.array_equal(got_dev.data, want_dev.data)
             assert_same_buffers(pol.store.buffers, ref.store.buffers)
@@ -294,9 +298,9 @@ class TestPaddedEncoder:
             emb = pol.encode(batch, train)
             # the per-graph encodes in the order of the running-statistics
             # updates: first graph, device, other graphs
-            own = [ref.encode_program(batch[0], train)]
-            physical = ref.encode_device(train)
-            own += [ref.encode_program(pg, train) for pg in batch[1:]]
+            own = [program_rows(ref, batch[0], train)]
+            physical = device_rows(ref, train)
+            own += [program_rows(ref, pg, train) for pg in batch[1:]]
             want = dc.concat(own)
             assert emb.program.shape == (sum(pg.num_logical for pg in batch),
                                          pol.enc_cfg.embed_dim)

@@ -294,6 +294,28 @@ class TestAgainstCopyAndRecompute:
         # the case tells the two rules apart
         assert accepted[0] < accepted[1]
 
+    @pytest.mark.parametrize("kind", NEIGHBORHOODS)
+    @pytest.mark.parametrize("reset", [False, True])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(search_cases(), st.integers(1, 400), st.integers(0, 60),
+           st.integers(0, 2**32))
+    def test_cost_mode_changes_no_move(self, kind, reset, case, n_iters,
+                                       patience, seed):
+        # literal cost is adjacent-free cost plus 2 per gate pair, a
+        # constant of the program, so every move has the same delta
+        cg, pg, initial = case
+        literal, free = (fast_cost_fn(pg, CostModel(mode, cg.distances))
+                         for mode in ("literal", "adjacent-free"))
+        assert literal(initial.assign) == \
+            free(initial.assign) + 2 * pg.gate_pairs.shape[1]
+        layouts = [
+            local_search(initial, pg, cg, SearchConfig(
+                neighborhood=kind, n_iters=n_iters, patience=patience,
+                seed=seed, cost_mode=mode, reset_patience=reset)
+            ).assign.tolist()
+            for mode in COST_MODES]
+        assert layouts[0] == layouts[1]
+
     def test_cost_closure_runs_once_and_once_per_accepted_move(
             self, monkeypatch, rng):
         pg, cg = random_instance(rng, n_max=6, big_n_max=9)
@@ -386,6 +408,10 @@ class TestLocalSearch:
         ("patience", False, "patience must be an integer, not False"),
         ("seed", -1, "seed must be at least 0, not -1"),
         ("seed", 0.5, "seed must be an integer"),
+        ("reset_patience", "no",
+         "reset_patience must be True or False, not 'no'"),
+        ("reset_patience", 2, "reset_patience must be True or False, not 2"),
+        ("reset_patience", None, "reset_patience must be True or False"),
     ])
     def test_config_rejects_boundary_values(self, field, value, fragment):
         with pytest.raises(ConfigError, match=fragment):

@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlayout.errors import TopologyError
 from qlayout.topology import (
@@ -79,8 +81,8 @@ class TestHeavyHex:
     def test_size(self):
         assert build_heavy_hex().num_physical == 65
 
-    def test_max_degree_three(self):
-        assert build_heavy_hex().max_degree() == 3
+    def test_largest_degree_is_three(self):
+        assert build_heavy_hex().adjacency_matrix().sum(axis=1).max() == 3
 
     def test_connected(self):
         g = build_heavy_hex()
@@ -149,3 +151,58 @@ class TestEdgeListJson:
         p.write_text('{"edges": [[0, 1]]}')
         with pytest.raises(TopologyError):
             load_coupling_graph(p)
+
+
+def networkx_distances(n, edges):
+    """All-pairs hop counts from networkx, -1 where no path exists."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    out = np.full((n, n), -1)
+    for src, lengths in nx.all_pairs_shortest_path_length(g):
+        for dst, d in lengths.items():
+            out[src, dst] = d
+    return out
+
+
+@st.composite
+def graphs(draw, connected):
+    """A graph on 1-14 nodes; a connected one is a random spanning tree
+    plus extra edges."""
+    n = draw(st.integers(1, 14))
+    node = st.integers(0, n - 1)
+    edges = set(draw(st.lists(st.tuples(node, node).filter(
+        lambda e: e[0] != e[1]), max_size=2 * n)))
+    if connected:
+        edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    return n, sorted(edges)
+
+
+class TestAgainstNetworkx:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(graphs(connected=True))
+    def test_random_connected_graphs(self, case):
+        n, edges = case
+        assert np.array_equal(bfs_distances(n, edges),
+                              networkx_distances(n, edges))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(graphs(connected=False))
+    def test_disconnected_iff_networkx_finds_no_path(self, case):
+        n, edges = case
+        want = networkx_distances(n, edges)
+        if (want < 0).any():
+            with pytest.raises(TopologyError, match="disconnected"):
+                bfs_distances(n, edges)
+        else:
+            assert np.array_equal(bfs_distances(n, edges), want)
+
+    @pytest.mark.parametrize("cg", [
+        build_grid(1, 1), build_grid(1, 9), build_grid(3, 5),
+        build_grid(8, 8), build_heavy_hex(),
+    ], ids=lambda cg: cg.name)
+    def test_devices(self, cg):
+        assert np.array_equal(
+            cg.distances.entries,
+            networkx_distances(cg.num_physical, cg.edge_list))

@@ -108,6 +108,45 @@ class TestRollout:
             rollout([pg] if batched else pg, pol.cg, pol, mode="sample")
 
 
+class TestDevice:
+    """A policy reads only the device it was built for: another device
+    would score its layouts on the wrong distances."""
+
+    @pytest.mark.parametrize("other", [
+        build_grid(2, 2),  # fewer seats than the policy's logits
+        build_grid(2, 8),  # as many seats, other couplings
+        build_grid(5, 5),  # more seats
+        CouplingGraph(16, build_grid(4, 4).edges - {(0, 1)}),
+    ])
+    def test_another_device_is_rejected(self, rng, other):
+        pol = tiny_policy(cg=build_grid(4, 4))
+        pg = gen_random_instance(3, 0.5, rng, n_max=4)
+        cfg = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=2,
+                          n_min=2, n_max=4, val_size=2)
+        before = {k: v.copy() for k, v in pol.store.data().items()}
+        for call in (
+                lambda: rollout(pg, other, pol),
+                lambda: rollout([pg, pg], other, pol, mode="sample", rng=rng,
+                                train=True),
+                lambda: decode(pg, other, pol, DecodeStrategy("greedy")),
+                lambda: train(cfg, pol, other)):
+            with pytest.raises(ConfigError, match="built for the 16-qubit "
+                               "device 'grid4x4'"):
+                call()
+        assert all(np.array_equal(v, before[k])
+                   for k, v in pol.store.data().items())
+
+    def test_an_equal_device_is_accepted(self, rng):
+        pol = tiny_policy(cg=build_grid(4, 4))
+        pg = gen_random_instance(3, 0.5, rng, n_max=4)
+        same = CouplingGraph(16, build_grid(4, 4).edges, name="copy")
+        strategy = DecodeStrategy("greedy")
+        layout, cost = decode(pg, same, pol, strategy)
+        want_layout, want_cost = decode(pg, pol.cg, pol, strategy)
+        assert (layout.assign.tolist(), cost) == \
+            (want_layout.assign.tolist(), want_cost)
+
+
 class TestDecode:
     def test_strategy_validation(self):
         with pytest.raises(ConfigError):
@@ -216,6 +255,10 @@ class TestTrain:
         ("lr", -1.0, "lr"), ("lr", 0.0, "lr"), ("lr", float("nan"), "lr"),
         ("lr", float("inf"), "lr"), ("lr", 0, "lr must be positive"),
         ("lr", True, "lr must be positive and finite, not True"),
+        ("edge_prob", True, r"edge_prob must be in \(0, 1\], not True"),
+        ("edge_prob", "0.5", r"edge_prob must be in \(0, 1\], not '0.5'"),
+        ("edge_prob", 1.5, "edge_prob must be in"),
+        ("edge_prob", float("nan"), "edge_prob must be in"),
         ("cost_mode", "x", "cost mode 'x'"),
         ("seed", -1, "seed must be at least 0"),
         ("epochs", 2.5, "epochs must be an integer, not 2.5"),

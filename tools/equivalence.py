@@ -98,7 +98,9 @@ def decision_margin(policy, pg, strategy):
     only the first step of starts after the first, the sampling kinds
     sample every step."""
     n = pg.num_logical
-    table = policy.logit_table(policy.encode(pg), np.arange(n)).data
+    emb = policy.encode(pg)
+    table = policy.stacked_logit_table(emb.program, emb.physical,
+                                       [np.arange(n)]).data
     margin = np.inf
     seats = []
     for start in range(strategy.k):
