@@ -45,7 +45,20 @@ class BenchRun:
     multistart_k: int = 10
 
     def __post_init__(self):
+        """Reject a device other than the policy's, and strategies or seeds
+        that are empty, repeated or that ``DecodeStrategy`` rejects, before
+        any circuit is read."""
         self.policy.check_device(self.device)
+        for name, values in (("strategies", self.strategies),
+                             ("seeds", self.seeds)):
+            if not values:
+                raise ConfigError(f"bench needs at least one of its {name}")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"bench {name} repeat {repeated[0]!r}")
+        for kind in self.strategies:
+            for seed in self.seeds:
+                DecodeStrategy.make(kind, k=self.multistart_k, seed=seed)
 
 
 @dataclass

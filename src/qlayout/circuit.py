@@ -3,7 +3,8 @@
 The parser covers the restricted subset the layout stage needs: register
 declarations, the standard single-qubit gates, cx/cz/swap, and
 barrier/measure (which are ignored for graph building). Gate parameters
-are parsed and discarded.
+are parsed and discarded. A gate's operands are quantum registers only: a
+classical one there, or a register name declared twice, is a ParseError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     ShapeError,
     TooManyQubitsError,
     UnsupportedGateError,
+    check_integer,
 )
 
 SINGLE_QUBIT_GATES = frozenset(
@@ -93,7 +95,8 @@ def parse_qasm(source: str) -> Circuit:
             raise ParseError(f"cannot parse operand '{operand}'", line=line)
         name, idx = m.group(1), m.group(2)
         if name in cregs:
-            return None
+            raise ParseError(f"classical register '{name}' is not a gate "
+                             "operand", line=line)
         if name not in qregs:
             raise ParseError(f"unknown register '{name}'", line=line)
         offset, size = qregs[name]
@@ -119,9 +122,9 @@ def parse_qasm(source: str) -> Circuit:
             if not dm:
                 raise ParseError(f"malformed {head} declaration '{rest}'", line=line)
             name, size = dm.group(1), int(dm.group(2))
+            if name in qregs or name in cregs:
+                raise ParseError(f"duplicate register '{name}'", line=line)
             if head == "qreg":
-                if name in qregs:
-                    raise ParseError(f"duplicate qreg '{name}'", line=line)
                 qregs[name] = (num_qubits, size)
                 num_qubits += size
             else:
@@ -136,7 +139,6 @@ def parse_qasm(source: str) -> Circuit:
             raise UnsupportedGateError(head, line=line)
 
         operands = [resolve(op, line) for op in rest.split(",")] if rest else []
-        operands = [op for op in operands if op is not None]
         if head in SINGLE_QUBIT_GATES:
             if len(operands) != 1:
                 raise ParseError(
@@ -285,6 +287,7 @@ def _pagerank(adj_counts, damping=0.85, tol=1e-9, max_iter=200):
 
 def extract_features(c: Circuit, walk_radius: int = 4):
     """Engineered structural node features for every qubit."""
+    check_integer("walk_radius", walk_radius, 0)
     n = c.num_qubits
     if n < 1:
         raise EmptyCircuitError("circuit has no qubits")

@@ -12,10 +12,10 @@ M the largest node count. A pad row attends only to itself, graph and
 batch norm take each graph's statistics over its real rows, and the real
 rows are gathered at the end, so a graph's rows do not depend on the
 graphs stacked with it. ``encode`` of a list of program graphs is one
-such stack; one program graph or the device graph is a stack of one, with
-no pads. Batch-norm running statistics move once per graph, replayed from
-the stack's per-graph statistics in the order first program graph,
-device, other program graphs.
+such stack; one program graph or the device graph is a stack of one. In
+training, batch norm moves its running statistics as it computes each
+graph's statistics, once per graph in stack order, so ``encode`` moves
+them for every program graph and then for the device.
 
 The logits never depend on the seats already taken: a context reads only
 program embeddings along the placement order, and the glimpse attends over
@@ -110,9 +110,7 @@ class _Pads:
         self.sizes = sizes
         self.inv_sizes = 1.0 / np.array(sizes, dtype=float).reshape(-1, 1, 1)
         rows = np.arange(max(sizes)) < np.array(sizes).reshape(-1, 1)
-        # (B, M, 1) ones on the real rows; None when no row is a pad
-        self.real = None if rows.all() else rows[..., None].astype(float)
-        self.stats = []  # (norm prefix, (B, d_e) means, (B, d_e) variances)
+        self.real = rows[..., None].astype(float)  # (B, M, 1) 1 real, 0 pad
 
 
 class ParamStore:
@@ -245,8 +243,9 @@ class PolicyNetwork:
 
     def _norm(self, h, prefix, p, train, pads):
         """Normalise a (B, M, d_e) stack. Graph norm, and batch norm in
-        training, take each graph's statistics over its real rows and
-        record them in ``pads.stats`` for the running-statistics replay."""
+        training, take each graph's statistics over its real rows; batch
+        norm then moves its running statistics once per graph, in stack
+        order."""
         kind = self.enc_cfg.norm_kind
         g = p(f"{prefix}.g")
         b = p(f"{prefix}.b")
@@ -260,15 +259,17 @@ class PolicyNetwork:
             var = dc.tmean(dc.mul(centered, centered), axis=2, keepdims=True)
         else:
             inv_n = Tensor(pads.inv_sizes)
-            real = h if pads.real is None else dc.mul(h, pads.real)
-            m = dc.mul(dc.tsum(real, axis=1, keepdims=True), inv_n)
-            centered = h - m
-            if pads.real is not None:
-                centered = dc.mul(centered, pads.real)
+            m = dc.mul(dc.tsum(dc.mul(h, pads.real), axis=1, keepdims=True),
+                       inv_n)
+            centered = dc.mul(h - m, pads.real)
             var = dc.mul(dc.tsum(dc.mul(centered, centered), axis=1,
                                  keepdims=True), inv_n)
             if kind == "batch":
-                pads.stats.append((prefix, m.data[:, 0], var.data[:, 0]))
+                rm = self.store.buffers[f"{prefix}.mean"]
+                rv = self.store.buffers[f"{prefix}.var"]
+                for mean, variance in zip(m.data[:, 0], var.data[:, 0]):
+                    rm += _BN_MOMENTUM * (mean - rm)
+                    rv += _BN_MOMENTUM * (variance - rv)
         h_hat = dc.mul(centered, dc.powi(var + _NORM_EPS, -0.5))
         return h_hat * g.reshape(1, -1) + b.reshape(1, -1)
 
@@ -297,9 +298,7 @@ class PolicyNetwork:
         """Encode graphs as one zero-padded (B, M, .) stack, M the largest
         node count, each graph's edges a (2, m) array of node pairs as in
         ``ProgramGraph.gate_pairs``; returns the (sum of n, d_e) real rows
-        in graph order and the stack's ``_Pads``, whose ``stats`` hold the
-        batch-norm statistics of every graph (``_update_running`` applies
-        them).
+        in graph order.
 
         A pad row attends only to itself and never enters a real row or a
         graph's statistics, so each graph's rows are its own encoding.
@@ -328,26 +327,12 @@ class PolicyNetwork:
         prefix = self._enc_prefix(which)
         for layer in range(self.enc_cfg.layers):
             h = self._gat_layer(h, adj, f"{prefix}.l{layer}", p, train, pads)
-        rows = h.reshape(n_graphs * m_rows, -1)
-        if pads.real is not None:
-            rows = dc.gather(rows, np.flatnonzero(pads.real))
-        return rows, pads
-
-    def _update_running(self, pads, graphs):
-        """Move the batch-norm running statistics once per graph of the
-        stack in ``graphs``, in that order."""
-        for prefix, means, variances in pads.stats:
-            rm = self.store.buffers[f"{prefix}.mean"]
-            rv = self.store.buffers[f"{prefix}.var"]
-            for i in graphs:
-                rm += _BN_MOMENTUM * (means[i] - rm)
-                rv += _BN_MOMENTUM * (variances[i] - rv)
+        return dc.gather(h.reshape(n_graphs * m_rows, -1),
+                         np.flatnonzero(pads.real))
 
     def _encode_device(self, train):
-        rows, pads = self._encode_stack([self._phys_feats], [self._cg_pairs],
-                                        "phys", train)
-        self._update_running(pads, [0])
-        return rows
+        return self._encode_stack([self._phys_feats], [self._cg_pairs],
+                                  "phys", train)
 
     def _device_sources(self):
         """The parameters and norm buffers the device embedding reads."""
@@ -382,17 +367,15 @@ class PolicyNetwork:
         the tape in training and the memoised constant in eval.
 
         Under batch norm, training moves the running statistics once per
-        graph in the order first program graph, device, other program
-        graphs (with a shared encoder all three update one buffer set).
+        program graph in list order, then once for the device (with a
+        shared encoder all of them update one buffer set).
         """
         batch = graphs if isinstance(graphs, list) else [graphs]
-        program, pads = self._encode_stack([pg.node_features for pg in batch],
-                                           [pg.gate_pairs for pg in batch],
-                                           "prog", train)
-        self._update_running(pads, [0])
+        program = self._encode_stack([pg.node_features for pg in batch],
+                                     [pg.gate_pairs for pg in batch],
+                                     "prog", train)
         physical = (self._encode_device(True) if train
                     else self._device_embedding())
-        self._update_running(pads, range(1, len(batch)))
         return NodeEmbeddings(program, physical)
 
     # --- decoder ----------------------------------------------------

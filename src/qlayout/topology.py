@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,9 +72,20 @@ def bfs_distances(num_physical, edges):
     return dist
 
 
+def _integer(value, what):
+    """``value`` as a Python int: an integer, numpy's too, but not a bool;
+    anything else raises TopologyError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TopologyError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CouplingGraph:
-    """Undirected physical-qubit connectivity with cached distances."""
+    """Undirected physical-qubit connectivity with cached distances.
+
+    ``num_physical`` and every edge endpoint must be integers; numpy
+    integers are stored as Python ints."""
 
     num_physical: int
     edges: frozenset
@@ -81,17 +93,22 @@ class CouplingGraph:
     distances: DistanceMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.num_physical
+        n = _integer(self.num_physical, "the number of physical qubits")
         if n < 1:
             raise TopologyError("graph needs at least one physical qubit")
         canon = set()
         for e in self.edges:
-            a, b = e
+            try:
+                a, b = (_integer(q, f"edge {e!r}'s node") for q in e)
+            except (TypeError, ValueError):
+                raise TopologyError(f"edge {e!r} is not a pair of nodes") \
+                    from None
             if a == b:
                 raise TopologyError(f"self-loop on node {a}")
             if not (0 <= a < n and 0 <= b < n):
                 raise TopologyError(f"edge {e} out of range [0, {n})")
             canon.add((min(a, b), max(a, b)))
+        object.__setattr__(self, "num_physical", n)
         object.__setattr__(self, "edges", frozenset(canon))
         object.__setattr__(
             self, "distances", DistanceMatrix(bfs_distances(n, canon))
@@ -188,9 +205,11 @@ def load_coupling_graph(path) -> CouplingGraph:
 
 
 def coupling_graph_from_dict(data) -> CouplingGraph:
+    """The graph of an edge-list document ``{"n": N, "edges": [[a, b],
+    ...], "name": ...}``; a document that does not describe a valid graph
+    raises TopologyError."""
     try:
-        n = int(data["n"])
-        edges = frozenset((int(a), int(b)) for a, b in data["edges"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return CouplingGraph(data["n"], data["edges"],
+                             name=str(data.get("name", "custom")))
+    except (KeyError, TypeError, TopologyError) as exc:
         raise TopologyError(f"malformed edge-list document: {exc}") from exc
-    return CouplingGraph(n, edges, name=str(data.get("name", "custom")))

@@ -19,10 +19,8 @@ def program_rows(pol, pg, train):
     """A program graph's (n, d_e) rows, encoded on its own as a stack of
     one, with the running statistics moved once for it as ``encode`` moves
     them for each graph."""
-    rows, pads = pol._encode_stack([pg.node_features], [pg.gate_pairs],
-                                   "prog", train)
-    pol._update_running(pads, [0])
-    return rows
+    return pol._encode_stack([pg.node_features], [pg.gate_pairs], "prog",
+                             train)
 
 
 def device_rows(pol, train):

@@ -254,7 +254,7 @@ def test_walk_over_non_finite_logits_raises(bad, sampled):
 def reference_train(cfg, policy, cg):
     """REINFORCE with one tape and one backward per episode, sampled step
     by step. As in ``train``, the device's running statistics are updated
-    once per batch, right after the first program graph's; returns the
+    once per batch, after every program graph's; returns the
     (mean_reward, baseline, grad_norm) of each epoch."""
     cost_model = CostModel(cfg.cost_mode, cg.distances)
     inst_rng = np.random.default_rng([cfg.seed, 0])
@@ -283,11 +283,12 @@ def reference_train(cfg, policy, cg):
                 pg = gen_random_instance(n, cfg.edge_prob, inst_rng,
                                          n_max=policy.prog_feature_dim)
                 program = program_rows(policy, pg, train=True)
-                # as in train, only the batch's first device encode moves
-                # the running statistics: undo the others' update
+                # as in train, only the batch's last device encode, after
+                # every program graph's, moves the running statistics: undo
+                # the others' update
                 saved = {k: v.copy() for k, v in policy.store.buffers.items()}
                 physical = device_rows(policy, train=True)
-                if i > 0:
+                if i < cfg.batch_size - 1:
                     policy.store.buffers.update(saved)
                 table = policy.stacked_logit_table(program, physical,
                                                    [np.arange(n)])
@@ -357,8 +358,8 @@ def test_desk_model_epochs_match_the_per_episode_loop(norm, context, shared):
 @pytest.mark.parametrize("shared", [False, True])
 def test_batch_norm_device_stats_update_once_per_batch(shared):
     """Under batch norm the device encoder's running statistics move once
-    per batch, after the first program graph's and before the others'
-    (with a shared encoder both update the same buffers)."""
+    per batch, after every program graph's (with a shared encoder both
+    update the same buffers, so the order is visible)."""
     cfg = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4, n_min=2,
                       n_max=5, edge_prob=0.5, seed=7, val_size=2)
     pol = make_policy("batch", "concat_project", shared)
@@ -370,12 +371,13 @@ def test_batch_norm_device_stats_update_once_per_batch(shared):
                                  inst_rng, n_max=N_MAX)
              for _ in range(cfg.batch_size)]
 
-    def replay(device_updates):
+    def replay(device_updates, programs_before=cfg.batch_size):
         p = copy.deepcopy(start)
-        program_rows(p, batch[0], train=True)
+        for pg in batch[:programs_before]:
+            program_rows(p, pg, train=True)
         for _ in range(device_updates):
             device_rows(p, train=True)
-        for pg in batch[1:]:
+        for pg in batch[programs_before:]:
             program_rows(p, pg, train=True)
         return p.store.buffers
 
@@ -384,3 +386,8 @@ def test_batch_norm_device_stats_update_once_per_batch(shared):
     for name, value in pol.store.buffers.items():
         assert np.array_equal(value, once[name]), name
     assert any(not np.array_equal(once[k], per_episode[k]) for k in once)
+    # the device second, after the first program graph only, moves a
+    # shared encoder's buffers elsewhere and separate encoders' nowhere
+    device_second = replay(1, programs_before=1)
+    assert shared == any(not np.array_equal(once[k], device_second[k])
+                         for k in once)

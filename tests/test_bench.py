@@ -111,6 +111,18 @@ class TestRunBench:
             BenchRun(dataset=dataset, device=build_grid(3, 2), policy=pol,
                      strategies=["greedy"])
 
+    @pytest.mark.parametrize("name,value,fragment", [
+        ("strategies", [], "at least one of its strategies"),
+        ("strategies", ["greedy", "sampling", "greedy"], "repeat 'greedy'"),
+        ("strategies", ["greedy", "beam"], "unknown decoding strategy 'beam'"),
+        ("seeds", [], "at least one of its seeds"),
+        ("seeds", [1, 0, 1], "repeat 1"),
+    ])
+    def test_empty_repeated_or_unknown_runs_rejected(self, dataset, name,
+                                                     value, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            self.make_run(dataset, **{name: value})
+
     def test_row_shape_and_postprocess_never_hurts(self, dataset):
         rows, summary = run_bench(self.make_run(dataset))
         # 3 instances x 2 strategies x 2 seeds

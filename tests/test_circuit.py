@@ -10,6 +10,7 @@ from qlayout.circuit import (
     parse_qasm,
 )
 from qlayout.errors import (
+    ConfigError,
     ConstraintViolationError,
     EmptyCircuitError,
     ParseError,
@@ -86,6 +87,24 @@ class TestParser:
     def test_identical_operands_rejected(self):
         with pytest.raises(ParseError):
             parse_qasm("qreg q[2]; cx q[0],q[0];")
+
+    @pytest.mark.parametrize("gate", ["cx q[0], c[0], q[1];",
+                                      "h q[0], c[1];", "cx q[0], c[1];",
+                                      "h c;"])
+    def test_classical_operand_rejected(self, gate):
+        with pytest.raises(ParseError, match="classical register 'c'") as exc:
+            parse_qasm(f"qreg q[2];\ncreg c[2];\n{gate}\nh q[1];")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("first,second", [("qreg", "creg"),
+                                              ("creg", "qreg"),
+                                              ("qreg", "qreg"),
+                                              ("creg", "creg")])
+    def test_register_name_declared_twice_rejected(self, first, second):
+        with pytest.raises(ParseError, match="duplicate register 'r'") as exc:
+            parse_qasm(f"{first} r[2];\n{second} r[1];\nqreg q[1];\n"
+                       "h q[0];")
+        assert exc.value.line == 2
 
     def test_unterminated_statement(self):
         with pytest.raises(ParseError):
@@ -181,6 +200,15 @@ class TestFeatures:
         assert f1[0].influence == pytest.approx(1 / 3)
         f3 = extract_features(parse_qasm(src), walk_radius=3)
         assert f3[0].influence == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("radius", [-1, 1.5, True, None])
+    def test_walk_radius_must_be_a_non_negative_integer(self, radius):
+        with pytest.raises(ConfigError, match="walk_radius"):
+            extract_features(parse_qasm(GHZ3), walk_radius=radius)
+
+    def test_walk_radius_zero_sees_no_neighbour(self):
+        f = extract_features(parse_qasm(GHZ3), walk_radius=0)
+        assert all(v.influence == 0.0 for v in f)
 
     def test_pagerank_sums_to_one(self):
         f = extract_features(parse_qasm(GHZ3))

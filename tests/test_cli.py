@@ -220,15 +220,42 @@ class TestInputBoundaries:
         bad_json.write_text("{not json")
         infinite = tmp_path / "infinite.json"
         infinite.write_text('{"n": 1e400, "edges": []}')
+        fractional = tmp_path / "fractional.json"
+        fractional.write_text('{"n": 3, "edges": [[0, 1.7], [1, 2]]}')
         none = tmp_path / "none.json"
         for device, fragment in (("gridx", "gridx"), ("grid2x", "grid2x"),
                                  ("grid0x4", "grid0x4"), (none, str(none)),
                                  (bad_json, str(bad_json)),
-                                 (infinite, "malformed edge-list")):
+                                 (infinite, "malformed edge-list"),
+                                 (fractional, "not 1.7")):
             code, err = run_entry(monkeypatch, capsys, "postprocess",
                                   "--layout", layout_file, "--circuit",
                                   qasm_file, "--device", device)
             self.assert_one_line_error(code, err, fragment)
+
+    def test_features_rejects_a_negative_walk_radius(
+            self, monkeypatch, capsys, qasm_file):
+        code, err = run_entry(monkeypatch, capsys, "features", qasm_file,
+                              "--walk-radius", "-1")
+        self.assert_one_line_error(code, err, "walk_radius", "-1")
+
+    @pytest.mark.parametrize("option,value,fragment", [
+        ("--strategies", ",", "at least one of its strategies"),
+        ("--strategies", "greedy,greedy", "repeat 'greedy'"),
+        ("--strategies", "greedy,beam", "'beam'"),
+        ("--seeds", "0,0", "repeat 0"),
+    ])
+    def test_bench_rejects_empty_repeated_or_unknown_runs(
+            self, monkeypatch, capsys, tmp_path, qasm_file, option, value,
+            fragment):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        report = tmp_path / "report.csv"
+        code, err = run_entry(monkeypatch, capsys, "bench", "--dataset",
+                              qasm_file.parent, "--ckpt", ckpt, option, value,
+                              "--out", report)
+        self.assert_one_line_error(code, err, fragment)
+        assert not report.exists()
 
     @pytest.mark.parametrize("option,value,fragment", [
         ("--val-size", "0", "val_size"), ("--batches", "0", "batches"),

@@ -297,10 +297,9 @@ class TestPaddedEncoder:
         for train in (False, True):
             emb = pol.encode(batch, train)
             # the per-graph encodes in the order of the running-statistics
-            # updates: first graph, device, other graphs
-            own = [program_rows(ref, batch[0], train)]
+            # updates: every program graph, then the device
+            own = [program_rows(ref, pg, train) for pg in batch]
             physical = device_rows(ref, train)
-            own += [program_rows(ref, pg, train) for pg in batch[1:]]
             want = dc.concat(own)
             assert emb.program.shape == (sum(pg.num_logical for pg in batch),
                                          pol.enc_cfg.embed_dim)

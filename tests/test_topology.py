@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlayout.errors import TopologyError
+from qlayout.policy import PolicyNetwork
 from qlayout.topology import (
     CouplingGraph,
     all_pairs_distances,
     bfs_distances,
     build_grid,
     build_heavy_hex,
+    coupling_graph_from_dict,
     load_coupling_graph,
 )
+
+from conftest import tiny_policy
 
 
 def oracle_bfs(n, edges):
@@ -151,6 +155,41 @@ class TestEdgeListJson:
         p.write_text('{"edges": [[0, 1]]}')
         with pytest.raises(TopologyError):
             load_coupling_graph(p)
+
+    @pytest.mark.parametrize("doc,fragment", [
+        ({"n": 3, "edges": [[0, 1.7], [1, 2]]}, "not 1.7"),
+        ({"n": 3.9, "edges": [[0, 1], [1, 2]]}, "not 3.9"),
+        ({"n": 2, "edges": [[True, False]]}, "not True"),
+        ({"n": True, "edges": []}, "not True"),
+        ({"n": "3", "edges": [[0, 1], [1, 2]]}, "not '3'"),
+        ({"n": 3, "edges": [[0, 1, 2]]}, "not a pair"),
+    ], ids=["float-node", "float-n", "bool-nodes", "bool-n", "string-n",
+            "triple"])
+    def test_non_integer_document_rejected(self, doc, fragment):
+        with pytest.raises(TopologyError, match="malformed edge-list") as exc:
+            coupling_graph_from_dict(doc)
+        assert fragment in str(exc.value)
+
+
+class TestIntegerNodes:
+    @pytest.mark.parametrize("n,edges", [
+        (2.0, {(0, 1)}), (2, {(0.0, 1)}), (2, {(0, np.float64(1))}),
+        (np.bool_(True), set()), (2, {(0, 1, 1)}), (2, {0}),
+    ])
+    def test_non_integers_rejected(self, n, edges):
+        with pytest.raises(TopologyError):
+            CouplingGraph(n, frozenset(edges))
+
+    def test_numpy_integers_are_stored_as_python_ints(self, tmp_path):
+        g = CouplingGraph(np.int64(3), frozenset({(np.int64(0), np.int32(1)),
+                                                  (np.uint8(2), np.int64(1))}))
+        assert type(g.num_physical) is int
+        assert all(type(q) is int for e in g.edges for q in e)
+        plain = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
+        assert g == plain and g.topology_hash() == plain.topology_hash()
+        path = tmp_path / "policy.json"
+        tiny_policy(cg=g, n_max=3).save(path)
+        assert PolicyNetwork.load(path).cg == plain
 
 
 def networkx_distances(n, edges):

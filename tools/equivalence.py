@@ -29,7 +29,11 @@ A record holds, as exact JSON floats:
   2-5 qubit circuits on 1x3, 2x2, 2x3 and 3x3 grids in both cost modes,
   keyed ``b<i>/<device>/<cost mode>``;
 - ``train``: four desk-scale epochs (mean reward, baseline, gradient norm)
-  and every final parameter.
+  and every final parameter;
+- ``batch_norm``: two short epochs of a desk-scale batch-norm policy with
+  separate and with shared encoders, keyed ``shared=<flag>``: each epoch's
+  mean reward, baseline and gradient norm, and every final running mean
+  and variance.
 
 Each decode also stores its smallest decision margin: over every step of
 every start, the gap between the two most probable free seats where the
@@ -161,7 +165,7 @@ def search_records(out, name, pg, cg, initial, seed, resets=(False, True),
 
 def record():
     out = {"decode": {}, "rollout": {}, "local_search": {},
-           "brute_force": {}, "train": {}}
+           "brute_force": {}, "train": {}, "batch_norm": {}}
 
     hh = ql.PolicyNetwork(ql.build_heavy_hex(), ql.EncoderConfig(),
                           ql.DecoderConfig(), prog_feature_dim=40, seed=0)
@@ -240,6 +244,18 @@ def record():
          "grad_norm": m.grad_norm} for m in metrics]
     out["train"]["params"] = {k: v.ravel().tolist()
                               for k, v in sorted(policy.store.data().items())}
+
+    cfg = ql.TrainConfig(epochs=2, batches_per_epoch=4, batch_size=16,
+                         n_min=6, n_max=12, edge_prob=0.3, seed=1,
+                         val_size=16, lr=3e-3)
+    for shared in (False, True):
+        policy = desk_policy("batch", shared=shared)
+        metrics = ql.train(cfg, policy, policy.cg)
+        out["batch_norm"][f"shared={shared}"] = {
+            "epochs": [{"mean_reward": m.mean_reward, "baseline": m.baseline,
+                        "grad_norm": m.grad_norm} for m in metrics],
+            "buffers": {k: v.tolist()
+                        for k, v in sorted(policy.store.buffers.items())}}
     return out
 
 
