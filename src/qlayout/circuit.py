@@ -2,9 +2,19 @@
 
 The parser covers the restricted subset the layout stage needs: register
 declarations, the standard single-qubit gates, cx/cz/swap, and
-barrier/measure (which are ignored for graph building). Gate parameters
-are parsed and discarded. A gate's operands are quantum registers only: a
-classical one there, or a register name declared twice, is a ParseError.
+barrier/measure (which add no gates). Gate parameters are parsed and
+discarded. A gate's operands are quantum registers only: a classical one
+there, or a register name declared twice, is a ParseError. The operands of
+barrier and measure are checked as well: a barrier's must be declared
+quantum registers in range, and ``measure a -> b`` needs a quantum ``a``
+and a classical ``b`` of the same width.
+
+A document written one statement per line, as MQTBench and QUEKO write
+them, is read in one regex pass over its lines. Any other document
+(several statements on a line, a statement over several lines, a line
+break other than LF or CR LF) takes the general statement walk. Both
+paths hand every statement they do not read themselves to one handler,
+so errors, messages and line numbers do not depend on the path.
 """
 
 from __future__ import annotations
@@ -30,10 +40,31 @@ SINGLE_QUBIT_GATES = frozenset(
     "id x y z h s sdg t tdg sx sxdg rx ry rz p u u1 u2 u3".split()
 )
 TWO_QUBIT_GATES = frozenset(["cx", "cz", "swap"])
-_IGNORED = frozenset(["barrier", "measure"])
 
 _STMT_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*)$", re.S)
 _OPERAND_RE = re.compile(r"^(\w+)\s*(?:\[\s*(\d+)\s*\])?$")
+
+# One line of a document written one statement per line: blank, a comment,
+# or one statement and then an optional comment. Group 1 is the statement;
+# for a simple gate, groups 2-6 are its name and its one or two indexed
+# operands. No class holds a character that str.splitlines breaks at (a
+# line may end in the \r of \r\n) or a "//" outside the comment, so every
+# line that matches is the statement _statements yields for that line. A
+# statement neither starts nor ends with a space or tab, so the blanks
+# around it have one reading and a line that fails fails in linear time.
+_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_CHAR = rf"(?:[^;/{_BREAKS}]|/(?!/))"
+_EDGE = rf"(?:[^ \t;/{_BREAKS}]|/(?!/))"
+_PARAMS = rf"\([^);/{_BREAKS}]*(?:/[^);/{_BREAKS}]+)*/?\)"
+_INDEXED = r"(\w+)[ \t]*\[[ \t]*(\d+)[ \t]*\]"
+_LINE_RE = re.compile(
+    rf"^[ \t]*(?:("
+    rf"(\w+)(?:[ \t]*{_PARAMS}[ \t]*|[ \t]+)"
+    rf"{_INDEXED}(?:[ \t]*,[ \t]*{_INDEXED})?"
+    rf"|{_EDGE}(?:{_CHAR}*{_EDGE})?"
+    rf")[ \t]*;[ \t]*)?(?://[^{_BREAKS}]*)?\r?$",
+    re.M,
+)
 
 
 @dataclass(frozen=True)
@@ -84,69 +115,122 @@ def _statements(source):
 
 
 def parse_qasm(source: str) -> Circuit:
-    qregs = {}  # name -> (offset, size)
-    cregs = set()
-    num_qubits = 0
-    gates = []
+    doc = _Document()
+    lines = _LINE_RE.findall(source)
+    if len(lines) != source.count("\n") + 1:
+        for stmt, line in _statements(source):
+            doc.statement(stmt, line)
+        return Circuit(doc.num_qubits, tuple(doc.gates))
 
-    def resolve(operand, line):
-        m = _OPERAND_RE.match(operand.strip())
-        if not m:
-            raise ParseError(f"cannot parse operand '{operand}'", line=line)
-        name, idx = m.group(1), m.group(2)
-        if name in cregs:
+    # One statement per line: a simple gate on declared, in-range, distinct
+    # qubits is appended here; every other statement goes to doc.statement,
+    # which raises the error the general path raises.
+    qreg, gates = doc.qregs.get, doc.gates
+    for line, (stmt, kind, ra, ia, rb, ib) in enumerate(lines, 1):
+        if not kind:
+            stmt = stmt.strip()
+            if stmt:
+                doc.statement(stmt, line)
+            continue
+        a, i = qreg(ra), int(ia)
+        if a and i < a[1]:
+            if not rb:
+                if kind in SINGLE_QUBIT_GATES:
+                    gates.append(Gate(kind, (a[0] + i,)))
+                    continue
+            elif kind in TWO_QUBIT_GATES:
+                b, j = qreg(rb), int(ib)
+                if b and j < b[1] and a[0] + i != b[0] + j:
+                    gates.append(Gate(kind, (a[0] + i, b[0] + j)))
+                    continue
+        doc.statement(stmt, line)
+    return Circuit(doc.num_qubits, tuple(gates))
+
+
+class _Document:
+    """The registers and gates of one document, read a statement at a
+    time: both parse paths hand every statement they do not append
+    themselves to ``statement``, so each error is raised in one place."""
+
+    def __init__(self):
+        self.qregs = {}  # name -> (offset, size)
+        self.cregs = {}  # name -> size
+        self.num_qubits = 0
+        self.gates = []
+
+    def resolve(self, operand, line):
+        """The qubits a quantum operand names: all of a bare register."""
+        name, idx = _operand(operand, line)
+        if name in self.cregs:
             raise ParseError(f"classical register '{name}' is not a gate "
                              "operand", line=line)
-        if name not in qregs:
+        if name not in self.qregs:
             raise ParseError(f"unknown register '{name}'", line=line)
-        offset, size = qregs[name]
-        if idx is None:
-            return [offset + k for k in range(size)]
-        idx = int(idx)
-        if idx >= size:
-            raise ParseError(
-                f"index {idx} out of range for register '{name}[{size}]'", line=line
-            )
-        return [offset + idx]
+        offset, size = self.qregs[name]
+        return [offset + k for k in _indices(name, idx, size, line)]
 
-    for stmt, line in _statements(source):
+    def measure(self, rest, line):
+        """Check ``qubits -> bits``: a quantum operand, a classical one, of
+        the same width."""
+        sides = rest.split("->")
+        if len(sides) != 2:
+            raise ParseError(f"malformed measure '{rest}'", line=line)
+        qubits = self.resolve(sides[0], line)
+        name, idx = _operand(sides[1], line)
+        if name not in self.cregs:
+            raise ParseError(f"measure target '{name}' is not a classical "
+                             "register", line=line)
+        bits = _indices(name, idx, self.cregs[name], line)
+        if len(bits) != len(qubits):
+            raise ParseError(f"measure of {len(qubits)} qubits into "
+                             f"{len(bits)} bits", line=line)
+
+    def statement(self, stmt, line):
+        """Read one statement, trimmed and without its ';' or comments,
+        that starts on ``line``."""
         m = _STMT_RE.match(stmt)
         if not m:
             raise ParseError(f"cannot parse statement '{stmt[:40]}'", line=line)
-        head, _params, rest = m.group(1), m.group(2), m.group(3).strip()
+        head, rest = m.group(1), m.group(3).strip()
 
         if head == "OPENQASM" or head == "include":
-            continue
+            return
         if head in ("qreg", "creg"):
             dm = re.match(r"^(\w+)\s*\[\s*(\d+)\s*\]$", rest)
             if not dm:
                 raise ParseError(f"malformed {head} declaration '{rest}'", line=line)
             name, size = dm.group(1), int(dm.group(2))
-            if name in qregs or name in cregs:
+            if name in self.qregs or name in self.cregs:
                 raise ParseError(f"duplicate register '{name}'", line=line)
             if head == "qreg":
-                qregs[name] = (num_qubits, size)
-                num_qubits += size
+                self.qregs[name] = (self.num_qubits, size)
+                self.num_qubits += size
             else:
-                cregs.add(name)
-            continue
-        if head in _IGNORED:
-            continue
+                self.cregs[name] = size
+            return
+        if head == "measure":
+            self.measure(rest, line)
+            return
         if head == "gate" or head == "opaque":
             raise ParseError("gate definitions are not supported", line=line)
-
-        if head not in SINGLE_QUBIT_GATES and head not in TWO_QUBIT_GATES:
+        if (head != "barrier" and head not in SINGLE_QUBIT_GATES
+                and head not in TWO_QUBIT_GATES):
             raise UnsupportedGateError(head, line=line)
 
-        operands = [resolve(op, line) for op in rest.split(",")] if rest else []
-        if head in SINGLE_QUBIT_GATES:
+        operands = ([self.resolve(op, line) for op in rest.split(",")]
+                    if rest else [])
+        if head == "barrier":
+            if not operands:
+                raise ParseError("barrier needs at least one operand",
+                                 line=line)
+        elif head in SINGLE_QUBIT_GATES:
             if len(operands) != 1:
                 raise ParseError(
                     f"gate '{head}' expects one operand, got {len(operands)}",
                     line=line,
                 )
             for q in operands[0]:
-                gates.append(Gate(head, (q,)))
+                self.gates.append(Gate(head, (q,)))
         else:
             if len(operands) != 2:
                 raise ParseError(
@@ -162,9 +246,28 @@ def parse_qasm(source: str) -> Circuit:
                 raise ParseError(
                     f"two-qubit gate '{head}' needs distinct qubits", line=line
                 )
-            gates.append(Gate(head, (a, b)))
+            self.gates.append(Gate(head, (a, b)))
 
-    return Circuit(num_qubits, tuple(gates))
+
+def _operand(operand, line):
+    """(name, index or None) of ``reg`` or ``reg[i]``."""
+    m = _OPERAND_RE.match(operand.strip())
+    if not m:
+        raise ParseError(f"cannot parse operand '{operand}'", line=line)
+    return m.group(1), m.group(2)
+
+
+def _indices(name, idx, size, line):
+    """The indices ``name[idx]`` selects in a register of ``size``; every
+    index when ``idx`` is None."""
+    if idx is None:
+        return range(size)
+    idx = int(idx)
+    if idx >= size:
+        raise ParseError(
+            f"index {idx} out of range for register '{name}[{size}]'", line=line
+        )
+    return [idx]
 
 
 def check_qubit_count(num_qubits, limit, what):

@@ -82,8 +82,8 @@ class DecodeStrategy:
     def make(cls, kind, k=10, seed=0):
         """Strategy by name; ``k`` is the number of starts of a multistart
         kind and is ignored by the single-start kinds."""
-        return cls(kind, k=k if kind.startswith("multistart") else 1,
-                   seed=seed)
+        multistart = isinstance(kind, str) and kind.startswith("multistart")
+        return cls(kind, k=k if multistart else 1, seed=seed)
 
 
 def gen_random_instance(n, edge_prob, rng, n_max=None) -> ProgramGraph:

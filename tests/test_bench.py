@@ -115,6 +115,7 @@ class TestRunBench:
         ("strategies", [], "at least one of its strategies"),
         ("strategies", ["greedy", "sampling", "greedy"], "repeat 'greedy'"),
         ("strategies", ["greedy", "beam"], "unknown decoding strategy 'beam'"),
+        ("strategies", [None], "unknown decoding strategy 'None'"),
         ("seeds", [], "at least one of its seeds"),
         ("seeds", [1, 0, 1], "repeat 1"),
     ])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,43 @@ class TestParser:
             parse_qasm(f"{first} r[2];\n{second} r[1];\nqreg q[1];\n"
                        "h q[0];")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("stmt,fragment", [
+        ("measure q[5] -> c[0];", "index 5 out of range for register 'q[2]'"),
+        ("measure q[0] -> c[9];", "index 9 out of range for register 'c[1]'"),
+        ("measure zz[0] -> c[0];", "unknown register 'zz'"),
+        ("measure c[0] -> c[0];", "classical register 'c' is not a gate"),
+        ("measure q[0] -> q[1];", "measure target 'q' is not a classical"),
+        ("measure q[0] -> zz[0];", "measure target 'zz' is not a classical"),
+        ("measure q -> c;", "measure of 2 qubits into 1 bits"),
+        ("measure q[0] c[0];", "malformed measure 'q[0] c[0]'"),
+        ("measure q[0] -> c[0] -> c[0];", "malformed measure"),
+        ("measure q[0] -> c[x];", "cannot parse operand"),
+        ("barrier zz;", "unknown register 'zz'"),
+        ("barrier q[0], q[2];", "index 2 out of range for register 'q[2]'"),
+        ("barrier c;", "classical register 'c' is not a gate"),
+        ("barrier;", "barrier needs at least one operand"),
+    ])
+    @pytest.mark.parametrize("one_per_line", [True, False])
+    def test_barrier_and_measure_operands_resolved(self, stmt, fragment,
+                                                   one_per_line):
+        # both parse paths: one statement per line, and all on one line
+        sep = "\n" if one_per_line else " "
+        source = sep.join(["qreg q[2];", "creg c[1];", "h q[0];", stmt,
+                           "h q[1];"])
+        with pytest.raises(ParseError, match=re.escape(fragment)) as exc:
+            parse_qasm(source)
+        assert exc.value.line == (4 if one_per_line else 1)
+
+    @pytest.mark.parametrize("stmts", [
+        "barrier q; measure q -> c;",
+        "barrier q[1], r; measure q[1] -> c[0]; measure r -> c;",
+        "measure r[1] -> c[1]; measure q[0] -> d;",
+    ])
+    def test_resolvable_barrier_and_measure_accepted(self, stmts):
+        c = parse_qasm("qreg q[2]; qreg r[2]; creg c[2]; creg d[1]; "
+                       f"h q[0]; {stmts}")
+        assert c.num_qubits == 4 and len(c.gates) == 1
 
     def test_unterminated_statement(self):
         with pytest.raises(ParseError):

@@ -162,6 +162,12 @@ class TestDecode:
         with pytest.raises(ConfigError, match="k must be at least 1"):
             DecodeStrategy("multistart_sampling", k=0)
 
+    @pytest.mark.parametrize("kind", [None, 3, ["greedy"]])
+    def test_make_rejects_a_kind_that_is_not_a_name(self, kind):
+        # make read kind.startswith before the kind was checked
+        with pytest.raises(ConfigError, match="unknown decoding strategy"):
+            DecodeStrategy.make(kind)
+
     @pytest.mark.parametrize("kind", ["greedy", "sampling",
                                       "multistart_sampling"])
     def test_negative_seed_rejected(self, kind):

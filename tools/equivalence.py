@@ -33,7 +33,12 @@ A record holds, as exact JSON floats:
 - ``batch_norm``: two short epochs of a desk-scale batch-norm policy with
   separate and with shared encoders, keyed ``shared=<flag>``: each epoch's
   mean reward, baseline and gradient norm, and every final running mean
-  and variance.
+  and variance;
+- ``parse``: ``num_qubits`` and the gate list (``"<kind> <qubit>..."``
+  per gate) of ``parse_qasm`` on fixed sources: circuits of the benchmark
+  generator for the refine and map workloads, and one of them
+  comment-headed, with CRLF line ends, all on one line, with
+  whole-register operands and with parameterised gates.
 
 Each decode also stores its smallest decision margin: over every step of
 every start, the gap between the two most probable free seats where the
@@ -50,12 +55,16 @@ import itertools
 import json
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 
 import qlayout as ql
 from qlayout.diffcore import softmax_array
 from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
+
+# the benchmark's circuit generator, read from this checkout's perfbench/
+sys.path.append(str(Path(__file__).resolve().parents[1]))
 
 STRATEGIES = ("greedy", "sampling", "multistart_greedy", "multistart_sampling")
 COST_MODES = ("adjacent-free", "literal")
@@ -68,6 +77,33 @@ def random_qasm(rng, n, gates):
         a, b = rng.sample(range(n), 2)
         lines.append(f"cx q[{a}],q[{b}];")
     return "\n".join(lines) + "\n"
+
+
+def parse_sources():
+    """Name -> QASM source of the ``parse`` section."""
+    from perfbench import gen
+    from perfbench.workloads import MapWorkload, RefineWorkload
+
+    sources = {}
+    for work in (RefineWorkload, MapWorkload):
+        circuits = gen.circuit_set(work.name, 1, 10, work.qubits,
+                                   work.gate_factor)
+        for i, circuit in enumerate(circuits):
+            sources[f"{work.name}/{i}"] = circuit.qasm
+    sample = sources[f"{RefineWorkload.name}/0"]
+    sources["comment-headed"] = (
+        "// Benchmark was created by a generator\n// see https://example.org"
+        "\n\n" + sample)
+    sources["crlf"] = sample.replace("\n", "\r\n")
+    sources["one-line"] = " ".join(sample.splitlines())
+    sources["broadcast"] = (
+        "OPENQASM 2.0;\nqreg q[3];\nqreg r[2];\ncreg c[2];\nh q;\nx r;\n"
+        "cx q[2],r[0];\nbarrier q,r;\nmeasure r -> c;\n")
+    sources["parameterised"] = (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+        "rz(pi/2) q[0];\nu3(0.1, -pi/4, 2) q[1];\nu2(0,-pi) q[2];\n"
+        "p( pi / 8 ) q[0]; // phase\nrx(-1.5)q[2];\ncz q[0], q[2];\n")
+    return sources
 
 
 def map_graphs(policy, count=10):
@@ -165,7 +201,14 @@ def search_records(out, name, pg, cg, initial, seed, resets=(False, True),
 
 def record():
     out = {"decode": {}, "rollout": {}, "local_search": {},
-           "brute_force": {}, "train": {}, "batch_norm": {}}
+           "brute_force": {}, "train": {}, "batch_norm": {}, "parse": {}}
+
+    for name, source in parse_sources().items():
+        circ = ql.parse_qasm(source)
+        out["parse"][name] = {
+            "num_qubits": circ.num_qubits,
+            "gates": [" ".join([g.kind, *map(str, g.qubits)])
+                      for g in circ.gates]}
 
     hh = ql.PolicyNetwork(ql.build_heavy_hex(), ql.EncoderConfig(),
                           ql.DecoderConfig(), prog_feature_dim=40, seed=0)
@@ -275,7 +318,7 @@ def compare(path_a, path_b):
     """Print, per section, how many outputs are equal bit for bit; every
     decode layout that differs with its margins; and the largest relative
     difference of the numbers that differ. Returns 1 if a layout differs
-    without a near-tie."""
+    without a near-tie, or a text output or the length of a list does."""
     with open(path_a) as fh:
         a = json.load(fh)
     with open(path_b) as fh:
@@ -302,11 +345,18 @@ def compare(path_a, path_b):
                       f"{'' if tie else '  NOT A NEAR-TIE'}")
         worst = 0.0
         for key in keys:
-            if key.endswith("/layout") or key.rsplit("/", 1)[0] + "/" in moved:
+            if (va[key] == vb[key] or key.endswith("/layout")
+                    or key.rsplit("/", 1)[0] + "/" in moved):
                 continue
-            x, y = np.asarray(va[key], float), np.asarray(vb[key], float)
-            scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-300)
-            worst = max(worst, float((np.abs(x - y) / scale).max(initial=0.0)))
+            try:
+                x, y = np.asarray(va[key], float), np.asarray(vb[key], float)
+                rel = np.abs(x - y) / np.maximum(
+                    np.maximum(np.abs(x), np.abs(y)), 1e-300)
+            except ValueError:  # text, or lists of two lengths
+                print(f"  differs: {key}")
+                status = 1
+                continue
+            worst = max(worst, float(rel.max(initial=0.0)))
         print(f"  {len(moved)} layouts differ; largest relative difference "
               f"of the other numbers: {worst:.3g}")
     return status
