@@ -1,20 +1,23 @@
 """OpenQASM 2.0 parsing, program graphs, and per-qubit node features.
 
 The parser covers the restricted subset the layout stage needs: register
-declarations, the standard single-qubit gates, cx/cz/swap, and
-barrier/measure (which add no gates). Gate parameters are parsed and
-discarded. A gate's operands are quantum registers only: a classical one
-there, or a register name declared twice, is a ParseError. The operands of
-barrier and measure are checked as well: a barrier's must be declared
-quantum registers in range, and ``measure a -> b`` needs a quantum ``a``
-and a classical ``b`` of the same width.
+declarations, the standard single-qubit gates, cx/cz/swap, the built-in U
+and CX (kept as written), and barrier/measure (which add no gates). Gate
+parameters are parsed and discarded. A gate's operands are quantum
+registers only: a classical one there, or a register name declared twice,
+is a ParseError. The operands of barrier and measure are checked as well:
+a barrier's must be declared quantum registers in range, and
+``measure a -> b`` needs a quantum ``a`` and a classical ``b`` of the
+same width.
 
-A document written one statement per line, as MQTBench and QUEKO write
-them, is read in one regex pass over its lines. Any other document
-(several statements on a line, a statement over several lines, a line
-break other than LF or CR LF) takes the general statement walk. Both
-paths hand every statement they do not read themselves to one handler,
-so errors, messages and line numbers do not depend on the path.
+Every document is read by one statement loop. Each line break (any that
+``str.splitlines`` knows) becomes one LF, ``//`` comments are cut, and
+the text is split at ``;``: each piece, trimmed, is one statement, and
+the piece after the last ``;`` must be blank. A simple gate on declared,
+in-range, distinct qubits is appended by one regex match; every other
+statement goes to ``_Document.statement``, which raises each error with
+the line the statement starts on. Lines are counted only for those
+statements, so a document of simple gates is never scanned for them.
 """
 
 from __future__ import annotations
@@ -37,34 +40,18 @@ from .errors import (
 )
 
 SINGLE_QUBIT_GATES = frozenset(
-    "id x y z h s sdg t tdg sx sxdg rx ry rz p u u1 u2 u3".split()
+    "id x y z h s sdg t tdg sx sxdg rx ry rz p u u1 u2 u3 U".split()
 )
-TWO_QUBIT_GATES = frozenset(["cx", "cz", "swap"])
+TWO_QUBIT_GATES = frozenset(["cx", "cz", "swap", "CX"])
 
 _STMT_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*)$", re.S)
 _OPERAND_RE = re.compile(r"^(\w+)\s*(?:\[\s*(\d+)\s*\])?$")
-
-# One line of a document written one statement per line: blank, a comment,
-# or one statement and then an optional comment. Group 1 is the statement;
-# for a simple gate, groups 2-6 are its name and its one or two indexed
-# operands. No class holds a character that str.splitlines breaks at (a
-# line may end in the \r of \r\n) or a "//" outside the comment, so every
-# line that matches is the statement _statements yields for that line. A
-# statement neither starts nor ends with a space or tab, so the blanks
-# around it have one reading and a line that fails fails in linear time.
-_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
-_CHAR = rf"(?:[^;/{_BREAKS}]|/(?!/))"
-_EDGE = rf"(?:[^ \t;/{_BREAKS}]|/(?!/))"
-_PARAMS = rf"\([^);/{_BREAKS}]*(?:/[^);/{_BREAKS}]+)*/?\)"
-_INDEXED = r"(\w+)[ \t]*\[[ \t]*(\d+)[ \t]*\]"
-_LINE_RE = re.compile(
-    rf"^[ \t]*(?:("
-    rf"(\w+)(?:[ \t]*{_PARAMS}[ \t]*|[ \t]+)"
-    rf"{_INDEXED}(?:[ \t]*,[ \t]*{_INDEXED})?"
-    rf"|{_EDGE}(?:{_CHAR}*{_EDGE})?"
-    rf")[ \t]*;[ \t]*)?(?://[^{_BREAKS}]*)?\r?$",
-    re.M,
-)
+_COMMENT_RE = re.compile(r"//[^\n]*")
+# A simple gate: a name, then its parameters or a blank (so the name is as
+# long as the handler reads it), then one or two indexed operands. Groups:
+# the name and each operand's register and index.
+_GATE_RE = re.compile(r"\s*(\w+)(?:\s*\([^)]*\)\s*|\s+)(\w+)\s*\[\s*(\d+)\s*\]"
+                      r"(?:\s*,\s*(\w+)\s*\[\s*(\d+)\s*\])?\s*")
 
 
 @dataclass(frozen=True)
@@ -91,66 +78,45 @@ class Circuit:
     gates: tuple
 
 
-def _statements(source):
-    """Yield (statement_text, line_number) pairs, comments stripped."""
-    buf = []
-    start_line = None
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        for ch in line:
-            if ch == ";":
-                stmt = "".join(buf).strip()
-                if stmt:
-                    yield stmt, start_line if start_line is not None else lineno
-                buf = []
-                start_line = None
-            else:
-                if ch.strip() and start_line is None:
-                    start_line = lineno
-                buf.append(ch)
-        buf.append(" ")
-    tail = "".join(buf).strip()
-    if tail:
-        raise ParseError(f"unterminated statement '{tail[:40]}'", line=start_line)
-
-
 def parse_qasm(source: str) -> Circuit:
+    text = _COMMENT_RE.sub("", "\n".join(source.splitlines()))
+    *pieces, tail = text.split(";")
     doc = _Document()
-    lines = _LINE_RE.findall(source)
-    if len(lines) != source.count("\n") + 1:
-        for stmt, line in _statements(source):
-            doc.statement(stmt, line)
-        return Circuit(doc.num_qubits, tuple(doc.gates))
-
-    # One statement per line: a simple gate on declared, in-range, distinct
-    # qubits is appended here; every other statement goes to doc.statement,
-    # which raises the error the general path raises.
     qreg, gates = doc.qregs.get, doc.gates
-    for line, (stmt, kind, ra, ia, rb, ib) in enumerate(lines, 1):
-        if not kind:
-            stmt = stmt.strip()
-            if stmt:
-                doc.statement(stmt, line)
-            continue
-        a, i = qreg(ra), int(ia)
-        if a and i < a[1]:
-            if not rb:
-                if kind in SINGLE_QUBIT_GATES:
-                    gates.append(Gate(kind, (a[0] + i,)))
-                    continue
-            elif kind in TWO_QUBIT_GATES:
-                b, j = qreg(rb), int(ib)
-                if b and j < b[1] and a[0] + i != b[0] + j:
-                    gates.append(Gate(kind, (a[0] + i, b[0] + j)))
-                    continue
-        doc.statement(stmt, line)
+    line, counted, pos = 1, 0, 0  # line holds at offset counted
+    for piece in pieces:
+        start, pos = pos, pos + len(piece) + 1
+        m = _GATE_RE.fullmatch(piece)
+        if m:
+            kind, ra, ia, rb, ib = m.groups()
+            a, i = qreg(ra), int(ia)
+            if a and i < a[1]:
+                if not rb:
+                    if kind in SINGLE_QUBIT_GATES:
+                        gates.append(Gate(kind, (a[0] + i,)))
+                        continue
+                elif kind in TWO_QUBIT_GATES:
+                    b, j = qreg(rb), int(ib)
+                    if b and j < b[1] and a[0] + i != b[0] + j:
+                        gates.append(Gate(kind, (a[0] + i, b[0] + j)))
+                        continue
+        stmt = piece.strip()
+        if stmt:
+            first = start + piece.index(stmt[0])
+            line += text.count("\n", counted, first)
+            counted = first
+            doc.statement(stmt.replace("\n", " "), line)
+    stmt = tail.strip().replace("\n", " ")
+    if stmt:
+        line = text.count("\n", 0, pos + tail.index(stmt[0])) + 1
+        raise ParseError(f"unterminated statement '{stmt[:40]}'", line=line)
     return Circuit(doc.num_qubits, tuple(gates))
 
 
 class _Document:
-    """The registers and gates of one document, read a statement at a
-    time: both parse paths hand every statement they do not append
-    themselves to ``statement``, so each error is raised in one place."""
+    """The registers and gates of one document. ``parse_qasm`` appends a
+    simple gate itself and hands every other statement, with its line, to
+    ``statement``, so each error is raised in one place."""
 
     def __init__(self):
         self.qregs = {}  # name -> (offset, size)

@@ -72,6 +72,25 @@ class TestParser:
         assert c.num_qubits == 5
         assert c.gates[0].qubits == (1, 2)
 
+    def test_builtin_cx_and_u_kept_as_written(self):
+        c = parse_qasm("qreg q[2];\nU(0,pi/2,0) q[1];\nCX q[0],q[1];\n"
+                       "U(0,0,0) q;\n")
+        assert [(g.kind, g.qubits) for g in c.gates] == [
+            ("U", (1,)), ("CX", (0, 1)), ("U", (0,)), ("U", (1,))]
+        assert build_program_graph(c).edges == ((0, 1),)
+
+    def test_builtin_cx_needs_distinct_qubits(self):
+        with pytest.raises(ParseError, match="two-qubit gate 'CX' needs "
+                           "distinct qubits") as exc:
+            parse_qasm("qreg q[2];\nCX q[0],q[0];\n")
+        assert exc.value.line == 2
+
+    def test_builtin_u_takes_one_operand(self):
+        with pytest.raises(ParseError, match="gate 'U' expects one operand, "
+                           "got 2") as exc:
+            parse_qasm("qreg q[2];\nh q[0];\nU(0,0,0) q[0],q[1];\n")
+        assert exc.value.line == 3
+
     def test_unsupported_gate_named(self):
         with pytest.raises(UnsupportedGateError) as exc:
             parse_qasm("qreg q[3]; ccx q[0],q[1],q[2];")
@@ -127,7 +146,7 @@ class TestParser:
     @pytest.mark.parametrize("one_per_line", [True, False])
     def test_barrier_and_measure_operands_resolved(self, stmt, fragment,
                                                    one_per_line):
-        # both parse paths: one statement per line, and all on one line
+        # one statement per line, and all on one line
         sep = "\n" if one_per_line else " "
         source = sep.join(["qreg q[2];", "creg c[1];", "h q[0];", stmt,
                            "h q[1];"])

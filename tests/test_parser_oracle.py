@@ -1,6 +1,5 @@
 """Differential test of ``parse_qasm`` against a frozen copy of the parser
-it replaced (``reference_parser``), and checks that documents written one
-statement per line take the one-regex-pass fast path.
+it replaced (``reference_parser``), on drawn documents and on fixed ones.
 
 The documents are drawn from a small OpenQASM 2.0 grammar (Cross et al.
 2017, arXiv:1707.03429) and then mutated: operands, indices, register
@@ -9,16 +8,26 @@ statements split over lines and every line break ``str.splitlines``
 knows. The new parser resolves the operands of ``barrier`` and
 ``measure`` where the old one ignored them, so those two statements are
 drawn only with valid operands, and no mutation can change what they
-read; their new errors are tested in ``test_circuit.py``.
+read; their new errors are tested in ``test_circuit.py``. The built-in
+``CX`` and ``U``, which the old parser rejects, are not drawn either; they
+are tested there too.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import qlayout.circuit as circuit
 import reference_parser
+from qlayout.circuit import parse_qasm
 from qlayout.errors import ParseError
+
+# the benchmark's circuit generator, read from this checkout's perfbench/
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+from perfbench import gen  # noqa: E402
+from perfbench.workloads import RefineWorkload  # noqa: E402
 
 BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d",
           "\x1e", "\x85", "\u2028", "\u2029"]
@@ -26,7 +35,7 @@ BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d",
 SPACES = [" ", "", " ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
 COMMENTS = ["//", "// note", "//; h q[0];", "/// x // y", "// pi/2 -> c"]
 GATE_NAMES = ["h", "x", "sx", "tdg", "rz", "u3", "id", "cx", "cx", "cz",
-              "swap", "ccx", "CX", "U", "bogus", "gate", "opaque", "qreg",
+              "swap", "ccx", "bogus", "gate", "opaque", "qreg",
               "creg", "OPENQASM", "include", "hq", "h1"]
 PARAMS = ["", "()", "(0.5)", "(-1.234567)", "(pi/2)", "(0,-pi)",
           "( pi / 4 )", "(1,2,3)", "(pi//2)", "((1))", "(1;2)", "(a)b)"]
@@ -88,7 +97,7 @@ def gate_statement(draw, qregs, cregs):
     valid = draw(st.integers(0, 3)) < 3
     name = draw(st.sampled_from(GATE_NAMES[:11] if valid else GATE_NAMES))
     params = draw(st.sampled_from(PARAMS[:7] if valid else PARAMS))
-    arity = 2 if name in ("cx", "cz", "swap", "CX") else 1
+    arity = 2 if name in ("cx", "cz", "swap") else 1
     if not valid and draw(st.booleans()):
         arity = draw(st.integers(0, 3))
     regs = qregs + cregs if not valid and draw(st.booleans()) else qregs
@@ -121,10 +130,10 @@ def protected_statement(draw, qregs, cregs):
 
 @st.composite
 def documents(draw):
-    """(source, one_per_line): a tidy source has one statement per line,
-    with no ';', '//' or line break inside a statement, and ends each line
-    with LF or CR LF unless ``one_per_line`` is False."""
-    tidy = one_per_line = draw(st.integers(0, 2)) > 0
+    """A QASM source. A tidy one has one statement per line, with no
+    ';', '//' or line break inside a statement, and ends most lines with
+    LF or CR LF."""
+    tidy = draw(st.integers(0, 2)) > 0
     qregs, cregs, statements = [], [], []
     if draw(st.booleans()):
         # protected too: a header that swallows the next statement would
@@ -166,10 +175,7 @@ def documents(draw):
             comment = draw(st.sampled_from(["", "", " // done", "\t//x"]))
             line_end = end
             if draw(st.integers(0, 9)) == 9:
-                # a line break only str.splitlines knows: two statements on
-                # one line for the line regex, so the general path reads it
                 line_end = draw(st.sampled_from(BREAKS))
-                one_per_line = False
             parts.append(draw(st.sampled_from(SPACES)) + text + ";"
                          + comment + line_end)
             continue
@@ -192,9 +198,7 @@ def documents(draw):
         parts.append(text + term + separator(draw))
     if draw(st.booleans()) and parts:
         parts[-1] = parts[-1].rstrip("\n")
-    one_per_line = one_per_line and not any(
-        ";" in tok or "//" in tok for tokens, _ in statements for tok in tokens)
-    return "".join(parts), one_per_line
+    return "".join(parts)
 
 
 def outcome(parse, source):
@@ -204,32 +208,12 @@ def outcome(parse, source):
         return type(exc), str(exc), exc.line
 
 
-@pytest.fixture
-def general_path_calls(monkeypatch):
-    """A list that grows by one each time parse_qasm takes the general
-    path."""
-    calls = []
-    walk = circuit._statements
-
-    def spy(source):
-        calls.append(source)
-        return walk(source)
-
-    monkeypatch.setattr(circuit, "_statements", spy)
-    return calls
-
-
 @settings(max_examples=600, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.function_scoped_fixture])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(documents())
-def test_parser_agrees_with_the_frozen_reference(general_path_calls, doc):
-    source, one_per_line = doc
-    general_path_calls.clear()
-    assert outcome(circuit.parse_qasm, source) == \
+def test_parser_agrees_with_the_frozen_reference(source):
+    assert outcome(parse_qasm, source) == \
         outcome(reference_parser.parse_qasm, source)
-    if one_per_line:
-        assert not general_path_calls, source
 
 
 PERFBENCH_STYLE = """OPENQASM 2.0;
@@ -275,36 +259,25 @@ x q[11];
 cx q[8], q[13];
 """
 
+REFINE = gen.circuit_set(RefineWorkload.name, 1, 1, RefineWorkload.qubits,
+                         RefineWorkload.gate_factor)[0].qasm
+
 
 @pytest.mark.parametrize("source", [
     PERFBENCH_STYLE, MQTBENCH_STYLE, QUEKO_STYLE,
     MQTBENCH_STYLE.replace("\n", "\r\n"), PERFBENCH_STYLE.rstrip("\n"),
     "\n".join("  " + line + "  // gate" for line in
               QUEKO_STYLE.splitlines()),
-])
-def test_one_statement_per_line_takes_the_fast_path(general_path_calls,
-                                                    source):
-    parsed = circuit.parse_qasm(source)
-    assert not general_path_calls
-    assert parsed == reference_parser.parse_qasm(source)
-    assert parsed.gates
-
-
-@pytest.mark.parametrize("source", [
+    pytest.param(" ".join(REFINE.splitlines()), id="refine-one-line"),
+    pytest.param(REFINE.replace("\n", "\r"), id="refine-cr"),
     "qreg q[2]; h q[0];",                 # two statements on one line
     "qreg q[2];\ncx q[0],\n  q[1];\n",    # a statement over two lines
     "qreg q[2];\rh q[0];\r",              # a line break other than \n
     "qreg q[2];\nrz(pi//2) q[0];\n",      # '//' inside a statement
-    "qreg q[2];\n// c\x85h q[0];\n",        # a break ends a comment
+    "qreg q[2];\n// c\x85h q[0];\n",      # a break ends a comment
     "qreg q[2];\nh q[0];\u2028h q[1];\n",
-    "qreg q[2];\n;\n",                      # an empty statement
-])
-def test_other_documents_take_the_general_path(general_path_calls, source):
-    outcome(circuit.parse_qasm, source)
-    assert len(general_path_calls) == 1
-
-
-@pytest.mark.parametrize("source", [
+    "qreg q[2];\n;\n",                     # an empty statement
+    # failing statements: each error with its class, message and line
     "qreg q[2];\nh q[0];\ncx q[0],q[2];\n",
     "qreg q[2];\nh q[2];\n",
     "qreg q[2];\n\xa0h q[7];\n",
@@ -314,12 +287,10 @@ def test_other_documents_take_the_general_path(general_path_calls, source):
     "qreg q[2];\nh q[0],q[1];\n",
     "qreg q[2];\nccx q[0],q[1];\n",
     "qreg q[2];\ncx r[0],q[1];\n",
+    "qreg q[2];\r// c\nh q[5];",          # CR then a comment: two breaks
+    "qreg q[2];\nh q[0];\n\n  cx q[0], // control\n q[1]\n , q[0];\n",
+    "qreg q[2];\nh q[0];\n\n  cx q[0],\n // c\n q[1]\n",  # unterminated
 ])
-def test_fast_path_hands_a_failing_gate_to_the_shared_handler(
-        general_path_calls, source):
-    """Each error comes from the handler both paths share, with the same
-    class, message and line as the reference."""
-    got = outcome(circuit.parse_qasm, source)
-    assert not general_path_calls
-    assert got[0] != "ok"
-    assert got == outcome(reference_parser.parse_qasm, source)
+def test_fixed_source_agrees_with_the_frozen_reference(source):
+    assert outcome(parse_qasm, source) == \
+        outcome(reference_parser.parse_qasm, source)

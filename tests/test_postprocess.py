@@ -484,3 +484,43 @@ class TestLocalSearch:
                            seed=0)
         out = local_search(init, pg, cg, cfg)
         assert swap_cost(out, pg, cm) <= swap_cost(init, pg, cm)
+
+
+def scipy_qap(pg, cm, method):
+    """scipy's QAP answer for ``pg`` on ``cm``'s device: the gate-count
+    matrix, padded with zero rows and columns to N x N, is the flow and
+    the cost table the distance. Returns its layout and its ``fun``."""
+    quadratic_assignment = pytest.importorskip(
+        "scipy.optimize").quadratic_assignment
+    big_n = cm.distance.n
+    flow = np.zeros((big_n, big_n))
+    np.add.at(flow, tuple(pg.gate_pairs), 1.0)
+    res = quadratic_assignment(flow, cm.edge_costs, method=method,
+                               options={"rng": np.random.default_rng(0)})
+    return Layout(res.col_ind[:pg.num_logical]), res.fun
+
+
+class TestQapSandwich:
+    """The exact optimum lies below scipy's QAP heuristics (FAQ, Vogelstein
+    et al. 2015, and 2-opt) and below local search, and scipy's objective
+    is the SWAP cost of its layout."""
+
+    @pytest.mark.parametrize("mode", COST_MODES)
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_brute_force_bounds_scipy_and_local_search(self, seed, rows,
+                                                        cols, mode):
+        rng = np.random.default_rng(seed)
+        cg = build_grid(rows, cols)
+        n = int(rng.integers(2, 6))
+        pg = make_pg(n, [rng.choice(n, 2, replace=False)
+                         for _ in range(rng.integers(1, 3 * n + 1))])
+        cm = CostModel(mode, cg.distances)
+        _, best = brute_force_optimal(pg, cg, cm)
+        for method in ("faq", "2opt"):
+            layout, fun = scipy_qap(pg, cm, method)
+            assert fun == swap_cost(layout, pg, cm)
+            assert best <= fun
+        refined = local_search(random_layout(n, cg.num_physical, rng), pg, cg,
+                               SearchConfig(seed=seed, cost_mode=mode))
+        assert best <= swap_cost(refined, pg, cm)

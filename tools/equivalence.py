@@ -36,9 +36,10 @@ A record holds, as exact JSON floats:
   and variance;
 - ``parse``: ``num_qubits`` and the gate list (``"<kind> <qubit>..."``
   per gate) of ``parse_qasm`` on fixed sources: circuits of the benchmark
-  generator for the refine and map workloads, and one of them
-  comment-headed, with CRLF line ends, all on one line, with
-  whole-register operands and with parameterised gates.
+  generator for the refine and map workloads; one of them comment-headed,
+  with CR LF, CR, U+2028 or form-feed line breaks, and all on one line;
+  statements over several lines with comments inside, a CR followed by a
+  comment line, whole-register operands and parameterised gates.
 
 Each decode also stores its smallest decision margin: over every step of
 every start, the gap between the two most probable free seats where the
@@ -58,10 +59,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-
-import qlayout as ql
-from qlayout.diffcore import softmax_array
-from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
 
 # the benchmark's circuit generator, read from this checkout's perfbench/
 sys.path.append(str(Path(__file__).resolve().parents[1]))
@@ -96,6 +93,14 @@ def parse_sources():
         "\n\n" + sample)
     sources["crlf"] = sample.replace("\n", "\r\n")
     sources["one-line"] = " ".join(sample.splitlines())
+    sources["cr"] = sample.replace("\n", "\r")
+    sources["line-separator"] = sample.replace("\n", "\u2028")
+    sources["form-feed"] = sample.replace("\n", "\f")
+    sources["multi-line-statements"] = (
+        "OPENQASM 2.0;\nqreg q[3];\ncx q[0], // control\n  q[2];\n"
+        "rz(pi/2)\n\nq[1]; h\nq[0]\n;\nswap q[1],\n// q[0]\nq[2];\n")
+    sources["cr-comment"] = (
+        "qreg q[2];\r// c\nh q[1];\r// d; x q[0];\ncx q[1],q[0];\r\n")
     sources["broadcast"] = (
         "OPENQASM 2.0;\nqreg q[3];\nqreg r[2];\ncreg c[2];\nh q;\nx r;\n"
         "cx q[2],r[0];\nbarrier q,r;\nmeasure r -> c;\n")
@@ -107,6 +112,8 @@ def parse_sources():
 
 
 def map_graphs(policy, count=10):
+    import qlayout as ql
+
     rng = random.Random("equivalence:map")
     graphs = []
     for i in range(count):
@@ -118,6 +125,8 @@ def map_graphs(policy, count=10):
 
 
 def desk_policy(norm="graph", context="concat_project", shared=False):
+    import qlayout as ql
+
     enc = ql.EncoderConfig(layers=2, heads=4, embed_dim=16, norm_kind=norm)
     dec = ql.DecoderConfig(heads=4, context_dim=16, context_kind=context)
     return ql.PolicyNetwork(ql.build_grid(4, 4), enc, dec, prog_feature_dim=12,
@@ -125,6 +134,8 @@ def desk_policy(norm="graph", context="concat_project", shared=False):
 
 
 def desk_graphs(count, seed):
+    import qlayout as ql
+
     rng = np.random.default_rng(seed)
     return [ql.gen_random_instance(int(rng.integers(6, 13)), 0.3, rng,
                                    n_max=12) for _ in range(count)]
@@ -137,6 +148,8 @@ def decision_margin(policy, pg, strategy):
     Start s draws from ``default_rng([seed, s])``; the greedy kinds sample
     only the first step of starts after the first, the sampling kinds
     sample every step."""
+    from qlayout.diffcore import softmax_array
+
     n = pg.num_logical
     emb = policy.encode(pg)
     table = policy.stacked_logit_table(emb.program, emb.physical,
@@ -172,6 +185,8 @@ def decision_margin(policy, pg, strategy):
 
 
 def decode_record(policy, pg, kind, cost_mode):
+    import qlayout as ql
+
     strategy = ql.DecodeStrategy.make(kind, k=4 if "multistart" in kind
                                       else 1, seed=0)
     cm = ql.CostModel(cost_mode, policy.cg.distances)
@@ -188,6 +203,8 @@ def search_records(out, name, pg, cg, initial, seed, resets=(False, True),
                    **budget):
     """Refine ``initial`` under both neighbourhoods, both cost modes and
     each patience rule in ``resets``; store each layout and cost."""
+    import qlayout as ql
+
     for hood, mode, reset in itertools.product(
             ("random_assignment", "random_swap"), COST_MODES, resets):
         cfg = ql.SearchConfig(neighborhood=hood, seed=seed, cost_mode=mode,
@@ -200,6 +217,9 @@ def search_records(out, name, pg, cg, initial, seed, resets=(False, True),
 
 
 def record():
+    import qlayout as ql
+    from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
+
     out = {"decode": {}, "rollout": {}, "local_search": {},
            "brute_force": {}, "train": {}, "batch_norm": {}, "parse": {}}
 
