@@ -8,7 +8,8 @@ registers only: a classical one there, or a register name declared twice,
 is a ParseError. The operands of barrier and measure are checked as well:
 a barrier's must be declared quantum registers in range, and
 ``measure a -> b`` needs a quantum ``a`` and a classical ``b`` of the
-same width.
+same width. A register size or index too long for ``int`` is a ParseError
+too.
 
 Every document is read by one statement loop. Each line break (any that
 ``str.splitlines`` knows) becomes one LF, ``//`` comments are cut, and
@@ -49,9 +50,11 @@ _OPERAND_RE = re.compile(r"^(\w+)\s*(?:\[\s*(\d+)\s*\])?$")
 _COMMENT_RE = re.compile(r"//[^\n]*")
 # A simple gate: a name, then its parameters or a blank (so the name is as
 # long as the handler reads it), then one or two indexed operands. Groups:
-# the name and each operand's register and index.
-_GATE_RE = re.compile(r"\s*(\w+)(?:\s*\([^)]*\)\s*|\s+)(\w+)\s*\[\s*(\d+)\s*\]"
-                      r"(?:\s*,\s*(\w+)\s*\[\s*(\d+)\s*\])?\s*")
+# the name and each operand's register and index. An index of ten or more
+# digits takes the general path, so ``int`` here never meets a long one.
+_GATE_RE = re.compile(r"\s*(\w+)(?:\s*\([^)]*\)\s*|\s+)"
+                      r"(\w+)\s*\[\s*(\d{1,9})\s*\]"
+                      r"(?:\s*,\s*(\w+)\s*\[\s*(\d{1,9})\s*\])?\s*")
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,8 @@ class _Document:
             dm = re.match(r"^(\w+)\s*\[\s*(\d+)\s*\]$", rest)
             if not dm:
                 raise ParseError(f"malformed {head} declaration '{rest}'", line=line)
-            name, size = dm.group(1), int(dm.group(2))
+            name = dm.group(1)
+            size = _number(dm.group(2), f"size of {head} '{name}'", line)
             if name in self.qregs or name in self.cregs:
                 raise ParseError(f"duplicate register '{name}'", line=line)
             if head == "qreg":
@@ -228,12 +232,23 @@ def _indices(name, idx, size, line):
     index when ``idx`` is None."""
     if idx is None:
         return range(size)
-    idx = int(idx)
+    idx = _number(idx, f"index into '{name}[{size}]'", line)
     if idx >= size:
         raise ParseError(
             f"index {idx} out of range for register '{name}[{size}]'", line=line
         )
     return [idx]
+
+
+def _number(digits, what, line):
+    """The int a run of digits spells. One longer than ``int`` converts
+    (``sys.get_int_max_str_digits``) is a ParseError that names ``what``:
+    no register can be that large, so neither can an index into one."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} has {len(digits)} digits; no register is "
+                         "that large", line=line) from None
 
 
 def check_qubit_count(num_qubits, limit, what):

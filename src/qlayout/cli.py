@@ -127,7 +127,8 @@ def train(device, n_min, n_max, epochs, batches, batch_size, lr, edge_prob,
         cfg, enc, dec, cg, shared_encoder=shared_encoder,
         log_fn=lambda r: click.echo(
             f"epoch {r.epoch}: reward {r.mean_reward:.3f} "
-            f"baseline {r.baseline:.3f} grad {r.grad_norm:.4f}"
+            f"baseline {r.baseline:.3f} grad {r.grad_norm:.4f} "
+            f"adv std {r.adv_std:.3f}"
         ),
     )
     policy.save(out)

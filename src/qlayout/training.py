@@ -8,7 +8,12 @@ set, in one batched rollout as for a training batch, and the scalar mean
 reward becomes the baseline for every episode of that epoch. Each training
 batch builds one tape: one encode call embeds the batch's program graphs
 as one padded stack and the device graph once, every episode's rows join
-one stacked logit table, and one backward gives the batch's gradient.
+one stacked logit table, one masked softmax over that table (every row's
+mask built in one pass) and one indicator matmul give the batch's (B,)
+vector of log-probabilities, and the loss is one dot of that vector with
+-advantages. One backward gives the batch's gradient; each row's log
+receives exactly its episode's -advantage, so the gradient is bit for bit
+that of a sum of per-episode losses.
 
 Every rollout and decode chooses its seats with one lockstep walk over the
 plain logit table (``_walk``), every episode or start at once with a mask
@@ -88,17 +93,34 @@ class DecodeStrategy:
 
 def gen_random_instance(n, edge_prob, rng, n_max=None) -> ProgramGraph:
     """Erdos-Renyi program graph with randomized edge orientation and
-    one-hot node features (padded to n_max)."""
+    one-hot node features (padded to n_max).
+
+    The pairs i < j are visited in row-major order. Each takes one draw,
+    ``< edge_prob`` making it an edge, and an edge takes one more, ``< 0.5``
+    orienting it i -> j. The draws come in blocks of exactly the values
+    this sequence is sure to read next: one per pair left, plus the
+    orientation of the last edge when it is still pending. So the edges
+    and the state of ``rng`` afterwards are those of one ``rng.random()``
+    call per draw.
+    """
     if n < 2:
         raise ConfigError("instances need at least two logical qubits")
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                if rng.random() < 0.5:
-                    edges.append((i, j))
-                else:
-                    edges.append((j, i))
+    i, j = 0, 1  # the next pair
+    left = n * (n - 1) // 2  # pairs not yet drawn
+    edge = None  # the last pair drawn, while it is an edge without orientation
+    while left or edge:
+        for u in rng.random(left + bool(edge)).tolist():
+            if edge:
+                edges.append(edge if u < 0.5 else edge[::-1])
+                edge = None
+                continue
+            if u < edge_prob:
+                edge = (i, j)
+            left -= 1
+            j += 1
+            if j == n:
+                i, j = i + 1, i + 2
     return ProgramGraph(n, tuple(edges), onehot_features(n, n_max))
 
 
@@ -108,6 +130,15 @@ class RolloutResult:
     log_prob: object  # Tensor during training, float otherwise
     reward: float
     cost: float
+
+
+class RolloutBatch(list):
+    """The results of a rollout over a list of program graphs, in order.
+    With ``train``, ``log_probs`` is the (B,) tape of their
+    log-probabilities and each result's ``log_prob`` is one entry of it;
+    otherwise it is None."""
+
+    log_probs = None
 
 
 def _episodes(batch, cg, policy, cost_model, train):
@@ -140,9 +171,10 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     whose gradient is that of the episode's log-probability.
 
     Given a list of program graphs, run one episode per graph and return a
-    list of results. The episodes share one encode call, one pointer pass,
-    one lockstep walk and, with ``train``, one tape; sampled episodes draw
-    from ``rng`` one episode after another.
+    ``RolloutBatch`` of results. The episodes share one encode call, one
+    pointer pass, one lockstep walk and, with ``train``, one tape, which
+    the batch's ``log_probs`` holds; sampled episodes draw from ``rng`` one
+    episode after another.
     """
     if mode not in ROLLOUT_MODES:
         raise ConfigError(
@@ -158,8 +190,12 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     else:
         uniforms = [()] * len(batch)
     seats, log_ps = _walk(table.data, firsts, sizes, uniforms)
-    log_ps = _log_probs(table, seats) if train else log_ps.tolist()
-    results = []
+    results = RolloutBatch()
+    if train:
+        results.log_probs = _log_probs(table, seats)
+        log_ps = [dc.gather(results.log_probs, e) for e in range(len(batch))]
+    else:
+        log_ps = log_ps.tolist()
     for assign, log_p, cost_fn in zip(seats, log_ps, cost_fns):
         cost = cost_fn(assign)
         results.append(RolloutResult(Layout(assign), log_p, -cost, cost))
@@ -220,24 +256,35 @@ def _walk(logits, firsts, sizes, uniforms):
     return [seats[i, :sizes[i]] for i in back], log_p[back]
 
 
+def _step_masks(seats, n_phys):
+    """The feasible seats of every row of a stacked table whose episode i
+    takes ``seats[i]`` in its rows, one row per step; and the episode of
+    each row. Step t may take a seat its episode takes at step t or
+    later, so the mask compares the step that takes each seat with the
+    row's step."""
+    sizes = [len(assign) for assign in seats]
+    episode = np.repeat(np.arange(len(seats)), sizes)
+    step = np.arange(len(episode)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    taken = np.full((len(seats), n_phys), n_phys)  # no step reaches N
+    taken[episode, np.concatenate(seats)] = step
+    return taken[episode] >= step[:, None], episode
+
+
 def _log_probs(table, seats):
-    """Each episode's log-probability on the tape. ``table`` stacks the
-    episodes' rows and ``seats[i]`` holds episode i's chosen seats; every
-    step's masked softmax is one (rows, N) op, read at the chosen seats."""
+    """The (B,) tape of the B episodes' log-probabilities. ``table`` stacks
+    the episodes' rows and ``seats[i]`` holds episode i's chosen seats;
+    every step's masked softmax is one (rows, N) op, read at the chosen
+    seats, and one indicator matmul sums each episode's rows.
+
+    The gradient of a weighted sum of the result reaches each row's log as
+    exactly its episode's weight: the other terms are exact zeros."""
     rows, n_phys = table.shape
-    feasible = np.ones((rows, n_phys), dtype=bool)
-    lo = 0
-    for assign in seats:
-        # step t of an episode may not reuse the seats of its steps < t
-        step, earlier = np.tril_indices(len(assign), -1)
-        feasible[lo + step, assign[earlier]] = False
-        lo += len(assign)
+    feasible, episode = _step_masks(seats, n_phys)
     probs = PolicyNetwork.masked_distribution(table, feasible)
     logs = dc.log(dc.gather(probs.reshape(rows * n_phys),
                             np.arange(rows) * n_phys + np.concatenate(seats)))
-    ends = np.cumsum([len(assign) for assign in seats])
-    return [dc.tsum(dc.gather(logs, np.arange(end - len(assign), end)))
-            for assign, end in zip(seats, ends)]
+    member = np.arange(len(seats))[:, None] == episode
+    return dc.matmul(member.astype(np.float64), logs)
 
 
 def _start_rng(seed, start):
@@ -274,6 +321,7 @@ class EpochMetrics:
     baseline: float
     grad_norm: float
     wallclock_s: float
+    adv_std: float  # mean over the epoch's batches of the advantages' std
 
 
 def _batch_gradient(batch, cg, policy, cost_model, rng, baseline):
@@ -281,7 +329,9 @@ def _batch_gradient(batch, cg, policy, cost_model, rng, baseline):
     the rewards and the REINFORCE gradient of the batch, the mean over
     episodes of -advantage * grad log-probability.
 
-    The batch's episodes share one tape and one backward runs. Each
+    The batch's episodes share one tape, and the loss is one dot of their
+    log-probability vector with -advantages, so one backward runs and
+    each row's log receives exactly its episode's -advantage. Each
     parameter's gradient is an array, zero if the tape does not reach it.
     """
     episodes = rollout(batch, cg, policy, mode="sample", rng=rng,
@@ -289,8 +339,7 @@ def _batch_gradient(batch, cg, policy, cost_model, rng, baseline):
     rewards = [res.reward for res in episodes]
     advantages = np.array(rewards) - baseline
     policy.store.zero_grad()
-    sum(res.log_prob * (-float(adv))
-        for res, adv in zip(episodes, advantages)).backward()
+    dc.matmul(episodes.log_probs, -advantages).backward()
     reached = policy.store.grads()
     grads = {name: reached[name] / len(batch) if name in reached
              else np.zeros_like(t.data)
@@ -323,11 +372,13 @@ def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
         baseline = sum(res.reward for res in greedy) / len(greedy)
         epoch_rewards = []
         grad_norms = []
+        adv_stds = []
         for _ in range(cfg.batches_per_epoch):
             batch = [draw(inst_rng) for _ in range(cfg.batch_size)]
             rewards, grads = _batch_gradient(
                 batch, cg, policy, cost_model, episode_rng, baseline)
             epoch_rewards.extend(rewards)
+            adv_stds.append(float(np.std(np.array(rewards) - baseline)))
             dc.adam_step(params, grads, state, lr=cfg.lr)
             grad_norms.append(
                 float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
@@ -338,6 +389,7 @@ def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
             baseline=float(baseline),
             grad_norm=float(np.mean(grad_norms)),
             wallclock_s=time.perf_counter() - t0,
+            adv_std=float(np.mean(adv_stds)),
         )
         metrics.append(row)
         if log_fn is not None:

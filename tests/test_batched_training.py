@@ -37,6 +37,7 @@ from qlayout.training import (
     TrainConfig,
     _batch_gradient,
     _start_rng,
+    _step_masks,
     _walk,
     decode,
     gen_random_instance,
@@ -134,6 +135,62 @@ class TestBatchStep:
         assert grads.keys() == reference.keys()
         assert_grads_close(grads, reference, 1e-10)
 
+    @SETTINGS
+    @given(batch=batches(), seed=st.integers(0, 50))
+    def test_gradient_is_bit_identical_to_per_episode_sums(
+            self, norm, context, shared, batch, seed):
+        """One dot of the log-probability vector with -advantages gives
+        every row's log exactly its episode's -advantage, as the sum of
+        per-episode ``tsum * -advantage`` terms did, so the gradients are
+        equal bit for bit."""
+        pol = make_policy(norm, context, shared, seed=seed)
+        ref_pol = copy.deepcopy(pol)
+        cm = CostModel.for_graph(pol.cg)
+        emb = ref_pol.encode(batch, train=True)
+        table = ref_pol.stacked_logit_table(
+            emb.program, emb.physical,
+            [np.arange(pg.num_logical) for pg in batch])
+        sizes = [pg.num_logical for pg in batch]
+        firsts = np.cumsum([0] + sizes[:-1])
+        uniforms = np.split(np.random.default_rng(seed).random(sum(sizes)),
+                            firsts[1:])
+        seats, _ = _walk(table.data, firsts, sizes, uniforms)
+        rewards = [-fast_cost_fn(pg, cm)(s) for pg, s in zip(batch, seats)]
+        baseline = float(rewards[0])  # one advantage is exactly zero
+        rows, n_phys = table.shape
+        probs = PolicyNetwork.masked_distribution(
+            table, reference_masks(seats, n_phys))
+        logs = dc.log(dc.gather(probs.reshape(rows * n_phys),
+                                np.arange(rows) * n_phys
+                                + np.concatenate(seats)))
+        loss = sum(dc.tsum(dc.gather(logs, np.arange(lo, lo + n)))
+                   * (-float(reward - baseline))
+                   for lo, n, reward in zip(firsts, sizes, rewards))
+        reference = grads_of(ref_pol, loss)
+
+        got_rewards, grads = _batch_gradient(
+            batch, pol.cg, pol, cm, np.random.default_rng(seed), baseline)
+        assert got_rewards == rewards
+        for name, g in grads.items():
+            want = reference.get(name, np.zeros_like(g)) / len(batch)
+            assert (g == want).all(), name
+
+    def test_episode_log_probs_read_the_batch_vector(
+            self, norm, context, shared):
+        pol = make_policy(norm, context, shared)
+        batch = [ProgramGraph(n, ((0, n - 1),) if n > 1 else (),
+                              onehot_features(n, N_MAX)) for n in (3, 1, 5)]
+        results = rollout(batch, pol.cg, pol, mode="sample",
+                          rng=np.random.default_rng(0), train=True)
+        assert results.log_probs.shape == (3,)
+        assert [r.log_prob.data for r in results] == \
+            results.log_probs.data.tolist()
+        # the batch loss reads the vector only, not the per-episode views
+        on_tape = {id(node) for node in dc.Tape(
+            dc.matmul(results.log_probs, np.ones(3))).order}
+        assert not any(id(r.log_prob) in on_tape for r in results)
+        assert rollout(batch, pol.cg, pol).log_probs is None
+
     def test_all_zero_advantages_give_a_zero_gradient(
             self, norm, context, shared):
         pol = make_policy(norm, context, shared)
@@ -144,6 +201,41 @@ class TestBatchStep:
         assert rewards == [0.0, 0.0, 0.0]
         assert grads.keys() == pol.store.params.keys()
         assert all(not g.any() for g in grads.values())
+
+
+def reference_masks(seats, n_phys):
+    """The per-episode mask construction that ``_step_masks`` replaced,
+    kept as an oracle: row t of an episode may not reuse the seats of its
+    rows < t."""
+    feasible = np.ones((sum(len(a) for a in seats), n_phys), dtype=bool)
+    lo = 0
+    for assign in seats:
+        step, earlier = np.tril_indices(len(assign), -1)
+        feasible[lo + step, assign[earlier]] = False
+        lo += len(assign)
+    return feasible
+
+
+@st.composite
+def seat_batches(draw):
+    """N and the seats of a batch of episodes on N seats: up to five of
+    any size, one 1-qubit episode and one that fills every seat, in a
+    drawn order."""
+    n_phys = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, n_phys), max_size=5))
+    sizes = draw(st.permutations(sizes + [1, n_phys]))
+    return n_phys, [np.array(draw(st.permutations(range(n_phys)))[:n],
+                             dtype=np.int64) for n in sizes]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=seat_batches())
+def test_step_masks_equal_the_per_episode_construction(case):
+    n_phys, seats = case
+    feasible, episode = _step_masks(seats, n_phys)
+    assert feasible.tolist() == reference_masks(seats, n_phys).tolist()
+    assert episode.tolist() == [e for e, assign in enumerate(seats)
+                                for _ in assign]
 
 
 def reference_walk(logits, rngs, n_sampled):

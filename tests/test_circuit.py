@@ -168,6 +168,31 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_qasm("qreg q[2]; h q[0]")
 
+    NINES = "9" * 5000  # longer than int() converts by default
+
+    @pytest.mark.parametrize("stmt,fragment", [
+        (f"h q[{NINES}];", "index into 'q[2]' has 5000 digits"),
+        (f"cx q[0], q[{NINES}];", "index into 'q[2]' has 5000 digits"),
+        (f"cx q[{NINES}], q[0];", "index into 'q[2]' has 5000 digits"),
+        (f"barrier q[{NINES}];", "index into 'q[2]' has 5000 digits"),
+        (f"measure q[{NINES}] -> c[0];", "index into 'q[2]' has 5000 digits"),
+        (f"measure q[0] -> c[{NINES}];", "index into 'c[1]' has 5000 digits"),
+        (f"qreg r[{NINES}];", "size of qreg 'r' has 5000 digits"),
+        (f"creg d[{NINES}];", "size of creg 'd' has 5000 digits"),
+    ])
+    def test_a_number_too_long_for_int_is_a_parse_error(self, stmt,
+                                                         fragment):
+        with pytest.raises(ParseError, match=re.escape(fragment)) as exc:
+            parse_qasm(f"qreg q[2];\ncreg c[1];\n{stmt}\nh q[0];\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("index", ["0000000001", "0" * 40 + "1"])
+    def test_a_long_in_range_index_is_read(self, index):
+        # ten or more digits take the general path, with the same result
+        c = parse_qasm(f"qreg q[2]; h q[{index}]; cx q[0], q[{index}];")
+        assert [(g.kind, g.qubits) for g in c.gates] == [("h", (1,)),
+                                                          ("cx", (0, 1))]
+
 
 class TestProgramGraph:
     def test_edge_multiplicity(self):

@@ -65,10 +65,12 @@ class TestPipeline:
             "--norm", "graph", "--out", str(ckpt), "--metrics", str(metrics),
         ])
         assert res.exit_code == 0, res.output
+        assert "adv std" in res.output
         assert ckpt.exists()
         with open(metrics, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and "mean_reward" in rows[0]
+        assert list(rows[0])[-1] == "adv_std"
 
         layout_path = tmp_path / "layout.json"
         res = runner.invoke(main, [
@@ -238,6 +240,19 @@ class TestInputBoundaries:
         code, err = run_entry(monkeypatch, capsys, "features", qasm_file,
                               "--walk-radius", "-1")
         self.assert_one_line_error(code, err, "walk_radius", "-1")
+
+    @pytest.mark.parametrize("source,fragment", [
+        ("qreg q[2];\nh q[{}];\n",
+         "line 2: index into 'q[2]' has 5000 digits"),
+        ("OPENQASM 2.0;\nqreg q[{}];\nh q[0];\n",
+         "line 2: size of qreg 'q' has 5000 digits"),
+    ])
+    def test_features_rejects_a_number_too_long_for_int(
+            self, monkeypatch, capsys, tmp_path, source, fragment):
+        f = tmp_path / "long.qasm"
+        f.write_text(source.format("9" * 5000))
+        code, err = run_entry(monkeypatch, capsys, "features", f)
+        self.assert_one_line_error(code, err, fragment)
 
     @pytest.mark.parametrize("option,value,fragment", [
         ("--strategies", ",", "at least one of its strategies"),

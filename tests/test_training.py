@@ -46,6 +46,32 @@ class TestInstanceGeneration:
         pg = gen_random_instance(3, 0.5, rng, n_max=6)
         assert pg.node_features.shape == (3, 6)
 
+    @pytest.mark.parametrize("edge_prob", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n_max", [None, 15])
+    def test_block_draws_match_one_draw_per_call(self, edge_prob, n_max):
+        got_rng = np.random.default_rng([17, int(10 * edge_prob)])
+        want_rng = np.random.default_rng([17, int(10 * edge_prob)])
+        for n in list(range(2, 16)) * 5:
+            got = gen_random_instance(n, edge_prob, got_rng, n_max=n_max)
+            want = reference_instance(n, edge_prob, want_rng, n_max)
+            assert got.edges == want.edges
+            assert got.node_features.tolist() == want.node_features.tolist()
+            assert got_rng.random() == want_rng.random()
+
+
+def reference_instance(n, edge_prob, rng, n_max=None):
+    """The per-pair generator that block draws replaced, frozen as an
+    oracle: one ``rng.random()`` per pair and one more per edge."""
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                if rng.random() < 0.5:
+                    edges.append((i, j))
+                else:
+                    edges.append((j, i))
+    return ProgramGraph(n, tuple(edges), onehot_features(n, n_max))
+
 
 class TestRollout:
     def test_single_qubit_instance_reward_zero(self):

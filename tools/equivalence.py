@@ -30,6 +30,12 @@ A record holds, as exact JSON floats:
   keyed ``b<i>/<device>/<cost mode>``;
 - ``train``: four desk-scale epochs (mean reward, baseline, gradient norm)
   and every final parameter;
+- ``batch_gradient``: the rewards and every parameter's gradient of one
+  ``_batch_gradient`` call on a fixed 32-instance batch for each of the 18
+  desk policies, keyed ``grid4x4/<norm>/<context>/shared=<flag>``; and
+  ``instances``, the edges of 200 ``gen_random_instance`` draws (2-15
+  qubits, edge probabilities 0.3, 0.5 and 1) and ``next_draw``, the
+  generator's next ``random()`` after them;
 - ``batch_norm``: two short epochs of a desk-scale batch-norm policy with
   separate and with shared encoders, keyed ``shared=<flag>``: each epoch's
   mean reward, baseline and gradient norm, and every final running mean
@@ -219,9 +225,11 @@ def search_records(out, name, pg, cg, initial, seed, resets=(False, True),
 def record():
     import qlayout as ql
     from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
+    from qlayout.training import _batch_gradient
 
     out = {"decode": {}, "rollout": {}, "local_search": {},
-           "brute_force": {}, "train": {}, "batch_norm": {}, "parse": {}}
+           "brute_force": {}, "train": {}, "batch_gradient": {},
+           "batch_norm": {}, "parse": {}}
 
     for name, source in parse_sources().items():
         circ = ql.parse_qasm(source)
@@ -254,6 +262,19 @@ def record():
                 {"layout": r.layout.assign.tolist(),
                  "log_prob": float(getattr(r.log_prob, "data", r.log_prob))}
                 for r in results]
+        rewards, grads = _batch_gradient(
+            desk_graphs(32, 13), policy.cg, policy,
+            ql.CostModel("adjacent-free", policy.cg.distances),
+            np.random.default_rng(6), -30.0)
+        out["batch_gradient"][name] = {
+            "rewards": rewards,
+            "grads": {k: v.ravel().tolist() for k, v in sorted(grads.items())}}
+    rng = np.random.default_rng(14)
+    out["batch_gradient"]["instances"] = [
+        {"edges": [list(e) for e in ql.gen_random_instance(
+            int(rng.integers(2, 16)), (0.3, 0.5, 1.0)[i % 3], rng).edges]}
+        for i in range(200)]
+    out["batch_gradient"]["next_draw"] = rng.random()
 
     searches = out["local_search"]
     rng = np.random.default_rng(3)
