@@ -1,11 +1,11 @@
 """Dataset ingestion, end-to-end evaluation, and comparison reporting.
 
-A dataset is a directory of ``.qasm`` files. For every instance, strategy,
-and seed the harness decodes a layout, optionally refines it with local
-search, and records costs and per-stage wall time. Summaries aggregate
-mean/std across seeds, overall and grouped by circuit family (filename
-prefix) and by two-qubit-gate-count bucket. Externally produced baseline
-costs can be joined from a CSV.
+A dataset is a directory of ``.qasm`` files. One ``decode`` call gives an
+instance's layouts under every strategy and seed; the harness optionally
+refines each with local search and records costs and per-stage wall time.
+Summaries aggregate mean/std across seeds, overall and grouped by circuit
+family (filename prefix) and by two-qubit-gate-count bucket. Externally
+produced baseline costs can be joined from a CSV.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class BenchRun:
     def __post_init__(self):
         """Reject a device other than the policy's, and strategies or seeds
         that are empty, repeated or that ``DecodeStrategy`` rejects, before
-        any circuit is read."""
+        any circuit is read; ``runs`` is every (strategy, seed) pair's."""
         self.policy.check_device(self.device)
         for name, values in (("strategies", self.strategies),
                              ("seeds", self.seeds)):
@@ -56,9 +56,8 @@ class BenchRun:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"bench {name} repeat {repeated[0]!r}")
-        for kind in self.strategies:
-            for seed in self.seeds:
-                DecodeStrategy.make(kind, k=self.multistart_k, seed=seed)
+        self.runs = [DecodeStrategy.make(kind, k=self.multistart_k, seed=seed)
+                     for kind in self.strategies for seed in self.seeds]
 
 
 @dataclass
@@ -103,34 +102,31 @@ def load_dataset(path, policy):
 
 
 def run_bench(cfg: BenchRun):
-    """Returns (rows, summary)."""
+    """Returns (rows, summary). A circuit's rows share one ``decode`` call,
+    whose time they split evenly as their ``wall_ms_rl``."""
     cost_model = CostModel(cfg.cost_mode, cfg.device.distances)
     instances, skipped = load_dataset(cfg.dataset, cfg.policy)
     rows = []
     for name, pg in instances:
-        family = family_from_name(name)
-        for kind in cfg.strategies:
-            for seed in cfg.seeds:
-                strategy = DecodeStrategy.make(kind, k=cfg.multistart_k,
-                                               seed=seed)
-                t0 = time.perf_counter()
-                layout, rl_cost = decode(pg, cfg.device, cfg.policy, strategy,
-                                         cost_model)
-                wall_rl = (time.perf_counter() - t0) * 1e3
-                pp_cost, wall_pp = rl_cost, 0.0
-                if cfg.postprocess:
-                    search = cfg.search or SearchConfig(
-                        cost_mode=cfg.cost_mode, seed=seed)
-                    t1 = time.perf_counter()
-                    refined = local_search(layout, pg, cfg.device, search)
-                    wall_pp = (time.perf_counter() - t1) * 1e3
-                    pp_cost = fast_cost_fn(pg, cost_model)(refined.assign)
-                rows.append(ReportRow(
-                    instance=name, family=family, n=pg.num_logical,
-                    two_qubit_gates=pg.num_edges, strategy=kind, seed=seed,
-                    rl_cost=rl_cost, pp_cost=pp_cost,
-                    wall_ms_rl=wall_rl, wall_ms_pp=wall_pp,
-                ))
+        t0 = time.perf_counter()
+        decoded = decode(pg, cfg.device, cfg.policy, cfg.runs, cost_model)
+        wall_rl = (time.perf_counter() - t0) * 1e3 / len(cfg.runs)
+        cost_fn = fast_cost_fn(pg, cost_model)
+        for strategy, (layout, rl_cost) in zip(cfg.runs, decoded):
+            pp_cost, wall_pp = rl_cost, 0.0
+            if cfg.postprocess:
+                search = cfg.search or SearchConfig(
+                    cost_mode=cfg.cost_mode, seed=strategy.seed)
+                t1 = time.perf_counter()
+                refined = local_search(layout, pg, cfg.device, search)
+                wall_pp = (time.perf_counter() - t1) * 1e3
+                pp_cost = cost_fn(refined.assign)
+            rows.append(ReportRow(
+                instance=name, family=family_from_name(name),
+                n=pg.num_logical, two_qubit_gates=pg.num_edges,
+                strategy=strategy.kind, seed=strategy.seed, rl_cost=rl_cost,
+                pp_cost=pp_cost, wall_ms_rl=wall_rl, wall_ms_pp=wall_pp,
+            ))
     rows.sort(key=lambda r: (r.instance, r.strategy, r.seed))
     return rows, summarize(rows, skipped=skipped)
 
@@ -277,13 +273,15 @@ def run_context_ablation(cg, train_cfg, enc_cfg, dec_cfg, test_instances,
         if kind == "stack_project":
             dcfg = replace(dcfg, context_dim=enc_cfg.embed_dim)
         policy, _ = train_new(train_cfg, enc_cfg, dcfg, cg, log_fn=log_fn)
+        strategies = [DecodeStrategy.make(strat, k=multistart_k,
+                                          seed=train_cfg.seed)
+                      for strat in STRATEGY_KINDS]
+        costs = [[cost for _, cost in decode(pg, cg, policy, strategies,
+                                             cost_model)]
+                 for pg in test_instances]
         row = {"context_encoding": kind}
-        for strat in STRATEGY_KINDS:
-            strategy = DecodeStrategy.make(strat, k=multistart_k,
-                                           seed=train_cfg.seed)
-            costs = [decode(pg, cg, policy, strategy, cost_model)[1]
-                     for pg in test_instances]
-            row[strat] = float(np.mean(costs))
+        for strat, column in zip(STRATEGY_KINDS, zip(*costs)):
+            row[strat] = float(np.mean(column))
         results.append(row)
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:

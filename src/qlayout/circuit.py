@@ -44,6 +44,9 @@ SINGLE_QUBIT_GATES = frozenset(
     "id x y z h s sdg t tdg sx sxdg rx ry rz p u u1 u2 u3 U".split()
 )
 TWO_QUBIT_GATES = frozenset(["cx", "cz", "swap", "CX"])
+# extract_features holds (n, n) float arrays: 2048 qubits, more than any
+# device built has, keeps each at 32 MiB; wider circuits are refused first
+FEATURE_QUBIT_LIMIT = 2048
 
 _STMT_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*)$", re.S)
 _OPERAND_RE = re.compile(r"^(\w+)\s*(?:\[\s*(\d+)\s*\])?$")
@@ -375,6 +378,7 @@ def extract_features(c: Circuit, walk_radius: int = 4):
     n = c.num_qubits
     if n < 1:
         raise EmptyCircuitError("circuit has no qubits")
+    check_qubit_count(n, FEATURE_QUBIT_LIMIT, "the feature bound")
     eta = len(c.gates)
     if eta == 0:
         raise EmptyCircuitError("circuit has no gates")

@@ -467,7 +467,9 @@ class PolicyNetwork:
     def masked_distribution(logits: Tensor, feasible) -> Tensor:
         """Softmax over the last axis with zero mass on infeasible seats:
         one step (N,), or a stack of rows (T, N) with a mask per row."""
-        feasible = check_feasible(feasible)
+        feasible = np.asarray(feasible, dtype=bool)
+        if not feasible.any(axis=-1).all():
+            raise InfeasibleStateError("no feasible action remains")
         return dc.softmax(dc.masked_fill(logits, ~feasible, -np.inf), axis=-1)
 
     # --- checkpointing ----------------------------------------------
@@ -553,14 +555,6 @@ class PolicyNetwork:
             net.store.buffers[name] = _checked_array(
                 name, values, net.store.buffers[name].shape)
         return net
-
-
-def check_feasible(feasible):
-    """``feasible`` as a bool mask in which every row leaves a seat."""
-    feasible = np.asarray(feasible, dtype=bool)
-    if not feasible.any(axis=-1).all():
-        raise InfeasibleStateError("no feasible action remains")
-    return feasible
 
 
 def _same_names(stored, expected, what):

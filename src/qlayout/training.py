@@ -16,9 +16,9 @@ receives exactly its episode's -advantage, so the gradient is bit for bit
 that of a sum of per-episode losses.
 
 Every rollout and decode chooses its seats with one lockstep walk over the
-plain logit table (``_walk``), every episode or start at once with a mask
-per episode. A sampled step inverts the CDF with one uniform, exactly as
-``Generator.choice`` does, and the uniforms are drawn up front: a batch's
+plain logit table (``_walk``), every episode or start at once (a decode's
+every start of every strategy) with a mask per episode. A sampled step
+inverts the CDF with one uniform, exactly as ``Generator.choice`` does, and the uniforms are drawn up front: a batch's
 sampled rollout draws all of them from its one ``rng`` in episode order,
 and each decode start from its own stream. ``choice`` draws one double per
 call, so the seats and the state of every stream are the same as with one
@@ -38,7 +38,7 @@ from .circuit import ProgramGraph, check_qubit_count, onehot_features
 from .errors import (ConfigError, NumericError, check_integer,
                      check_positive_float, check_probability)
 from .objective import CostModel, Layout, check_cost_mode, fast_cost_fn
-from .policy import DecoderConfig, EncoderConfig, PolicyNetwork, check_feasible
+from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
 from .topology import CouplingGraph
 
 STRATEGY_KINDS = ("greedy", "sampling", "multistart_greedy", "multistart_sampling")
@@ -127,7 +127,6 @@ def gen_random_instance(n, edge_prob, rng, n_max=None) -> ProgramGraph:
 @dataclass
 class RolloutResult:
     layout: Layout
-    log_prob: object  # Tensor during training, float otherwise
     reward: float
     cost: float
 
@@ -135,8 +134,7 @@ class RolloutResult:
 class RolloutBatch(list):
     """The results of a rollout over a list of program graphs, in order.
     With ``train``, ``log_probs`` is the (B,) tape of their
-    log-probabilities and each result's ``log_prob`` is one entry of it;
-    otherwise it is None."""
+    log-probabilities; otherwise it is None."""
 
     log_probs = None
 
@@ -167,20 +165,22 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     """Run one episode placing every logical qubit in ascending order.
 
     ``mode`` is "greedy" (argmax, first index on ties) or "sample", which
-    draws from ``rng``. With ``train`` the result's ``log_prob`` is a tape
-    whose gradient is that of the episode's log-probability.
+    draws from ``rng``.
 
     Given a list of program graphs, run one episode per graph and return a
     ``RolloutBatch`` of results. The episodes share one encode call, one
-    pointer pass, one lockstep walk and, with ``train``, one tape, which
-    the batch's ``log_probs`` holds; sampled episodes draw from ``rng`` one
-    episode after another.
+    pointer pass, one lockstep walk and, with ``train`` (which needs a
+    list), one tape, which the batch's ``log_probs`` holds; sampled
+    episodes draw from ``rng`` one episode after another.
     """
     if mode not in ROLLOUT_MODES:
         raise ConfigError(
             f"unknown rollout mode {mode!r}; use one of {ROLLOUT_MODES}")
     if mode == "sample" and rng is None:
         raise ConfigError("a sampled rollout needs an rng")
+    if train and not isinstance(pg, list):
+        raise ConfigError("a training rollout takes a list of program "
+                          "graphs: its log-probabilities are the batch's")
     batch = pg if isinstance(pg, list) else [pg]
     table, cost_fns = _episodes(batch, cg, policy, cost_model, train)
     sizes = [one.num_logical for one in batch]
@@ -189,16 +189,13 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
         uniforms = np.split(rng.random(sum(sizes)), firsts[1:])
     else:
         uniforms = [()] * len(batch)
-    seats, log_ps = _walk(table.data, firsts, sizes, uniforms)
+    seats = _walk(table.data, firsts, sizes, uniforms)
     results = RolloutBatch()
     if train:
         results.log_probs = _log_probs(table, seats)
-        log_ps = [dc.gather(results.log_probs, e) for e in range(len(batch))]
-    else:
-        log_ps = log_ps.tolist()
-    for assign, log_p, cost_fn in zip(seats, log_ps, cost_fns):
+    for assign, cost_fn in zip(seats, cost_fns):
         cost = cost_fn(assign)
-        results.append(RolloutResult(Layout(assign), log_p, -cost, cost))
+        results.append(RolloutResult(Layout(assign), -cost, cost))
     return results if isinstance(pg, list) else results[0]
 
 
@@ -208,20 +205,23 @@ def _walk(logits, firsts, sizes, uniforms):
     without a tape.
 
     Episode e takes its ``sizes[e]`` steps from the rows ``firsts[e]``
-    onwards (episodes may share rows). It samples its first
-    ``len(uniforms[e])`` steps, step t with the uniform ``uniforms[e][t]``,
-    and takes the argmax (first index on ties) after that. A draw inverts
-    the distribution's CDF exactly as ``Generator.choice(p=...)`` does:
-    normalise, cumulative sum, divide by the last entry, and count the
-    entries <= u. Returns each episode's seats and log-probability.
+    onwards (episodes may share rows), at most one per seat. It samples
+    its first ``len(uniforms[e])`` steps, step t with the uniform
+    ``uniforms[e][t]``, and takes the argmax (first index on ties) after
+    that. A draw inverts the distribution's CDF exactly as
+    ``Generator.choice(p=...)`` does: normalise, cumulative sum, divide by
+    the last entry, and count the entries <= u. Returns the seats.
     """
+    # finite logits give finite probabilities at every step
+    if not np.isfinite(logits).all():
+        raise NumericError("the walk's logit table has non-finite entries")
     # longest episodes first, so that the episodes still running at any
     # step are a prefix and the per-step arrays are slices
     order = np.argsort(-np.asarray(sizes), kind="stable")
     sizes = np.asarray(sizes)[order]
     rows = np.asarray(firsts, dtype=np.intp)[order]
     n_sampled = np.array([len(uniforms[e]) for e in order])
-    n_eps, n_phys = len(order), logits.shape[1]
+    n_eps = len(order)
     most_sampled = n_sampled.max()
     draws = np.zeros((n_eps, sizes[0]))
     for i, e in enumerate(order):
@@ -231,12 +231,10 @@ def _walk(logits, firsts, sizes, uniforms):
                               len(logits) - 1)]
     eps = np.arange(n_eps)
     live = (sizes > np.arange(sizes[0])[:, None]).sum(axis=1)
-    feasible = np.ones((n_eps, n_phys), dtype=bool)
+    free = np.ones((n_eps, logits.shape[1]), dtype=bool)
     seats = np.zeros((n_eps, sizes[0]), dtype=np.int64)
-    log_p = np.zeros(n_eps)
     for t, m in enumerate(live):
-        free = check_feasible(feasible[:m])
-        probs = dc.softmax_array(np.where(free, steps[:m, t], -np.inf), 1)
+        probs = dc.softmax_array(np.where(free[:m], steps[:m, t], -np.inf), 1)
         actions = np.argmax(probs, axis=1)
         if t < most_sampled:
             sampled = np.flatnonzero(n_sampled[:m] > t)
@@ -246,14 +244,9 @@ def _walk(logits, firsts, sizes, uniforms):
             u = draws[sampled, t]
             actions[sampled] = (cdf <= u[:, None]).sum(axis=1)
         seats[:m, t] = actions
-        log_p[:m] += np.log(probs[eps[:m], actions])
-        feasible[eps[:m], actions] = False
-    # a softmax row with a non-finite entry is NaN throughout, and so is
-    # the log-probability of every episode that met one
-    if not np.isfinite(log_p).all():
-        raise NumericError("a walk step has non-finite probabilities")
+        free[eps[:m], actions] = False
     back = np.argsort(order)
-    return [seats[i, :sizes[i]] for i in back], log_p[back]
+    return [seats[i, :sizes[i]] for i in back]
 
 
 def _step_masks(seats, n_phys):
@@ -295,23 +288,30 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
            strategy: DecodeStrategy, cost_model=None):
     """Decode one instance under the given strategy; returns (Layout, cost).
 
-    All k starts share one logit table and advance in lockstep, each on its
-    own RNG stream derived from the strategy seed; the stream of start 0
-    matches the corresponding single-start strategy, so best-of-k can never
-    be worse.
+    Given a list of strategies, returns one (Layout, cost) per strategy.
+    Every start of every strategy shares one logit table and advances in
+    one lockstep walk, each on its own RNG stream derived from its
+    strategy's seed; the stream of start 0 matches the corresponding
+    single-start strategy, so best-of-k can never be worse.
     """
+    strategies = strategy if isinstance(strategy, list) else [strategy]
+    if not strategies:
+        raise ConfigError("decode needs at least one strategy")
     table, (cost_fn,) = _episodes([pg], cg, policy, cost_model, False)
-    if "greedy" in strategy.kind:
-        n_sampled = [0] + [1] * (strategy.k - 1)
-    else:
-        n_sampled = [pg.num_logical] * strategy.k
-    uniforms = [_start_rng(strategy.seed, start).random(count)
-                for start, count in enumerate(n_sampled)]
-    seats, _ = _walk(table.data, [0] * strategy.k,
-                     [pg.num_logical] * strategy.k, uniforms)
+    n = pg.num_logical
+    # a greedy kind samples the first step of every start but the first
+    uniforms = [_start_rng(one.seed, start).random(
+                    int(start > 0) if "greedy" in one.kind else n)
+                for one in strategies for start in range(one.k)]
+    seats = _walk(table.data, [0] * len(uniforms), [n] * len(uniforms),
+                  uniforms)
     costs = [cost_fn(assign) for assign in seats]
-    best = int(np.argmin(costs))
-    return Layout(seats[best]), costs[best]
+    results, lo = [], 0
+    for one in strategies:
+        best = lo + int(np.argmin(costs[lo:lo + one.k]))
+        results.append((Layout(seats[best]), costs[best]))
+        lo += one.k
+    return results if isinstance(strategy, list) else results[0]
 
 
 @dataclass

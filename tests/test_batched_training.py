@@ -6,7 +6,7 @@ join one stacked logit table from one pointer pass, one lockstep walk
 chooses every episode's seats, and one backward gives the batch's
 gradient. These tests pin that step to references that treat each episode
 on its own: each episode's own logit table, a per-episode walk that draws
-with ``Generator.choice``, per-episode ``rollout(train=True)`` gradients,
+with ``Generator.choice``, the gradients of one-episode training batches,
 and a REINFORCE loop with one tape and one backward per episode. They
 cover every norm kind, context kind and encoder sharing.
 """
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import qlayout.diffcore as dc
 from qlayout.circuit import ProgramGraph, onehot_features
-from qlayout.errors import NumericError
+from qlayout.errors import ConfigError, NumericError
 from qlayout.objective import CostModel, fast_cost_fn
 from qlayout.policy import (
     CONTEXT_KINDS,
@@ -116,17 +116,17 @@ class TestBatchStep:
         ref_pol = copy.deepcopy(pol)
         cm = CostModel.for_graph(pol.cg)
         ref_rng = np.random.default_rng(seed)
-        episodes = [rollout(pg, ref_pol.cg, ref_pol, mode="sample",
+        episodes = [rollout([pg], ref_pol.cg, ref_pol, mode="sample",
                             rng=ref_rng, cost_model=cm, train=True)
                     for pg in batch]
-        rewards = np.array([res.reward for res in episodes])
+        rewards = np.array([res.reward for (res,) in episodes])
         # the first episode's advantage is exactly zero
         baseline = float(rewards[0])
         adv = rewards - baseline
         reference = {k: np.zeros_like(t.data)
                      for k, t in ref_pol.store.params.items()}
-        for res, a in zip(episodes, adv):
-            for name, g in grads_of(ref_pol, res.log_prob).items():
+        for episode, a in zip(episodes, adv):
+            for name, g in grads_of(ref_pol, episode.log_probs).items():
                 reference[name] += -a * g / len(batch)
 
         got_rewards, grads = _batch_gradient(
@@ -154,7 +154,7 @@ class TestBatchStep:
         firsts = np.cumsum([0] + sizes[:-1])
         uniforms = np.split(np.random.default_rng(seed).random(sum(sizes)),
                             firsts[1:])
-        seats, _ = _walk(table.data, firsts, sizes, uniforms)
+        seats = _walk(table.data, firsts, sizes, uniforms)
         rewards = [-fast_cost_fn(pg, cm)(s) for pg, s in zip(batch, seats)]
         baseline = float(rewards[0])  # one advantage is exactly zero
         rows, n_phys = table.shape
@@ -177,18 +177,23 @@ class TestBatchStep:
 
     def test_episode_log_probs_read_the_batch_vector(
             self, norm, context, shared):
+        """Each entry of the batch's vector is its episode's
+        log-probability, as a batch of that one episode gives it; the
+        results carry none of their own."""
         pol = make_policy(norm, context, shared)
         batch = [ProgramGraph(n, ((0, n - 1),) if n > 1 else (),
                               onehot_features(n, N_MAX)) for n in (3, 1, 5)]
         results = rollout(batch, pol.cg, pol, mode="sample",
                           rng=np.random.default_rng(0), train=True)
         assert results.log_probs.shape == (3,)
-        assert [r.log_prob.data for r in results] == \
-            results.log_probs.data.tolist()
-        # the batch loss reads the vector only, not the per-episode views
-        on_tape = {id(node) for node in dc.Tape(
-            dc.matmul(results.log_probs, np.ones(3))).order}
-        assert not any(id(r.log_prob) in on_tape for r in results)
+        assert not any(hasattr(r, "log_prob") for r in results)
+        ref_rng = np.random.default_rng(0)
+        for pg, res, log_p in zip(batch, results, results.log_probs.data):
+            (one,) = alone = rollout([pg], pol.cg, pol, mode="sample",
+                                     rng=ref_rng, train=True)
+            assert one.layout.assign.tolist() == res.layout.assign.tolist()
+            want = alone.log_probs.data[0]
+            assert abs(log_p - want) <= 1e-12 * max(1.0, abs(want))
         assert rollout(batch, pol.cg, pol).log_probs is None
 
     def test_all_zero_advantages_give_a_zero_gradient(
@@ -288,13 +293,11 @@ class TestLockstepWalk:
                           train=train_mode)
             assert [r.layout.assign.tolist() for r in got] == \
                 [seats for seats, _ in want]
-            log_ps = [float(getattr(r.log_prob, "data", r.log_prob))
-                      for r in got]
-            for got_lp, (_, want_lp) in zip(log_ps, want):
-                if train_mode:
+            if train_mode:
+                for got_lp, (_, want_lp) in zip(got.log_probs.data, want):
                     assert abs(got_lp - want_lp) <= 1e-12 * abs(want_lp)
-                else:
-                    assert got_lp == want_lp
+            else:
+                assert got.log_probs is None
             assert rng.random() == ref_rng.random()
 
     @SETTINGS
@@ -316,13 +319,12 @@ class TestLockstepWalk:
                 n_sampled = ([0] + [1] * (strategy.k - 1)
                              if "greedy" in kind else [n] * strategy.k)
                 ref_rngs = [_start_rng(seed, s) for s in starts]
-                want, want_lp = reference_walk(table, ref_rngs, n_sampled)
+                want, _ = reference_walk(table, ref_rngs, n_sampled)
                 rngs = [_start_rng(seed, s) for s in starts]
-                seats, log_p = _walk(
+                seats = _walk(
                     table, [0] * strategy.k, [n] * strategy.k,
                     [rng.random(c) for rng, c in zip(rngs, n_sampled)])
                 assert [row.tolist() for row in seats] == want.tolist()
-                assert log_p.tolist() == want_lp.tolist()
                 assert [rng.random() for rng in rngs] == \
                     [rng.random() for rng in ref_rngs]
                 costs = [cost_fn(row) for row in want]
@@ -330,6 +332,47 @@ class TestLockstepWalk:
                 layout, cost = decode(pg, pol.cg, pol, strategy, cm)
                 assert (layout.assign.tolist(), cost) == \
                     (want[best].tolist(), costs[best])
+
+
+@st.composite
+def strategy_lists(draw):
+    """1-7 strategies of mixed kinds, seeds and k, some of them repeated,
+    in a drawn order."""
+    one = st.builds(DecodeStrategy.make, st.sampled_from(STRATEGY_KINDS),
+                    k=st.integers(1, 4), seed=st.integers(0, 3))
+    strategies = draw(st.lists(one, min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(strategies), max_size=2))
+    return draw(st.permutations(strategies + repeats))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(batch=batches(), strategies=strategy_lists(),
+       variant=st.sampled_from(VARIANTS))
+def test_decode_of_a_strategy_list_equals_each_strategy_alone(
+        batch, strategies, variant):
+    pol = make_policy(*variant)
+    cm = CostModel.for_graph(pol.cg)
+    for pg in batch:
+        got = decode(pg, pol.cg, pol, strategies, cm)
+        want = [decode(pg, pol.cg, pol, one, cm) for one in strategies]
+        assert [(layout.assign.tolist(), cost) for layout, cost in got] == \
+            [(layout.assign.tolist(), cost) for layout, cost in want]
+
+
+def test_decode_of_no_strategy_raises():
+    pol = make_policy("graph", "concat_project", False)
+    pg = ProgramGraph(2, ((0, 1),), onehot_features(2, N_MAX))
+    with pytest.raises(ConfigError, match="at least one strategy"):
+        decode(pg, pol.cg, pol, [])
+
+
+def test_a_single_graph_training_rollout_raises():
+    pol = make_policy("graph", "concat_project", False)
+    pg = ProgramGraph(2, ((0, 1),), onehot_features(2, N_MAX))
+    with pytest.raises(ConfigError, match="list of program graphs"):
+        rollout(pg, pol.cg, pol, train=True)
+    assert rollout([pg], pol.cg, pol, train=True).log_probs.shape == (1,)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from qlayout.bench import (
     write_summary,
 )
 from qlayout.errors import ConfigError, ParseError
-from qlayout.objective import CostModel, brute_force_optimal
+from qlayout.objective import CostModel, brute_force_optimal, fast_cost_fn
 from qlayout.policy import DecoderConfig, EncoderConfig
-from qlayout.postprocess import SearchConfig
+from qlayout.postprocess import SearchConfig, local_search
 from qlayout.topology import build_grid, build_heavy_hex
-from qlayout.training import TrainConfig
+from qlayout.training import (STRATEGY_KINDS, DecodeStrategy, TrainConfig,
+                              decode)
 
 from conftest import tiny_policy
 
@@ -145,6 +147,37 @@ class TestRunBench:
         strip = lambda rows: [(r.instance, r.strategy, r.seed, r.rl_cost,
                                r.pp_cost) for r in rows]
         assert strip(a) == strip(b)
+
+    @pytest.mark.parametrize("search", [
+        None, SearchConfig(n_iters=200, patience=50)])
+    def test_rows_equal_a_decode_per_strategy_and_seed(self, dataset,
+                                                       search):
+        """Each row holds what decoding its strategy and seed alone, then
+        searching from that layout, gives; timing columns aside."""
+        cfg = self.make_run(dataset, strategies=list(STRATEGY_KINDS)[::-1],
+                            seeds=[2, 0, 1], search=search)
+        cm = CostModel(cfg.cost_mode, cfg.device.distances)
+        want = []
+        for name, pg in load_dataset(dataset, cfg.policy)[0]:
+            cost_fn = fast_cost_fn(pg, cm)
+            for kind in cfg.strategies:
+                for seed in cfg.seeds:
+                    strategy = DecodeStrategy.make(kind, k=cfg.multistart_k,
+                                                   seed=seed)
+                    layout, rl_cost = decode(pg, cfg.device, cfg.policy,
+                                             strategy, cm)
+                    refined = local_search(
+                        layout, pg, cfg.device, search or SearchConfig(
+                            cost_mode=cfg.cost_mode, seed=seed))
+                    want.append((name, family_from_name(name),
+                                 pg.num_logical, pg.num_edges, kind, seed,
+                                 rl_cost, cost_fn(refined.assign)))
+        rows, _ = run_bench(cfg)
+        assert [astuple(r)[:-2] for r in rows] == sorted(
+            want, key=lambda row: (row[0], row[4], row[5]))
+        # one decode per circuit, its time split evenly over its rows
+        for name, _ in load_dataset(dataset, cfg.policy)[0]:
+            assert len({r.wall_ms_rl for r in rows if r.instance == name}) == 1
 
 
 class TestSummaries:

@@ -5,6 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from qlayout.circuit import FEATURE_QUBIT_LIMIT
 from qlayout.cli import entry, main, resolve_device
 
 from conftest import tiny_policy
@@ -240,6 +241,18 @@ class TestInputBoundaries:
         code, err = run_entry(monkeypatch, capsys, "features", qasm_file,
                               "--walk-radius", "-1")
         self.assert_one_line_error(code, err, "walk_radius", "-1")
+
+    @pytest.mark.parametrize("size", [
+        "999999999999999999999999999999", "99999999999",
+        str(FEATURE_QUBIT_LIMIT + 1)])
+    def test_features_rejects_a_register_over_the_bound(
+            self, monkeypatch, capsys, tmp_path, size):
+        f = tmp_path / "wide.qasm"
+        f.write_text(f"qreg q[{size}]; cx q[0], q[1];\n")
+        code, err = run_entry(monkeypatch, capsys, "features", f)
+        self.assert_one_line_error(
+            code, err, f"{size} qubits, more than the feature bound = "
+            f"{FEATURE_QUBIT_LIMIT}")
 
     @pytest.mark.parametrize("source,fragment", [
         ("qreg q[2];\nh q[{}];\n",

@@ -160,10 +160,11 @@ class TestTable:
                                                 case, seed):
         pg, _ = case
         pol = make_policy(norm, context, shared, seed=seed)
-        res = rollout(pg, pol.cg, pol, mode="sample", train=True,
-                      rng=np.random.default_rng(seed))
+        (res,) = episode = rollout([pg], pol.cg, pol, mode="sample",
+                                   train=True,
+                                   rng=np.random.default_rng(seed))
         pol.store.zero_grad()
-        res.log_prob.backward()
+        episode.log_probs.backward()
         batched = {k: g.copy() for k, g in pol.store.grads().items()}
         reference = step_by_step_grads(pol, pg, res.layout.assign)
         assert batched.keys() == reference.keys()

@@ -265,9 +265,9 @@ class TestTrain:
         pg = gen_random_instance(3, 0.6, rng, n_max=4)
         grads = []
         for adv in (1.0, 2.0):
-            res = rollout(pg, pol.cg, pol, mode="greedy", train=True)
+            episode = rollout([pg], pol.cg, pol, mode="greedy", train=True)
             pol.store.zero_grad()
-            (res.log_prob * (-adv)).backward()
+            (episode.log_probs * (-adv)).backward()
             grads.append({k: g.copy() for k, g in pol.store.grads().items()})
         for k in grads[0]:
             assert np.allclose(2 * grads[0][k], grads[1][k])

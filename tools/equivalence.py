@@ -12,8 +12,15 @@ A record holds, as exact JSON floats:
   untrained default policy for heavyhex65 (the policy ``qlayout map``
   uses, on 20-40 qubit circuits, both cost modes) and on a desk-scale
   4x4-grid policy for each of the 18 norm x context x sharing settings;
-- ``rollout``: sampled batched rollouts of those 18 policies, their
-  layouts and log-probabilities in eval and in training mode;
+- ``rollout``: sampled batched rollouts of those 18 policies in eval and
+  in training mode, each episode's layout and cost, and in training mode
+  the batch's ``log_probs`` vector;
+- ``bench``: ``rl_cost`` and ``pp_cost`` of every ``run_bench`` row over
+  8 circuits of the map benchmark's generator on the untrained default
+  heavyhex65 policy, all four strategies x seeds 0-2, keyed
+  ``<instance>/<strategy>/seed=<seed>``;
+- ``ablation``: the ``run_context_ablation`` grid (mean cost per context
+  encoding and strategy) at the scale of acceptance criterion 10;
 - ``local_search``: refined layouts and costs on heavyhex65 for both
   neighbourhoods, both cost modes and both patience rules, keyed
   ``<case>/<neighbourhood>/<cost mode>/reset=<rule>``. The cases are
@@ -62,6 +69,7 @@ import itertools
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +136,42 @@ def map_graphs(policy, count=10):
         graphs.append(ql.build_program_graph(circ,
                                              n_max=policy.prog_feature_dim))
     return graphs
+
+
+def bench_record(policy, directory):
+    """The costs of every ``run_bench`` row over map-generator circuits
+    written to ``directory``."""
+    from perfbench import gen
+    from perfbench.workloads import MapWorkload
+    from qlayout.bench import BenchRun, run_bench
+
+    for i, circuit in enumerate(gen.circuit_set(
+            "equivalence:bench", 0, 8, MapWorkload.qubits,
+            MapWorkload.gate_factor)):
+        (Path(directory) / f"map_{i}.qasm").write_text(circuit.qasm)
+    rows, _ = run_bench(BenchRun(dataset=Path(directory), device=policy.cg,
+                                 policy=policy, strategies=list(STRATEGIES),
+                                 seeds=[0, 1, 2]))
+    return {f"{r.instance}/{r.strategy}/seed={r.seed}":
+            {"rl_cost": float(r.rl_cost), "pp_cost": float(r.pp_cost)}
+            for r in rows}
+
+
+def ablation_record():
+    """The context-ablation grid at the scale of acceptance criterion 10."""
+    import qlayout as ql
+    from qlayout.bench import run_context_ablation
+
+    train_cfg = ql.TrainConfig(epochs=1, batches_per_epoch=1, batch_size=2,
+                               n_min=2, n_max=3, edge_prob=0.8, val_size=2,
+                               seed=0)
+    enc = ql.EncoderConfig(layers=1, heads=2, embed_dim=8, norm_kind="graph")
+    dec = ql.DecoderConfig(heads=2, context_dim=8)
+    rng = np.random.default_rng(10)
+    tests = [ql.gen_random_instance(3, 0.6, rng, n_max=3) for _ in range(3)]
+    rows = run_context_ablation(ql.build_grid(2, 2), train_cfg, enc, dec,
+                                tests, multistart_k=3)
+    return {row.pop("context_encoding"): row for row in rows}
 
 
 def desk_policy(norm="graph", context="concat_project", shared=False):
@@ -229,7 +273,7 @@ def record():
 
     out = {"decode": {}, "rollout": {}, "local_search": {},
            "brute_force": {}, "train": {}, "batch_gradient": {},
-           "batch_norm": {}, "parse": {}}
+           "batch_norm": {}, "parse": {}, "bench": {}, "ablation": {}}
 
     for name, source in parse_sources().items():
         circ = ql.parse_qasm(source)
@@ -241,6 +285,9 @@ def record():
     hh = ql.PolicyNetwork(ql.build_heavy_hex(), ql.EncoderConfig(),
                           ql.DecoderConfig(), prog_feature_dim=40, seed=0)
     hh_graphs = map_graphs(hh)
+    with tempfile.TemporaryDirectory() as directory:
+        out["bench"] = bench_record(hh, directory)
+    out["ablation"] = ablation_record()
     for i, pg in enumerate(hh_graphs):
         for kind, mode in itertools.product(STRATEGIES, COST_MODES):
             out["decode"][f"heavyhex65/c{i}/{kind}/{mode}"] = decode_record(
@@ -258,10 +305,11 @@ def record():
         for train in (False, True):
             results = ql.rollout(batch, policy.cg, policy, mode="sample",
                                  rng=np.random.default_rng(5), train=train)
-            out["rollout"][f"{name}/train={train}"] = [
-                {"layout": r.layout.assign.tolist(),
-                 "log_prob": float(getattr(r.log_prob, "data", r.log_prob))}
-                for r in results]
+            case = out["rollout"][f"{name}/train={train}"] = {
+                "episodes": [{"layout": r.layout.assign.tolist(),
+                              "cost": float(r.cost)} for r in results]}
+            if train:
+                case["log_probs"] = results.log_probs.data.tolist()
         rewards, grads = _batch_gradient(
             desk_graphs(32, 13), policy.cg, policy,
             ql.CostModel("adjacent-free", policy.cg.distances),
