@@ -22,15 +22,12 @@ program, so every delta, and the layout a seed gives, is the same in both
 modes.
 
 The moves are drawn from a ``Draws`` source over ``default_rng(seed)``.
-It takes the generator's raw 32-bit outputs in blocks of ``BLOCK`` and
-replays numpy's own algorithms on them in plain Python: Lemire's bounded
-draw with its rejection loop for ``Generator.integers(m)``, and for
-``Generator.choice(n, 2, replace=False)`` Floyd's two draws followed by
-the two-element shuffle. The search makes a fresh generator and drops it
-at the end, so only the sequence of values drawn matters, not where the
-generator is left: the values, hence the moves, are those of the earlier
-per-move ``Generator`` calls, and the same seed gives the same layout as
-every earlier version.
+It reads only the generator's bit generator, whose raw 64-bit stream
+numpy keeps fixed across releases (NEP 19), in blocks of ``BLOCK`` words,
+and turns each word into one bounded draw by Lemire's multiply-shift.
+No ``Generator`` method is called, so the layout a seed gives does not
+depend on the numpy release. A swap draws its first qubit below ``n`` and
+its second below ``n - 1``, skipping the first.
 """
 
 from __future__ import annotations
@@ -67,52 +64,33 @@ class SearchConfig:
         check_flag("reset_patience", self.reset_patience)
 
 
-# raw 32-bit words fetched per refill of a Draws source; one refill costs
-# about one per-call draw, and a search uses a few words per iteration
+# raw 64-bit words fetched per refill of a Draws source; one refill costs
+# about one per-call draw, and a search takes one to three words per
+# iteration, so a refill serves about a hundred iterations
 BLOCK = 256
 
 
 class Draws:
-    """The values of ``rng``'s ``integers`` and ``choice`` calls, drawn
-    from blocks of its raw 32-bit outputs:
-    ``rng.integers(0, 2**32, size=k, dtype=np.uint64)`` yields its next
-    ``k`` of them in order. ``rng`` ends further on than per-call draws
-    would leave it, by the unused rest of the last block."""
+    """Uniform integers from blocks of ``rng.bit_generator``'s raw 64-bit
+    words, ``random_raw(BLOCK)`` at a time. Nothing else of ``rng`` is
+    read, so the values depend on its bit generator's stream alone."""
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
+    def __init__(self, rng):
+        self._raw = rng.bit_generator.random_raw
         self._words = iter(())
 
-    def _word(self) -> int:
-        try:
-            return next(self._words)
-        except StopIteration:
-            self._words = iter(self._rng.integers(
-                0, 1 << 32, size=BLOCK, dtype=np.uint64).tolist())
-            return next(self._words)
-
     def below(self, m: int) -> int:
-        """``Generator.integers(m)`` for ``1 <= m <= 2**32``: Lemire's
-        multiply-shift with numpy's rejection rule. ``below(1)`` is 0 and
-        consumes nothing."""
-        if m == 1:
-            return 0
-        x = self._word() * m
-        if (x & 0xFFFFFFFF) < m:
-            threshold = (1 << 32) % m  # numpy's (2**32 - m) % m
-            while (x & 0xFFFFFFFF) < threshold:
-                x = self._word() * m
-        return x >> 32
-
-    def pair(self, n: int) -> tuple[int, int]:
-        """``Generator.choice(n, 2, replace=False)`` for ``n >= 2``:
-        Floyd's draws from ``[0, n - 1)`` and ``[0, n)``, with ``n - 1``
-        taken on a collision, then numpy's shuffle of the two."""
-        a = self.below(n - 1)
-        b = self.below(n)
-        if b == a:
-            b = n - 1
-        return (b, a) if self.below(2) == 0 else (a, b)
+        """A uniform integer in ``[0, m)`` for ``1 <= m <= 2**64``:
+        Lemire's multiply-shift ``(w * m) >> 64`` of the next word ``w``,
+        without rejection, so each value's probability is within
+        ``2**-64`` of ``1 / m``. Every draw takes one word, ``below(1)``
+        too."""
+        try:
+            w = next(self._words)
+        except StopIteration:
+            self._words = iter(self._raw(BLOCK).tolist())
+            w = next(self._words)
+        return (w * m) >> 64
 
 
 def neighbor(assign, owner, kind: str, draws: Draws):
@@ -130,7 +108,10 @@ def neighbor(assign, owner, kind: str, draws: Draws):
     if kind == "random_swap":
         if n < 2:
             return None
-        i, j = draws.pair(n)
+        i = draws.below(n)
+        j = draws.below(n - 1)
+        if j >= i:
+            j += 1
         return i, assign[j], j
     if kind != "random_assignment":
         raise ConfigError(f"unknown neighborhood '{kind}'")

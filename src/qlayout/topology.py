@@ -1,7 +1,7 @@
 """Device coupling graphs and all-pairs hop distances.
 
 Graphs are immutable after construction; the distance matrix is computed
-eagerly (N is at most a few hundred, so BFS from every source is cheap).
+eagerly by BFS from every source (N is at most ``MAX_QUBITS``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TopologyError
+
+# the most physical qubits a device may have. A device keeps N x N
+# distance and cost tables, and local search holds the cost rows as
+# Python lists, so memory grows with N squared (about 0.2 GB at this
+# bound); the largest superconducting devices built have about 1100.
+MAX_QUBITS = 2048
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,14 @@ def bfs_distances(num_physical, edges):
     return dist
 
 
+def _check_size(n):
+    """Raise TopologyError if ``n`` physical qubits exceed MAX_QUBITS."""
+    if n > MAX_QUBITS:
+        raise TopologyError(
+            f"device has {n} physical qubits, more than the {MAX_QUBITS} "
+            f"supported")
+
+
 def _integer(value, what):
     """``value`` as a Python int: an integer, numpy's too, but not a bool;
     anything else raises TopologyError."""
@@ -96,6 +110,7 @@ class CouplingGraph:
         n = _integer(self.num_physical, "the number of physical qubits")
         if n < 1:
             raise TopologyError("graph needs at least one physical qubit")
+        _check_size(n)
         canon = set()
         for e in self.edges:
             try:
@@ -144,6 +159,7 @@ def build_grid(rows: int, cols: int) -> CouplingGraph:
     """4-neighbour lattice; node index = row * cols + col."""
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
+    _check_size(rows * cols)
     edges = set()
     for r in range(rows):
         for c in range(cols):

@@ -236,6 +236,18 @@ class TestInputBoundaries:
                                   qasm_file, "--device", device)
             self.assert_one_line_error(code, err, fragment)
 
+    def test_postprocess_rejects_an_oversized_device(
+            self, monkeypatch, capsys, tmp_path, qasm_file, layout_file):
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 200000, "edges": [[0, 1]]}')
+        for device, fragment in ((big, "200000 physical qubits"),
+                                 ("grid100000x100000",
+                                  "10000000000 physical qubits")):
+            code, err = run_entry(monkeypatch, capsys, "postprocess",
+                                  "--layout", layout_file, "--circuit",
+                                  qasm_file, "--device", device)
+            self.assert_one_line_error(code, err, fragment)
+
     def test_features_rejects_a_negative_walk_radius(
             self, monkeypatch, capsys, qasm_file):
         code, err = run_entry(monkeypatch, capsys, "features", qasm_file,

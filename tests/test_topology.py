@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlayout import topology
 from qlayout.errors import TopologyError
 from qlayout.policy import PolicyNetwork
 from qlayout.topology import (
+    MAX_QUBITS,
     CouplingGraph,
     all_pairs_distances,
     bfs_distances,
@@ -79,6 +81,31 @@ class TestGrid:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             build_grid(0, 4)
+
+
+class TestQubitBound:
+    """A device over ``MAX_QUBITS`` is refused before anything of its size
+    is built: no adjacency lists, no distance table, no grid edges."""
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(topology, "MAX_QUBITS", 6)
+        assert build_grid(2, 3).num_physical == 6
+        path = frozenset((i, i + 1) for i in range(5))
+        assert CouplingGraph(6, path).num_physical == 6
+        with pytest.raises(TopologyError, match="7 physical qubits"):
+            build_grid(1, 7)
+        with pytest.raises(TopologyError, match="more than the 6"):
+            CouplingGraph(7, frozenset())
+
+    def test_oversized_grid_fails_before_its_edge_loop(self):
+        with pytest.raises(TopologyError, match="10000000000 physical"):
+            build_grid(100000, 100000)
+
+    def test_oversized_document_fails_before_any_table(self):
+        with pytest.raises(TopologyError, match="malformed edge-list") as exc:
+            coupling_graph_from_dict({"n": 200000, "edges": [[0, 1]]})
+        assert f"200000 physical qubits, more than the {MAX_QUBITS}" in \
+            str(exc.value)
 
 
 class TestHeavyHex:

@@ -27,11 +27,12 @@ A record holds, as exact JSON floats:
   ``c0``-``c3`` (20-40 qubit circuits, the default budget), ``full`` (a
   65-qubit circuit on every seat, so each move swaps an occupied pair),
   ``one-qubit`` (a 1-qubit program, so every move is a no-op or a move to
-  a free seat), ``refine0``-``refine7`` (30-60 qubit circuits with up
-  to 10 gates per qubit, ``n_iters == patience == 2000`` as in the
-  refine benchmark workload, ``reset=False`` only) and ``two-qubit`` (a
-  2-qubit program: a swap's first draw and an occupied seat's partner
-  draw are both from one value, and take no random number);
+  a free seat, whose qubit draw has one value and still takes a word),
+  ``refine0``-``refine7`` (30-60 qubit circuits with up to 10 gates per
+  qubit, ``n_iters == patience == 2000`` as in the refine benchmark
+  workload, ``reset=False`` only) and ``two-qubit`` (a 2-qubit program:
+  a swap's second draw and an occupied seat's partner draw have one
+  value each, and each still takes a raw word);
 - ``brute_force``: the exact optimum (layout and cost) of 40 random
   2-5 qubit circuits on 1x3, 2x2, 2x3 and 3x3 grids in both cost modes,
   keyed ``b<i>/<device>/<cost mode>``;
