@@ -31,6 +31,7 @@ is memoised on the policy.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from .topology import CouplingGraph, coupling_graph_from_dict
 
 NORM_KINDS = ("layer", "batch", "graph")
 CONTEXT_KINDS = ("project_concat", "concat_project", "stack_project")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _NORM_EPS = 1e-5
 _BN_MOMENTUM = 0.1
@@ -493,16 +494,14 @@ class PolicyNetwork:
         }
 
     def save(self, path):
+        """Write a version-2 checkpoint: every parameter and norm buffer as
+        its shape and the base64 of its little-endian float64 bytes."""
         doc = {
             "header": self.config_header(),
             "device": self.cg.to_dict(),
-            "params": {
-                k: {"shape": list(t.data.shape), "values": t.data.ravel().tolist()}
-                for k, t in self.store.params.items()
-            },
-            "buffers": {
-                k: v.tolist() for k, v in self.store.buffers.items()
-            },
+            "params": {k: _encoded(t.data)
+                       for k, t in self.store.params.items()},
+            "buffers": {k: _encoded(v) for k, v in self.store.buffers.items()},
         }
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -510,7 +509,8 @@ class PolicyNetwork:
     @classmethod
     def load(cls, path):
         """Restore a saved policy; any checkpoint that does not describe
-        exactly the network its header builds raises ``CheckpointError``."""
+        exactly the network its header builds raises ``CheckpointError``.
+        Version-1 checkpoints, whose arrays are lists of values, load too."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -526,10 +526,9 @@ class PolicyNetwork:
     @classmethod
     def _from_doc(cls, doc):
         h = doc["header"]
-        if h["version"] != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {h['version']!r}"
-            )
+        version = h["version"]
+        if version not in (1, CHECKPOINT_VERSION):
+            raise CheckpointError(f"unsupported checkpoint version {version!r}")
         # written by older versions, which had only these values in use
         for key, legacy in (("stack_pool", "mean"), ("feature_kind", "onehot")):
             if h.get(key, legacy) != legacy:
@@ -547,14 +546,23 @@ class PolicyNetwork:
                   seed=h.get("seed", 0))
         for name, entry in _same_names(doc["params"], net.store.params,
                                        "parameter"):
-            arr = _checked_array(name, entry["values"],
-                                 net.store.params[name].shape, entry["shape"])
+            arr = _stored_array(name, entry, version,
+                                net.store.params[name].shape)
             net.store.params[name] = Tensor(arr, requires_grad=True)
-        for name, values in _same_names(doc["buffers"], net.store.buffers,
-                                        "buffer"):
-            net.store.buffers[name] = _checked_array(
-                name, values, net.store.buffers[name].shape)
+        for name, entry in _same_names(doc["buffers"], net.store.buffers,
+                                       "buffer"):
+            net.store.buffers[name] = _stored_array(
+                name, entry, version, net.store.buffers[name].shape,
+                bare=version == 1)
         return net
+
+
+def _encoded(arr):
+    """A version-2 checkpoint entry: shape and base64 of the float64 bytes,
+    little-endian."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape),
+            "float64le": base64.b64encode(raw).decode("ascii")}
 
 
 def _same_names(stored, expected, what):
@@ -570,17 +578,52 @@ def _same_names(stored, expected, what):
     return stored.items()
 
 
-def _checked_array(name, values, want, stated=None):
-    """``values`` as a finite float array of shape ``want``; ``stated`` is
-    the shape the file gives, when it gives one."""
-    arr = np.asarray(values, dtype=np.float64)
-    stated = arr.shape if stated is None else tuple(stated)
-    if stated != want or arr.size != math.prod(want):
+def _stored_array(name, entry, version, want, bare=False):
+    """The array of checkpoint entry ``entry`` as a finite, writable float64
+    array of shape ``want``. A version-2 entry holds base64 of the values'
+    little-endian float64 bytes, a version-1 entry a list of values; a
+    ``bare`` entry, a version-1 buffer, is that list alone. A malformed
+    entry raises ``CheckpointError`` naming the array."""
+    try:
+        if bare:
+            values = np.asarray(entry, dtype=np.float64)
+            stated = values.shape
+        elif version == 1:
+            values = np.asarray(entry["values"], dtype=np.float64)
+            stated = tuple(entry["shape"])
+        else:
+            values = _float64le(name, entry["float64le"])
+            stated = tuple(entry["shape"])
+    except KeyError as exc:
+        raise CheckpointError(f"'{name}' lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"'{name}' is malformed: {exc}") from None
+    if stated != want or values.size != math.prod(want):
         raise CheckpointError(
-            f"'{name}' has shape {stated} and {arr.size} values, the "
+            f"'{name}' has shape {stated} and {values.size} values, the "
             f"configured network needs shape {want}"
         )
-    arr = arr.reshape(want)
+    arr = values.reshape(want)
     if not np.isfinite(arr).all():
         raise CheckpointError(f"'{name}' holds non-finite values")
     return arr
+
+
+def _float64le(name, text):
+    """The float64 values whose little-endian bytes ``text`` holds in
+    base64, as a native, writable array: Adam and finite differences edit
+    parameters in place, and ``frombuffer`` over bytes is read-only."""
+    if not isinstance(text, str):
+        raise CheckpointError(
+            f"'{name}' float64le must be a base64 string, not "
+            f"{type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise CheckpointError(f"'{name}' is not valid base64: {exc}") \
+            from None
+    if len(raw) % 8:
+        raise CheckpointError(
+            f"'{name}' holds {len(raw)} bytes, not a whole number of float64 "
+            f"values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)

@@ -156,9 +156,12 @@ def all_pairs_distances(g: CouplingGraph) -> DistanceMatrix:
 
 
 def build_grid(rows: int, cols: int) -> CouplingGraph:
-    """4-neighbour lattice; node index = row * cols + col."""
+    """4-neighbour lattice; node index = row * cols + col. Each dimension
+    must be an integer, not a bool, of at least 1."""
+    rows, cols = (_integer(d, "a grid dimension") for d in (rows, cols))
     if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
+        raise TopologyError(
+            f"grid dimensions must be positive, got {rows}x{cols}")
     _check_size(rows * cols)
     edges = set()
     for r in range(rows):

@@ -292,23 +292,34 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     Every start of every strategy shares one logit table and advances in
     one lockstep walk, each on its own RNG stream derived from its
     strategy's seed; the stream of start 0 matches the corresponding
-    single-start strategy, so best-of-k can never be worse.
+    single-start strategy, so best-of-k can never be worse. Starts that
+    draw the same uniforms are the same walk and are walked once: every
+    start that draws none (``greedy``, start 0 of ``multistart_greedy``),
+    and start 0 of ``multistart_sampling`` with ``sampling`` at one seed.
     """
     strategies = strategy if isinstance(strategy, list) else [strategy]
     if not strategies:
         raise ConfigError("decode needs at least one strategy")
     table, (cost_fn,) = _episodes([pg], cg, policy, cost_model, False)
     n = pg.num_logical
-    # a greedy kind samples the first step of every start but the first
-    uniforms = [_start_rng(one.seed, start).random(
-                    int(start > 0) if "greedy" in one.kind else n)
-                for one in strategies for start in range(one.k)]
-    seats = _walk(table.data, [0] * len(uniforms), [n] * len(uniforms),
-                  uniforms)
+    # each start's uniforms: None if it draws none, else (seed, start,
+    # count); a greedy kind samples the first step of every start but the
+    # first
+    keys = []
+    for one in strategies:
+        for start in range(one.k):
+            count = int(start > 0) if "greedy" in one.kind else n
+            keys.append((int(one.seed), start, count) if count else None)
+    unique = list(dict.fromkeys(keys))
+    uniforms = [() if key is None else _start_rng(*key[:2]).random(key[2])
+                for key in unique]
+    seats = _walk(table.data, [0] * len(unique), [n] * len(unique), uniforms)
     costs = [cost_fn(assign) for assign in seats]
+    walk_of = {key: i for i, key in enumerate(unique)}
     results, lo = [], 0
     for one in strategies:
-        best = lo + int(np.argmin(costs[lo:lo + one.k]))
+        walks = [walk_of[key] for key in keys[lo:lo + one.k]]
+        best = walks[int(np.argmin([costs[w] for w in walks]))]
         results.append((Layout(seats[best]), costs[best]))
         lo += one.k
     return results if isinstance(strategy, list) else results[0]

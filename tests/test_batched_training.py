@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qlayout.diffcore as dc
+import qlayout.training as training
 from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.errors import ConfigError, NumericError
 from qlayout.objective import CostModel, fast_cost_fn
@@ -358,6 +359,30 @@ def test_decode_of_a_strategy_list_equals_each_strategy_alone(
         want = [decode(pg, pol.cg, pol, one, cm) for one in strategies]
         assert [(layout.assign.tolist(), cost) for layout, cost in got] == \
             [(layout.assign.tolist(), cost) for layout, cost in want]
+
+
+def test_decode_walks_each_distinct_start_once(monkeypatch):
+    """Four kinds x seeds 0-2 at k = 10 name 66 starts, and 8 of them
+    repeat another: ``greedy`` at every seed and start 0 of
+    ``multistart_greedy`` draw nothing, and start 0 of
+    ``multistart_sampling`` at a seed is ``sampling`` at that seed."""
+    pol = make_policy("graph", "concat_project", False)
+    pg = ProgramGraph(3, ((0, 1), (1, 2)), onehot_features(3, N_MAX))
+    strategies = [DecodeStrategy.make(kind, k=10, seed=seed)
+                  for kind in STRATEGY_KINDS for seed in range(3)]
+    walked = []
+
+    def counting_walk(logits, firsts, sizes, uniforms):
+        walked.append(len(firsts))
+        return _walk(logits, firsts, sizes, uniforms)
+
+    monkeypatch.setattr(training, "_walk", counting_walk)
+    got = decode(pg, pol.cg, pol, strategies)
+    assert walked == [58]
+    monkeypatch.undo()
+    want = [decode(pg, pol.cg, pol, one) for one in strategies]
+    assert [(layout.assign.tolist(), cost) for layout, cost in got] == \
+        [(layout.assign.tolist(), cost) for layout, cost in want]
 
 
 def test_decode_of_no_strategy_raises():

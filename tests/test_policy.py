@@ -1,3 +1,4 @@
+import base64
 import copy
 import itertools
 import json
@@ -481,27 +482,130 @@ class TestLogProbGradient:
                     f"{name}[{i}]: {a} vs {fd}"
 
 
+def save_version_1(pol, path):
+    """A version-1 checkpoint of ``pol``, as ``PolicyNetwork.save`` wrote
+    it before version 2: every parameter's values as a list, every buffer
+    as a bare list."""
+    doc = {
+        "header": dict(pol.config_header(), version=1),
+        "device": pol.cg.to_dict(),
+        "params": {
+            k: {"shape": list(t.data.shape), "values": t.data.ravel().tolist()}
+            for k, t in pol.store.params.items()
+        },
+        "buffers": {k: v.tolist() for k, v in pol.store.buffers.items()},
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def saved_arrays(pol):
+    """Every parameter and buffer of ``pol`` by name, as its raw bytes."""
+    arrays = {f"param {k}": t.data for k, t in pol.store.params.items()}
+    arrays.update((f"buffer {k}", v) for k, v in pol.store.buffers.items())
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in arrays.items()}
+
+
+# the field of a checkpoint entry that holds its values, per version
+VALUES_FIELD = {1: "values", 2: "float64le"}
+
+
+def edit_values(entry, edit):
+    """Apply ``edit`` to the list of values of a checkpoint entry of either
+    version in place: a version-1 entry's list (a version-1 buffer is the
+    bare list) or the decoded, then re-encoded, bytes of a version-2
+    entry."""
+    if isinstance(entry, list):
+        edit(entry)
+    elif "values" in entry:
+        edit(entry["values"])
+    else:
+        values = np.frombuffer(base64.b64decode(entry["float64le"]),
+                               "<f8").tolist()
+        edit(values)
+        entry["float64le"] = base64.b64encode(
+            np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def batch_norm_policy():
+    """A batch-norm policy whose running statistics have moved."""
+    pol = tiny_policy(seed=11, norm="batch")
+    pol.encode(make_pg(3, [(0, 1), (1, 2)], n_max=4), train=True)
+    return pol
+
+
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path, rng):
-        pol = tiny_policy(seed=11, norm="batch")
-        pg = make_pg(3, [(0, 1), (1, 2)], n_max=4)
-        pol.encode(pg, train=True)  # move the running stats
+    def test_round_trip(self, tmp_path):
+        pol = batch_norm_policy()
         path = tmp_path / "ckpt.json"
         pol.save(path)
         back = PolicyNetwork.load(path)
+        assert json.loads(path.read_text())["header"]["version"] == 2
         assert back.config_header() == pol.config_header()
+        assert saved_arrays(back) == saved_arrays(pol)
+        pg = make_pg(3, [(0, 1), (1, 2)], n_max=4)
         a = pol.encode(pg).program.data
         b = back.encode(pg).program.data
-        assert np.allclose(a, b, atol=0)
+        assert np.array_equal(a, b)
+
+    def test_version_1_loads_to_the_same_arrays(self, tmp_path):
+        pol = batch_norm_policy()
+        pol.save(tmp_path / "v2.json")
+        save_version_1(pol, tmp_path / "v1.json")
+        v1 = PolicyNetwork.load(tmp_path / "v1.json")
+        v2 = PolicyNetwork.load(tmp_path / "v2.json")
+        assert saved_arrays(v1) == saved_arrays(v2) == saved_arrays(pol)
+        assert v1.config_header() == v2.config_header()
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+             np.finfo(float).max, -np.finfo(float).max]),
+        min_size=72, max_size=72))
+    def test_arrays_round_trip_bit_exactly(self, tmp_path, values):
+        pol = tiny_policy(norm="batch")
+        pol.store.params["ptr.W_G"].data[...] = np.reshape(values[:64],
+                                                           (8, 8))
+        pol.store.buffers["enc.prog.l0.norm.var"][...] = values[64:]
+        path = tmp_path / "ckpt.json"
+        pol.save(path)
+        assert saved_arrays(PolicyNetwork.load(path)) == saved_arrays(pol)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_loaded_policy_takes_an_adam_step(self, tmp_path, version):
+        pol = batch_norm_policy()
+        path = tmp_path / "ckpt.json"
+        (save_version_1 if version == 1 else PolicyNetwork.save)(pol, path)
+        back = PolicyNetwork.load(path)
+        for arr in [*back.store.data().values(), *back.store.buffers.values()]:
+            assert arr.flags.writeable and arr.dtype == np.float64
+            assert arr.dtype.isnative
+        params = back.store.data()
+        dc.adam_step(params, {k: np.ones_like(v) for k, v in params.items()},
+                     dc.adam_init(params), lr=1e-3)
+        back.encode(make_pg(3, [(0, 1), (1, 2)], n_max=4), train=True)
+        before, after = saved_arrays(pol), saved_arrays(back)
+        assert all(before[k] != after[k] for k in before)
+
 
 class TestStrictCheckpoint:
     """``load`` accepts only a checkpoint that describes exactly the network
-    its header builds; everything else is a CheckpointError."""
+    its header builds; everything else is a CheckpointError. Every case
+    runs on a checkpoint of each version."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["v1", "v2"])
+    def version(self, request):
+        self.version = request.param
 
     def saved(self, tmp_path):
         pol = tiny_policy(seed=3, norm="batch")
         path = tmp_path / "ckpt.json"
-        pol.save(path)
+        if self.version == 1:
+            save_version_1(pol, path)
+        else:
+            pol.save(path)
         return path, json.loads(path.read_text())
 
     def load_edited(self, tmp_path, edit):
@@ -524,7 +628,7 @@ class TestStrictCheckpoint:
 
     def test_unknown_parameter(self, tmp_path):
         def edit(doc):
-            doc["params"]["ptr.W_X"] = {"shape": [2], "values": [0.0, 1.0]}
+            doc["params"]["ptr.W_X"] = copy.deepcopy(doc["params"]["ctx.W"])
         with pytest.raises(CheckpointError, match="ptr.W_X"):
             self.load_edited(tmp_path, edit)
 
@@ -541,19 +645,24 @@ class TestStrictCheckpoint:
         with pytest.raises(CheckpointError, match="shape"):
             self.load_edited(tmp_path, edit)
 
-    def test_value_count_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("section,name", [
+        ("params", "ptr.W_G"), ("buffers", "enc.phys.l1.norm.var")])
+    def test_value_count_mismatch(self, tmp_path, section, name):
         def edit(doc):
-            doc["params"]["ptr.W_G"]["values"].pop()
-        with pytest.raises(CheckpointError, match="ptr.W_G"):
+            edit_values(doc[section][name], list.pop)
+        with pytest.raises(CheckpointError, match=name):
             self.load_edited(tmp_path, edit)
 
     @pytest.mark.parametrize("section", ["params", "buffers"])
     def test_non_finite(self, tmp_path, section):
+        def poke(values):
+            values[0] = float("nan") if section == "params" else float("inf")
+
         def edit(doc):
             if section == "params":
-                doc["params"]["ctx.W"]["values"][0] = float("nan")
+                edit_values(doc["params"]["ctx.W"], poke)
             else:
-                doc["buffers"]["enc.phys.l0.norm.mean"][0] = float("inf")
+                edit_values(doc["buffers"]["enc.phys.l0.norm.mean"], poke)
         with pytest.raises(CheckpointError, match="non-finite"):
             self.load_edited(tmp_path, edit)
 
@@ -563,8 +672,12 @@ class TestStrictCheckpoint:
         with pytest.raises(CheckpointError, match="topology_hash"):
             self.load_edited(tmp_path, edit)
 
-    @pytest.mark.parametrize("key", ["header", "params", "d_e", "values"])
+    @pytest.mark.parametrize("key", ["header", "params", "d_e", "shape",
+                                     "values"])
     def test_missing_key(self, tmp_path, key):
+        if key == "values":
+            key = VALUES_FIELD[self.version]
+
         def edit(doc):
             if key in doc:
                 del doc[key]
@@ -573,6 +686,12 @@ class TestStrictCheckpoint:
             else:
                 del doc["params"]["ptr.W_K"][key]
         with pytest.raises(CheckpointError, match=key):
+            self.load_edited(tmp_path, edit)
+
+    def test_a_parameter_that_is_not_an_entry(self, tmp_path):
+        def edit(doc):
+            doc["params"]["ptr.W_K"] = [0.0] * 64
+        with pytest.raises(CheckpointError, match="ptr.W_K"):
             self.load_edited(tmp_path, edit)
 
     @pytest.mark.parametrize("key,value", [("heads", 0), ("layers", -1),
@@ -632,3 +751,56 @@ class TestStrictCheckpoint:
             doc["header"]["feature_kind"] = "engineered"
         with pytest.raises(CheckpointError, match="feature_kind"):
             self.load_edited(tmp_path, engineered)
+
+
+class TestVersion2Arrays:
+    """The base64 field of a version-2 entry: anything but the base64 of
+    whole little-endian float64 values, all finite, is a CheckpointError
+    that names the array."""
+
+    def load_edited(self, tmp_path, section, name, text):
+        path = tmp_path / "ckpt.json"
+        tiny_policy(seed=3, norm="batch").save(path)
+        doc = json.loads(path.read_text())
+        doc[section][name]["float64le"] = text
+        path.write_text(json.dumps(doc))
+        return PolicyNetwork.load(path)
+
+    @staticmethod
+    def encoded(values):
+        return base64.b64encode(
+            np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+    @pytest.mark.parametrize("text", ["not base64!", "AAAA AAAA",
+                                      "AAAAAAAAAAA", "\u00e9AAA"])
+    def test_invalid_base64(self, tmp_path, text):
+        with pytest.raises(CheckpointError, match="'ptr.W_G' is not valid"):
+            self.load_edited(tmp_path, "params", "ptr.W_G", text)
+
+    def test_truncated_bytes(self, tmp_path):
+        raw = np.ones(64, dtype="<f8").tobytes()[:-3]
+        with pytest.raises(CheckpointError,
+                           match="'ptr.W_G' holds 509 bytes"):
+            self.load_edited(tmp_path, "params", "ptr.W_G",
+                             base64.b64encode(raw).decode("ascii"))
+
+    def test_truncated_text(self, tmp_path):
+        with pytest.raises(CheckpointError, match="'ptr.W_G' is not valid"):
+            self.load_edited(tmp_path, "params", "ptr.W_G",
+                             self.encoded(np.ones(64))[:-2])
+
+    @pytest.mark.parametrize("value", [[1.0] * 8, 3, None, {"a": 1}])
+    def test_not_a_string(self, tmp_path, value):
+        with pytest.raises(CheckpointError,
+                           match="'enc.prog.l0.norm.mean' float64le must be"):
+            self.load_edited(tmp_path, "buffers", "enc.prog.l0.norm.mean",
+                             value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bytes(self, tmp_path, bad):
+        values = np.ones(8)
+        values[3] = bad
+        with pytest.raises(CheckpointError,
+                           match="'enc.phys.l1.norm.var' holds non-finite"):
+            self.load_edited(tmp_path, "buffers", "enc.phys.l1.norm.var",
+                             self.encoded(values))

@@ -79,8 +79,13 @@ class TestGrid:
         assert len(g.edges) == rows * (cols - 1) + cols * (rows - 1)
 
     def test_zero_dimension_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyError, match="positive"):
             build_grid(0, 4)
+
+    @pytest.mark.parametrize("rows,cols", [(2.5, 3), (True, 3), (3, False)])
+    def test_non_integer_dimension_rejected(self, rows, cols):
+        with pytest.raises(TopologyError, match="must be an integer"):
+            build_grid(rows, cols)
 
 
 class TestQubitBound:

@@ -48,6 +48,11 @@ A record holds, as exact JSON floats:
   separate and with shared encoders, keyed ``shared=<flag>``: each epoch's
   mean reward, baseline and gradient norm, and every final running mean
   and variance;
+- ``checkpoint``: every parameter and norm buffer after a ``save`` and
+  ``load``, and the loaded policy's greedy decode of one circuit, for the
+  default heavyhex65 policy and for each of the 18 desk policies after
+  one training-mode encode of 8 circuits (which moves the batch-norm
+  running statistics), keyed like ``decode``'s policies;
 - ``parse``: ``num_qubits`` and the gate list (``"<kind> <qubit>..."``
   per gate) of ``parse_qasm`` on fixed sources: circuits of the benchmark
   generator for the refine and map workloads; one of them comment-headed,
@@ -250,6 +255,25 @@ def decode_record(policy, pg, kind, cost_mode):
             "margin": margin}
 
 
+def checkpoint_record(policy, pg):
+    """Every array of ``policy`` after a save and a load, and the loaded
+    policy's greedy decode of ``pg``."""
+    import qlayout as ql
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "policy.json"
+        policy.save(path)
+        back = ql.PolicyNetwork.load(path)
+    layout, cost = ql.decode(pg, back.cg, back,
+                             ql.DecodeStrategy.make("greedy"))
+    return {
+        "params": {k: t.data.ravel().tolist()
+                   for k, t in sorted(back.store.params.items())},
+        "buffers": {k: v.ravel().tolist()
+                    for k, v in sorted(back.store.buffers.items())},
+        "greedy": {"layout": layout.assign.tolist(), "cost": float(cost)}}
+
+
 def search_records(out, name, pg, cg, initial, seed, resets=(False, True),
                    **budget):
     """Refine ``initial`` under both neighbourhoods, both cost modes and
@@ -274,7 +298,8 @@ def record():
 
     out = {"decode": {}, "rollout": {}, "local_search": {},
            "brute_force": {}, "train": {}, "batch_gradient": {},
-           "batch_norm": {}, "parse": {}, "bench": {}, "ablation": {}}
+           "batch_norm": {}, "parse": {}, "bench": {}, "ablation": {},
+           "checkpoint": {}}
 
     for name, source in parse_sources().items():
         circ = ql.parse_qasm(source)
@@ -286,6 +311,7 @@ def record():
     hh = ql.PolicyNetwork(ql.build_heavy_hex(), ql.EncoderConfig(),
                           ql.DecoderConfig(), prog_feature_dim=40, seed=0)
     hh_graphs = map_graphs(hh)
+    out["checkpoint"]["heavyhex65"] = checkpoint_record(hh, hh_graphs[0])
     with tempfile.TemporaryDirectory() as directory:
         out["bench"] = bench_record(hh, directory)
     out["ablation"] = ablation_record()
@@ -298,6 +324,10 @@ def record():
                                                    (False, True)):
         name = f"grid4x4/{norm}/{context}/shared={shared}"
         policy = desk_policy(norm, context, shared)
+        moved = desk_policy(norm, context, shared)
+        moved.encode(desk_graphs(8, 15), train=True)
+        out["checkpoint"][name] = checkpoint_record(moved,
+                                                    desk_graphs(1, 16)[0])
         for i, pg in enumerate(desk_graphs(25, 11)):
             for kind in STRATEGIES:
                 out["decode"][f"{name}/g{i}/{kind}"] = decode_record(
