@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import ProgramGraph, onehot_features, parse_qasm
+from .circuit import ProgramGraph, onehot_features, read_qasm
 from .errors import ConfigError, ParseError, QLayoutError
 from .objective import CostModel, fast_cost_fn
 from .policy import CONTEXT_KINDS, PolicyNetwork
@@ -87,13 +88,16 @@ def _gate_bucket(count):
 
 
 def load_dataset(path, policy):
-    """Parse every .qasm file; files that fail to parse or do not fit the
-    policy are skipped with a warning."""
+    """Parse every .qasm file of the directory ``path``; files that cannot
+    be read, fail to parse or do not fit the policy are skipped with a
+    warning."""
+    if not Path(path).is_dir():
+        raise ConfigError(f"dataset {path} is not a directory")
     instances = []
     skipped = 0
     for f in sorted(Path(path).glob("*.qasm")):
         try:
-            pg = policy.program_graph(parse_qasm(f.read_text()))
+            pg = policy.program_graph(read_qasm(f))
             instances.append((f.stem, pg))
         except QLayoutError as exc:
             log.warning("skipping %s: %s", f.name, exc)
@@ -165,11 +169,13 @@ def summarize(rows, skipped=0, baseline=None):
             "pp_cost": _stats([r.pp_cost for r in rows]),
         }
     if baseline is not None:
-        summary["baseline"] = _baseline_summary(rows, baseline)
+        summary["baseline"] = baseline_summary(rows, baseline)
     return summary
 
 
-def _baseline_summary(rows, baseline):
+def baseline_summary(rows, baseline):
+    """The summary's ``baseline`` block: ``rows`` joined with the baseline
+    costs of ``import_baseline`` by instance."""
     joined = [r for r in rows if r.instance in baseline]
     missing_in_dataset = sorted(
         set(baseline) - {r.instance for r in rows})
@@ -189,22 +195,33 @@ def _baseline_summary(rows, baseline):
 
 
 def import_baseline(path):
-    """CSV with columns instance,cost -> dict."""
+    """CSV with columns instance,cost -> dict. A file that cannot be read as
+    UTF-8 CSV, and a cost that is not a finite number, are a ParseError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _baseline_costs(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read baseline {path}: {exc}") from None
+
+
+def _baseline_costs(reader):
+    if reader.fieldnames is None or not {
+        "instance", "cost"
+    }.issubset(reader.fieldnames):
+        raise ParseError(
+            f"baseline CSV needs 'instance,cost' columns, "
+            f"got {reader.fieldnames}"
+        )
     out = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {
-            "instance", "cost"
-        }.issubset(reader.fieldnames):
-            raise ParseError(
-                f"baseline CSV needs 'instance,cost' columns, "
-                f"got {reader.fieldnames}"
-            )
-        for lineno, record in enumerate(reader, start=2):
-            try:
-                out[record["instance"]] = float(record["cost"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad cost value: {exc}", line=lineno)
+    for lineno, record in enumerate(reader, start=2):
+        try:
+            cost = float(record["cost"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad cost value: {exc}", line=lineno)
+        if not math.isfinite(cost):
+            raise ParseError(f"cost {record['cost']!r} is not finite",
+                             line=lineno)
+        out[record["instance"]] = cost
     return out
 
 

@@ -27,6 +27,7 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -117,6 +118,17 @@ def parse_qasm(source: str) -> Circuit:
         line = text.count("\n", 0, pos + tail.index(stmt[0])) + 1
         raise ParseError(f"unterminated statement '{stmt[:40]}'", line=line)
     return Circuit(doc.num_qubits, tuple(gates))
+
+
+def read_qasm(path) -> Circuit:
+    """Parse the UTF-8 QASM file at ``path``; a file that cannot be read as
+    UTF-8 text (a directory, a missing file, other bytes) is a ParseError
+    that names the path."""
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    return parse_qasm(source)
 
 
 class _Document:

@@ -14,10 +14,10 @@ import numpy as np
 
 from .bench import (
     BenchRun,
+    baseline_summary,
     import_baseline,
     run_bench,
     run_context_ablation,
-    summarize,
     write_report,
     write_summary,
 )
@@ -25,7 +25,7 @@ from .circuit import (
     build_program_graph,
     check_qubit_count,
     extract_features,
-    parse_qasm,
+    read_qasm,
 )
 from .errors import ConfigError, QLayoutError, TopologyError
 from .objective import COST_MODES, CostModel, Layout, swap_cost
@@ -78,7 +78,7 @@ def main(verbose):
 @click.option("--walk-radius", default=4, show_default=True)
 def features(qasm_file, walk_radius):
     """Emit engineered per-qubit features for a circuit as JSON."""
-    circ = parse_qasm(Path(qasm_file).read_text())
+    circ = read_qasm(qasm_file)
     feats = extract_features(circ, walk_radius)
     click.echo(json.dumps(
         {str(q): list(f.as_array()) for q, f in enumerate(feats)}
@@ -152,7 +152,7 @@ def train(device, n_min, n_max, epochs, batches, batch_size, lr, edge_prob,
 def map_cmd(circuit_path, ckpt, strategy, k, seed, cost_mode, out):
     """Map a circuit onto the checkpoint's device."""
     policy = PolicyNetwork.load(ckpt)
-    pg = policy.program_graph(parse_qasm(Path(circuit_path).read_text()))
+    pg = policy.program_graph(read_qasm(circuit_path))
     strat = DecodeStrategy.make(strategy, k=k, seed=seed)
     cm = CostModel(cost_mode, policy.cg.distances)
     layout, cost = decode(pg, policy.cg, policy, strat, cm)
@@ -182,7 +182,7 @@ def postprocess(layout_path, circuit_path, device, op, iters, patience, seed,
                 cost_mode, reset_patience, out):
     """Refine a layout with hill-climbing local search."""
     cg = resolve_device(device)
-    circ = parse_qasm(Path(circuit_path).read_text())
+    circ = read_qasm(circuit_path)
     check_qubit_count(circ.num_qubits, cg.num_physical, "the device's N")
     pg = build_program_graph(circ)
     layout = Layout.load(layout_path)
@@ -232,11 +232,10 @@ def bench(dataset, ckpt, strategies, pp, k, seeds, cost_mode, baseline_path,
         postprocess=pp, cost_mode=cost_mode,
         seeds=seed_list, multistart_k=k,
     )
-    rows, summary = run_bench(cfg)
     baseline = import_baseline(baseline_path) if baseline_path else None
+    rows, summary = run_bench(cfg)
     if baseline is not None:
-        summary = summarize(rows, skipped=summary["skipped"],
-                            baseline=baseline)
+        summary["baseline"] = baseline_summary(rows, baseline)
     write_report(rows, out, baseline=baseline)
     if summary_path:
         write_summary(summary, summary_path)

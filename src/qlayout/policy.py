@@ -35,6 +35,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,10 +122,6 @@ class ParamStore:
         self.params = {}
         self.buffers = {}
 
-    def add(self, name, array):
-        self.params[name] = Tensor(array, requires_grad=True)
-        return self.params[name]
-
     def __getitem__(self, name):
         return self.params[name]
 
@@ -148,15 +145,39 @@ class ParamStore:
         return {k: t.data for k, t in self.params.items()}
 
 
-def _uniform_init(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+class _Array(NamedTuple):
+    """One parameter or norm buffer. ``init`` is the fan-in of a uniform
+    draw in +-1/sqrt(fan-in), or "ones" or "zeros"; ``section`` is "params"
+    or "buffers", as in ``ParamStore`` and the checkpoint, and ``device``
+    marks what the device embedding reads."""
+    name: str
+    shape: tuple
+    init: object
+    section: str = "params"
+    device: bool = False
+
+    def initial(self, rng):
+        if isinstance(self.init, str):  # np.ones or np.zeros
+            return getattr(np, self.init)(self.shape)
+        bound = 1.0 / np.sqrt(self.init)
+        return rng.uniform(-bound, bound, size=self.shape)
 
 
 class PolicyNetwork:
     def __init__(self, cg: CouplingGraph, enc_cfg: EncoderConfig,
                  dec_cfg: DecoderConfig, prog_feature_dim: int,
                  shared_encoder: bool = False, seed: int = 0):
+        self._configure(cg, enc_cfg, dec_cfg, prog_feature_dim,
+                        shared_encoder, seed)
+        rng = np.random.default_rng(seed)
+        self._fill(lambda a: a.initial(rng))
+
+    # --- construction ----------------------------------------------
+
+    def _configure(self, cg, enc_cfg, dec_cfg, prog_feature_dim,
+                   shared_encoder, seed):
+        """Everything but the arrays, which ``_fill`` then adds."""
+        check_integer("n_max", prog_feature_dim, 1)
         self.cg = cg
         self.enc_cfg = enc_cfg
         self.dec_cfg = dec_cfg
@@ -164,61 +185,58 @@ class PolicyNetwork:
         self.shared_encoder = shared_encoder
         self.seed = seed
         self.store = ParamStore()
+        self._arrays = self._declared()
         self._cg_pairs = np.array(cg.edge_list, dtype=np.int64).reshape(-1, 2).T
         self._phys_feats = np.eye(cg.num_physical)
         # (copies of the arrays it was computed from, eval embedding)
         self._device_memo = None
-        self._init_params(np.random.default_rng(seed))
 
-    # --- construction ----------------------------------------------
-
-    def _encoder_names(self):
-        return ("shared",) if self.shared_encoder else ("prog", "phys")
+    def _fill(self, array_of):
+        """Store ``array_of(a)`` for every declared array ``a``, in order."""
+        for a in self._arrays:
+            arr = array_of(a)
+            if a.section == "params":
+                arr = Tensor(arr, requires_grad=True)
+            getattr(self.store, a.section)[a.name] = arr
 
     def _enc_prefix(self, which):
         return "enc.shared" if self.shared_encoder else f"enc.{which}"
 
-    def _init_params(self, rng):
-        e = self.enc_cfg
+    def _declared(self):
+        """Every parameter and norm buffer, in the order the constructor
+        draws them."""
+        e, kind = self.enc_cfg, self.dec_cfg.context_kind
         d_e, d_c = e.embed_dim, self.dec_cfg.context_dim
         dh = d_e // e.heads
-        add = self.store.add
-
-        add("in.prog.W", _uniform_init(rng, (d_e, self.prog_feature_dim),
-                                       self.prog_feature_dim))
-        add("in.phys.W", _uniform_init(rng, (d_e, self.cg.num_physical),
-                                       self.cg.num_physical))
-        for which in self._encoder_names():
-            for layer in range(e.layers):
-                p = f"enc.{which}.l{layer}"
-                add(f"{p}.W", _uniform_init(rng, (d_e, d_e), d_e))
-                add(f"{p}.a_src", _uniform_init(rng, (e.heads, dh), dh))
-                add(f"{p}.a_dst", _uniform_init(rng, (e.heads, dh), dh))
-                add(f"{p}.norm.g", np.ones(d_e))
-                add(f"{p}.norm.b", np.zeros(d_e))
-                if e.norm_kind == "batch":
-                    self.store.buffers[f"{p}.norm.mean"] = np.zeros(d_e)
-                    self.store.buffers[f"{p}.norm.var"] = np.ones(d_e)
-
-        kind = self.dec_cfg.context_kind
-        if kind == "project_concat":
-            add("ctx.W", _uniform_init(rng, (d_c // 2, d_e), d_e))
-            add("ctx.start", _uniform_init(rng, (d_e,), d_e))
-        elif kind == "concat_project":
-            add("ctx.W", _uniform_init(rng, (d_c, 2 * d_e), 2 * d_e))
-            add("ctx.start", _uniform_init(rng, (d_e,), d_e))
-        else:
-            if d_c != d_e:
-                raise ConfigError(
-                    "stack_project requires context_dim == embed_dim"
-                )
-            add("ctx.W", _uniform_init(rng, (d_e, d_e), d_e))
-
-        add("ptr.W_Q", _uniform_init(rng, (d_c, d_c), d_c))
-        add("ptr.W_K", _uniform_init(rng, (d_c, d_e), d_e))
-        add("ptr.W_V", _uniform_init(rng, (d_c, d_e), d_e))
-        add("ptr.W_G", _uniform_init(rng, (d_c, d_c), d_c))
-        add("ptr.W_Kf", _uniform_init(rng, (d_c, d_e), d_e))
+        if kind == "stack_project" and d_c != d_e:
+            raise ConfigError(
+                "stack_project requires context_dim == embed_dim")
+        n_max, n_phys = self.prog_feature_dim, self.cg.num_physical
+        arrays = [_Array("in.prog.W", (d_e, n_max), n_max),
+                  _Array("in.phys.W", (d_e, n_phys), n_phys, device=True)]
+        stats = ((("mean", "zeros"), ("var", "ones"))
+                 if e.norm_kind == "batch" else ())
+        for which in ("shared",) if self.shared_encoder else ("prog", "phys"):
+            dev = which != "prog"
+            for p in (f"enc.{which}.l{layer}" for layer in range(e.layers)):
+                arrays += [_Array(f"{p}.W", (d_e, d_e), d_e, device=dev),
+                           _Array(f"{p}.a_src", (e.heads, dh), dh, device=dev),
+                           _Array(f"{p}.a_dst", (e.heads, dh), dh, device=dev),
+                           _Array(f"{p}.norm.g", (d_e,), "ones", device=dev),
+                           _Array(f"{p}.norm.b", (d_e,), "zeros", device=dev)]
+                arrays += [_Array(f"{p}.norm.{stat}", (d_e,), init, "buffers",
+                                  dev) for stat, init in stats]
+        # the current and the previous node, projected then concatenated,
+        # concatenated then projected, or (stack_project) the current alone
+        ctx_in = 2 * d_e if kind == "concat_project" else d_e
+        arrays.append(_Array(
+            "ctx.W", (d_c // 2 if kind == "project_concat" else d_c, ctx_in),
+            ctx_in))
+        if kind != "stack_project":
+            arrays.append(_Array("ctx.start", (d_e,), d_e))
+        return arrays + [
+            _Array(f"ptr.W_{name}", (d_c, fan_in), fan_in) for name, fan_in
+            in (("Q", d_c), ("K", d_e), ("V", d_e), ("G", d_c), ("Kf", d_e))]
 
     def program_graph(self, circ) -> ProgramGraph:
         """The program graph this policy reads for ``circ``; a circuit wider
@@ -335,15 +353,6 @@ class PolicyNetwork:
         return self._encode_stack([self._phys_feats], [self._cg_pairs],
                                   "phys", train)
 
-    def _device_sources(self):
-        """The parameters and norm buffers the device embedding reads."""
-        prefix = self._enc_prefix("phys") + "."
-        out = {k: t.data for k, t in self.store.params.items()
-               if k == "in.phys.W" or k.startswith(prefix)}
-        out.update((k, v) for k, v in self.store.buffers.items()
-                   if k.startswith(prefix))
-        return out
-
     def _device_embedding(self):
         """Eval-mode embedding of the device graph, memoised by value.
 
@@ -351,10 +360,11 @@ class PolicyNetwork:
         still equals the copy taken then, so in-place edits (Adam,
         finite differences) and running-stat updates invalidate it.
         """
-        sources = self._device_sources()
+        arrays = {**self.store.data(), **self.store.buffers}
+        sources = {a.name: arrays[a.name] for a in self._arrays if a.device}
         memo = self._device_memo
-        if memo is not None and memo[0].keys() == sources.keys() and all(
-                np.array_equal(memo[0][k], v) for k, v in sources.items()):
+        if memo is not None and all(np.array_equal(memo[0][k], v)
+                                    for k, v in sources.items()):
             return memo[1]
         physical = self._encode_device(False)
         self._device_memo = ({k: v.copy() for k, v in sources.items()},
@@ -542,18 +552,18 @@ class PolicyNetwork:
                             embed_dim=h["d_e"], norm_kind=h["norm_kind"])
         dec = DecoderConfig(heads=h["m_heads"], context_kind=h["context_kind"],
                             clip=h["clip"], context_dim=h["d_c"])
-        net = cls(cg, enc, dec, h["n_max"], shared_encoder=h["shared_encoder"],
-                  seed=h.get("seed", 0))
-        for name, entry in _same_names(doc["params"], net.store.params,
-                                       "parameter"):
-            arr = _stored_array(name, entry, version,
-                                net.store.params[name].shape)
-            net.store.params[name] = Tensor(arr, requires_grad=True)
-        for name, entry in _same_names(doc["buffers"], net.store.buffers,
-                                       "buffer"):
-            net.store.buffers[name] = _stored_array(
-                name, entry, version, net.store.buffers[name].shape,
-                bare=version == 1)
+        net = cls.__new__(cls)
+        net._configure(cg, enc, dec, h["n_max"], h["shared_encoder"],
+                       h.get("seed", 0))
+        for section, what in (("params", "parameter"), ("buffers", "buffer")):
+            want = {a.name for a in net._arrays if a.section == section}
+            missing, extra = (sorted(want - set(doc[section])),
+                              sorted(set(doc[section]) - want))
+            if missing or extra:
+                raise CheckpointError(
+                    f"checkpoint {what} names differ from the configured "
+                    f"network: missing {missing}, unexpected {extra}")
+        net._fill(lambda a: _stored_array(a, doc[a.section][a.name], version))
         return net
 
 
@@ -565,27 +575,15 @@ def _encoded(arr):
             "float64le": base64.b64encode(raw).decode("ascii")}
 
 
-def _same_names(stored, expected, what):
-    """Items of ``stored`` after checking its names are exactly the ones
-    the configured network has."""
-    missing = sorted(set(expected) - set(stored))
-    extra = sorted(set(stored) - set(expected))
-    if missing or extra:
-        raise CheckpointError(
-            f"checkpoint {what} names differ from the configured network: "
-            f"missing {missing}, unexpected {extra}"
-        )
-    return stored.items()
-
-
-def _stored_array(name, entry, version, want, bare=False):
-    """The array of checkpoint entry ``entry`` as a finite, writable float64
-    array of shape ``want``. A version-2 entry holds base64 of the values'
-    little-endian float64 bytes, a version-1 entry a list of values; a
-    ``bare`` entry, a version-1 buffer, is that list alone. A malformed
-    entry raises ``CheckpointError`` naming the array."""
+def _stored_array(a, entry, version):
+    """Checkpoint entry ``entry`` of the declared array ``a`` as a finite,
+    writable float64 array of its shape. A version-2 entry holds base64 of
+    the values' little-endian float64 bytes, a version-1 entry a list of
+    values, and a version-1 buffer is that list alone. A malformed entry
+    raises ``CheckpointError`` naming the array."""
+    name, want = a.name, a.shape
     try:
-        if bare:
+        if version == 1 and a.section == "buffers":
             values = np.asarray(entry, dtype=np.float64)
             stated = values.shape
         elif version == 1:

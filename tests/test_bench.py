@@ -90,6 +90,31 @@ class TestDataset:
                                                     "ghz_4"]
         assert "empty_0.qasm: circuit has no qubits" in caplog.text
 
+    def test_skips_a_file_that_is_not_utf8(self, dataset, caplog):
+        (dataset / "latin_2.qasm").write_bytes(
+            b"OPENQASM 2.0;\nqreg q[2];\n// caf\xe9\ncx q[0], q[1];\n")
+        pol = tiny_policy(cg=build_grid(2, 3), n_max=5)
+        with caplog.at_level("WARNING"):
+            instances, skipped = load_dataset(dataset, pol)
+        assert skipped == 1
+        assert [name for name, _ in instances] == ["chain_2", "ghz_3",
+                                                    "ghz_4"]
+        assert "skipping latin_2.qasm: cannot read" in caplog.text
+
+    def test_skips_a_directory_named_like_a_circuit(self, dataset, caplog):
+        (dataset / "dir_1.qasm").mkdir()
+        pol = tiny_policy(cg=build_grid(2, 3), n_max=5)
+        with caplog.at_level("WARNING"):
+            instances, skipped = load_dataset(dataset, pol)
+        assert skipped == 1 and len(instances) == 3
+        assert "skipping dir_1.qasm: cannot read" in caplog.text
+
+    @pytest.mark.parametrize("kind", ["file", "missing"])
+    def test_a_dataset_that_is_not_a_directory(self, dataset, kind):
+        path = dataset / "ghz_3.qasm" if kind == "file" else dataset / "no"
+        with pytest.raises(ConfigError, match="is not a directory"):
+            load_dataset(path, tiny_policy(cg=build_grid(2, 3), n_max=5))
+
     def test_family_parsing(self):
         assert family_from_name("ghz_12") == "ghz"
         assert family_from_name("qft_big_5") == "qft"
@@ -230,6 +255,27 @@ class TestBaseline:
         with pytest.raises(ParseError) as exc:
             import_baseline(p)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_import_rejects_a_cost_that_is_not_finite(self, tmp_path, value):
+        p = tmp_path / "base.csv"
+        p.write_text(f"instance,cost\nghz_3,4\nghz_4,{value}\n")
+        with pytest.raises(ParseError, match="not finite") as exc:
+            import_baseline(p)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8",
+                                      "field over the csv limit"])
+    def test_import_rejects_an_unreadable_file(self, tmp_path, kind):
+        p = tmp_path / "base.csv"
+        if kind == "directory":
+            p.mkdir()
+        elif kind == "not utf-8":
+            p.write_bytes(b"instance,cost\ncaf\xe9_1,4\n")
+        else:
+            p.write_text("instance,cost\n" + "a" * 200_000 + ",4\n")
+        with pytest.raises(ParseError, match="cannot read baseline"):
+            import_baseline(p)
 
     def test_join_and_ignore_extra(self, dataset, caplog):
         cg = build_grid(2, 3)

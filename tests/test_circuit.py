@@ -10,6 +10,7 @@ from qlayout.circuit import (
     extract_features,
     onehot_features,
     parse_qasm,
+    read_qasm,
 )
 from qlayout.errors import (
     ConfigError,
@@ -192,6 +193,25 @@ class TestParser:
         c = parse_qasm(f"qreg q[2]; h q[{index}]; cx q[0], q[{index}];")
         assert [(g.kind, g.qubits) for g in c.gates] == [("h", (1,)),
                                                           ("cx", (0, 1))]
+
+
+class TestReadQasm:
+    def test_reads_the_file(self, tmp_path):
+        f = tmp_path / "ghz_3.qasm"
+        f.write_text(GHZ3)
+        assert read_qasm(f) == parse_qasm(GHZ3)
+        assert read_qasm(str(f)) == parse_qasm(GHZ3)
+
+    @pytest.mark.parametrize("kind", ["directory", "missing", "not utf-8"])
+    def test_an_unreadable_file_is_a_parse_error_naming_it(self, tmp_path,
+                                                           kind):
+        f = tmp_path / "bad.qasm"
+        if kind == "directory":
+            f.mkdir()
+        elif kind == "not utf-8":
+            f.write_bytes(b"OPENQASM 2.0;\nqreg q[2];\n// \xff\xfe\n")
+        with pytest.raises(ParseError, match=re.escape(f"cannot read {f}")):
+            read_qasm(f)
 
 
 class TestProgramGraph:

@@ -395,3 +395,93 @@ class TestInputBoundaries:
                               layout_file, "--circuit", no_qubits,
                               "--device", "grid2x2")
         self.assert_one_line_error(code, err, "no qubits")
+
+    @pytest.fixture(params=["directory", "not utf-8"])
+    def unreadable_circuit(self, request, tmp_path):
+        f = tmp_path / "unreadable.qasm"
+        if request.param == "directory":
+            f.mkdir()
+        else:
+            f.write_bytes(b"OPENQASM 2.0;\nqreg q[2];\n// \xff\n")
+        return f
+
+    @pytest.mark.parametrize("command", ["map", "postprocess", "features"])
+    def test_an_unreadable_circuit_is_one_error_line(
+            self, monkeypatch, capsys, tmp_path, layout_file,
+            unreadable_circuit, command):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        args = {
+            "map": ["--circuit", unreadable_circuit, "--ckpt", ckpt],
+            "postprocess": ["--layout", layout_file, "--circuit",
+                            unreadable_circuit, "--device", "grid2x2"],
+            "features": [unreadable_circuit],
+        }[command]
+        code, err = run_entry(monkeypatch, capsys, command, *args)
+        self.assert_one_line_error(code, err,
+                                   f"cannot read {unreadable_circuit}")
+
+    @pytest.fixture
+    def bench_args(self, tmp_path, qasm_file):
+        """A dataset of one valid circuit and a checkpoint that fits it."""
+        ckpt = tmp_path / "policy.json"
+        tiny_policy(cg=resolve_device("grid2x2")).save(ckpt)
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        (dataset / qasm_file.name).write_text(QASM)
+        return dataset, ckpt
+
+    @pytest.mark.parametrize("baseline,fragment", [
+        ("instance,cost\nghz_3,nan\n", "line 2: cost 'nan' is not finite"),
+        ("instance,cost\nghz_3,-inf\n", "line 2: cost '-inf' is not finite"),
+        (None, "cannot read baseline"),
+    ], ids=["nan", "-inf", "directory"])
+    def test_bench_checks_the_baseline_before_decoding(
+            self, monkeypatch, capsys, tmp_path, bench_args, baseline,
+            fragment):
+        dataset, ckpt = bench_args
+        base = tmp_path / "base.csv"
+        if baseline is None:
+            base.mkdir()
+        else:
+            base.write_text(baseline)
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("a circuit was decoded")
+        monkeypatch.setattr("qlayout.bench.decode", no_decode)
+        report = tmp_path / "report.csv"
+        code, err = run_entry(monkeypatch, capsys, "bench", "--dataset",
+                              dataset, "--ckpt", ckpt, "--baseline", base,
+                              "--out", report)
+        self.assert_one_line_error(code, err, fragment)
+        assert not report.exists()
+
+    def test_bench_rejects_a_dataset_that_is_a_file(
+            self, monkeypatch, capsys, tmp_path, bench_args, qasm_file):
+        _, ckpt = bench_args
+        report = tmp_path / "report.csv"
+        code, err = run_entry(monkeypatch, capsys, "bench", "--dataset",
+                              qasm_file, "--ckpt", ckpt, "--out", report)
+        self.assert_one_line_error(code, err, "is not a directory")
+        assert not report.exists()
+
+    def test_bench_skips_a_circuit_that_is_not_utf8(
+            self, monkeypatch, capsys, tmp_path, bench_args):
+        dataset, ckpt = bench_args
+        (dataset / "latin_2.qasm").write_bytes(
+            b"OPENQASM 2.0;\nqreg q[2];\n// caf\xe9\ncx q[0], q[1];\n")
+        base = tmp_path / "base.csv"
+        base.write_text("instance,cost\nghz_3,12\n")
+        report, summary = tmp_path / "report.csv", tmp_path / "summary.json"
+        monkeypatch.setattr(sys, "argv", [
+            "qlayout", "bench", "--dataset", str(dataset), "--ckpt",
+            str(ckpt), "--no-pp", "--baseline", str(base), "--out",
+            str(report), "--summary", str(summary)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        doc = json.loads(summary.read_text())
+        assert doc["instances"] == 1 and doc["skipped"] == 1
+        assert doc["baseline"]["joined_rows"] == 1
+        with open(report, newline="") as fh:
+            assert [r["instance"] for r in csv.DictReader(fh)] == ["ghz_3"]

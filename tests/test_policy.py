@@ -1,5 +1,6 @@
 import base64
 import copy
+import hashlib
 import itertools
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qlayout.diffcore as dc
+import qlayout.policy
 from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.diffcore import Tensor
 from qlayout.errors import (
@@ -79,6 +81,11 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="clip must be positive and "
                                               f"finite, not {clip}"):
             DecoderConfig(clip=clip)
+
+    @pytest.mark.parametrize("n_max", [0, -1, 2.0, True])
+    def test_n_max_is_a_positive_integer(self, n_max):
+        with pytest.raises(ConfigError, match="n_max must be"):
+            tiny_policy(n_max=n_max)
 
     def test_stack_project_needs_matching_dims(self):
         cg = build_grid(2, 2)
@@ -534,6 +541,74 @@ def batch_norm_policy():
     return pol
 
 
+# sha256 (first 16 hex digits) of every parameter's and buffer's name,
+# shape and float64 bytes, in store order, of ``tiny_policy`` on a 2x3 grid
+# with n_max 5 and seed 7, as the random-init constructor first drew them
+# (layer and graph norm have the same arrays, batch norm adds buffers)
+INITIAL_DIGESTS = {
+    ("layer", "project_concat", False): "de6e58b44aa75b44",
+    ("layer", "project_concat", True): "3576752ba035790c",
+    ("layer", "concat_project", False): "98b55f27aa8dfecd",
+    ("layer", "concat_project", True): "94e9d8f7f7134c92",
+    ("layer", "stack_project", False): "14982d6352501d1d",
+    ("layer", "stack_project", True): "a6b7d06d930b3f7f",
+    ("batch", "project_concat", False): "0c00a888c979d6ea",
+    ("batch", "project_concat", True): "264637fa7e65ed4d",
+    ("batch", "concat_project", False): "7b33d287a129259e",
+    ("batch", "concat_project", True): "33703818faf8a44f",
+    ("batch", "stack_project", False): "75a5bcbe333d3fef",
+    ("batch", "stack_project", True): "988c54d31e64bbf2",
+    ("graph", "project_concat", False): "de6e58b44aa75b44",
+    ("graph", "project_concat", True): "3576752ba035790c",
+    ("graph", "concat_project", False): "98b55f27aa8dfecd",
+    ("graph", "concat_project", True): "94e9d8f7f7134c92",
+    ("graph", "stack_project", False): "14982d6352501d1d",
+    ("graph", "stack_project", True): "a6b7d06d930b3f7f",
+}
+
+
+def array_digest(pol):
+    h = hashlib.sha256()
+    for section in (pol.store.data(), pol.store.buffers):
+        for name, arr in section.items():
+            h.update(f"{name}{arr.shape};".encode())
+            h.update(arr.astype("<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestInitialArrays:
+    @pytest.mark.parametrize("key", INITIAL_DIGESTS)
+    def test_constructor_draws_the_recorded_weights(self, key):
+        norm, context, shared = key
+        pol = tiny_policy(cg=build_grid(2, 3), n_max=5, norm=norm,
+                          context=context, shared=shared, seed=7)
+        assert array_digest(pol) == INITIAL_DIGESTS[key]
+
+    @pytest.mark.parametrize("norm", NORM_KINDS)
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_device_memo_follows_exactly_the_device_arrays(self, norm,
+                                                           shared):
+        """Editing an array the device encoding reads re-encodes the device
+        in eval; editing any other array reuses the memo."""
+        pol = tiny_policy(cg=build_grid(2, 3), n_max=5, norm=norm,
+                          shared=shared)
+        rng = np.random.default_rng(5)
+        arrays = {**pol.store.data(), **pol.store.buffers}
+        reads = {name for name, arr in arrays.items()
+                 if name == "in.phys.W" or name.startswith(
+                     "enc.shared." if shared else "enc.phys.")}
+        for name, arr in arrays.items():
+            memo = pol._device_embedding()
+            arr += rng.uniform(0.5, 1.0, arr.shape)
+            after = pol._device_embedding()
+            if name in reads:
+                assert after is not memo, name
+                assert np.array_equal(after.data,
+                                      pol._encode_device(False).data), name
+            else:
+                assert after is memo, name
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         pol = batch_norm_policy()
@@ -588,6 +663,22 @@ class TestCheckpoint:
         back.encode(make_pg(3, [(0, 1), (1, 2)], n_max=4), train=True)
         before, after = saved_arrays(pol), saved_arrays(back)
         assert all(before[k] != after[k] for k in before)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch,
+                                          version, shared):
+        pol = tiny_policy(seed=4, norm="batch", shared=shared)
+        path = tmp_path / "ckpt.json"
+        (save_version_1 if version == 1 else PolicyNetwork.save)(pol, path)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load made a random generator")
+        monkeypatch.setattr(qlayout.policy.np.random, "default_rng",
+                            no_generator)
+        back = PolicyNetwork.load(path)
+        assert saved_arrays(back) == saved_arrays(pol)
+        assert back.config_header() == pol.config_header()
 
 
 class TestStrictCheckpoint:
@@ -695,7 +786,7 @@ class TestStrictCheckpoint:
             self.load_edited(tmp_path, edit)
 
     @pytest.mark.parametrize("key,value", [("heads", 0), ("layers", -1),
-                                           ("d_c", 0)])
+                                           ("d_c", 0), ("n_max", 0)])
     def test_header_size_below_one(self, tmp_path, key, value):
         def edit(doc):
             doc["header"][key] = value
@@ -710,7 +801,8 @@ class TestStrictCheckpoint:
             self.load_edited(tmp_path, edit)
 
     @pytest.mark.parametrize("key,value", [("layers", 1.5), ("heads", 2.0),
-                                           ("m_heads", True)])
+                                           ("m_heads", True), ("n_max", 4.0),
+                                           ("n_max", True)])
     def test_header_size_not_integer(self, tmp_path, key, value):
         def edit(doc):
             doc["header"][key] = value
