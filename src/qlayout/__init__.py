@@ -22,7 +22,7 @@ from .objective import (
     swap_cost,
 )
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
-from .postprocess import SearchConfig, local_search, neighbor
+from .postprocess import SearchConfig, SearchStats, local_search, neighbor
 from .topology import (
     CouplingGraph,
     DistanceMatrix,
@@ -48,7 +48,7 @@ __all__ = [
     "extract_features", "parse_qasm",
     "CostModel", "Layout", "brute_force_optimal", "reward", "swap_cost",
     "DecoderConfig", "EncoderConfig", "PolicyNetwork",
-    "SearchConfig", "local_search", "neighbor",
+    "SearchConfig", "SearchStats", "local_search", "neighbor",
     "CouplingGraph", "DistanceMatrix", "all_pairs_distances", "build_grid",
     "build_heavy_hex", "load_coupling_graph",
     "DecodeStrategy", "TrainConfig", "decode", "gen_random_instance",

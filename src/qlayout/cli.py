@@ -7,6 +7,7 @@ import json
 import logging
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -28,7 +29,7 @@ from .circuit import (
     read_qasm,
 )
 from .errors import ConfigError, QLayoutError, TopologyError
-from .objective import COST_MODES, CostModel, Layout, swap_cost
+from .objective import COST_MODES, CostModel, Layout
 from .policy import (
     CONTEXT_KINDS,
     NORM_KINDS,
@@ -36,7 +37,8 @@ from .policy import (
     EncoderConfig,
     PolicyNetwork,
 )
-from .postprocess import NEIGHBORHOODS, SearchConfig, local_search
+from .postprocess import (NEIGHBORHOODS, SearchConfig, SearchStats,
+                          local_search)
 from .topology import build_grid, build_heavy_hex, load_coupling_graph
 from .training import (
     STRATEGY_KINDS,
@@ -189,12 +191,11 @@ def postprocess(layout_path, circuit_path, device, op, iters, patience, seed,
     cfg = SearchConfig(neighborhood=op, n_iters=iters, patience=patience,
                        seed=seed, cost_mode=cost_mode,
                        reset_patience=reset_patience)
-    cm = CostModel(cost_mode, cg.distances)
-    before = swap_cost(layout, pg, cm)
-    refined = local_search(layout, pg, cg, cfg)
-    after = swap_cost(refined, pg, cm)
+    stats = SearchStats()
+    refined = local_search(layout, pg, cg, cfg, stats)
     doc = refined.to_dict(cg.num_physical)
-    doc.update({"cost_before": before, "cost_after": after})
+    doc.update({"cost_before": stats.start_cost,
+                "cost_after": stats.final_cost, "search": asdict(stats)})
     if out:
         Path(out).write_text(json.dumps(doc))
     click.echo(json.dumps(doc))

@@ -139,6 +139,42 @@ class TestPipeline:
         assert rows[0]["baseline_cost"] == "12.0"
 
 
+class TestPostprocess:
+    def test_reports_the_search(self, runner, qasm_file, tmp_path):
+        # a chain 0-1-2 on the corners 0, 8 and 2 of a 3x3 grid: distance
+        # 4 and then 2, so the adjacent-free cost is 6 + 2
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps({"assign": [0, 8, 2]}))
+        res = runner.invoke(main, [
+            "postprocess", "--layout", str(layout), "--circuit",
+            str(qasm_file), "--device", "grid3x3", "--iters", "300",
+            "--patience", "300"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        search = doc["search"]
+        assert set(search) == {"iterations", "accepted", "stop_reason",
+                               "start_cost", "final_cost"}
+        assert (doc["cost_before"], doc["cost_after"]) == (
+            search["start_cost"], search["final_cost"]) == (8.0, 0.0)
+        assert 0 < search["accepted"] < search["iterations"] == 300
+        assert search["stop_reason"] == "budget"
+
+    def test_one_qubit_swap_search_has_no_move(self, runner, tmp_path):
+        circuit = tmp_path / "one.qasm"
+        circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n")
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps({"assign": [3]}))
+        res = runner.invoke(main, [
+            "postprocess", "--layout", str(layout), "--circuit",
+            str(circuit), "--device", "grid2x2", "--op", "random_swap"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert doc["assign"] == [3]
+        assert doc["search"] == {"iterations": 0, "accepted": 0,
+                                 "stop_reason": "no_move", "start_cost": 0.0,
+                                 "final_cost": 0.0}
+
+
 class TestAblation:
     def test_ablate_context_csv(self, runner, tmp_path):
         out = tmp_path / "ablation.csv"

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlayout import postprocess
@@ -20,13 +20,17 @@ from qlayout.objective import (
 from qlayout.postprocess import (
     NEIGHBORHOODS,
     Draws,
+    GainTable,
     SearchConfig,
+    SearchStats,
     apply_move,
+    below_each,
     local_search,
     move_delta,
     neighbor,
+    split_words,
 )
-from qlayout.topology import CouplingGraph, build_grid
+from qlayout.topology import CouplingGraph, build_grid, build_heavy_hex
 
 
 def make_pg(n, edges):
@@ -178,6 +182,43 @@ class TestDraws:
             assert bare.below(m) == draws.below(m)
 
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_peek_and_skip_follow_the_stream(self, seed):
+        # peeked words are the next words of the stream; skipped ones are
+        # read as though drawn, and the rest stay unread
+        plan = np.random.default_rng(10**6 + seed)
+        draws = Draws(np.random.default_rng(seed))
+        twin = np.random.PCG64(seed)
+        for _ in range(60):
+            if plan.random() < 0.4:
+                assert draws.below(2**64) == twin.random_raw()
+                continue
+            k = int(plan.integers(1, 9))
+            used = int(plan.integers(0, k + 1))
+            ahead = draws.peek(k)
+            assert ahead.dtype == np.uint64 and len(ahead) == k
+            assert ahead[:used].tolist() == twin.random_raw(used).tolist()
+            draws.skip(used)
+
+    def test_below_each_is_the_multiply_shift_of_each_word(self):
+        words = np.concatenate((
+            np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1],
+                     dtype=np.uint64),
+            np.random.PCG64(3).random_raw(300)))
+        halves = split_words(words, len(words))
+        for m in (1, 2, 3, 65, 2**31 + 5, 2**32 - 1):
+            assert below_each(halves, m).tolist() == [
+                (w * m) >> 64 for w in words.tolist()]
+        moduli = np.random.default_rng(4).integers(1, 2**32, len(words))
+        assert below_each(halves, moduli).tolist() == [
+            (w * m) >> 64 for w, m in zip(words.tolist(), moduli.tolist())]
+        # one modulus per column of a (moves, 2) block
+        pairs = split_words(words, len(words) // 2, 2)
+        assert below_each(pairs, np.array([65, 64], dtype=np.uint64)
+                          ).ravel().tolist() == [
+            (w * m) >> 64 for w, m in zip(words.tolist(), [65, 64] * 153)]
+
+
 def reference_neighbor(layout, cg, kind, bit_generator):
     """The copy-and-recompute search's move: a fresh ``Layout`` per call,
     with the same random draws as ``neighbor``, each from one fresh raw
@@ -211,25 +252,50 @@ def reference_neighbor(layout, cg, kind, bit_generator):
 
 def reference_local_search(initial, pg, cg, cfg):
     """The oracle: strict hill climbing that copies the layout and
-    recomputes the whole cost for every candidate. Returns the layout and
-    the number of accepted moves."""
+    recomputes the whole cost for every candidate. A layout with no move
+    of the configured kind (one qubit, under a swap or with no free seat)
+    stops before its first iteration. Returns the layout and a namespace
+    of the iterations run, the accepted moves and the stop reason."""
     cost_fn = fast_cost_fn(pg, CostModel(cfg.cost_mode, cg.distances))
     bit_generator = np.random.PCG64(cfg.seed)
     curr, c_curr = initial.copy(), cost_fn(initial.assign)
-    p = accepted = 0
+    counts = SimpleNamespace(iterations=0, accepted=0, stop_reason="budget")
+    if initial.n == 1 and (cfg.neighborhood == "random_swap"
+                           or cg.num_physical == 1):
+        counts.stop_reason = "no_move"
+        return curr, counts
+    p = 0
     for _ in range(cfg.n_iters):
+        counts.iterations += 1
         cand = reference_neighbor(curr, cg, cfg.neighborhood, bit_generator)
         c_cand = cost_fn(cand.assign)
         if c_cand < c_curr:
             curr, c_curr = cand, c_cand
-            accepted += 1
+            counts.accepted += 1
             if cfg.reset_patience:
                 p = 0
         else:
             p += 1
         if p > cfg.patience:
+            counts.stop_reason = "patience"
             break
-    return curr, accepted
+    return curr, counts
+
+
+def assert_same_search(initial, pg, cg, cfg):
+    """``local_search`` gives the oracle's layout, iteration count,
+    accepted moves and stop reason, and its final cost is a full
+    recompute of its layout. Returns the stats."""
+    expected, counts = reference_local_search(initial, pg, cg, cfg)
+    stats = SearchStats()
+    out = local_search(initial, pg, cg, cfg, stats)
+    assert out.assign.tolist() == expected.assign.tolist()
+    assert (stats.iterations, stats.accepted, stats.stop_reason) == (
+        counts.iterations, counts.accepted, counts.stop_reason)
+    cost_fn = fast_cost_fn(pg, CostModel(cfg.cost_mode, cg.distances))
+    assert stats.start_cost == cost_fn(initial.assign)
+    assert stats.final_cost == cost_fn(out.assign)
+    return stats
 
 
 @st.composite
@@ -261,9 +327,7 @@ class TestAgainstCopyAndRecompute:
         cfg = SearchConfig(neighborhood=kind, n_iters=n_iters,
                            patience=patience, seed=seed, cost_mode=mode,
                            reset_patience=reset)
-        expected, _ = reference_local_search(initial, pg, cg, cfg)
-        assert (local_search(initial, pg, cg, cfg).assign.tolist()
-                == expected.assign.tolist())
+        assert_same_search(initial, pg, cg, cfg)
 
     @pytest.mark.parametrize("n", [1, 9])
     @pytest.mark.parametrize("kind", NEIGHBORHOODS)
@@ -276,9 +340,7 @@ class TestAgainstCopyAndRecompute:
         initial = random_layout(n, 9, rng)
         cfg = SearchConfig(neighborhood=kind, n_iters=500, patience=40,
                            seed=n, cost_mode=mode, reset_patience=reset)
-        expected, _ = reference_local_search(initial, pg, cg, cfg)
-        assert (local_search(initial, pg, cg, cfg).assign.tolist()
-                == expected.assign.tolist())
+        assert_same_search(initial, pg, cg, cfg)
 
     @pytest.mark.parametrize("kind", NEIGHBORHOODS)
     @pytest.mark.parametrize("mode", COST_MODES)
@@ -292,10 +354,8 @@ class TestAgainstCopyAndRecompute:
         for reset in (False, True):
             cfg = SearchConfig(neighborhood=kind, n_iters=3000, patience=15,
                                seed=1, cost_mode=mode, reset_patience=reset)
-            expected, count = reference_local_search(initial, pg, cg, cfg)
-            accepted.append(count)
-            assert (local_search(initial, pg, cg, cfg).assign.tolist()
-                    == expected.assign.tolist())
+            accepted.append(assert_same_search(initial, pg, cg,
+                                               cfg).accepted)
         # the case tells the two rules apart
         assert accepted[0] < accepted[1]
 
@@ -321,10 +381,11 @@ class TestAgainstCopyAndRecompute:
             for mode in COST_MODES]
         assert layouts[0] == layouts[1]
 
-    def test_cost_closure_runs_once_and_once_per_accepted_move(
-            self, monkeypatch, rng):
-        pg, cg = random_instance(rng, n_max=6, big_n_max=9)
-        initial = random_layout(pg.num_logical, cg.num_physical, rng)
+    def test_cost_closure_runs_once_and_the_final_cost_is_exact(
+            self, monkeypatch):
+        # the full cost is computed for the start layout only; the final
+        # cost is the start cost plus the deltas of the accepted moves
+        initial, pg, cg, _ = heavyhex_case(6)
         cfg = SearchConfig(n_iters=2000, patience=2000, seed=3)
         costs = []
 
@@ -337,10 +398,132 @@ class TestAgainstCopyAndRecompute:
             return record
 
         monkeypatch.setattr(postprocess, "fast_cost_fn", recording)
-        local_search(initial, pg, cg, cfg)
-        _, accepted = reference_local_search(initial, pg, cg, cfg)
-        assert len(costs) == 1 + accepted
-        assert all(b < a for a, b in zip(costs, costs[1:]))
+        stats = SearchStats()
+        out = local_search(initial, pg, cg, cfg, stats)
+        assert costs == [stats.start_cost]
+        full = fast_cost_fn(pg, CostModel(cfg.cost_mode, cg.distances))
+        assert stats.start_cost == full(initial.assign)
+        assert stats.final_cost == full(out.assign) < stats.start_cost
+        assert stats.accepted > 0 and stats.stop_reason == "budget"
+
+    def test_no_move_on_a_one_seat_device(self):
+        cg = CouplingGraph(1, frozenset())
+        stats = SearchStats()
+        out = local_search(Layout(np.array([0])), make_pg(1, [(0, 0)]), cg,
+                           SearchConfig(), stats)
+        assert out.assign.tolist() == [0]
+        assert stats == SearchStats(0, 0, "no_move", 0.0, 0.0)
+
+    def test_stats_change_no_move(self):
+        initial, pg, cg, cfg = heavyhex_case(7)
+        assert (local_search(initial, pg, cg, cfg).assign.tolist()
+                == local_search(initial, pg, cg, cfg,
+                                SearchStats()).assign.tolist())
+
+
+HEAVY_HEX = build_heavy_hex()
+
+
+def heavyhex_case(i):
+    """Search case ``i`` on heavyhex65, as the arguments of
+    ``local_search``: a program of 20-60 qubits with 1-10
+    gates per qubit (cases 0-5: 1, 2 or 65 qubits, under each
+    neighbourhood), a random start, and a budget of up to 3000 iterations
+    with patience up to the budget (every fifth case: the budget itself).
+    The cases cycle through both neighbourhoods, both cost modes and both
+    patience rules."""
+    rng = np.random.default_rng(1000 + i)
+    n = (1, 2, 65)[i % 3] if i < 6 else int(rng.integers(20, 61))
+    gates = rng.integers(n, size=(n * int(rng.integers(1, 11)), 2))
+    pg = make_pg(n, [tuple(g) for g in gates.tolist()])
+    initial = random_layout(n, HEAVY_HEX.num_physical, rng)
+    n_iters = int(rng.integers(1, 3001))
+    patience = n_iters if i % 5 == 0 else int(rng.integers(0, n_iters + 1))
+    cfg = SearchConfig(neighborhood=NEIGHBORHOODS[i % 2],
+                       cost_mode=COST_MODES[i // 2 % 2],
+                       reset_patience=bool(i // 4 % 2), n_iters=n_iters,
+                       patience=patience, seed=i)
+    return initial, pg, HEAVY_HEX, cfg
+
+
+HEAVY_HEX_CASES = range(48)
+
+
+def block_ends():
+    """The cumulative move counts at which the blocks of one scan end."""
+    total, size = 0, postprocess.FIRST_SCAN
+    while True:
+        total += size
+        yield total
+        size = min(2 * size, postprocess.LAST_SCAN)
+
+
+class TestLongRuns:
+    """Searches long enough that runs of rejected moves are scored in
+    blocks from the gain table."""
+
+    @pytest.mark.parametrize("i", HEAVY_HEX_CASES)
+    def test_same_search_as_the_oracle(self, i):
+        assert_same_search(*heavyhex_case(i))
+
+    def test_the_cases_take_the_block_phase(self, monkeypatch):
+        # the cases above accept moves from blocks, and end searches by
+        # patience and by budget part-way through a block
+        scans = []
+        scan = GainTable.scan
+
+        def spy(self, assign, owner, draws, limit):
+            skipped, move, delta = scan(self, assign, owner, draws, limit)
+            scans.append((limit, skipped, delta))
+            return skipped, move, delta
+
+        monkeypatch.setattr(GainTable, "scan", spy)
+        accepted, stopped_in_block = False, set()
+        for i in HEAVY_HEX_CASES:
+            del scans[:]
+            stats = SearchStats()
+            local_search(*heavyhex_case(i), stats)
+            accepted |= any(delta < 0 for _, _, delta in scans)
+            if not scans:
+                continue
+            limit, skipped, delta = scans[-1]
+            ends = block_ends()
+            if delta >= 0 and skipped + 1 == limit and limit not in (
+                    next(ends) for _ in range(limit)):
+                stopped_in_block.add(stats.stop_reason)
+        assert accepted
+        assert stopped_in_block == {"patience", "budget"}
+
+
+class TestGainTable:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(search_cases(), st.sampled_from(NEIGHBORHOODS),
+           st.sampled_from(COST_MODES), st.integers(1, 700),
+           st.integers(0, 2**32))
+    def test_scan_finds_the_first_improving_single_move(
+            self, case, kind, mode, limit, seed):
+        cg, pg, layout = case
+        assume(layout.n >= 2)
+        cm = CostModel(mode, cg.distances)
+        nbrs, rows = weighted_neighbours(pg), cm.edge_costs.tolist()
+        assign = layout.assign.tolist()
+        owner = owners(assign, cg.num_physical)
+        draws = Draws(np.random.default_rng(seed))
+        twin = Draws(np.random.default_rng(seed))
+        skipped, move, delta = GainTable(nbrs, cm.edge_costs, kind).scan(
+            assign, owner, draws, limit)
+        assert assign == layout.assign.tolist()
+        assert owner == owners(assign, cg.num_physical)
+        for _ in range(skipped):
+            single = neighbor(assign, owner, kind, twin)
+            assert move_delta(single, assign, nbrs, rows) >= 0
+        single = neighbor(assign, owner, kind, twin)
+        assert single == move
+        assert move_delta(single, assign, nbrs, rows) == delta
+        assert delta < 0 or skipped + 1 == limit
+        # the words of the moves after the returned one are left unread
+        for _ in range(5):
+            assert draws.below(2**64) == twin.below(2**64)
 
 
 class TestMoveDelta:
