@@ -154,7 +154,7 @@ def _group_summary(rows, key_fn):
     }
 
 
-def summarize(rows, skipped=0, baseline=None):
+def summarize(rows, skipped=0):
     summary = {
         "instances": len({r.instance for r in rows}),
         "skipped": skipped,
@@ -168,8 +168,6 @@ def summarize(rows, skipped=0, baseline=None):
             "rl_cost": _stats([r.rl_cost for r in rows]),
             "pp_cost": _stats([r.pp_cost for r in rows]),
         }
-    if baseline is not None:
-        summary["baseline"] = baseline_summary(rows, baseline)
     return summary
 
 

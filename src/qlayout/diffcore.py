@@ -1,13 +1,17 @@
 """Minimal reverse-mode autodiff on float64 numpy arrays.
 
-Just enough machinery for the policy network: tensors carry their value,
-an optional gradient, and a backward closure; ``Tape`` linearizes the op
-graph so backward visits every node once in reverse topological order.
+Just enough machinery for the policy network. An op computes its value
+and one vjp per input, the function from the output's gradient to that
+input's; ``_make`` records the inputs that require a gradient with their
+vjps. ``Tape`` linearizes the op graph so backward visits every node once
+in reverse topological order and accumulates each vjp into its input.
 No ML framework is involved and everything runs in float64 so gradient
 checks can be tight.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -112,19 +116,24 @@ class Tape:
     def run(self):
         for node in reversed(self.order):
             if node._bwd is not None:
-                node._bwd(node.grad)
+                g = node.grad
+                for parent, vjp in zip(node._parents, node._bwd):
+                    parent._accum(vjp(g))
 
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, bwd):
+def _make(data, *pairs):
+    """The output of an op whose value is ``data``. Each pair is an input
+    and its vjp, which maps the output's gradient to that input's; only the
+    inputs that require a gradient are kept, in order."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    kept = [pair for pair in pairs if pair[0].requires_grad]
+    if kept:
         out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._bwd = bwd
+        out._parents, out._bwd = zip(*kept)
     return out
 
 
@@ -140,134 +149,88 @@ def _unbroadcast(g, shape):
 
 # --- elementwise ----------------------------------------------------
 
-def add(a, b):
+def _broadcast(name, op, a, b):
+    """The tensors of a binary elementwise op and its value ``op(a, b)``."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        data = a.data + b.data
+        return a, b, op(a.data, b.data)
     except ValueError:
-        raise ShapeError("add operands do not broadcast", a.shape, b.shape)
+        raise ShapeError(f"{name} operands do not broadcast", a.shape, b.shape)
 
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
 
-    return _make(data, (a, b), bwd)
+def add(a, b):
+    a, b, data = _broadcast("add", operator.add, a, b)
+    return _make(data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError("sub operands do not broadcast", a.shape, b.shape)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), bwd)
+    a, b, data = _broadcast("sub", operator.sub, a, b)
+    return _make(data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError("mul operands do not broadcast", a.shape, b.shape)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), bwd)
+    a, b, data = _broadcast("mul", operator.mul, a, b)
+    return _make(data, (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeError("div operands do not broadcast", a.shape, b.shape)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(data, (a, b), bwd)
+    a, b, data = _broadcast("div", operator.truediv, a, b)
+    return _make(
+        data, (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data),
+                                   b.data.shape)))
 
 
 def powi(a, exponent):
     """Elementwise power with a constant real exponent."""
     a = _as_tensor(a)
-    data = np.power(a.data, exponent)
-
-    def bwd(g):
-        a._accum(g * exponent * np.power(a.data, exponent - 1))
-
-    return _make(data, (a,), bwd)
+    return _make(np.power(a.data, exponent), (
+        a, lambda g: g * exponent * np.power(a.data, exponent - 1)))
 
 
 def exp(a):
     a = _as_tensor(a)
     data = np.exp(a.data)
-
-    def bwd(g):
-        a._accum(g * data)
-
-    return _make(data, (a,), bwd)
+    return _make(data, (a, lambda g: g * data))
 
 
 def log(a):
     a = _as_tensor(a)
-    data = np.log(a.data)
-
-    def bwd(g):
-        a._accum(g / a.data)
-
-    return _make(data, (a,), bwd)
+    return _make(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def tanh(a):
     a = _as_tensor(a)
     data = np.tanh(a.data)
-
-    def bwd(g):
-        a._accum(g * (1.0 - data * data))
-
-    return _make(data, (a,), bwd)
+    return _make(data, (a, lambda g: g * (1.0 - data * data)))
 
 
 def leaky_relu(a, slope=0.2):
     a = _as_tensor(a)
     mask = a.data >= 0
-    data = np.where(mask, a.data, slope * a.data)
-
-    def bwd(g):
-        a._accum(g * np.where(mask, 1.0, slope))
-
-    return _make(data, (a,), bwd)
+    return _make(np.where(mask, a.data, slope * a.data),
+                 (a, lambda g: g * np.where(mask, 1.0, slope)))
 
 
 def elu(a, alpha=1.0):
     a = _as_tensor(a)
     mask = a.data >= 0
     data = np.where(mask, a.data, alpha * np.expm1(a.data))
-
-    def bwd(g):
-        a._accum(g * np.where(mask, 1.0, data + alpha))
-
-    return _make(data, (a,), bwd)
+    return _make(data, (a, lambda g: g * np.where(mask, 1.0, data + alpha)))
 
 
 # --- structural -----------------------------------------------------
+
+# By (a is 1-D, b is 1-D), the index that gives matmul's output gradient
+# the axes a promoted operand adds: exactly the views g[..., None] and
+# g[..., None, :], whose strides choose numpy's kernel and so the rounding.
+_MATMUL_LIFT = {(False, False): ..., (False, True): (..., None),
+                (True, False): (..., None, slice(None)),
+                (True, True): (None, None)}
+
 
 def matmul(a, b):
     """Matrix product with the semantics of ``np.matmul``: leading batch
@@ -278,33 +241,23 @@ def matmul(a, b):
         data = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError("matmul shape mismatch", a.shape, b.shape)
-
-    def bwd(g):
-        # the promoted operands, and g with the axes the result dropped
-        ad = a.data[None] if a.ndim == 1 else a.data
-        bd = b.data[:, None] if b.ndim == 1 else b.data
-        if b.ndim == 1:
-            g = g[..., None]
-        if a.ndim == 1:
-            g = g[..., None, :]
-        if a.requires_grad:
-            ga = g @ np.swapaxes(bd, -1, -2)
-            a._accum(_unbroadcast(ga, ad.shape).reshape(a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(ad, -1, -2) @ g
-            b._accum(_unbroadcast(gb, bd.shape).reshape(b.shape))
-
-    return _make(data, (a, b), bwd)
+    a_vec, b_vec = a.ndim == 1, b.ndim == 1
+    # the promoted operands
+    ad = a.data[None] if a_vec else a.data
+    bd = b.data[:, None] if b_vec else b.data
+    lift = _MATMUL_LIFT[a_vec, b_vec]
+    return _make(
+        data,
+        (a, lambda g: _unbroadcast(g[lift] @ np.swapaxes(bd, -1, -2),
+                                   ad.shape).reshape(a.shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(ad, -1, -2) @ g[lift],
+                                   bd.shape).reshape(b.shape)))
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def bwd(g):
-        a._accum(g.reshape(a.data.shape))
-
-    return _make(data, (a,), bwd)
+    return _make(a.data.reshape(shape),
+                 (a, lambda g: g.reshape(a.data.shape)))
 
 
 def transpose(a, axes=None):
@@ -316,40 +269,30 @@ def transpose(a, axes=None):
         raise ShapeError(f"axes {axes} do not permute the operand", a.shape)
     inverse = None if axes is None else np.argsort(
         [ax % a.ndim for ax in axes])
-
-    def bwd(g):
-        a._accum(np.transpose(g, inverse))
-
-    return _make(data, (a,), bwd)
+    return _make(data, (a, lambda g: np.transpose(g, inverse)))
 
 
 def concat(parts, axis=0):
     parts = [_as_tensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                p._accum(g[tuple(idx)])
-
-    return _make(data, tuple(parts), bwd)
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+    pairs = []
+    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        idx = [slice(None)] * data.ndim
+        idx[axis] = slice(lo, hi)
+        pairs.append((p, lambda g, idx=tuple(idx): g[idx]))
+    return _make(data, *pairs)
 
 
 def tsum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def bwd(g):
-        gg = np.asarray(g)
+    def vjp(g):
         if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        a._accum(np.broadcast_to(gg, a.data.shape))
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.data.shape)
 
-    return _make(data, (a,), bwd)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -361,14 +304,13 @@ def tmean(a, axis=None, keepdims=False):
 def gather(a, index):
     """Select along axis 0 by integer or integer-array index."""
     a = _as_tensor(a)
-    data = np.take(a.data, index, axis=0)
 
-    def bwd(g):
+    def vjp(g):
         acc = np.zeros_like(a.data)
         np.add.at(acc, index, g)
-        a._accum(acc)
+        return acc
 
-    return _make(data, (a,), bwd)
+    return _make(np.take(a.data, index, axis=0), (a, vjp))
 
 
 def masked_fill(a, mask, value):
@@ -376,12 +318,8 @@ def masked_fill(a, mask, value):
     flows into filled positions)."""
     a = _as_tensor(a)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-    data = np.where(mask, value, a.data)
-
-    def bwd(g):
-        a._accum(np.where(mask, 0.0, g))
-
-    return _make(data, (a,), bwd)
+    return _make(np.where(mask, value, a.data),
+                 (a, lambda g: np.where(mask, 0.0, g)))
 
 
 def softmax_array(x, axis):
@@ -395,11 +333,11 @@ def softmax(a, axis=-1):
     a = _as_tensor(a)
     data = softmax_array(a.data, axis)
 
-    def bwd(g):
+    def vjp(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        a._accum(data * (g - dot))
+        return data * (g - dot)
 
-    return _make(data, (a,), bwd)
+    return _make(data, (a, vjp))
 
 
 # --- optimizer ------------------------------------------------------

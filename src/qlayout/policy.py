@@ -535,6 +535,12 @@ class PolicyNetwork:
 
     @classmethod
     def _from_doc(cls, doc):
+        if not isinstance(doc, dict):
+            raise CheckpointError("the checkpoint is not a JSON object")
+        for section in ("header", "params", "buffers"):
+            if not isinstance(doc[section], dict):
+                raise CheckpointError(
+                    f"checkpoint section '{section}' is not a JSON object")
         h = doc["header"]
         version = h["version"]
         if version not in (1, CHECKPOINT_VERSION):
@@ -548,13 +554,20 @@ class PolicyNetwork:
             raise CheckpointError(
                 "header topology_hash does not match the stored device"
             )
+        if type(h["N"]) is not int or h["N"] != cg.num_physical:
+            raise CheckpointError(
+                f"header N {h['N']!r} does not match the stored device's "
+                f"{cg.num_physical} qubits")
+        seed = h.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise CheckpointError(
+                f"header seed must be an integer of at least 0, not {seed!r}")
         enc = EncoderConfig(layers=h["layers"], heads=h["heads"],
                             embed_dim=h["d_e"], norm_kind=h["norm_kind"])
         dec = DecoderConfig(heads=h["m_heads"], context_kind=h["context_kind"],
                             clip=h["clip"], context_dim=h["d_c"])
         net = cls.__new__(cls)
-        net._configure(cg, enc, dec, h["n_max"], h["shared_encoder"],
-                       h.get("seed", 0))
+        net._configure(cg, enc, dec, h["n_max"], h["shared_encoder"], seed)
         for section, what in (("params", "parameter"), ("buffers", "buffer")):
             want = {a.name for a in net._arrays if a.section == section}
             missing, extra = (sorted(want - set(doc[section])),

@@ -227,6 +227,8 @@ def coupling_graph_from_dict(data) -> CouplingGraph:
     """The graph of an edge-list document ``{"n": N, "edges": [[a, b],
     ...], "name": ...}``; a document that does not describe a valid graph
     raises TopologyError."""
+    if not isinstance(data, dict):
+        raise TopologyError("the device document is not a JSON object")
     try:
         return CouplingGraph(data["n"], data["edges"],
                              name=str(data.get("name", "custom")))

@@ -43,6 +43,11 @@ from .topology import CouplingGraph
 
 STRATEGY_KINDS = ("greedy", "sampling", "multistart_greedy", "multistart_sampling")
 ROLLOUT_MODES = ("greedy", "sample")
+# The most elements a decode's walk may hold, 256 MiB of float64. A start
+# holds its n x N logits, and its random stream and keys take about as
+# much memory as START_ELEMENTS more.
+WALK_ELEMENT_BUDGET = 2**25
+START_ELEMENTS = 100
 
 
 @dataclass
@@ -300,8 +305,14 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     strategies = strategy if isinstance(strategy, list) else [strategy]
     if not strategies:
         raise ConfigError("decode needs at least one strategy")
-    table, (cost_fn,) = _episodes([pg], cg, policy, cost_model, False)
     n = pg.num_logical
+    starts = sum(one.k for one in strategies)
+    if starts * (n * cg.num_physical + START_ELEMENTS) > WALK_ELEMENT_BUDGET:
+        raise ConfigError(
+            f"k: {starts} starts of a {n}-qubit circuit on {cg.num_physical} "
+            f"qubits exceed the walk's budget of {WALK_ELEMENT_BUDGET} "
+            f"elements")
+    table, (cost_fn,) = _episodes([pg], cg, policy, cost_model, False)
     # each start's uniforms: None if it draws none, else (seed, start,
     # count); a greedy kind samples the first step of every start but the
     # first

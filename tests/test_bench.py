@@ -6,6 +6,7 @@ import pytest
 
 from qlayout.bench import (
     BenchRun,
+    baseline_summary,
     family_from_name,
     gen_embeddable_instance,
     import_baseline,
@@ -285,8 +286,7 @@ class TestBaseline:
             postprocess=False))
         baseline = {"ghz_3": 10.0, "ghz_4": 10.0, "phantom_1": 3.0}
         with caplog.at_level("WARNING"):
-            summary = summarize(rows, baseline=baseline)
-        b = summary["baseline"]
+            b = baseline_summary(rows, baseline)
         assert b["joined_rows"] == 2
         assert b["ignored_baseline_instances"] == ["phantom_1"]
         assert "phantom_1" in caplog.text

@@ -378,6 +378,24 @@ class TestInputBoundaries:
         self.assert_one_line_error(code, err, bad, seeds)
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["map", "bench"])
+    def test_a_multistart_k_over_the_walk_budget_is_rejected(
+            self, monkeypatch, capsys, tmp_path, qasm_file, command):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        out = tmp_path / "out"
+        k = "100000000000000000000"
+        args = {
+            "map": ["--circuit", qasm_file, "--strategy", "multistart_greedy",
+                    "--out", out],
+            "bench": ["--dataset", qasm_file.parent, "--strategies",
+                      "multistart_sampling", "--out", out],
+        }[command]
+        code, err = run_entry(monkeypatch, capsys, command, "--ckpt", ckpt,
+                              "--k", k, *args)
+        self.assert_one_line_error(code, err, f"k: {k} starts", "budget")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["postprocess", "map", "train",
                                          "bench", "ablate-context"])
     def test_negative_seed_rejected(self, monkeypatch, capsys, tmp_path,

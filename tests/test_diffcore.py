@@ -240,6 +240,24 @@ class TestBackwardBookkeeping:
         ids = [id(n) for n in tape.order]
         assert len(ids) == len(set(ids))
 
+    def test_only_inputs_that_require_a_gradient_are_parents(self):
+        a = Tensor(np.array([[1.5, -2.0], [0.25, 3.0]]), requires_grad=True)
+        c = Tensor(np.array([[4.0, 0.5], [-1.0, 2.0]]))
+        out = dc.concat([a, c, a])
+        assert out._parents == (a, a) and len(out._bwd) == 2
+        seed = np.arange(12.0).reshape(6, 2)
+        out.backward(seed)
+        assert a.grad.tolist() == (seed[:2] + seed[4:]).tolist()
+        assert c.grad is None
+
+        a.grad = None
+        out = dc.matmul(c, a)
+        assert out._parents == (a,) and len(out._bwd) == 1
+        seed = np.array([[1.0, -1.0], [0.5, 2.0]])
+        out.backward(seed)
+        assert a.grad.tolist() == (c.data.T @ seed).tolist()
+        assert c.grad is None
+
     def test_no_grad_without_requires(self):
         a = Tensor(np.ones(3))
         out = dc.tsum(dc.tanh(a))

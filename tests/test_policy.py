@@ -18,6 +18,7 @@ from qlayout.errors import (
     ConfigError,
     InfeasibleStateError,
     ShapeError,
+    TopologyError,
 )
 from qlayout.policy import (
     CONTEXT_KINDS,
@@ -807,6 +808,47 @@ class TestStrictCheckpoint:
         def edit(doc):
             doc["header"][key] = value
         with pytest.raises(CheckpointError, match="must be an integer"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("value", [5, 3, "4", 4.0, True, None])
+    def test_header_n_other_than_the_stored_device(self, tmp_path, value):
+        def edit(doc):
+            doc["header"]["N"] = value
+        with pytest.raises(CheckpointError, match="header N"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("value", ["x", -1, 1.5, True, None])
+    def test_header_seed_not_a_seed(self, tmp_path, value):
+        def edit(doc):
+            doc["header"]["seed"] = value
+        with pytest.raises(CheckpointError, match="header seed"):
+            self.load_edited(tmp_path, edit)
+
+    def test_header_without_seed_loads_as_0(self, tmp_path):
+        def edit(doc):
+            del doc["header"]["seed"]
+        assert self.load_edited(tmp_path, edit).config_header()["seed"] == 0
+
+    def test_a_checkpoint_that_is_not_an_object(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        path.write_text(json.dumps([doc]))
+        with pytest.raises(CheckpointError,
+                           match="checkpoint is not a JSON object"):
+            PolicyNetwork.load(path)
+
+    @pytest.mark.parametrize("section", ["header", "params", "buffers"])
+    def test_a_section_that_is_not_an_object(self, tmp_path, section):
+        def edit(doc):
+            doc[section] = None
+        with pytest.raises(CheckpointError,
+                           match=f"'{section}' is not a JSON object"):
+            self.load_edited(tmp_path, edit)
+
+    def test_a_device_that_is_not_an_object(self, tmp_path):
+        def edit(doc):
+            doc["device"] = [doc["device"]]
+        with pytest.raises(TopologyError,
+                           match="device document is not a JSON object"):
             self.load_edited(tmp_path, edit)
 
     def test_malformed_json(self, tmp_path):

@@ -188,6 +188,13 @@ class TestEdgeListJson:
         with pytest.raises(TopologyError):
             load_coupling_graph(p)
 
+    def test_a_document_that_is_not_an_object(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text('[3, [[0, 1], [1, 2]]]')
+        with pytest.raises(TopologyError,
+                           match="device document is not a JSON object"):
+            load_coupling_graph(p)
+
     @pytest.mark.parametrize("doc,fragment", [
         ({"n": 3, "edges": [[0, 1.7], [1, 2]]}, "not 1.7"),
         ({"n": 3.9, "edges": [[0, 1], [1, 2]]}, "not 3.9"),

@@ -202,6 +202,21 @@ class TestDecode:
         with pytest.raises(ConfigError, match="seed must be at least 0"):
             DecodeStrategy.make(kind, seed=-1)
 
+    def test_starts_over_the_walk_budget_are_rejected(self, rng,
+                                                      monkeypatch):
+        import qlayout.training as training
+
+        pol = tiny_policy()
+        pg = gen_random_instance(3, 0.6, rng, n_max=4)
+        per_start = 3 * 4 + training.START_ELEMENTS
+        monkeypatch.setattr(training, "WALK_ELEMENT_BUDGET", 5 * per_start)
+        runs = [DecodeStrategy.make("greedy"),
+                DecodeStrategy.make("multistart_sampling", k=4)]
+        assert len(decode(pg, pol.cg, pol, runs)) == 2
+        runs[1] = DecodeStrategy.make("multistart_sampling", k=5)
+        with pytest.raises(ConfigError, match="k: 6 starts"):
+            decode(pg, pol.cg, pol, runs)
+
     def test_multistart_k1_degenerates(self, rng):
         pol = tiny_policy()
         pg = gen_random_instance(3, 0.6, rng, n_max=4)
