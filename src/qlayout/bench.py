@@ -24,7 +24,7 @@ from .circuit import ProgramGraph, onehot_features, read_qasm
 from .errors import ConfigError, ParseError, QLayoutError
 from .objective import CostModel, fast_cost_fn
 from .policy import CONTEXT_KINDS, PolicyNetwork
-from .postprocess import SearchConfig, local_search
+from .postprocess import SearchConfig, SearchStats, local_search
 from .topology import CouplingGraph
 from .training import STRATEGY_KINDS, DecodeStrategy, decode, train_new
 
@@ -73,6 +73,9 @@ class ReportRow:
     pp_cost: float
     wall_ms_rl: float
     wall_ms_pp: float
+    pp_iters: int  # the local search's SearchStats, or 0, 0, "none"
+    pp_accepted: int
+    pp_stop: str
 
 
 def family_from_name(stem):
@@ -118,11 +121,13 @@ def run_bench(cfg: BenchRun):
         cost_fn = fast_cost_fn(pg, cost_model)
         for strategy, (layout, rl_cost) in zip(cfg.runs, decoded):
             pp_cost, wall_pp = rl_cost, 0.0
+            stats = SearchStats(stop_reason="none")
             if cfg.postprocess:
                 search = cfg.search or SearchConfig(
                     cost_mode=cfg.cost_mode, seed=strategy.seed)
                 t1 = time.perf_counter()
-                refined = local_search(layout, pg, cfg.device, search)
+                refined = local_search(layout, pg, cfg.device, search,
+                                       stats)
                 wall_pp = (time.perf_counter() - t1) * 1e3
                 pp_cost = cost_fn(refined.assign)
             rows.append(ReportRow(
@@ -130,6 +135,8 @@ def run_bench(cfg: BenchRun):
                 n=pg.num_logical, two_qubit_gates=pg.num_edges,
                 strategy=strategy.kind, seed=strategy.seed, rl_cost=rl_cost,
                 pp_cost=pp_cost, wall_ms_rl=wall_rl, wall_ms_pp=wall_pp,
+                pp_iters=stats.iterations, pp_accepted=stats.accepted,
+                pp_stop=stats.stop_reason,
             ))
     rows.sort(key=lambda r: (r.instance, r.strategy, r.seed))
     return rows, summarize(rows, skipped=skipped)

@@ -5,6 +5,9 @@ and one vjp per input, the function from the output's gradient to that
 input's; ``_make`` records the inputs that require a gradient with their
 vjps. ``Tape`` linearizes the op graph so backward visits every node once
 in reverse topological order and accumulates each vjp into its input.
+A fused op, such as the policy's GAT layer with its norm, is one ``_make``
+call too (through ``fused``): its forward runs in plain numpy and each
+input gets a hand-written vjp, all read from one shared backward.
 No ML framework is involved and everything runs in float64 so gradient
 checks can be tight.
 """
@@ -135,6 +138,22 @@ def _make(data, *pairs):
         out.requires_grad = True
         out._parents, out._bwd = zip(*kept)
     return out
+
+
+def fused(data, inputs, backward):
+    """The output of a fused op: one tape node whose value is ``data`` and
+    whose vjps share ``backward(g)``, the tuple of every input's gradient
+    in ``inputs`` order. A backward pass computes it at its first vjp call
+    and the other vjps read it."""
+    memo = [None, None]  # the output's gradient and backward of it
+
+    def grads(g):
+        if memo[0] is not g:
+            memo[:] = g, backward(g)
+        return memo[1]
+
+    return _make(data, *((t, lambda g, i=i: grads(g)[i])
+                         for i, t in enumerate(inputs)))
 
 
 def _unbroadcast(g, shape):
@@ -322,11 +341,14 @@ def masked_fill(a, mask, value):
                  (a, lambda g: np.where(mask, 0.0, g)))
 
 
-def softmax_array(x, axis):
+def softmax_array(x, axis, out=None):
     """Softmax of a plain array along ``axis``; entries of -inf get zero
-    mass. The forward value of ``softmax``."""
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    mass. The forward value of ``softmax``, computed in one new array or
+    in ``out``, which may be ``x``."""
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(a, axis=-1):
@@ -334,8 +356,9 @@ def softmax(a, axis=-1):
     data = softmax_array(a.data, axis)
 
     def vjp(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return data * (g - dot)
+        grad = g - (g * data).sum(axis=axis, keepdims=True)
+        grad *= data
+        return grad
 
     return _make(data, (a, vjp))
 

@@ -62,13 +62,15 @@ class ConfigError(QLayoutError):
     pass
 
 
-def check_integer(name, value, minimum):
+def check_integer(name, value, minimum, maximum=None):
     """Raise ConfigError unless ``value`` is an integer, not a bool, of at
-    least ``minimum``."""
+    least ``minimum`` and, if ``maximum`` is given, at most ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, not {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be at most {maximum}, not {value}")
 
 
 def check_positive_float(name, value):

@@ -15,7 +15,9 @@ graphs stacked with it. ``encode`` of a list of program graphs is one
 such stack; one program graph or the device graph is a stack of one. In
 training, batch norm moves its running statistics as it computes each
 graph's statistics, once per graph in stack order, so ``encode`` moves
-them for every program graph and then for the device.
+them for every program graph and then for the device. A GAT layer and its
+norm are one tape node, a ``diffcore.fused`` op whose hand-written
+backward gives bit for bit the gradients of the composed ops.
 
 The logits never depend on the seats already taken: a context reads only
 program embeddings along the placement order, and the glimpse attends over
@@ -58,6 +60,9 @@ CHECKPOINT_VERSION = 2
 
 _NORM_EPS = 1e-5
 _BN_MOMENTUM = 0.1
+# bounds on model sizes, checked before any allocation, far above any in use
+MAX_LAYERS = 64
+MAX_WIDTH = 4096  # heads, embed_dim and context_dim
 
 
 @dataclass
@@ -69,7 +74,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("layers", "heads", "embed_dim"):
-            check_integer(f"encoder {name}", getattr(self, name), 1)
+            check_integer(f"encoder {name}", getattr(self, name), 1,
+                          MAX_LAYERS if name == "layers" else MAX_WIDTH)
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
@@ -87,7 +93,8 @@ class DecoderConfig:
 
     def __post_init__(self):
         for name in ("heads", "context_dim"):
-            check_integer(f"decoder {name}", getattr(self, name), 1)
+            check_integer(f"decoder {name}", getattr(self, name), 1,
+                          MAX_WIDTH)
         check_positive_float("clip", self.clip)
         if self.context_kind not in CONTEXT_KINDS:
             raise ConfigError(f"unknown context kind '{self.context_kind}'")
@@ -260,58 +267,97 @@ class PolicyNetwork:
 
     # --- encoder ----------------------------------------------------
 
-    def _norm(self, h, prefix, p, train, pads):
-        """Normalise a (B, M, d_e) stack. Graph norm, and batch norm in
-        training, take each graph's statistics over its real rows; batch
-        norm then moves its running statistics once per graph, in stack
-        order."""
-        kind = self.enc_cfg.norm_kind
-        g = p(f"{prefix}.g")
-        b = p(f"{prefix}.b")
-        if kind == "batch" and not train:
-            m = Tensor(self.store.buffers[f"{prefix}.mean"].reshape(1, -1))
-            var = Tensor(self.store.buffers[f"{prefix}.var"].reshape(1, -1))
-            centered = h - m
-        elif kind == "layer":
-            m = h.mean(axis=2, keepdims=True)
-            centered = h - m
-            var = dc.tmean(dc.mul(centered, centered), axis=2, keepdims=True)
-        else:
-            inv_n = Tensor(pads.inv_sizes)
-            m = dc.mul(dc.tsum(dc.mul(h, pads.real), axis=1, keepdims=True),
-                       inv_n)
-            centered = dc.mul(h - m, pads.real)
-            var = dc.mul(dc.tsum(dc.mul(centered, centered), axis=1,
-                                 keepdims=True), inv_n)
-            if kind == "batch":
-                rm = self.store.buffers[f"{prefix}.mean"]
-                rv = self.store.buffers[f"{prefix}.var"]
-                for mean, variance in zip(m.data[:, 0], var.data[:, 0]):
-                    rm += _BN_MOMENTUM * (mean - rm)
-                    rv += _BN_MOMENTUM * (variance - rv)
-        h_hat = dc.mul(centered, dc.powi(var + _NORM_EPS, -0.5))
-        return h_hat * g.reshape(1, -1) + b.reshape(1, -1)
-
     def _gat_layer(self, h, adj, prefix, p, train, pads):
-        """One multi-head GAT layer on a (B, M, d_e) stack as per-head
-        batched matmuls: head h's (M, M) attention weights times its
-        (M, dh) slice of the values, for every graph of the stack."""
-        e = self.enc_cfg
-        n_graphs, m_rows = h.shape[:2]
-        k, dh = e.heads, e.embed_dim // e.heads
-        z = dc.matmul(h.reshape(n_graphs * m_rows, e.embed_dim),
-                      p(f"{prefix}.W").T)
-        zh = dc.transpose(z.reshape(n_graphs, m_rows, k, dh),
-                          (0, 2, 1, 3))  # (B, k, M, dh)
-        s_src = dc.matmul(zh, p(f"{prefix}.a_src").reshape(k, dh, 1))
-        s_dst = dc.matmul(zh, p(f"{prefix}.a_dst").reshape(k, dh, 1))
-        scores = dc.leaky_relu(
-            s_src + s_dst.reshape(n_graphs, k, 1, m_rows), 0.2)
-        scores = dc.masked_fill(scores, ~adj[:, None], -np.inf)
-        alpha = dc.softmax(scores, axis=-1)  # (B, k, M, M)
-        agg = dc.transpose(dc.matmul(alpha, zh), (0, 2, 1, 3))  # (B, M, k, dh)
-        out = dc.elu(agg).reshape(n_graphs, m_rows, e.embed_dim)
-        return self._norm(out, f"{prefix}.norm", p, train, pads)
+        """One GAT layer (per-head batched matmuls) and its norm on a
+        (B, M, d_e) stack, as one tape node over ``h`` and the layer's W,
+        a_src, a_dst, norm.g and norm.b. Graph norm, and batch norm in
+        training, take each graph's statistics over its real rows; batch
+        norm then moves its running statistics once per graph, in order.
+        Forward and backward replay the composed ``diffcore`` ops and the
+        order of ``Tape.run``'s sums into shared intermediates, bit for bit."""
+        inputs = [h] + [p(f"{prefix}.{name}") for name in
+                        ("W", "a_src", "a_dst", "norm.g", "norm.b")]
+        x, w, a_src, a_dst, g, b = (t.data for t in inputs)
+        n_graphs, m_rows, d_e = x.shape
+        k, dh = self.enc_cfg.heads, d_e // self.enc_cfg.heads
+        rows = x.reshape(n_graphs * m_rows, d_e)
+        zh = (rows @ w.T).reshape(n_graphs, m_rows, k, dh).transpose(
+            0, 2, 1, 3)  # (B, k, M, dh)
+        src, dst = a_src.reshape(k, dh, 1), a_dst.reshape(k, dh, 1)
+        s = zh @ src + (zh @ dst).reshape(n_graphs, k, 1, m_rows)
+        cut = np.broadcast_to(~adj[:, None], s.shape)
+        # LeakyReLU(0.2) as a maximum, branch-free and equal to leaky_relu;
+        # a new (B, k, M, M) array costs page faults, so they are reused
+        alpha = 0.2 * s
+        np.maximum(s, alpha, out=alpha)
+        np.putmask(alpha, cut, -np.inf)
+        dc.softmax_array(alpha, -1, out=alpha)
+        agg = (alpha @ zh).transpose(0, 2, 1, 3)  # (B, M, k, dh)
+        positive = agg >= 0
+        act = np.where(positive, agg, np.expm1(agg))
+        out = act.reshape(n_graphs, m_rows, d_e)
+        # statistics along ``axis``; ``real`` zeroes pad rows, and is 1.0
+        # under layer norm, whose statistics are per row (an exact product)
+        kind = self.enc_cfg.norm_kind
+        stats = kind != "batch" or train
+        rm, rv = (self.store.buffers.get(f"{prefix}.norm.{stat}")
+                  for stat in ("mean", "var"))
+        axis, inv_n, real = ((2, 1.0 / d_e, 1.0) if kind == "layer"
+                             else (1, pads.inv_sizes, pads.real))
+        if stats:
+            mean = (out * real).sum(axis=axis, keepdims=True) * inv_n
+            centered = (out - mean) * real
+            var = (centered * centered).sum(axis=axis, keepdims=True) * inv_n
+        else:
+            mean, var = rm.reshape(1, -1), rv.reshape(1, -1)
+            centered = out - mean
+        if kind == "batch" and train:
+            for graph_mean, graph_var in zip(mean[:, 0], var[:, 0]):
+                rm += _BN_MOMENTUM * (graph_mean - rm)
+                rv += _BN_MOMENTUM * (graph_var - rv)
+        shifted = var + _NORM_EPS
+        scale = np.power(shifted, -0.5)
+        h_hat = centered * scale
+        gain, bias = g.reshape(1, -1), b.reshape(1, -1)
+
+        def backward(grad):
+            d_hat = grad * gain
+            d_out = d_hat * scale
+            if stats:
+                d_scale = dc._unbroadcast(d_hat * centered, scale.shape)
+                d_sq = d_scale * -0.5 * np.power(shifted, -1.5) * inv_n
+                # centered * centered adds its two vjps one after the other
+                twice = d_sq * centered
+                d_out = (d_out + twice + twice) * real
+                d_mean = dc._unbroadcast(-d_out, mean.shape) * inv_n
+                d_out = d_out + d_mean * real
+            d_agg = np.transpose(d_out.reshape(act.shape) * np.where(
+                positive, 1.0, act + 1.0), (0, 2, 1, 3))
+            # softmax's vjp alpha * (d_s - dot), masked_fill's, and
+            # leaky_relu's times the slope (0.8 + 0.2 rounds to 1.0)
+            d_s = d_agg @ np.swapaxes(zh, -1, -2)
+            work = d_s * alpha
+            d_s -= work.sum(axis=-1, keepdims=True)
+            d_s *= alpha
+            np.putmask(d_s, cut, 0.0)
+            np.multiply(s >= 0, 0.8, out=work)
+            work += 0.2
+            d_s *= work
+            d_src = dc._unbroadcast(d_s, (n_graphs, k, m_rows, 1))
+            d_dst = dc._unbroadcast(d_s, (n_graphs, k, 1, m_rows)).reshape(
+                n_graphs, k, m_rows, 1)
+            d_zh = (np.swapaxes(alpha, -1, -2) @ d_agg
+                    + d_src @ np.swapaxes(src, -1, -2)
+                    + d_dst @ np.swapaxes(dst, -1, -2))
+            zt = np.swapaxes(zh, -1, -2)
+            d_z = np.transpose(d_zh, (0, 2, 1, 3)).reshape(rows.shape)
+            return ((d_z @ w).reshape(x.shape), (rows.T @ d_z).T,
+                    dc._unbroadcast(zt @ d_src, src.shape).reshape(k, dh),
+                    dc._unbroadcast(zt @ d_dst, dst.shape).reshape(k, dh),
+                    dc._unbroadcast(grad * h_hat, gain.shape).reshape(g.shape),
+                    dc._unbroadcast(grad, bias.shape).reshape(b.shape))
+
+        return dc.fused(h_hat * gain + bias, inputs, backward)
 
     def _encode_stack(self, feats, pairs, which, train):
         """Encode graphs as one zero-padded (B, M, .) stack, M the largest

@@ -20,7 +20,7 @@ from qlayout.bench import (
 from qlayout.errors import ConfigError, ParseError
 from qlayout.objective import CostModel, brute_force_optimal, fast_cost_fn
 from qlayout.policy import DecoderConfig, EncoderConfig
-from qlayout.postprocess import SearchConfig, local_search
+from qlayout.postprocess import SearchConfig, SearchStats, local_search
 from qlayout.topology import build_grid, build_heavy_hex
 from qlayout.training import (STRATEGY_KINDS, DecodeStrategy, TrainConfig,
                               decode)
@@ -165,6 +165,7 @@ class TestRunBench:
         rows, _ = run_bench(self.make_run(dataset, postprocess=False))
         for r in rows:
             assert r.pp_cost == r.rl_cost and r.wall_ms_pp == 0.0
+            assert (r.pp_iters, r.pp_accepted, r.pp_stop) == (0, 0, "none")
 
     def test_rows_deterministic_modulo_wall(self, dataset):
         cfg = self.make_run(dataset)
@@ -192,15 +193,19 @@ class TestRunBench:
                                                    seed=seed)
                     layout, rl_cost = decode(pg, cfg.device, cfg.policy,
                                              strategy, cm)
+                    stats = SearchStats()
                     refined = local_search(
                         layout, pg, cfg.device, search or SearchConfig(
-                            cost_mode=cfg.cost_mode, seed=seed))
+                            cost_mode=cfg.cost_mode, seed=seed), stats)
                     want.append((name, family_from_name(name),
                                  pg.num_logical, pg.num_edges, kind, seed,
-                                 rl_cost, cost_fn(refined.assign)))
+                                 rl_cost, cost_fn(refined.assign),
+                                 stats.iterations, stats.accepted,
+                                 stats.stop_reason))
         rows, _ = run_bench(cfg)
-        assert [astuple(r)[:-2] for r in rows] == sorted(
-            want, key=lambda row: (row[0], row[4], row[5]))
+        # every column but the two timings
+        got = [astuple(r)[:8] + astuple(r)[10:] for r in rows]
+        assert got == sorted(want, key=lambda row: (row[0], row[4], row[5]))
         # one decode per circuit, its time split evenly over its rows
         for name, _ in load_dataset(dataset, cfg.policy)[0]:
             assert len({r.wall_ms_rl for r in rows if r.instance == name}) == 1
@@ -302,8 +307,15 @@ class TestBaseline:
         report = tmp_path / "report.csv"
         write_report(rows, report, baseline={"ghz_3": 4.0})
         with open(report, newline="") as fh:
+            header = next(csv.reader(fh))
+            fh.seek(0)
             records = list(csv.DictReader(fh))
+        # the search's counters follow wall_ms_pp; the baseline stays last
+        assert header[-5:] == ["wall_ms_pp", "pp_iters", "pp_accepted",
+                               "pp_stop", "baseline_cost"]
         assert len(records) == len(rows)
+        assert {(r["pp_iters"], r["pp_accepted"], r["pp_stop"])
+                for r in records} == {("0", "0", "none")}
         by_name = {r["instance"]: r for r in records}
         assert by_name["ghz_3"]["baseline_cost"] == "4.0"
         assert by_name["ghz_4"]["baseline_cost"] == ""

@@ -419,6 +419,21 @@ class TestInputBoundaries:
         self.assert_one_line_error(code, err, "seed must be at least 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,value,fragment", [
+        ("--d-e", "1000000000", "embed_dim must be at most 4096"),
+        ("--layers", "65", "layers must be at most 64"),
+        ("--d-c", "1000000000", "context_dim must be at most 4096"),
+    ])
+    def test_train_bounds_model_sizes_before_allocation(
+            self, monkeypatch, capsys, tmp_path, option, value, fragment):
+        out = tmp_path / "policy.json"
+        code, err = run_entry(monkeypatch, capsys, "train", "--device",
+                              "grid2x2", "--n-min", "2", "--n-max", "3",
+                              "--heads", "1", "--m-heads", "1", option,
+                              value, "--out", out)
+        self.assert_one_line_error(code, err, fragment)
+        assert not out.exists()
+
     def test_ablate_context_rejects_an_empty_test_set(
             self, monkeypatch, capsys, tmp_path):
         out = tmp_path / "ablation.csv"

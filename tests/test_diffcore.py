@@ -263,6 +263,38 @@ class TestBackwardBookkeeping:
         out = dc.tsum(dc.tanh(a))
         assert out._bwd is None and not out.requires_grad
 
+    def test_fused_op_runs_one_backward_per_pass(self):
+        """A fused op is one node; its vjps share one backward per pass,
+        and a new pass (a new output gradient) runs it again."""
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 0.5]), requires_grad=True)
+        c = Tensor(np.array([7.0, 7.0]))
+        calls = []
+
+        def backward(g):
+            calls.append(g)
+            return g * b.data * c.data, g * a.data * c.data, None
+
+        out = dc.fused(a.data * b.data * c.data, [a, b, c], backward)
+        assert out._parents == (a, b) and len(dc.Tape(out).order) == 3
+        seed = np.array([1.0, 2.0])
+        out.backward(seed)
+        assert len(calls) == 1
+        assert a.grad.tolist() == [21.0, 7.0]
+        assert b.grad.tolist() == [7.0, -28.0]
+        a.grad = b.grad = None
+        out.backward(-seed)
+        assert len(calls) == 2 and a.grad.tolist() == [-21.0, -7.0]
+
+    def test_softmax_array_in_place_is_the_same_value(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2, 3, 7))
+        x[rng.random(x.shape) < 0.3] = -np.inf
+        x[..., 0] = 0.5
+        want = dc.softmax_array(x, -1)
+        assert dc.softmax_array(x, -1, out=x) is x
+        assert np.array_equal(x, want)
+
 
 class TestAdam:
     def test_zero_gradient_no_change(self):

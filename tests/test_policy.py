@@ -61,6 +61,24 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
             DecoderConfig(**{field: value})
 
+    @pytest.mark.parametrize("cls,field,value,bound", [
+        (EncoderConfig, "layers", 65, 64),
+        (EncoderConfig, "heads", 4097, 4096),
+        (EncoderConfig, "embed_dim", 10**9, 4096),
+        (EncoderConfig, "embed_dim", 2**70, 4096),
+        (DecoderConfig, "heads", 4097, 4096),
+        (DecoderConfig, "context_dim", 8192, 4096),
+    ])
+    def test_sizes_bounded_before_allocation(self, cls, field, value, bound):
+        with pytest.raises(ConfigError,
+                           match=f"{field} must be at most {bound}, "
+                                 f"not {value}"):
+            cls(**{field: value})
+
+    def test_sizes_at_their_bounds_accepted(self):
+        EncoderConfig(layers=64, heads=4096, embed_dim=4096)
+        DecoderConfig(heads=4096, context_dim=4096)
+
     @pytest.mark.parametrize("field,value", [
         ("layers", True), ("layers", 1.5), ("heads", 2.0),
         ("embed_dim", "8"),
@@ -792,6 +810,15 @@ class TestStrictCheckpoint:
         def edit(doc):
             doc["header"][key] = value
         with pytest.raises(CheckpointError, match="must be at least 1"):
+            self.load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("key,value", [("d_e", 10**9), ("heads", 4097),
+                                           ("layers", 65), ("d_c", 8192),
+                                           ("m_heads", 2**64)])
+    def test_header_size_over_its_bound(self, tmp_path, key, value):
+        def edit(doc):
+            doc["header"][key] = value
+        with pytest.raises(CheckpointError, match="must be at most"):
             self.load_edited(tmp_path, edit)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
