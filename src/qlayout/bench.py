@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import ProgramGraph, onehot_features, read_qasm
-from .errors import ConfigError, ParseError, QLayoutError
+from .errors import ConfigError, ParseError, QLayoutError, read_input
 from .objective import CostModel, fast_cost_fn
 from .policy import CONTEXT_KINDS, PolicyNetwork
 from .postprocess import SearchConfig, SearchStats, local_search
@@ -202,14 +202,12 @@ def baseline_summary(rows, baseline):
 def import_baseline(path):
     """CSV with columns instance,cost -> dict. A file that cannot be read as
     UTF-8 CSV, and a cost that is not a finite number, are a ParseError."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _baseline_costs(csv.DictReader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"cannot read baseline {path}: {exc}") from None
+    return read_input(path, ParseError, f"cannot read baseline {path}",
+                      _baseline_costs)
 
 
-def _baseline_costs(reader):
+def _baseline_costs(fh):
+    reader = csv.DictReader(fh)
     if reader.fieldnames is None or not {
         "instance", "cost"
     }.issubset(reader.fieldnames):

@@ -9,7 +9,8 @@ is a ParseError. The operands of barrier and measure are checked as well:
 a barrier's must be declared quantum registers in range, and
 ``measure a -> b`` needs a quantum ``a`` and a classical ``b`` of the
 same width. A register size or index too long for ``int`` is a ParseError
-too.
+too, and so is a whole-register operand wider than ``MAX_QUBITS``, before
+a qubit of it is listed.
 
 Every document is read by one statement loop. Each line break (any that
 ``str.splitlines`` knows) becomes one LF, ``//`` comments are cut, and
@@ -27,7 +28,6 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +39,9 @@ from .errors import (
     TooManyQubitsError,
     UnsupportedGateError,
     check_integer,
+    read_input,
 )
+from .topology import MAX_QUBITS
 
 SINGLE_QUBIT_GATES = frozenset(
     "id x y z h s sdg t tdg sx sxdg rx ry rz p u u1 u2 u3 U".split()
@@ -124,11 +126,7 @@ def read_qasm(path) -> Circuit:
     """Parse the UTF-8 QASM file at ``path``; a file that cannot be read as
     UTF-8 text (a directory, a missing file, other bytes) is a ParseError
     that names the path."""
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_qasm(source)
+    return parse_qasm(read_input(path, ParseError, f"cannot read {path}"))
 
 
 class _Document:
@@ -143,7 +141,8 @@ class _Document:
         self.gates = []
 
     def resolve(self, operand, line):
-        """The qubits a quantum operand names: all of a bare register."""
+        """The qubits a quantum operand names: all of a bare register, which
+        may be no wider than any device (``MAX_QUBITS``)."""
         name, idx = _operand(operand, line)
         if name in self.cregs:
             raise ParseError(f"classical register '{name}' is not a gate "
@@ -151,6 +150,10 @@ class _Document:
         if name not in self.qregs:
             raise ParseError(f"unknown register '{name}'", line=line)
         offset, size = self.qregs[name]
+        if idx is None and size > MAX_QUBITS:
+            raise ParseError(f"operand '{name}' names all {size} qubits of "
+                             f"its register; no device has more than "
+                             f"{MAX_QUBITS}", line=line)
         return [offset + k for k in _indices(name, idx, size, line)]
 
     def measure(self, rest, line):
@@ -165,9 +168,11 @@ class _Document:
             raise ParseError(f"measure target '{name}' is not a classical "
                              "register", line=line)
         bits = _indices(name, idx, self.cregs[name], line)
-        if len(bits) != len(qubits):
+        # len() of a range wider than sys.maxsize overflows; this does not
+        width = bits.stop - bits.start
+        if width != len(qubits):
             raise ParseError(f"measure of {len(qubits)} qubits into "
-                             f"{len(bits)} bits", line=line)
+                             f"{width} bits", line=line)
 
     def statement(self, stmt, line):
         """Read one statement, trimmed and without its ';' or comments,
@@ -243,8 +248,8 @@ def _operand(operand, line):
 
 
 def _indices(name, idx, size, line):
-    """The indices ``name[idx]`` selects in a register of ``size``; every
-    index when ``idx`` is None."""
+    """The range of indices ``name[idx]`` selects in a register of
+    ``size``; every index when ``idx`` is None."""
     if idx is None:
         return range(size)
     idx = _number(idx, f"index into '{name}[{size}]'", line)
@@ -252,7 +257,7 @@ def _indices(name, idx, size, line):
         raise ParseError(
             f"index {idx} out of range for register '{name}[{size}]'", line=line
         )
-    return [idx]
+    return range(idx, idx + 1)
 
 
 def _number(digits, what, line):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -44,11 +45,28 @@ from .training import (
     STRATEGY_KINDS,
     DecodeStrategy,
     TrainConfig,
+    check_walk_budget,
     decode,
     gen_random_instance,
     train_new,
     write_metrics_csv,
 )
+
+
+def check_outputs(*paths):
+    """Reject, before any work, an output path that is a directory or
+    whose directory is missing or not writable; None is no output. A
+    write that fails later anyway is an OSError, which ``entry`` prints
+    as one line."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: no directory "
+                              f"{path.parent}")
+        if not os.access(path.parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}: {path.parent} is not "
+                              "writable")
 
 
 def resolve_device(name):
@@ -117,6 +135,7 @@ def train(device, n_min, n_max, epochs, batches, batch_size, lr, edge_prob,
           seed, cost_mode, val_size, d_e, d_c, layers, heads, m_heads, norm,
           context, shared_encoder, out, metrics):
     """Train a layout policy on random instances for a fixed device."""
+    check_outputs(out, metrics)
     cg = resolve_device(device)
     cfg = TrainConfig(epochs=epochs, batches_per_epoch=batches,
                       batch_size=batch_size, lr=lr, n_min=n_min, n_max=n_max,
@@ -222,6 +241,7 @@ def bench(dataset, ckpt, strategies, pp, k, seeds, cost_mode, baseline_path,
           out, summary_path):
     """Evaluate a checkpoint over a dataset of .qasm files on the
     checkpoint's device."""
+    check_outputs(out, summary_path)
     try:
         seed_list = [int(s) for s in seeds.split(",")]
     except ValueError as exc:
@@ -262,10 +282,16 @@ def ablate_context(device, n_min, n_max, epochs, batches, batch_size,
                    val_size, test_size, d_e, layers, heads, m_heads, seed,
                    out):
     """Train all three context encodings and emit a comparison CSV."""
+    check_outputs(out)
     cg = resolve_device(device)
     cfg = TrainConfig(epochs=epochs, batches_per_epoch=batches,
                       batch_size=batch_size, n_min=n_min, n_max=n_max,
                       seed=seed, val_size=val_size)
+    # all three before the test set is drawn; ``train`` checks the first
+    # two only after it
+    for name, count in (("batch_size", batch_size), ("val_size", val_size),
+                        ("test_size", test_size)):
+        check_walk_budget(name, count, n_max, cg.num_physical)
     enc = EncoderConfig(layers=layers, heads=heads, embed_dim=d_e)
     dec = DecoderConfig(heads=m_heads, context_dim=d_e)
     rng = np.random.default_rng([seed, 99])
@@ -278,7 +304,7 @@ def ablate_context(device, n_min, n_max, epochs, batches, batch_size,
 def entry():
     try:
         main()
-    except QLayoutError as exc:
+    except (QLayoutError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

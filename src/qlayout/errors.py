@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the integer,
-positive-float, probability and flag checks of config fields."""
+"""Exception hierarchy shared across the package, the checks of config
+fields, and ``read_input``, the one reader of every input file."""
 
+import csv
 import math
 import numbers
 
@@ -60,6 +61,18 @@ class InfeasibleStateError(QLayoutError):
 
 class ConfigError(QLayoutError):
     pass
+
+
+def read_input(path, error, message, decode=None):
+    """``decode(fh)``, or the text if ``decode`` is None, of the file at
+    ``path`` opened as UTF-8 with ``newline=""`` (as csv needs). A file
+    that cannot be opened or decoded (missing, a directory, not UTF-8,
+    malformed or too deeply nested) raises ``error(f"{message}: {why}")``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read() if decode is None else decode(fh)
+    except (OSError, ValueError, RecursionError, csv.Error) as exc:
+        raise error(f"{message}: {exc}") from None
 
 
 def check_integer(name, value, minimum, maximum=None):

@@ -27,6 +27,7 @@ from .errors import (
     IncompleteLayoutError,
     ParseError,
     SearchSpaceTooLargeError,
+    read_input,
 )
 from .topology import CouplingGraph, DistanceMatrix
 
@@ -98,12 +99,8 @@ class Layout:
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ParseError(f"cannot read layout {path}: {exc}")
-        return cls.from_dict(data)
+        return cls.from_dict(read_input(
+            path, ParseError, f"cannot read layout {path}", json.load))
 
     def save(self, path, num_physical=None):
         with open(path, "w") as fh:

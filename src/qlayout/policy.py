@@ -24,11 +24,11 @@ program embeddings along the placement order, and the glimpse attends over
 every physical node unmasked. So the whole (n, N) logit table of an
 episode is computed in one batched pass, and the taken seats enter only
 through the mask of ``masked_distribution``. ``stacked_logit_table`` is
-that pass for every episode that shares a device embedding, one episode or
-many; ``make_context`` of one step and ``pointer_logits`` of one context
-are its one-row views. Parameters join the autodiff tape only when the
-inputs are on it, so eval builds no tape; the eval-mode device embedding
-is memoised on the policy.
+that pass for episodes that share a device embedding and place their
+nodes in row order; ``make_context`` of one step, in any order, and
+``pointer_logits`` of one context are its one-row views. Parameters join
+the autodiff tape only when the inputs are on it, so eval builds no tape;
+the eval-mode device embedding is memoised on the policy.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from .errors import (
     ShapeError,
     check_integer,
     check_positive_float,
+    read_input,
 )
-from .topology import CouplingGraph, coupling_graph_from_dict
+from .topology import MAX_QUBITS, CouplingGraph, coupling_graph_from_dict
 
 NORM_KINDS = ("layer", "batch", "graph")
 CONTEXT_KINDS = ("project_concat", "concat_project", "stack_project")
@@ -184,7 +185,7 @@ class PolicyNetwork:
     def _configure(self, cg, enc_cfg, dec_cfg, prog_feature_dim,
                    shared_encoder, seed):
         """Everything but the arrays, which ``_fill`` then adds."""
-        check_integer("n_max", prog_feature_dim, 1)
+        check_integer("n_max", prog_feature_dim, 1, MAX_QUBITS)
         self.cg = cg
         self.enc_cfg = enc_cfg
         self.dec_cfg = dec_cfg
@@ -438,36 +439,33 @@ class PolicyNetwork:
     # --- decoder ----------------------------------------------------
 
     def make_context(self, emb: NodeEmbeddings, t, order) -> Tensor:
-        """Context query of step ``t``, shape (d_c,): the one-step view of
-        ``stacked_logit_table``'s contexts. Step t reads only
-        ``order[:t + 1]``, never the seats already chosen."""
-        return dc.gather(self._contexts(emb.program, order[: t + 1], [0]), t)
+        """Context query of step ``t``, shape (d_c,), of an episode placing
+        the nodes ``order``: the one-step view of ``stacked_logit_table``
+        over the rows ``order[:t + 1]``, never the seats already chosen."""
+        rows = dc.gather(emb.program,
+                         np.asarray(order[: t + 1], dtype=np.intp))
+        return dc.gather(self._contexts(rows, [0]), t)
 
-    def stacked_logit_table(self, program, physical, orders) -> Tensor:
+    def stacked_logit_table(self, program, physical, sizes) -> Tensor:
         """The logit tables of episodes that share one device embedding,
-        stacked episode after episode into one (sum of len(order), N)
-        table. ``program`` stacks the episodes' program rows in the same
-        order, as ``encode`` of a list returns them, and each order places
-        all of its graph's nodes. The contexts of all steps are built
-        together and one pointer pass serves them all, so the device key,
-        value and final-key projections are computed once."""
-        starts = np.cumsum([0] + [len(o) for o in orders[:-1]])
-        order = np.concatenate([np.asarray(o, dtype=np.intp) + start
-                                for o, start in zip(orders, starts)])
-        return self.pointer_logits(self._contexts(program, order, starts),
-                                   physical)
+        stacked into one (sum of sizes, N) table. ``program`` stacks the
+        episodes' rows as ``encode`` of a list returns them; episode e
+        places its ``sizes[e]`` rows in order, so table row r places
+        program row r. One pointer pass serves every step, so the device
+        key, value and final-key projections are computed once."""
+        starts = np.cumsum([0, *sizes[:-1]])
+        return self.pointer_logits(self._contexts(program, starts), physical)
 
-    def _contexts(self, program, order, starts):
-        """The (len(order), d_c) context queries of steps reading the rows
-        ``order`` of ``program``; an episode begins at each step in
+    def _contexts(self, program, starts):
+        """The (T, d_c) context queries of the steps that place the T rows
+        of ``program`` in order; an episode begins at each row in
         ``starts``."""
         kind = self.dec_cfg.context_kind
         p = self.store.lookup(program.requires_grad)
         w = p("ctx.W")
-        order = np.asarray(order, dtype=np.intp)
-        first = np.zeros(len(order), dtype=bool)
+        first = np.zeros(program.shape[0], dtype=bool)
         first[starts] = True
-        current = dc.gather(program, order)  # (T, d_e)
+        current = program  # (T, d_e)
         if kind == "stack_project":
             # row t averages the projections of its episode's steps up to t
             episode = np.cumsum(first)
@@ -475,10 +473,10 @@ class PolicyNetwork:
             prefix_mean /= prefix_mean.sum(axis=1, keepdims=True)
             return dc.matmul(Tensor(prefix_mean), dc.matmul(current, w.T))
         # an episode's first step reads the start token, later steps the
-        # node placed before them (row 0 is the token, row r + 1 node r)
+        # row before them (row 0 is the token, row r + 1 program row r)
         previous = dc.gather(
             dc.concat([p("ctx.start").reshape(1, -1), program]),
-            np.where(first, 0, np.roll(order, 1) + 1))
+            np.where(first, 0, np.arange(len(first))))
         if kind == "project_concat":
             return dc.concat([dc.matmul(current, w.T),
                               dc.matmul(previous, w.T)], axis=1)
@@ -567,11 +565,8 @@ class PolicyNetwork:
         """Restore a saved policy; any checkpoint that does not describe
         exactly the network its header builds raises ``CheckpointError``.
         Version-1 checkpoints, whose arrays are lists of values, load too."""
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
+        doc = read_input(path, CheckpointError,
+                         f"cannot read checkpoint {path}", json.load)
         try:
             return cls._from_doc(doc)
         except KeyError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import TopologyError, read_input
 
 # the most physical qubits a device may have. A device keeps N x N
 # distance and cost tables, and local search holds the cost rows as
@@ -215,12 +215,8 @@ def build_heavy_hex() -> CouplingGraph:
 
 def load_coupling_graph(path) -> CouplingGraph:
     """Load a custom topology from an edge-list JSON file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise TopologyError(f"cannot read device file {path}: {exc}") from exc
-    return coupling_graph_from_dict(data)
+    return coupling_graph_from_dict(read_input(
+        path, TopologyError, f"cannot read device file {path}", json.load))
 
 
 def coupling_graph_from_dict(data) -> CouplingGraph:

@@ -22,7 +22,10 @@ inverts the CDF with one uniform, exactly as ``Generator.choice`` does, and the 
 sampled rollout draws all of them from its one ``rng`` in episode order,
 and each decode start from its own stream. ``choice`` draws one double per
 call, so the seats and the state of every stream are the same as with one
-``choice`` per step.
+``choice`` per step. A walk holds at most ``WALK_ELEMENT_BUDGET``
+elements: ``check_walk_budget`` bounds a decode's starts, and a training
+batch and validation set (at ``n_max`` qubits each) before any instance
+is drawn.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (ConfigError, NumericError, check_integer,
                      check_positive_float, check_probability)
 from .objective import CostModel, Layout, check_cost_mode, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
-from .topology import CouplingGraph
+from .topology import MAX_QUBITS, CouplingGraph
 
 STRATEGY_KINDS = ("greedy", "sampling", "multistart_greedy", "multistart_sampling")
 ROLLOUT_MODES = ("greedy", "sample")
@@ -70,7 +73,7 @@ class TrainConfig:
         check_cost_mode(self.cost_mode)
         check_probability("edge_prob", self.edge_prob)
         check_integer("n_min", self.n_min, 2)
-        check_integer("n_max", self.n_max, self.n_min)
+        check_integer("n_max", self.n_max, self.n_min, MAX_QUBITS)
         check_integer("seed", self.seed, 0)
 
 
@@ -146,8 +149,9 @@ class RolloutBatch(list):
 
 def _episodes(batch, cg, policy, cost_model, train):
     """The stacked logit table of one episode per program graph in
-    ``batch``, each placing its logical qubits in ascending order, and the
-    cost functions their layouts are scored by.
+    ``batch``, each placing its logical qubits in ascending order (so its
+    table rows are its program rows), and the cost functions their
+    layouts are scored by.
 
     One ``encode`` call embeds every program graph, as one padded stack,
     and the device graph; one pointer pass scores every episode's rows.
@@ -159,7 +163,7 @@ def _episodes(batch, cg, policy, cost_model, train):
         check_qubit_count(pg.num_logical, cg.num_physical, "the device's N")
     emb = policy.encode(batch, train=train)
     table = policy.stacked_logit_table(
-        emb.program, emb.physical, [np.arange(pg.num_logical) for pg in batch])
+        emb.program, emb.physical, [pg.num_logical for pg in batch])
     cost_model = cost_model or CostModel.for_graph(cg)
     return table, [fast_cost_fn(pg, cost_model) for pg in batch]
 
@@ -285,6 +289,16 @@ def _log_probs(table, seats):
     return dc.matmul(member.astype(np.float64), logs)
 
 
+def check_walk_budget(name, count, n, n_phys, what="episodes"):
+    """Raise ConfigError, naming ``name``, if ``count`` walks of ``n``
+    qubits over ``n_phys`` seats would hold more than
+    ``WALK_ELEMENT_BUDGET`` elements."""
+    if count * (n * n_phys + START_ELEMENTS) > WALK_ELEMENT_BUDGET:
+        raise ConfigError(
+            f"{name}: {count} {what} of {n} qubits on {n_phys} qubits exceed "
+            f"the walk's budget of {WALK_ELEMENT_BUDGET} elements")
+
+
 def _start_rng(seed, start):
     return np.random.default_rng([int(seed), int(start)])
 
@@ -306,12 +320,8 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     if not strategies:
         raise ConfigError("decode needs at least one strategy")
     n = pg.num_logical
-    starts = sum(one.k for one in strategies)
-    if starts * (n * cg.num_physical + START_ELEMENTS) > WALK_ELEMENT_BUDGET:
-        raise ConfigError(
-            f"k: {starts} starts of a {n}-qubit circuit on {cg.num_physical} "
-            f"qubits exceed the walk's budget of {WALK_ELEMENT_BUDGET} "
-            f"elements")
+    check_walk_budget("k", sum(one.k for one in strategies), n,
+                      cg.num_physical, "starts")
     table, (cost_fn,) = _episodes([pg], cg, policy, cost_model, False)
     # each start's uniforms: None if it draws none, else (seed, start,
     # count); a greedy kind samples the first step of every start but the
@@ -371,8 +381,13 @@ def _batch_gradient(batch, cg, policy, cost_model, rng, baseline):
 
 def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
           log_fn=None):
-    """REINFORCE with a greedy-rollout baseline; returns per-epoch metrics."""
+    """REINFORCE with a greedy-rollout baseline; returns per-epoch metrics.
+    A batch or validation set too large for the walk is rejected before
+    any instance is drawn."""
     policy.check_device(cg)
+    for name in ("batch_size", "val_size"):
+        check_walk_budget(name, getattr(cfg, name), cfg.n_max,
+                          cg.num_physical)
     cost_model = CostModel(cfg.cost_mode, cg.distances)
     inst_rng = np.random.default_rng([cfg.seed, 0])
     episode_rng = np.random.default_rng([cfg.seed, 1])

@@ -93,21 +93,20 @@ class TestBatchStep:
     def test_stacked_table_rows_are_each_episodes_table(
             self, norm, context, shared, batch):
         pol = make_policy(norm, context, shared)
-        orders = [np.arange(pg.num_logical) for pg in batch]
+        sizes = [pg.num_logical for pg in batch]
         for train_mode in (False, True):
             physical = device_rows(pol, train_mode)
             programs = [program_rows(pol, pg, train_mode) for pg in batch]
             table = pol.stacked_logit_table(dc.concat(programs), physical,
-                                            orders).data
-            assert table.shape == (sum(len(o) for o in orders),
-                                   pol.cg.num_physical)
+                                            sizes).data
+            assert table.shape == (sum(sizes), pol.cg.num_physical)
             lo = 0
-            for pg, order in zip(batch, orders):
+            for pg, n in zip(batch, sizes):
                 emb = pol.encode(pg, train_mode)
                 own = pol.stacked_logit_table(emb.program, emb.physical,
-                                              [order]).data
-                assert np.abs(table[lo:lo + len(order)] - own).max() <= 1e-12
-                lo += len(order)
+                                              [n]).data
+                assert np.abs(table[lo:lo + n] - own).max() <= 1e-12
+                lo += n
 
     @SETTINGS
     @given(batch=batches(), seed=st.integers(0, 50))
@@ -148,10 +147,8 @@ class TestBatchStep:
         ref_pol = copy.deepcopy(pol)
         cm = CostModel.for_graph(pol.cg)
         emb = ref_pol.encode(batch, train=True)
-        table = ref_pol.stacked_logit_table(
-            emb.program, emb.physical,
-            [np.arange(pg.num_logical) for pg in batch])
         sizes = [pg.num_logical for pg in batch]
+        table = ref_pol.stacked_logit_table(emb.program, emb.physical, sizes)
         firsts = np.cumsum([0] + sizes[:-1])
         uniforms = np.split(np.random.default_rng(seed).random(sum(sizes)),
                             firsts[1:])
@@ -279,7 +276,7 @@ class TestLockstepWalk:
             emb = pol.encode(batch, train_mode)
             table = pol.stacked_logit_table(
                 emb.program, emb.physical,
-                [np.arange(pg.num_logical) for pg in batch]).data
+                [pg.num_logical for pg in batch]).data
             ref_rng = np.random.default_rng(seed)
             lo, want = 0, []
             for pg in batch:
@@ -312,7 +309,7 @@ class TestLockstepWalk:
             n = pg.num_logical
             emb = pol.encode(pg)
             table = pol.stacked_logit_table(emb.program, emb.physical,
-                                            [np.arange(n)]).data
+                                            [n]).data
             cost_fn = fast_cost_fn(pg, cm)
             for kind in STRATEGY_KINDS:
                 strategy = DecodeStrategy.make(kind, k=k, seed=seed)
@@ -450,8 +447,7 @@ def reference_train(cfg, policy, cg):
                 physical = device_rows(policy, train=True)
                 if i < cfg.batch_size - 1:
                     policy.store.buffers.update(saved)
-                table = policy.stacked_logit_table(program, physical,
-                                                   [np.arange(n)])
+                table = policy.stacked_logit_table(program, physical, [n])
                 mask = np.ones(n_phys, dtype=bool)
                 assign = np.empty(n, dtype=np.int64)
                 log_prob = None

@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qlayout.errors import (
     TooManyQubitsError,
     UnsupportedGateError,
 )
+from qlayout.topology import MAX_QUBITS
 
 GHZ3 = """
 OPENQASM 2.0;
@@ -195,6 +197,41 @@ class TestParser:
                                                           ("cx", (0, 1))]
 
 
+class TestWholeRegisterBound:
+    """A whole-register operand lists one qubit per register entry, so a
+    register wider than any device is refused before the list is built."""
+
+    @pytest.mark.parametrize("statement", ["h q;", "barrier q;",
+                                           "measure q -> c;"])
+    @pytest.mark.parametrize("width", [MAX_QUBITS + 1, 3000000, 10**9])
+    def test_a_register_wider_than_any_device_is_refused(self, statement,
+                                                         width):
+        source = f"qreg q[{width}];\ncreg c[{width}];\n{statement}\n"
+        with pytest.raises(ParseError,
+                           match=f"line 3: operand 'q' names all {width} "
+                                 f"qubits of its register; no device has "
+                                 f"more than {MAX_QUBITS}"):
+            parse_qasm(source)
+
+    def test_a_register_as_wide_as_the_bound_is_read(self):
+        c = parse_qasm(f"qreg q[{MAX_QUBITS}]; creg c[{MAX_QUBITS}]; h q; "
+                       "barrier q; measure q -> c;")
+        assert c.num_qubits == MAX_QUBITS
+        assert [g.qubits for g in c.gates] == [(q,) for q in range(MAX_QUBITS)]
+
+    def test_the_36_byte_broadcast_is_refused_at_once(self):
+        source = "OPENQASM 2.0;\nqreg q[3000000]; h q;\n"
+        assert len(source.encode()) == 36
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="line 2: operand 'q'"):
+            parse_qasm(source)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_an_indexed_operand_of_a_wide_register_is_unchanged(self):
+        c = parse_qasm("qreg q[3000000]; h q[2999999]; cx q[0], q[1];")
+        assert c.num_qubits == 3000000 and len(c.gates) == 2
+
+
 class TestReadQasm:
     def test_reads_the_file(self, tmp_path):
         f = tmp_path / "ghz_3.qasm"
@@ -211,6 +248,15 @@ class TestReadQasm:
         elif kind == "not utf-8":
             f.write_bytes(b"OPENQASM 2.0;\nqreg q[2];\n// \xff\xfe\n")
         with pytest.raises(ParseError, match=re.escape(f"cannot read {f}")):
+            read_qasm(f)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_ends_are_read_as_written(self, tmp_path, newline):
+        f = tmp_path / "ghz_3.qasm"
+        f.write_bytes(GHZ3.replace("\n", newline).encode())
+        assert read_qasm(f) == parse_qasm(GHZ3)
+        f.write_bytes(b"qreg q[2];" + newline.encode() + b"cz q[0], q[2];")
+        with pytest.raises(ParseError, match="line 2: index 2"):
             read_qasm(f)
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -554,3 +556,140 @@ class TestInputBoundaries:
         assert doc["baseline"]["joined_rows"] == 1
         with open(report, newline="") as fh:
             assert [r["instance"] for r in csv.DictReader(fh)] == ["ghz_3"]
+
+    DEEP = "[" * 10000 + "]" * 10000
+
+    @pytest.mark.parametrize("kind", ["layout", "device file", "checkpoint"])
+    def test_a_deeply_nested_json_file_is_one_error_line(
+            self, monkeypatch, capsys, tmp_path, qasm_file, layout_file,
+            kind):
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP)
+        args = {
+            "layout": ["postprocess", "--layout", deep, "--circuit",
+                       qasm_file, "--device", "grid2x2"],
+            "device file": ["postprocess", "--layout", layout_file,
+                            "--circuit", qasm_file, "--device", deep],
+            "checkpoint": ["map", "--circuit", qasm_file, "--ckpt", deep],
+        }[kind]
+        code, err = run_entry(monkeypatch, capsys, *args)
+        self.assert_one_line_error(code, err, f"cannot read {kind} {deep}")
+
+    @pytest.mark.parametrize("command", ["map", "postprocess"])
+    def test_an_output_in_a_missing_directory_is_one_error_line(
+            self, monkeypatch, capsys, tmp_path, qasm_file, layout_file,
+            command):
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        out = tmp_path / "missing" / "layout.json"
+        args = {
+            "map": ["--circuit", qasm_file, "--ckpt", ckpt],
+            "postprocess": ["--layout", layout_file, "--circuit", qasm_file,
+                            "--device", "grid2x2"],
+        }[command]
+        code, err = run_entry(monkeypatch, capsys, command, *args, "--out",
+                              out)
+        self.assert_one_line_error(code, err, str(out))
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Fail the test if a command gets as far as training, drawing a
+        test instance or decoding."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command started its work")
+        for name in ("train_new", "run_bench", "run_context_ablation",
+                     "gen_random_instance"):
+            monkeypatch.setattr(f"qlayout.cli.{name}", refuse)
+
+    def output_args(self, tmp_path, qasm_file, command, option, target):
+        """The arguments of a tiny run of ``command`` whose ``option``
+        output is ``target``, every other output a writable file."""
+        ckpt = tmp_path / "policy.json"
+        tiny_policy().save(ckpt)
+        outputs = {
+            "train": {"--out": "policy.json", "--metrics": "metrics.csv"},
+            "bench": {"--out": "report.csv", "--summary": "summary.json"},
+            "ablate-context": {"--out": "ablation.csv"},
+        }[command]
+        args = {
+            "train": ["--device", "grid2x2", "--n-min", "2", "--n-max",
+                      "3"],
+            "bench": ["--dataset", qasm_file.parent, "--ckpt", ckpt],
+            "ablate-context": ["--device", "grid2x2", "--n-min", "2",
+                               "--n-max", "3"],
+        }[command]
+        for name, file in outputs.items():
+            args += [name, target if name == option else tmp_path / file]
+        return args
+
+    RUN_OUTPUTS = [("train", "--out"), ("train", "--metrics"),
+                   ("bench", "--out"), ("bench", "--summary"),
+                   ("ablate-context", "--out")]
+
+    @pytest.mark.parametrize("command,option", RUN_OUTPUTS)
+    def test_outputs_are_checked_before_the_work(
+            self, monkeypatch, capsys, tmp_path, qasm_file, no_work,
+            command, option):
+        missing = tmp_path / "missing" / "out"
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        for target, fragment in ((missing, f"no directory {missing.parent}"),
+                                 (folder, "it is a directory")):
+            code, err = run_entry(monkeypatch, capsys, command,
+                                  *self.output_args(tmp_path, qasm_file,
+                                                    command, option, target))
+            self.assert_one_line_error(code, err, f"cannot write {target}",
+                                       fragment)
+
+    @pytest.mark.parametrize("command,option", RUN_OUTPUTS)
+    def test_an_output_directory_that_is_not_writable(
+            self, monkeypatch, capsys, tmp_path, qasm_file, no_work,
+            command, option):
+        target = tmp_path / "locked" / "out"
+        target.parent.mkdir()
+        args = self.output_args(tmp_path, qasm_file, command, option, target)
+        real_access = os.access
+        monkeypatch.setattr(
+            "qlayout.cli.os.access",
+            lambda path, mode: (Path(path) != target.parent
+                                and real_access(path, mode)))
+        code, err = run_entry(monkeypatch, capsys, command, *args)
+        self.assert_one_line_error(code, err, f"cannot write {target}",
+                                   "is not writable")
+
+    @pytest.mark.parametrize("command,option,value,fragment", [
+        ("train", "--n-max", "1000000000", "n_max must be at most 2048"),
+        ("train", "--batch-size", "1000000000", "batch_size: 1000000000 "
+         "episodes of 3 qubits on 4 qubits exceed the walk's budget"),
+        ("train", "--val-size", str(2**64), f"val_size: {2**64} episodes"),
+        ("ablate-context", "--n-max", "1000000000",
+         "n_max must be at most 2048"),
+        ("ablate-context", "--batch-size", "1000000000", "batch_size: "),
+        ("ablate-context", "--val-size", "1000000000", "val_size: "),
+        ("ablate-context", "--test-size", "1000000000", "test_size: "),
+    ])
+    def test_sizes_are_bounded_before_any_instance_is_drawn(
+            self, monkeypatch, capsys, tmp_path, command, option, value,
+            fragment):
+        import qlayout.training as training
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+        monkeypatch.setattr(training, "gen_random_instance", no_draw)
+        monkeypatch.setattr("qlayout.cli.gen_random_instance", no_draw)
+        out = tmp_path / "out"
+        args = ["--device", "grid2x2", "--n-min", "2", "--n-max", "3",
+                "--epochs", "1", "--batches", "1", "--d-e", "8",
+                "--layers", "1", "--heads", "2", "--m-heads", "2"]
+        code, err = run_entry(monkeypatch, capsys, command, *args, option,
+                              value, "--out", out)
+        self.assert_one_line_error(code, err, fragment)
+        assert not out.exists()
+
+    def test_a_broadcast_over_a_register_wider_than_any_device(
+            self, monkeypatch, capsys, tmp_path):
+        f = tmp_path / "broadcast.qasm"
+        f.write_text("OPENQASM 2.0;\nqreg q[3000000]; h q;\n")
+        code, err = run_entry(monkeypatch, capsys, "features", f)
+        self.assert_one_line_error(code, err, "line 2: operand 'q' names all "
+                                   "3000000 qubits")

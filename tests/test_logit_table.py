@@ -129,8 +129,10 @@ class TestTable:
         pg, order = case
         pol = make_policy(norm, context, shared)
         for emb in (pol.encode(pg), pol.encode(pg, train=True)):
-            table = pol.stacked_logit_table(emb.program, emb.physical,
-                                            [order]).data
+            # the table places its rows in order: those of ``order``
+            rows = dc.gather(emb.program, np.asarray(order))
+            table = pol.stacked_logit_table(rows, emb.physical,
+                                            [len(order)]).data
             assert table.shape == (pg.num_logical, pol.cg.num_physical)
             for t in range(pg.num_logical):
                 ref = reference_step_logits(pol, emb, t, order)

@@ -27,7 +27,7 @@ from qlayout.policy import (
     EncoderConfig,
     PolicyNetwork,
 )
-from qlayout.topology import build_grid
+from qlayout.topology import MAX_QUBITS, build_grid
 from qlayout.training import DecodeStrategy, decode
 
 from conftest import device_rows, program_rows, tiny_policy
@@ -104,6 +104,12 @@ class TestConfigs:
     @pytest.mark.parametrize("n_max", [0, -1, 2.0, True])
     def test_n_max_is_a_positive_integer(self, n_max):
         with pytest.raises(ConfigError, match="n_max must be"):
+            tiny_policy(n_max=n_max)
+
+    @pytest.mark.parametrize("n_max", [MAX_QUBITS + 1, 10**9, 2**70])
+    def test_n_max_is_bounded_by_the_largest_device(self, n_max):
+        with pytest.raises(ConfigError, match=f"n_max must be at most "
+                                              f"{MAX_QUBITS}, not {n_max}"):
             tiny_policy(n_max=n_max)
 
     def test_stack_project_needs_matching_dims(self):
@@ -883,6 +889,21 @@ class TestStrictCheckpoint:
         path.write_text(path.read_text()[:200])
         with pytest.raises(CheckpointError, match="cannot read"):
             PolicyNetwork.load(path)
+
+    def test_a_deeply_nested_file(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        path.write_text("[" * 10000 + "]" * 10000)
+        with pytest.raises(CheckpointError,
+                           match=f"cannot read checkpoint {path}: maximum "
+                                 "recursion depth"):
+            PolicyNetwork.load(path)
+
+    def test_n_max_beyond_any_device(self, tmp_path):
+        def edit(doc):
+            doc["header"]["n_max"] = 10**9
+        with pytest.raises(CheckpointError,
+                           match=f"n_max must be at most {MAX_QUBITS}"):
+            self.load_edited(tmp_path, edit)
 
     def test_legacy_stack_pool(self, tmp_path):
         def mean(doc):

@@ -273,6 +273,26 @@ class TestTrain:
         assert runs[0] == runs[1]
         assert len(runs[0]) == cfg.epochs
 
+    @pytest.mark.parametrize("field", ["batch_size", "val_size"])
+    def test_instance_counts_share_the_walk_budget(self, monkeypatch, field):
+        """Both lists are held as one walk of n_max-qubit episodes, checked
+        by decode's rule before any instance is drawn."""
+        import qlayout.training as training
+
+        cg = build_grid(2, 2)
+        monkeypatch.setattr(training, "WALK_ELEMENT_BUDGET",
+                            4 * (3 * 4 + training.START_ELEMENTS))
+        train(self.small_cfg(epochs=1, **{field: 4}),
+              tiny_policy(cg=cg, n_max=3), cg)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+        monkeypatch.setattr(training, "gen_random_instance", no_draw)
+        with pytest.raises(ConfigError, match=f"{field}: 5 episodes of 3 "
+                                              "qubits on 4 qubits exceed"):
+            train(self.small_cfg(**{field: 5}), tiny_policy(cg=cg, n_max=3),
+                  cg)
+
     def test_advantage_scales_gradient_linearly(self, rng):
         import qlayout.diffcore as dc
 
@@ -313,6 +333,8 @@ class TestTrain:
         ("n_min", 2.5, "n_min must be an integer"),
         ("n_min", 1, "n_min must be at least 2"),
         ("n_max", 5, "n_max must be at least 6"),
+        ("n_max", 2049, "n_max must be at most 2048, not 2049"),
+        ("n_max", 10**9, "n_max must be at most 2048"),
     ])
     def test_config_rejects_values_that_cannot_train(self, field, value,
                                                      fragment):

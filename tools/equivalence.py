@@ -205,11 +205,11 @@ def decision_margin(policy, pg, strategy):
     only the first step of starts after the first, the sampling kinds
     sample every step."""
     from qlayout.diffcore import softmax_array
+    from qlayout.training import _episodes
 
     n = pg.num_logical
-    emb = policy.encode(pg)
-    table = policy.stacked_logit_table(emb.program, emb.physical,
-                                       [np.arange(n)]).data
+    # the table decode walks, built as both sides of a comparison build it
+    table = _episodes([pg], policy.cg, policy, None, False)[0].data
     margin = np.inf
     seats = []
     for start in range(strategy.k):
