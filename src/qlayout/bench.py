@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import ProgramGraph, onehot_features, read_qasm
-from .errors import ConfigError, ParseError, QLayoutError, read_input
+from .errors import ConfigError, ParseError, QLayoutError, read_input, shown
 from .objective import CostModel, fast_cost_fn
 from .policy import CONTEXT_KINDS, PolicyNetwork
 from .postprocess import SearchConfig, SearchStats, local_search
@@ -219,10 +219,11 @@ def _baseline_costs(fh):
     for lineno, record in enumerate(reader, start=2):
         try:
             cost = float(record["cost"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad cost value: {exc}", line=lineno)
+        except (TypeError, ValueError):
+            raise ParseError(f"bad cost value {shown(record['cost'])}",
+                             line=lineno) from None
         if not math.isfinite(cost):
-            raise ParseError(f"cost {record['cost']!r} is not finite",
+            raise ParseError(f"cost {shown(record['cost'])} is not finite",
                              line=lineno)
         out[record["instance"]] = cost
     return out

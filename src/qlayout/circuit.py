@@ -10,7 +10,8 @@ a barrier's must be declared quantum registers in range, and
 ``measure a -> b`` needs a quantum ``a`` and a classical ``b`` of the
 same width. A register size or index too long for ``int`` is a ParseError
 too, and so is a whole-register operand wider than ``MAX_QUBITS``, before
-a qubit of it is listed.
+a qubit of it is listed, and so are whole-register statements that produce
+more than ``MAX_REGISTER_GATES`` gates in all.
 
 Every document is read by one statement loop. Each line break (any that
 ``str.splitlines`` knows) becomes one LF, ``//`` comments are cut, and
@@ -50,6 +51,10 @@ TWO_QUBIT_GATES = frozenset(["cx", "cz", "swap", "CX"])
 # extract_features holds (n, n) float arrays: 2048 qubits, more than any
 # device built has, keeps each at 32 MiB; wider circuits are refused first
 FEATURE_QUBIT_LIMIT = 2048
+# The most gates a document's whole-register statements may produce: 32
+# broadcasts over the widest register. Without a bound, `h q;` on 2048
+# qubits buys 2048 gates for 4 bytes.
+MAX_REGISTER_GATES = 32 * MAX_QUBITS
 
 _STMT_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*)$", re.S)
 _OPERAND_RE = re.compile(r"^(\w+)\s*(?:\[\s*(\d+)\s*\])?$")
@@ -139,6 +144,7 @@ class _Document:
         self.cregs = {}  # name -> size
         self.num_qubits = 0
         self.gates = []
+        self.register_gates = 0  # gates of whole-register statements
 
     def resolve(self, operand, line):
         """The qubits a quantum operand names: all of a bare register, which
@@ -219,6 +225,12 @@ class _Document:
                     f"gate '{head}' expects one operand, got {len(operands)}",
                     line=line,
                 )
+            if _operand(rest, line)[1] is None:
+                self.register_gates += len(operands[0])
+                if self.register_gates > MAX_REGISTER_GATES:
+                    raise ParseError(
+                        f"whole-register statements produce more than "
+                        f"{MAX_REGISTER_GATES} gates", line=line)
             for q in operands[0]:
                 self.gates.append(Gate(head, (q,)))
         else:

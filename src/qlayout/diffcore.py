@@ -326,10 +326,23 @@ def gather(a, index):
 
     def vjp(g):
         acc = np.zeros_like(a.data)
-        np.add.at(acc, index, g)
+        if _distinct_rows(index):
+            acc[index] += g  # 0.0 + g, as np.add.at gives, -0.0 included
+        else:
+            np.add.at(acc, index, g)
         return acc
 
     return _make(np.take(a.data, index, axis=0), (a, vjp))
+
+
+def _distinct_rows(index):
+    """Whether ``index`` is a 1-D integer array, strictly increasing from 0
+    or more (as ``np.flatnonzero`` gives), so it names each row at most
+    once and a scatter needs no accumulation."""
+    return (isinstance(index, np.ndarray) and index.ndim == 1
+            and index.dtype.kind in "iu"
+            and (index.size == 0 or index[0] >= 0)
+            and bool((index[1:] > index[:-1]).all()))
 
 
 def masked_fill(a, mask, value):
@@ -341,11 +354,23 @@ def masked_fill(a, mask, value):
                  (a, lambda g: np.where(mask, 0.0, g)))
 
 
+def _row_max(x, axis):
+    """``np.max(x, axis, keepdims=True)``. A maximum is exact in any order,
+    and over many short rows the elementwise maximum of the slices of a
+    copy with ``axis`` first is about three times faster than numpy's
+    reduction row by row; over few or long rows it is slower."""
+    length = x.shape[axis]
+    if length < 64 and x.size >= 128 * length:
+        return np.expand_dims(np.moveaxis(x, axis, 0).copy().max(axis=0),
+                              axis)
+    return np.max(x, axis=axis, keepdims=True)
+
+
 def softmax_array(x, axis, out=None):
     """Softmax of a plain array along ``axis``; entries of -inf get zero
     mass. The forward value of ``softmax``, computed in one new array or
     in ``out``, which may be ``x``."""
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    e = np.subtract(x, _row_max(x, axis), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
@@ -366,28 +391,45 @@ def softmax(a, axis=-1):
 # --- optimizer ------------------------------------------------------
 
 def adam_init(params):
-    return {
-        "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
-    }
+    """Adam's step count and moments. The first and second moments are one
+    flat array each, over every parameter in ``sorted(params)`` order."""
+    size = sum(np.size(params[name]) for name in params)
+    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
 
 
 def adam_step(params, grads, state, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Standard Adam update with bias correction; mutates params in place."""
+    """Standard Adam update with bias correction; mutates params in place.
+
+    The update is computed once over the concatenated gradient and
+    subtracted from each parameter; a name missing from ``grads`` keeps its
+    moments and its parameter. The arithmetic is elementwise, so every
+    value is that of one update per parameter."""
     state["t"] += 1
     t = state["t"]
-    for name in sorted(params):
-        g = grads.get(name)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for '{name}'")
-        m = state["m"][name]
-        v = state["v"][name]
-        m += (1 - beta1) * (g - m)
-        v += (1 - beta2) * (g * g - v)
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    names = sorted(params)
+    offsets = np.cumsum([0] + [np.size(params[name]) for name in names])
+    present = [(name, lo, hi) for name, lo, hi
+               in zip(names, offsets[:-1], offsets[1:])
+               if grads.get(name) is not None]
+    if not present:
+        return params, state
+    g = np.concatenate([np.ravel(grads[name]) for name, _, _ in present])
+    if not np.isfinite(g).all():
+        bad = next(name for name, _, _ in present
+                   if not np.all(np.isfinite(grads[name])))
+        raise NumericError(f"non-finite gradient for '{bad}'")
+    cols = slice(None) if len(present) == len(names) else np.concatenate(
+        [np.arange(lo, hi) for _, lo, hi in present])
+    m, v = state["m"][cols], state["v"][cols]
+    m += (1 - beta1) * (g - m)
+    v += (1 - beta2) * (g * g - v)
+    state["m"][cols], state["v"][cols] = m, v
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    step = lr * m_hat / (np.sqrt(v_hat) + eps)
+    done = 0  # step holds the present names' updates back to back
+    for name, lo, hi in present:
+        size = hi - lo
+        params[name] -= step[done:done + size].reshape(np.shape(params[name]))
+        done += size
     return params, state

@@ -4,6 +4,7 @@ fields, and ``read_input``, the one reader of every input file."""
 import csv
 import math
 import numbers
+import reprlib
 
 
 class QLayoutError(Exception):
@@ -63,6 +64,19 @@ class ConfigError(QLayoutError):
     pass
 
 
+# repr of a value an error line echoes: 3 levels of nesting, 6 items of a
+# list, 40 characters of a string or a number
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 3
+_SHORT.maxstring = _SHORT.maxother = _SHORT.maxlong = 40
+
+
+def shown(value):
+    """``repr(value)``, shortened so that an error line that echoes an
+    input value stays short however deep or long the value is."""
+    return _SHORT.repr(value)
+
+
 def read_input(path, error, message, decode=None):
     """``decode(fh)``, or the text if ``decode`` is None, of the file at
     ``path`` opened as UTF-8 with ``newline=""`` (as csv needs). A file
@@ -79,7 +93,7 @@ def check_integer(name, value, minimum, maximum=None):
     """Raise ConfigError unless ``value`` is an integer, not a bool, of at
     least ``minimum`` and, if ``maximum`` is given, at most ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
+        raise ConfigError(f"{name} must be an integer, not {shown(value)}")
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, not {value}")
     if maximum is not None and value > maximum:
@@ -99,13 +113,13 @@ def check_probability(name, value):
     (0, 1]."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not 0 < value <= 1):
-        raise ConfigError(f"{name} must be in (0, 1], not {value!r}")
+        raise ConfigError(f"{name} must be in (0, 1], not {shown(value)}")
 
 
 def check_flag(name, value):
     """Raise ConfigError unless ``value`` is a bool."""
     if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be True or False, not {value!r}")
+        raise ConfigError(f"{name} must be True or False, not {shown(value)}")
 
 
 class TooManyQubitsError(ConfigError):

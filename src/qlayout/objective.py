@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     SearchSpaceTooLargeError,
     read_input,
+    shown,
 )
 from .topology import CouplingGraph, DistanceMatrix
 
@@ -90,7 +91,7 @@ class Layout:
         bad = [a for a in assign if type(a) is not int]
         if bad:
             raise ParseError(
-                f"\"assign\" must hold integers only, got {bad[0]!r}"
+                f"\"assign\" must hold integers only, got {shown(bad[0])}"
             )
         try:
             return cls(np.asarray(assign, dtype=np.int64))

@@ -17,7 +17,9 @@ training, batch norm moves its running statistics as it computes each
 graph's statistics, once per graph in stack order, so ``encode`` moves
 them for every program graph and then for the device. A GAT layer and its
 norm are one tape node, a ``diffcore.fused`` op whose hand-written
-backward gives bit for bit the gradients of the composed ops.
+backward gives bit for bit the gradients of the composed ops. So are the
+decoder's context queries (``_contexts``) and its pointer pass
+(``pointer_logits``), each one node for any number of steps.
 
 The logits never depend on the seats already taken: a context reads only
 program embeddings along the placement order, and the glimpse attends over
@@ -52,6 +54,7 @@ from .errors import (
     check_integer,
     check_positive_float,
     read_input,
+    shown,
 )
 from .topology import MAX_QUBITS, CouplingGraph, coupling_graph_from_dict
 
@@ -459,64 +462,125 @@ class PolicyNetwork:
     def _contexts(self, program, starts):
         """The (T, d_c) context queries of the steps that place the T rows
         of ``program`` in order; an episode begins at each row in
-        ``starts``."""
+        ``starts``, which holds 0. One tape node over ``program``,
+        ``ctx.W`` and (but for stack_project) ``ctx.start``, whose backward
+        gives bit for bit the gradients of the composed ops it replaced."""
         kind = self.dec_cfg.context_kind
         p = self.store.lookup(program.requires_grad)
-        w = p("ctx.W")
-        first = np.zeros(program.shape[0], dtype=bool)
+        inputs = [program, p("ctx.W")]
+        x, w = program.data, inputs[1].data  # (T, d_e), (., ctx_in)
+        first = np.zeros(len(x), dtype=bool)
         first[starts] = True
-        current = program  # (T, d_e)
         if kind == "stack_project":
             # row t averages the projections of its episode's steps up to t
             episode = np.cumsum(first)
             prefix_mean = np.tril(episode[:, None] == episode).astype(float)
             prefix_mean /= prefix_mean.sum(axis=1, keepdims=True)
-            return dc.matmul(Tensor(prefix_mean), dc.matmul(current, w.T))
+            projected = x @ w.T
+
+            def backward(g):
+                d_proj = prefix_mean.T @ g
+                return d_proj @ w, (x.T @ d_proj).T
+
+            return dc.fused(prefix_mean @ projected, inputs, backward)
         # an episode's first step reads the start token, later steps the
-        # row before them (row 0 is the token, row r + 1 program row r)
-        previous = dc.gather(
-            dc.concat([p("ctx.start").reshape(1, -1), program]),
-            np.where(first, 0, np.arange(len(first))))
+        # row before them
+        inputs.append(p("ctx.start"))
+        start = inputs[2].data
+        later = np.flatnonzero(~first)
+        previous = np.empty(x.shape)
+        previous[first] = start
+        previous[later] = x[later - 1]
         if kind == "project_concat":
-            return dc.concat([dc.matmul(current, w.T),
-                              dc.matmul(previous, w.T)], axis=1)
-        return dc.matmul(dc.concat([current, previous], axis=1), w.T)
+            half = w.shape[0]
+            out = np.concatenate([x @ w.T, previous @ w.T], axis=1)
+        else:
+            joined = np.concatenate([x, previous], axis=1)
+            out = joined @ w.T
+
+        def backward(g):
+            if kind == "project_concat":
+                d_cur, d_prev = g[:, :half] @ w, g[:, half:] @ w
+                d_w = (x.T @ g[:, :half]).T + (previous.T @ g[:, half:]).T
+            else:
+                d_joined = g @ w
+                d_cur, d_prev = np.hsplit(d_joined, 2)
+                d_w = (joined.T @ g).T
+            # the gather of previous rows scattered into zeros, 0.0 + g, and
+            # summed the start token's rows one after another
+            d_x = np.zeros(x.shape)
+            d_x[later - 1] += d_prev[later]
+            return (d_cur + d_x, d_w,
+                    0.0 + np.cumsum(d_prev[first], axis=0)[-1])
+
+        return dc.fused(out, inputs, backward)
 
     def pointer_logits(self, context: Tensor, physical: Tensor) -> Tensor:
         """Clipped compatibility of every physical node: shape (N,) for one
         context (d_c,), (T, N) for a (T, d_c) stack of contexts. The key,
-        value and final-key projections are computed once per call."""
+        value and final-key projections are computed once per call. One
+        tape node over the contexts, the device rows and the five
+        ``ptr.W_*``, whose backward gives bit for bit the gradients of the
+        composed ops it replaced."""
         d_c = self.dec_cfg.context_dim
         m = self.dec_cfg.heads
         d = d_c // m
-        n_phys = physical.shape[0]
-        one_step = context.ndim == 1
-        ctx = context.reshape(1, d_c) if one_step else context
-        steps = ctx.shape[0]
-        p = self.store.lookup(ctx.requires_grad or physical.requires_grad)
+        clip = self.dec_cfg.clip
+        p = self.store.lookup(context.requires_grad or physical.requires_grad)
+        inputs = [context, physical] + [p(f"ptr.W_{name}") for name in
+                                        ("Q", "K", "V", "G", "Kf")]
+        c, x, w_q, w_k, w_v, w_g, w_kf = (t.data for t in inputs)
+        one_step = c.ndim == 1
+        ctx = c.reshape(1, d_c) if one_step else c
+        steps, n_phys = len(ctx), len(x)
 
         # per-head (m, T, d) queries, (m, d, N) keys and (m, N, d) values
-        q = dc.matmul(ctx, p("ptr.W_Q").T) * Tensor(1.0 / np.sqrt(d))
-        q = dc.transpose(q.reshape(steps, m, d), (1, 0, 2))
-        keys = dc.matmul(physical, p("ptr.W_K").T).reshape(n_phys, m, d)
-        vals = dc.matmul(physical, p("ptr.W_V").T).reshape(n_phys, m, d)
-        weights = dc.softmax(
-            dc.matmul(q, dc.transpose(keys, (1, 2, 0))), axis=-1)  # (m, T, N)
+        q = (ctx @ w_q.T) * (1.0 / np.sqrt(d))
+        qh = q.reshape(steps, m, d).transpose(1, 0, 2)
+        keys = (x @ w_k.T).reshape(n_phys, m, d).transpose(1, 2, 0)
+        vals = (x @ w_v.T).reshape(n_phys, m, d).transpose(1, 0, 2)
+        weights = dc.softmax_array(qh @ keys, -1)  # (m, T, N)
         # Each step's glimpse is its own (1, N) @ (N, d) product (steps are
         # a batch axis), so its rounding does not depend on how many steps
         # share the pass. Under graph or batch norm the values of a head can
         # average to exactly zero, and then the logits are rounding alone:
         # the one-step view must round them as the table does.
-        glimpse = dc.matmul(
-            weights.reshape(m, steps, 1, n_phys),
-            dc.transpose(vals, (1, 0, 2)).reshape(m, 1, n_phys, d),
-        )  # (m, T, 1, d)
-        glimpse = dc.transpose(glimpse, (1, 0, 2, 3)).reshape(steps, d_c)
-        q_final = dc.matmul(glimpse, p("ptr.W_G").T)  # (T, d_c)
-        keys_final = dc.matmul(physical, p("ptr.W_Kf").T)  # (N, d_c)
-        compat = dc.matmul(q_final, keys_final.T) * Tensor(1.0 / np.sqrt(d_c))
-        logits = dc.tanh(compat) * Tensor(self.dec_cfg.clip)
-        return logits.reshape(n_phys) if one_step else logits
+        w4 = weights.reshape(m, steps, 1, n_phys)
+        v4 = vals.reshape(m, 1, n_phys, d)
+        glimpse = (w4 @ v4).transpose(1, 0, 2, 3).reshape(steps, d_c)
+        q_final = glimpse @ w_g.T  # (T, d_c)
+        keys_final = x @ w_kf.T  # (N, d_c)
+        squashed = np.tanh((q_final @ keys_final.T) * (1.0 / np.sqrt(d_c)))
+        logits = squashed * clip
+
+        def backward(g):
+            g = g.reshape(steps, n_phys)
+            d_compat = ((g * clip) * (1.0 - squashed * squashed)
+                        * (1.0 / np.sqrt(d_c)))
+            d_qf = d_compat @ keys_final
+            d_kf = (q_final.T @ d_compat).T
+            d_glimpse = (d_qf @ w_g).reshape(steps, m, 1, d).transpose(
+                1, 0, 2, 3)
+            d_w = (d_glimpse @ np.swapaxes(v4, -1, -2)).reshape(
+                m, steps, n_phys)
+            d_vals = dc._unbroadcast(np.swapaxes(w4, -1, -2) @ d_glimpse,
+                                     v4.shape)
+            d_s = d_w - (d_w * weights).sum(axis=-1, keepdims=True)
+            d_s *= weights
+            d_q = (d_s @ np.swapaxes(keys, -1, -2)).transpose(1, 0, 2)
+            d_keys = np.swapaxes(qh, -1, -2) @ d_s
+            d_q = d_q.reshape(steps, d_c) * (1.0 / np.sqrt(d))
+            d_k = d_keys.transpose(2, 0, 1).reshape(n_phys, d_c)
+            d_v = d_vals.reshape(m, n_phys, d).transpose(1, 0, 2).reshape(
+                n_phys, d_c)
+            # Tape.run summed the device rows' three gradients in this order
+            d_x = d_k @ w_k + d_v @ w_v + d_kf @ w_kf
+            return ((d_q @ w_q).reshape(c.shape), d_x, (ctx.T @ d_q).T,
+                    (x.T @ d_k).T, (x.T @ d_v).T, (glimpse.T @ d_qf).T,
+                    (x.T @ d_kf).T)
+
+        return dc.fused(logits.reshape(n_phys) if one_step else logits,
+                        inputs, backward)
 
     @staticmethod
     def masked_distribution(logits: Tensor, feasible) -> Tensor:
@@ -585,11 +649,12 @@ class PolicyNetwork:
         h = doc["header"]
         version = h["version"]
         if version not in (1, CHECKPOINT_VERSION):
-            raise CheckpointError(f"unsupported checkpoint version {version!r}")
+            raise CheckpointError(
+                f"unsupported checkpoint version {shown(version)}")
         # written by older versions, which had only these values in use
         for key, legacy in (("stack_pool", "mean"), ("feature_kind", "onehot")):
             if h.get(key, legacy) != legacy:
-                raise CheckpointError(f"unsupported {key} {h[key]!r}")
+                raise CheckpointError(f"unsupported {key} {shown(h[key])}")
         cg = coupling_graph_from_dict(doc["device"])
         if h["topology_hash"] != cg.topology_hash():
             raise CheckpointError(
@@ -597,12 +662,13 @@ class PolicyNetwork:
             )
         if type(h["N"]) is not int or h["N"] != cg.num_physical:
             raise CheckpointError(
-                f"header N {h['N']!r} does not match the stored device's "
-                f"{cg.num_physical} qubits")
+                f"header N {shown(h['N'])} does not match the stored "
+                f"device's {cg.num_physical} qubits")
         seed = h.get("seed", 0)
         if type(seed) is not int or seed < 0:
             raise CheckpointError(
-                f"header seed must be an integer of at least 0, not {seed!r}")
+                f"header seed must be an integer of at least 0, not "
+                f"{shown(seed)}")
         enc = EncoderConfig(layers=h["layers"], heads=h["heads"],
                             embed_dim=h["d_e"], norm_kind=h["norm_kind"])
         dec = DecoderConfig(heads=h["m_heads"], context_kind=h["context_kind"],

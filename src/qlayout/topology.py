@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TopologyError, read_input
+from .errors import TopologyError, read_input, shown
 
 # the most physical qubits a device may have. A device keeps N x N
 # distance and cost tables, and local search holds the cost rows as
@@ -90,7 +90,7 @@ def _integer(value, what):
     """``value`` as a Python int: an integer, numpy's too, but not a bool;
     anything else raises TopologyError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TopologyError(f"{what} must be an integer, not {value!r}")
+        raise TopologyError(f"{what} must be an integer, not {shown(value)}")
     return int(value)
 
 
@@ -114,14 +114,14 @@ class CouplingGraph:
         canon = set()
         for e in self.edges:
             try:
-                a, b = (_integer(q, f"edge {e!r}'s node") for q in e)
+                a, b = (_integer(q, f"edge {shown(e)}'s node") for q in e)
             except (TypeError, ValueError):
-                raise TopologyError(f"edge {e!r} is not a pair of nodes") \
-                    from None
+                raise TopologyError(
+                    f"edge {shown(e)} is not a pair of nodes") from None
             if a == b:
                 raise TopologyError(f"self-loop on node {a}")
             if not (0 <= a < n and 0 <= b < n):
-                raise TopologyError(f"edge {e} out of range [0, {n})")
+                raise TopologyError(f"edge {shown(e)} out of range [0, {n})")
             canon.add((min(a, b), max(a, b)))
         object.__setattr__(self, "num_physical", n)
         object.__setattr__(self, "edges", frozenset(canon))

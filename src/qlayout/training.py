@@ -11,14 +11,19 @@ as one padded stack and the device graph once, every episode's rows join
 one stacked logit table, one masked softmax over that table (every row's
 mask built in one pass) and one indicator matmul give the batch's (B,)
 vector of log-probabilities, and the loss is one dot of that vector with
--advantages. One backward gives the batch's gradient; each row's log
-receives exactly its episode's -advantage, so the gradient is bit for bit
-that of a sum of per-episode losses.
+-advantages. The contexts, the pointer pass and the log-probabilities are
+three tape nodes with hand-written backwards (``diffcore.fused``). One
+backward gives the batch's gradient; each row's log receives exactly its
+episode's -advantage, so the gradient is bit for bit that of a sum of
+per-episode losses.
 
 Every rollout and decode chooses its seats with one lockstep walk over the
 plain logit table (``_walk``), every episode or start at once (a decode's
-every start of every strategy) with a mask per episode. A sampled step
-inverts the CDF with one uniform, exactly as ``Generator.choice`` does, and the uniforms are drawn up front: a batch's
+every start of every strategy) with a mask per episode. A greedy step
+takes the argmax of its masked logits, or of its probabilities where a
+near tie in its row could round to an equal pair (``TIE_MARGIN``). A
+sampled step inverts the CDF with one uniform, exactly as
+``Generator.choice`` does, and the uniforms are drawn up front: a batch's
 sampled rollout draws all of them from its one ``rng`` in episode order,
 and each decode start from its own stream. ``choice`` draws one double per
 call, so the seats and the state of every stream are the same as with one
@@ -51,6 +56,10 @@ ROLLOUT_MODES = ("greedy", "sample")
 # much memory as START_ELEMENTS more.
 WALK_ELEMENT_BUDGET = 2**25
 START_ELEMENTS = 100
+# Logits further apart than this give strictly ordered probabilities,
+# whatever the clip, so a greedy step over a row without closer logits
+# takes the argmax of its probabilities from the logits.
+TIE_MARGIN = 1e-12
 
 
 @dataclass
@@ -216,10 +225,10 @@ def _walk(logits, firsts, sizes, uniforms):
     Episode e takes its ``sizes[e]`` steps from the rows ``firsts[e]``
     onwards (episodes may share rows), at most one per seat. It samples
     its first ``len(uniforms[e])`` steps, step t with the uniform
-    ``uniforms[e][t]``, and takes the argmax (first index on ties) after
-    that. A draw inverts the distribution's CDF exactly as
-    ``Generator.choice(p=...)`` does: normalise, cumulative sum, divide by
-    the last entry, and count the entries <= u. Returns the seats.
+    ``uniforms[e][t]`` (``_draw``), and takes the argmax (first index on
+    ties) after that. The argmax of a step is that of its probabilities,
+    read from the masked logits wherever that is exact (``TIE_MARGIN``).
+    Returns the seats.
     """
     # finite logits give finite probabilities at every step
     if not np.isfinite(logits).all():
@@ -231,31 +240,50 @@ def _walk(logits, firsts, sizes, uniforms):
     rows = np.asarray(firsts, dtype=np.intp)[order]
     n_sampled = np.array([len(uniforms[e]) for e in order])
     n_eps = len(order)
-    most_sampled = n_sampled.max()
     draws = np.zeros((n_eps, sizes[0]))
     for i, e in enumerate(order):
         draws[i, :n_sampled[i]] = uniforms[e]
     # each episode's step-t row, clipped for the steps it does not take
-    steps = logits[np.minimum(rows[:, None] + np.arange(sizes[0]),
-                              len(logits) - 1)]
+    at = np.minimum(rows[:, None] + np.arange(sizes[0]), len(logits) - 1)
+    steps = logits[at]
+    # A greedy step reads the argmax of its probabilities from its logits,
+    # unless two logits of its table row are within TIE_MARGIN of each
+    # other: then its probabilities might round to a tie.
+    tied = (np.diff(np.sort(logits, axis=1), axis=1) <= TIE_MARGIN).any(
+        axis=1)[at]
     eps = np.arange(n_eps)
     live = (sizes > np.arange(sizes[0])[:, None]).sum(axis=1)
     free = np.ones((n_eps, logits.shape[1]), dtype=bool)
     seats = np.zeros((n_eps, sizes[0]), dtype=np.int64)
     for t, m in enumerate(live):
-        probs = dc.softmax_array(np.where(free[:m], steps[:m, t], -np.inf), 1)
-        actions = np.argmax(probs, axis=1)
-        if t < most_sampled:
-            sampled = np.flatnonzero(n_sampled[:m] > t)
-            p = probs[sampled]
-            cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-            cdf /= cdf[:, -1:]
-            u = draws[sampled, t]
-            actions[sampled] = (cdf <= u[:, None]).sum(axis=1)
+        masked = np.where(free[:m], steps[:m, t], -np.inf)
+        drawn = n_sampled[:m] > t
+        if drawn.all():  # every step of a sampled rollout
+            actions = _draw(dc.softmax_array(masked, 1), draws[:m, t])
+        else:
+            actions = np.argmax(masked, axis=1)
+            slow = drawn | tied[:m, t]
+            if slow.any():
+                redo = np.flatnonzero(slow)
+                probs = dc.softmax_array(masked[redo], 1)
+                actions[redo] = np.argmax(probs, axis=1)
+                sampled = drawn[redo]
+                actions[redo[sampled]] = _draw(probs[sampled],
+                                               draws[redo[sampled], t])
         seats[:m, t] = actions
         free[eps[:m], actions] = False
     back = np.argsort(order)
     return [seats[i, :sizes[i]] for i in back]
+
+
+def _draw(probs, u):
+    """The seat each row of ``probs`` draws with its uniform in ``u``,
+    inverting the CDF exactly as ``Generator.choice(p=...)`` does:
+    normalise, cumulative sum, divide by the last entry, and count the
+    entries <= u."""
+    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def _step_masks(seats, n_phys):
@@ -275,18 +303,31 @@ def _step_masks(seats, n_phys):
 def _log_probs(table, seats):
     """The (B,) tape of the B episodes' log-probabilities. ``table`` stacks
     the episodes' rows and ``seats[i]`` holds episode i's chosen seats;
-    every step's masked softmax is one (rows, N) op, read at the chosen
+    every step's masked softmax is one (rows, N) array, read at the chosen
     seats, and one indicator matmul sums each episode's rows.
 
-    The gradient of a weighted sum of the result reaches each row's log as
-    exactly its episode's weight: the other terms are exact zeros."""
+    One tape node over ``table``, whose backward gives bit for bit the
+    gradient of the composed ops it replaced: the gradient of a weighted
+    sum of the result reaches each row's log as exactly its episode's
+    weight, which indexing reads without the matmul's exact zeros."""
     rows, n_phys = table.shape
     feasible, episode = _step_masks(seats, n_phys)
-    probs = PolicyNetwork.masked_distribution(table, feasible)
-    logs = dc.log(dc.gather(probs.reshape(rows * n_phys),
-                            np.arange(rows) * n_phys + np.concatenate(seats)))
+    at = np.arange(rows), np.concatenate(seats)
+    probs = dc.softmax_array(np.where(feasible, table.data, -np.inf), -1)
+    chosen = probs[at]
     member = np.arange(len(seats))[:, None] == episode
-    return dc.matmul(member.astype(np.float64), logs)
+
+    def backward(g):
+        # the gather scattered into zeros: 0.0 + g, which also erases the
+        # sign of a zero the matmul's sum could have given
+        d_probs = np.zeros((rows, n_phys))
+        d_probs[at] += g[episode] / chosen
+        d_masked = d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)
+        d_masked *= probs
+        return (np.where(feasible, d_masked, 0.0),)
+
+    return dc.fused(member.astype(np.float64) @ np.log(chosen), [table],
+                    backward)
 
 
 def check_walk_budget(name, count, n, n_phys, what="episodes"):

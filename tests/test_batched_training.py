@@ -397,6 +397,54 @@ def test_a_single_graph_training_rollout_raises():
     assert rollout([pg], pol.cg, pol, train=True).log_probs.shape == (1,)
 
 
+@st.composite
+def near_tie_tables(draw):
+    """An (n, N) logit table whose rows hold values a hair apart: exact
+    ties, gaps below and above ``TIE_MARGIN``, and gaps below the rounding
+    of exp near 1 (1e-17 next to 0), at clips from 1e-3 to 1e6."""
+    n, n_phys = draw(st.integers(1, 5)), draw(st.integers(5, 8))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    table = np.tanh(rng.normal(size=(n, n_phys))) * scale
+    gaps = st.sampled_from([0.0, 1e-17, 1e-16, 5e-13, 1e-12, 2e-12, 1e-9])
+    for t in range(n):
+        if draw(st.booleans()):
+            table[t] -= table[t].max()  # a max of 0.0, where ulps are fine
+        top = table[t].max()
+        for j in draw(st.lists(st.integers(0, n_phys - 1), max_size=4)):
+            table[t, j] = top - draw(gaps) * draw(st.sampled_from([1, -1]))
+    return table
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(table=near_tie_tables(), k=st.integers(1, 4),
+       sampled=st.lists(st.integers(0, 5), min_size=4, max_size=4),
+       seed=st.integers(0, 50))
+def test_walk_argmax_is_the_argmax_of_the_probabilities(table, k, sampled,
+                                                        seed):
+    """Greedy steps read the argmax of the masked logits, or fall back to
+    the probabilities where two logits of the row are within TIE_MARGIN:
+    the seats equal those of the softmax walk, near ties included."""
+    n = len(table)
+    n_sampled = [min(c, n) for c in sampled[:k]]
+    want, _ = reference_walk(table, [_start_rng(seed, s) for s in range(k)],
+                             n_sampled)
+    rngs = [_start_rng(seed, s) for s in range(k)]
+    seats = _walk(table, [0] * k, [n] * k,
+                  [rng.random(c) for rng, c in zip(rngs, n_sampled)])
+    assert [row.tolist() for row in seats] == want.tolist()
+
+
+def test_a_tie_below_the_rounding_of_exp_takes_the_first_index():
+    """1e-17 is above 0 but exp(-1e-17) rounds to 1.0: the probabilities
+    tie, and the walk takes the first of them, as the softmax walk does."""
+    seats = _walk(np.array([[0.0, 1e-17, -1.0]]), [0], [1], [()])
+    assert seats[0].tolist() == [0]
+    seats = _walk(np.array([[0.0, 1e-9, -1.0]]), [0], [1], [()])
+    assert seats[0].tolist() == [1]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("sampled", [0, 1])
 def test_walk_over_non_finite_logits_raises(bad, sampled):

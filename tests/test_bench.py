@@ -261,6 +261,14 @@ class TestBaseline:
         with pytest.raises(ParseError) as exc:
             import_baseline(p)
         assert exc.value.line == 2
+        assert str(exc.value) == "line 2: bad cost value 'not-a-number'"
+
+    def test_a_long_bad_value_is_echoed_shortened(self, tmp_path):
+        p = tmp_path / "base.csv"
+        p.write_text("instance,cost\nghz_3," + "x" * 3000 + "\n")
+        with pytest.raises(ParseError, match="line 2: bad cost value") as exc:
+            import_baseline(p)
+        assert len(str(exc.value)) < 100
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_import_rejects_a_cost_that_is_not_finite(self, tmp_path, value):

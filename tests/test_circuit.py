@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qlayout.circuit import (
+    MAX_REGISTER_GATES,
     ProgramGraph,
     build_program_graph,
     check_qubit_count,
@@ -230,6 +231,46 @@ class TestWholeRegisterBound:
     def test_an_indexed_operand_of_a_wide_register_is_unchanged(self):
         c = parse_qasm("qreg q[3000000]; h q[2999999]; cx q[0], q[1];")
         assert c.num_qubits == 3000000 and len(c.gates) == 2
+
+
+class TestRegisterGateBound:
+    """The gates that whole-register statements produce are bounded in all:
+    a few bytes per statement must not buy a whole register of gates."""
+
+    def test_gates_up_to_the_bound_are_read(self):
+        repeats = MAX_REGISTER_GATES // MAX_QUBITS
+        c = parse_qasm(f"qreg q[{MAX_QUBITS}];\n" + "h q;\n" * repeats)
+        assert len(c.gates) == MAX_REGISTER_GATES
+
+    def test_the_813_byte_file_is_refused(self):
+        source = f"qreg q[{MAX_QUBITS}];" + "h q;" * 200
+        assert len(source.encode()) == 813
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="line 1: whole-register"):
+            parse_qasm(source)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_the_error_names_the_line_that_passes_the_bound(self):
+        source = f"qreg q[{MAX_QUBITS}];\n" + "h q;\n" * 200
+        line = 2 + MAX_REGISTER_GATES // MAX_QUBITS
+        with pytest.raises(ParseError,
+                           match=f"line {line}: whole-register statements "
+                                 f"produce more than {MAX_REGISTER_GATES} "
+                                 "gates"):
+            parse_qasm(source)
+
+    def test_small_registers_add_up(self):
+        source = "qreg q[3];\n" + "x q;\n" * (MAX_REGISTER_GATES // 3 + 1)
+        with pytest.raises(ParseError, match="whole-register statements"):
+            parse_qasm(source)
+
+    def test_indexed_gates_barriers_and_measures_are_not_counted(self):
+        n = MAX_REGISTER_GATES + 1
+        c = parse_qasm("qreg q[2];\n" + "h q[0];\n" * n)
+        assert len(c.gates) == n
+        c = parse_qasm(f"qreg q[{MAX_QUBITS}]; creg c[{MAX_QUBITS}];\n"
+                       + "barrier q;\nmeasure q -> c;\n" * 40 + "h q;\n")
+        assert len(c.gates) == MAX_QUBITS
 
 
 class TestReadQasm:

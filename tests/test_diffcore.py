@@ -295,6 +295,52 @@ class TestBackwardBookkeeping:
         assert dc.softmax_array(x, -1, out=x) is x
         assert np.array_equal(x, want)
 
+    @pytest.mark.parametrize("shape,axis", [
+        ((32, 4, 12, 12), -1), ((4, 290, 16), -1), ((16, 30, 65), -1),
+        ((10, 65), 1), ((1, 65), 1), ((300, 3), 0), ((2, 200, 5), 1),
+        ((1, 1), -1), ((130, 1), -1)])
+    def test_row_max_is_numpys_max(self, shape, axis):
+        """Both ways of taking the row max, over many short rows and over
+        few or long ones, give np.max exactly, -inf and NaN included."""
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.3] = -np.inf
+        x.flat[::97] = np.nan
+        want = np.max(x, axis=axis, keepdims=True)
+        got = dc._row_max(x, axis)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestGatherScatter:
+    """gather's vjp scatters with plain indexing when its index names each
+    row at most once, and with np.add.at otherwise; both must equal
+    np.add.at bit for bit, the sign of zero included."""
+
+    @pytest.mark.parametrize("index", [
+        np.flatnonzero([1, 0, 1, 1, 0, 1]), np.array([2, 0, 2, 5]),
+        np.array([3, 1]), np.array([-1, 0, 2]), np.array([], dtype=int),
+        np.array([[0, 2], [2, 4]]), 4, [0, 1, 3]])
+    def test_vjp_equals_add_at(self, index):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        out = dc.gather(a, index)
+        g = rng.normal(size=out.shape)
+        g[rng.random(g.shape) < 0.4] = -0.0
+        want = np.zeros((6, 3))
+        np.add.at(want, index, g)
+        out.backward(g)
+        assert np.array_equal(a.grad, want)
+        assert (np.signbit(a.grad) == np.signbit(want)).all()
+
+    def test_distinct_rows(self):
+        assert dc._distinct_rows(np.flatnonzero([0, 1, 1, 0, 1]))
+        assert dc._distinct_rows(np.array([], dtype=np.int64))
+        for index in (np.array([1, 1]), np.array([2, 1]),
+                      np.array([-1, 0]), np.array([[0, 1]]),
+                      np.array([0.0, 1.0]), [0, 1], 3):
+            assert not dc._distinct_rows(index)
+
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
@@ -322,3 +368,46 @@ class TestAdam:
         state = adam_init(params)
         with pytest.raises(NumericError):
             adam_step(params, {"w": np.array([np.nan, 0.0])}, state)
+
+    def test_the_error_names_the_first_bad_parameter(self):
+        params = {k: np.zeros(2) for k in ("c", "a", "b", "d")}
+        grads = {"a": np.ones(2), "b": np.array([1.0, np.inf]),
+                 "c": np.array([np.nan, 0.0]), "d": np.ones(2)}
+        before = {k: v.copy() for k, v in params.items()}
+        with pytest.raises(NumericError, match="non-finite gradient for 'b'"):
+            adam_step(params, grads, adam_init(params))
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+
+    def test_flat_moments_equal_one_update_per_parameter(self):
+        """50 steps over parameters of several shapes, some names missing
+        from some steps' gradients, equal bit for bit the update computed
+        parameter by parameter (the loop Adam was before its moments were
+        flat): a missing name keeps its moments and its parameter."""
+        rng = np.random.default_rng(4)
+        shapes = {"b": (3, 4), "a": (5,), "c": (2, 2, 2), "z": (7, 3)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        state = adam_init(params)
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        for t in range(1, 51):
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-8, 3)
+                     for k, s in shapes.items() if rng.random() > 0.3}
+            adam_step(params, grads, state, lr=lr)
+            for k in sorted(grads):
+                g = grads[k]
+                m[k] += (1 - beta1) * (g - m[k])
+                v[k] += (1 - beta2) * (g * g - v[k])
+                m_hat = m[k] / (1 - beta1**t)
+                v_hat = v[k] / (1 - beta2**t)
+                ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for k in shapes:
+                assert np.array_equal(params[k], ref[k]), (t, k)
+        assert state["t"] == 50
+
+    def test_no_gradient_changes_nothing(self):
+        params = {"w": np.array([1.0, 2.0])}
+        state = adam_init(params)
+        adam_step(params, {}, state)
+        assert params["w"].tolist() == [1.0, 2.0] and state["t"] == 1

@@ -309,6 +309,15 @@ class TestLayoutJson:
         with pytest.raises(ParseError):
             Layout.from_dict(doc)
 
+    def test_a_deep_seat_is_echoed_shortened(self):
+        seat = 0
+        for _ in range(980):
+            seat = [seat]
+        with pytest.raises(ParseError) as exc:
+            Layout.from_dict({"assign": [1, seat]})
+        assert str(exc.value) == \
+            '"assign" must hold integers only, got [[[[...]]]]'
+
     def test_unreadable_file_rejected(self, tmp_path):
         p = tmp_path / "layout.json"
         p.write_text('{"assign": [0, 1')

@@ -210,6 +210,29 @@ class TestEdgeListJson:
         assert fragment in str(exc.value)
 
 
+class TestShortErrorLines:
+    """An error line echoes a deep or long value shortened, not whole."""
+
+    @staticmethod
+    def nested(depth):
+        value = 1
+        for _ in range(depth):
+            value = [value]
+        return value
+
+    @pytest.mark.parametrize("doc", [
+        {"n": nested.__func__(980), "edges": []},
+        {"n": 3, "edges": [nested.__func__(980)]},
+        {"n": 3, "edges": ["a" * 5000]},
+        {"n": 3, "edges": [[0, "b" * 5000]]},
+        {"n": 3, "edges": [[0, 10**4000]]},
+    ], ids=["deep-n", "deep-edge", "long-edge", "long-node", "huge-node"])
+    def test_values_are_shortened(self, doc):
+        with pytest.raises(TopologyError, match="malformed edge-list") as exc:
+            coupling_graph_from_dict(doc)
+        assert len(str(exc.value)) < 200
+
+
 class TestIntegerNodes:
     @pytest.mark.parametrize("n,edges", [
         (2.0, {(0, 1)}), (2, {(0.0, 1)}), (2, {(0, np.float64(1))}),
