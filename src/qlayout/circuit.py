@@ -351,9 +351,7 @@ def _checked_edge(edge, n):
 def onehot_features(n, n_max=None):
     n_max = n if n_max is None else n_max
     check_qubit_count(n, n_max, "the feature width n_max")
-    feats = np.zeros((n, n_max), dtype=np.float64)
-    feats[np.arange(n), np.arange(n)] = 1.0
-    return feats
+    return np.eye(n, n_max)
 
 
 def build_program_graph(c: Circuit, n_max=None):

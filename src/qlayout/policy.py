@@ -126,6 +126,36 @@ class _Pads:
         self.real = rows[..., None].astype(float)  # (B, M, 1) 1 real, 0 pad
 
 
+def _adjacency(pairs, m_rows):
+    """The (B, M, M) adjacency of a stack of graphs whose edges are the
+    (2, m) node-pair arrays ``pairs``: every row, pads too, attends to
+    itself and to its undirected partners."""
+    adj = np.zeros((len(pairs), m_rows, m_rows), dtype=bool)
+    adj[:, np.arange(m_rows), np.arange(m_rows)] = True
+    graph = np.repeat(np.arange(len(pairs)), [e.shape[1] for e in pairs])
+    i, j = np.concatenate(pairs, axis=1)
+    adj[graph, i, j] = adj[graph, j, i] = True
+    return adj
+
+
+class _Pairs:
+    """The attended entries of the (B, heads, M, M) attention scores of a
+    stack with adjacency ``adj``, in row order: ``flat`` indexes the
+    scores, and ``row`` and ``col`` the (B, heads, M) source and
+    destination scores of each entry. In a stack's adjacency every row
+    holds its self-loop, so no row is empty."""
+
+    def __init__(self, adj, heads):
+        n_graphs, m_rows = adj.shape[:2]
+        self.shape = (n_graphs, heads, m_rows, m_rows)
+        self.flat = np.flatnonzero(np.repeat(adj, heads, axis=0))
+        self.row = self.flat // m_rows
+        # entry j of row r = g * M + i sits at r * M + j, and its
+        # destination score at g * M + j = r * M + j - (r * (M - 1) + i)
+        rows = np.arange(n_graphs * heads * m_rows)
+        self.col = self.flat - (rows * (m_rows - 1) + rows % m_rows)[self.row]
+
+
 class ParamStore:
     """Named trainable tensors plus non-trainable buffers."""
 
@@ -271,14 +301,18 @@ class PolicyNetwork:
 
     # --- encoder ----------------------------------------------------
 
-    def _gat_layer(self, h, adj, prefix, p, train, pads):
+    def _gat_layer(self, h, attended, prefix, p, train, pads):
         """One GAT layer (per-head batched matmuls) and its norm on a
         (B, M, d_e) stack, as one tape node over ``h`` and the layer's W,
-        a_src, a_dst, norm.g and norm.b. Graph norm, and batch norm in
-        training, take each graph's statistics over its real rows; batch
-        norm then moves its running statistics once per graph, in order.
-        Forward and backward replay the composed ``diffcore`` ops and the
-        order of ``Tape.run``'s sums into shared intermediates, bit for bit."""
+        a_src, a_dst, norm.g and norm.b. The scores, their LeakyReLU and
+        softmax, and the softmax's gradient are formed only at the
+        ``attended`` pairs (``_Pairs``); the weights of every other entry
+        are zero. Graph norm, and batch norm in training, take each
+        graph's statistics over its real rows; batch norm then moves its
+        running statistics once per graph, in order. Forward and backward
+        replay the composed ``diffcore`` ops of a masked dense layer and
+        the order of ``Tape.run``'s sums into shared intermediates, bit
+        for bit."""
         inputs = [h] + [p(f"{prefix}.{name}") for name in
                         ("W", "a_src", "a_dst", "norm.g", "norm.b")]
         x, w, a_src, a_dst, g, b = (t.data for t in inputs)
@@ -288,14 +322,24 @@ class PolicyNetwork:
         zh = (rows @ w.T).reshape(n_graphs, m_rows, k, dh).transpose(
             0, 2, 1, 3)  # (B, k, M, dh)
         src, dst = a_src.reshape(k, dh, 1), a_dst.reshape(k, dh, 1)
-        s = zh @ src + (zh @ dst).reshape(n_graphs, k, 1, m_rows)
-        cut = np.broadcast_to(~adj[:, None], s.shape)
-        # LeakyReLU(0.2) as a maximum, branch-free and equal to leaky_relu;
-        # a new (B, k, M, M) array costs page faults, so they are reused
-        alpha = 0.2 * s
-        np.maximum(s, alpha, out=alpha)
-        np.putmask(alpha, cut, -np.inf)
-        dc.softmax_array(alpha, -1, out=alpha)
+        # score (i, j) is src score i plus dst score j; LeakyReLU(0.2) as
+        # a maximum, branch-free and equal to leaky_relu
+        s = ((zh @ src).reshape(-1)[attended.row]
+             + (zh @ dst).reshape(-1)[attended.col])
+        weight = 0.2 * s
+        np.maximum(s, weight, out=weight)
+        # the softmax of each row over its pairs: a maximum is exact in any
+        # order, and the sums are numpy's over the dense rows, zeros and
+        # all, so each weight rounds as in a masked dense softmax
+        top = np.full(attended.shape[:3], -np.inf).reshape(-1)
+        np.maximum.at(top, attended.row, weight)
+        weight -= top[attended.row]
+        np.exp(weight, out=weight)
+        alpha = np.zeros(attended.shape)
+        flat_alpha = alpha.reshape(-1)
+        flat_alpha[attended.flat] = weight
+        weight /= alpha.sum(axis=-1).reshape(-1)[attended.row]
+        flat_alpha[attended.flat] = weight
         agg = (alpha @ zh).transpose(0, 2, 1, 3)  # (B, M, k, dh)
         positive = agg >= 0
         act = np.where(positive, agg, np.expm1(agg))
@@ -337,16 +381,17 @@ class PolicyNetwork:
                 d_out = d_out + d_mean * real
             d_agg = np.transpose(d_out.reshape(act.shape) * np.where(
                 positive, 1.0, act + 1.0), (0, 2, 1, 3))
-            # softmax's vjp alpha * (d_s - dot), masked_fill's, and
-            # leaky_relu's times the slope (0.8 + 0.2 rounds to 1.0)
+            # softmax's vjp alpha * (d_s - dot) times leaky_relu's slope,
+            # 1.0 or 0.2 (0.8 + 0.2 rounds to 1.0), at the pairs, in zeros
             d_s = d_agg @ np.swapaxes(zh, -1, -2)
-            work = d_s * alpha
-            d_s -= work.sum(axis=-1, keepdims=True)
-            d_s *= alpha
-            np.putmask(d_s, cut, 0.0)
-            np.multiply(s >= 0, 0.8, out=work)
-            work += 0.2
-            d_s *= work
+            flat_d_s = d_s.reshape(-1)
+            d_pair = flat_d_s[attended.flat]
+            d_pair -= np.multiply(d_s, alpha, out=d_s).sum(
+                axis=-1).reshape(-1)[attended.row]
+            d_pair *= weight
+            d_pair *= np.where(s >= 0, 1.0, 0.2)
+            d_s.fill(0.0)
+            flat_d_s[attended.flat] = d_pair
             d_src = dc._unbroadcast(d_s, (n_graphs, k, m_rows, 1))
             d_dst = dc._unbroadcast(d_s, (n_graphs, k, 1, m_rows)).reshape(
                 n_graphs, k, m_rows, 1)
@@ -385,17 +430,13 @@ class PolicyNetwork:
         x = np.zeros((n_graphs, m_rows, w_in.shape[1]))
         for i, f in enumerate(feats):
             x[i, :len(f)] = f
-        # every row, pads too, attends to itself and its undirected partners
-        adj = np.zeros((n_graphs, m_rows, m_rows), dtype=bool)
-        adj[:, np.arange(m_rows), np.arange(m_rows)] = True
-        graph = np.repeat(np.arange(n_graphs), [e.shape[1] for e in pairs])
-        i, j = np.concatenate(pairs, axis=1)
-        adj[graph, i, j] = adj[graph, j, i] = True
+        attended = _Pairs(_adjacency(pairs, m_rows), self.enc_cfg.heads)
         h = dc.matmul(Tensor(x.reshape(n_graphs * m_rows, -1)), w_in.T)
         h = h.reshape(n_graphs, m_rows, -1)
         prefix = self._enc_prefix(which)
         for layer in range(self.enc_cfg.layers):
-            h = self._gat_layer(h, adj, f"{prefix}.l{layer}", p, train, pads)
+            h = self._gat_layer(h, attended, f"{prefix}.l{layer}", p, train,
+                                pads)
         return dc.gather(h.reshape(n_graphs * m_rows, -1),
                          np.flatnonzero(pads.real))
 
@@ -539,7 +580,8 @@ class PolicyNetwork:
         qh = q.reshape(steps, m, d).transpose(1, 0, 2)
         keys = (x @ w_k.T).reshape(n_phys, m, d).transpose(1, 2, 0)
         vals = (x @ w_v.T).reshape(n_phys, m, d).transpose(1, 0, 2)
-        weights = dc.softmax_array(qh @ keys, -1)  # (m, T, N)
+        scores = qh @ keys
+        weights = dc.softmax_array(scores, -1, out=scores)  # (m, T, N)
         # Each step's glimpse is its own (1, N) @ (N, d) product (steps are
         # a batch axis), so its rounding does not depend on how many steps
         # share the pass. Under graph or batch norm the values of a head can

@@ -248,9 +248,11 @@ def _walk(logits, firsts, sizes, uniforms):
     steps = logits[at]
     # A greedy step reads the argmax of its probabilities from its logits,
     # unless two logits of its table row are within TIE_MARGIN of each
-    # other: then its probabilities might round to a tie.
-    tied = (np.diff(np.sort(logits, axis=1), axis=1) <= TIE_MARGIN).any(
-        axis=1)[at]
+    # other: then its probabilities might round to a tie. A walk that
+    # samples every step (a training batch) never reads it.
+    if (n_sampled < sizes).any():
+        tied = (np.diff(np.sort(logits, axis=1), axis=1) <= TIE_MARGIN).any(
+            axis=1)[at]
     eps = np.arange(n_eps)
     live = (sizes > np.arange(sizes[0])[:, None]).sum(axis=1)
     free = np.ones((n_eps, logits.shape[1]), dtype=bool)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qlayout.diffcore import Tensor
-from qlayout.policy import CONTEXT_KINDS, NORM_KINDS, _Pads
+from qlayout.policy import CONTEXT_KINDS, NORM_KINDS, _Pads, _Pairs
 from qlayout.topology import build_grid
 
 from conftest import tiny_policy
@@ -123,13 +123,15 @@ class TestKernels:
         padded_adj[:, np.arange(n + 2), np.arange(n + 2)] = True
         padded_adj[0] = big
         padded_adj[1, :n, :n] = adj
+        heads = pol.enc_cfg.heads
         for train in (False, True):
             p = pol.store.lookup(train)
             ref = reference_gat_layer(pol, h, adj, prefix, train)
-            alone = pol._gat_layer(Tensor(h[None]), adj[None], prefix, p,
-                                   train, _Pads([n]))
+            alone = pol._gat_layer(Tensor(h[None]), _Pairs(adj[None], heads),
+                                   prefix, p, train, _Pads([n]))
             assert_close(alone.data[0], ref)
-            stacked = pol._gat_layer(Tensor(padded_h), padded_adj, prefix, p,
+            stacked = pol._gat_layer(Tensor(padded_h),
+                                     _Pairs(padded_adj, heads), prefix, p,
                                      train, _Pads([n + 2, n]))
             assert_close(stacked.data[1, :n], ref)
             assert_close(stacked.data[0], reference_gat_layer(

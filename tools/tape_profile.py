@@ -8,7 +8,11 @@ for ``--epochs`` epochs and prints, per epoch and per op kind:
 - ``ops``: calls of ``diffcore._make``, eval forwards included (the
   benchmark's ``diffcore.ops``);
 - ``nodes``: the nodes with a backward that ``Tape.run`` visits;
-- ``vjp ms``: the time in those nodes' vjps.
+- ``vjp ms``: the time in those nodes' vjps;
+
+and the minor page faults of each epoch (``ru_minflt`` of the process),
+which a fresh large temporary array costs wherever the allocator maps new
+memory for it.
 
 An op's kind is the function that called ``_make``, or for a fused op the
 function that called ``diffcore.fused``. ``Tape.run``'s own time beyond
@@ -23,6 +27,7 @@ checkout's ``src``:
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from collections import Counter, defaultdict
@@ -117,14 +122,22 @@ def main(argv=None):
     cfg = ql.TrainConfig(epochs=args.epochs, batches_per_epoch=8,
                          batch_size=32, lr=3e-3, n_min=6, n_max=12,
                          edge_prob=0.3, seed=args.seed, val_size=32)
+    faults = [minor_faults()]
     with Profile() as prof:
         t0 = time.perf_counter()
-        ql.train(cfg, pol, grid)
+        ql.train(cfg, pol, grid, log_fn=lambda row: faults.append(
+            minor_faults()))
         epoch_s = time.perf_counter() - t0
     print(f"per epoch, mean of {args.epochs} epochs of train-grid4x4 "
           f"(training seed {args.seed})")
     prof.report(args.epochs, epoch_s)
+    print("minor page faults by epoch: "
+          + ", ".join(str(b - a) for a, b in zip(faults, faults[1:])))
     return 0
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 if __name__ == "__main__":
