@@ -111,7 +111,7 @@ def load_dataset(path, policy):
 def run_bench(cfg: BenchRun):
     """Returns (rows, summary). A circuit's rows share one ``decode`` call,
     whose time they split evenly as their ``wall_ms_rl``."""
-    cost_model = CostModel(cfg.cost_mode, cfg.device.distances)
+    cost_model = CostModel.for_graph(cfg.device, cfg.cost_mode)
     instances, skipped = load_dataset(cfg.dataset, cfg.policy)
     rows = []
     for name, pg in instances:
@@ -287,7 +287,7 @@ def run_context_ablation(cg, train_cfg, enc_cfg, dec_cfg, test_instances,
     if not test_instances:
         raise ConfigError("the context ablation needs at least one test "
                           "instance")
-    cost_model = CostModel(train_cfg.cost_mode, cg.distances)
+    cost_model = CostModel.for_graph(cg, train_cfg.cost_mode)
     results = []
     for kind in CONTEXT_KINDS:
         dcfg = replace(dec_cfg, context_kind=kind)

@@ -175,7 +175,7 @@ def map_cmd(circuit_path, ckpt, strategy, k, seed, cost_mode, out):
     policy = PolicyNetwork.load(ckpt)
     pg = policy.program_graph(read_qasm(circuit_path))
     strat = DecodeStrategy.make(strategy, k=k, seed=seed)
-    cm = CostModel(cost_mode, policy.cg.distances)
+    cm = CostModel.for_graph(policy.cg, cost_mode)
     layout, cost = decode(pg, policy.cg, policy, strat, cm)
     doc = layout.to_dict(policy.cg.num_physical)
     doc["cost"] = cost

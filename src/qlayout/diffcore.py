@@ -237,7 +237,9 @@ def leaky_relu(a, slope=0.2):
 def elu(a, alpha=1.0):
     a = _as_tensor(a)
     mask = a.data >= 0
-    data = np.where(mask, a.data, alpha * np.expm1(a.data))
+    # expm1 overflows above ~709, where the ELU is the input itself
+    with np.errstate(over="ignore"):
+        data = np.where(mask, a.data, alpha * np.expm1(a.data))
     return _make(data, (a, lambda g: g * np.where(mask, 1.0, data + alpha)))
 
 

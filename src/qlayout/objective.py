@@ -17,6 +17,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,9 @@ def check_cost_mode(mode):
 @dataclass(frozen=True)
 class CostModel:
     """A cost mode over a device's distances; ``edge_costs[p, q]`` is the
-    SWAP cost of one interaction placed on seats p and q."""
+    SWAP cost of one interaction placed on seats p and q. The table is
+    read-only, as the distances are, so nothing derived from it goes
+    stale."""
 
     mode: str
     distance: DistanceMatrix
@@ -127,11 +130,24 @@ class CostModel:
         d = self.distance.entries.astype(np.float64)
         # exact small integers, so any sum of them is exact too
         table = 2.0 * d if self.mode == "literal" else 2.0 * (d - 1)
+        table.flags.writeable = False
         object.__setattr__(self, "edge_costs", table)
+
+    @cached_property
+    def rows(self):
+        """The rows of ``edge_costs`` as tuples of Python floats, which
+        plain-Python loops index faster than an array."""
+        return tuple(map(tuple, self.edge_costs.tolist()))
 
     @classmethod
     def for_graph(cls, cg: CouplingGraph, mode="adjacent-free"):
-        return cls(mode, cg.distances)
+        """The one cost model of ``cg``'s distances in ``mode``, built on
+        first use and kept with the distances."""
+        check_cost_mode(mode)
+        models = cg.distances.cost_models
+        if mode not in models:
+            models[mode] = cls(mode, cg.distances)
+        return models[mode]
 
 
 def fast_cost_fn(pg: ProgramGraph, cm: CostModel):
@@ -194,7 +210,7 @@ def brute_force_optimal(pg: ProgramGraph, cg: CouplingGraph, cm: CostModel,
             f"{space} injections exceed the cap of {cap}"
         )
 
-    rows = cm.edge_costs.tolist()
+    rows = cm.rows
     # qubit t's gates with the qubits placed before it, for incremental cost
     placed = [[(r, w) for r, w in nbrs if r < t]
               for t, nbrs in enumerate(weighted_neighbours(pg))]

@@ -29,8 +29,12 @@ through the mask of ``masked_distribution``. ``stacked_logit_table`` is
 that pass for episodes that share a device embedding and place their
 nodes in row order; ``make_context`` of one step, in any order, and
 ``pointer_logits`` of one context are its one-row views. Parameters join
-the autodiff tape only when the inputs are on it, so eval builds no tape;
-the eval-mode device embedding is memoised on the policy.
+the autodiff tape only when the inputs are on it, so eval builds no tape.
+
+The device is one instance for every circuit, so in eval its work is done
+once (``_DeviceMemo``): the device embedding, and the pointer's key, value
+and final-key projections of its rows, each reused while the arrays it was
+computed from hold the same bytes.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .errors import (
     ConfigError,
     InfeasibleStateError,
     ShapeError,
+    check_flag,
     check_integer,
     check_positive_float,
     read_input,
@@ -156,6 +161,22 @@ class _Pairs:
         self.col = self.flat - (rows * (m_rows - 1) + rows % m_rows)[self.row]
 
 
+class _DeviceMemo:
+    """The eval-mode device embedding ``physical`` and, once a pointer pass
+    has read it, the pointer's projections of its rows. Each is kept with
+    the bytes of the arrays it was computed from, ``sources`` (the arrays
+    the device encoding reads) and ``weights`` (``ptr.W_K``, ``ptr.W_V``
+    and ``ptr.W_Kf``), and is reused only while those arrays hold exactly
+    these bytes. Bytes, unlike values, tell +0.0 from -0.0. The embedding
+    and the projections are read-only."""
+
+    def __init__(self, sources, physical):
+        self.sources = sources
+        self.physical = physical
+        self.weights = None
+        self.projections = None
+
+
 class ParamStore:
     """Named trainable tensors plus non-trainable buffers."""
 
@@ -229,8 +250,7 @@ class PolicyNetwork:
         self._arrays = self._declared()
         self._cg_pairs = np.array(cg.edge_list, dtype=np.int64).reshape(-1, 2).T
         self._phys_feats = np.eye(cg.num_physical)
-        # (copies of the arrays it was computed from, eval embedding)
-        self._device_memo = None
+        self._device_memo = None  # a _DeviceMemo once eval encodes
 
     def _fill(self, array_of):
         """Store ``array_of(a)`` for every declared array ``a``, in order."""
@@ -342,7 +362,9 @@ class PolicyNetwork:
         flat_alpha[attended.flat] = weight
         agg = (alpha @ zh).transpose(0, 2, 1, 3)  # (B, M, k, dh)
         positive = agg >= 0
-        act = np.where(positive, agg, np.expm1(agg))
+        # expm1 overflows above ~709, where the ELU is the aggregate itself
+        with np.errstate(over="ignore"):
+            act = np.where(positive, agg, np.expm1(agg))
         out = act.reshape(n_graphs, m_rows, d_e)
         # statistics along ``axis``; ``real`` zeroes pad rows, and is 1.0
         # under layer norm, whose statistics are per row (an exact product)
@@ -445,21 +467,22 @@ class PolicyNetwork:
                                   "phys", train)
 
     def _device_embedding(self):
-        """Eval-mode embedding of the device graph, memoised by value.
+        """Eval-mode embedding of the device graph, memoised by bytes.
 
         The memo is reused only while every array it was computed from
-        still equals the copy taken then, so in-place edits (Adam,
-        finite differences) and running-stat updates invalidate it.
+        holds the bytes it held then, so in-place edits (Adam, finite
+        differences) and running-stat updates invalidate it.
         """
-        arrays = {**self.store.data(), **self.store.buffers}
-        sources = {a.name: arrays[a.name] for a in self._arrays if a.device}
+        store = self.store
+        sources = [(store.params[a.name].data if a.section == "params"
+                    else store.buffers[a.name]).tobytes()
+                   for a in self._arrays if a.device]
         memo = self._device_memo
-        if memo is not None and all(np.array_equal(memo[0][k], v)
-                                    for k, v in sources.items()):
-            return memo[1]
+        if memo is not None and memo.sources == sources:
+            return memo.physical
         physical = self._encode_device(False)
-        self._device_memo = ({k: v.copy() for k, v in sources.items()},
-                             physical)
+        physical.data.flags.writeable = False
+        self._device_memo = _DeviceMemo(sources, physical)
         return physical
 
     def encode(self, graphs, train=False) -> NodeEmbeddings:
@@ -495,8 +518,7 @@ class PolicyNetwork:
         stacked into one (sum of sizes, N) table. ``program`` stacks the
         episodes' rows as ``encode`` of a list returns them; episode e
         places its ``sizes[e]`` rows in order, so table row r places
-        program row r. One pointer pass serves every step, so the device
-        key, value and final-key projections are computed once."""
+        program row r. One pointer pass serves every step."""
         starts = np.cumsum([0, *sizes[:-1]])
         return self.pointer_logits(self._contexts(program, starts), physical)
 
@@ -559,7 +581,8 @@ class PolicyNetwork:
     def pointer_logits(self, context: Tensor, physical: Tensor) -> Tensor:
         """Clipped compatibility of every physical node: shape (N,) for one
         context (d_c,), (T, N) for a (T, d_c) stack of contexts. The key,
-        value and final-key projections are computed once per call. One
+        value and final-key projections of the device rows are computed
+        once per call, or once per device (``_projections``). One
         tape node over the contexts, the device rows and the five
         ``ptr.W_*``, whose backward gives bit for bit the gradients of the
         composed ops it replaced."""
@@ -578,8 +601,7 @@ class PolicyNetwork:
         # per-head (m, T, d) queries, (m, d, N) keys and (m, N, d) values
         q = (ctx @ w_q.T) * (1.0 / np.sqrt(d))
         qh = q.reshape(steps, m, d).transpose(1, 0, 2)
-        keys = (x @ w_k.T).reshape(n_phys, m, d).transpose(1, 2, 0)
-        vals = (x @ w_v.T).reshape(n_phys, m, d).transpose(1, 0, 2)
+        keys, vals, keys_final = self._projections(physical, w_k, w_v, w_kf)
         scores = qh @ keys
         weights = dc.softmax_array(scores, -1, out=scores)  # (m, T, N)
         # Each step's glimpse is its own (1, N) @ (N, d) product (steps are
@@ -591,7 +613,6 @@ class PolicyNetwork:
         v4 = vals.reshape(m, 1, n_phys, d)
         glimpse = (w4 @ v4).transpose(1, 0, 2, 3).reshape(steps, d_c)
         q_final = glimpse @ w_g.T  # (T, d_c)
-        keys_final = x @ w_kf.T  # (N, d_c)
         squashed = np.tanh((q_final @ keys_final.T) * (1.0 / np.sqrt(d_c)))
         logits = squashed * clip
 
@@ -623,6 +644,29 @@ class PolicyNetwork:
 
         return dc.fused(logits.reshape(n_phys) if one_step else logits,
                         inputs, backward)
+
+    def _projections(self, physical, w_k, w_v, w_kf):
+        """The pointer's per-head (m, d, N) keys and (m, N, d) values and
+        its (N, d_c) final keys of the device rows ``physical``. For the
+        memoised eval embedding they are kept in the memo, and reused while
+        the three weights hold the same bytes."""
+        x = physical.data
+        m = self.dec_cfg.heads
+        n_phys, d = len(x), self.dec_cfg.context_dim // m
+        memo = self._device_memo
+        cached = memo is not None and physical is memo.physical
+        if cached:
+            weights = [w.tobytes() for w in (w_k, w_v, w_kf)]
+            if memo.weights == weights:
+                return memo.projections
+        projections = ((x @ w_k.T).reshape(n_phys, m, d).transpose(1, 2, 0),
+                       (x @ w_v.T).reshape(n_phys, m, d).transpose(1, 0, 2),
+                       x @ w_kf.T)
+        if cached:
+            for arr in projections:
+                arr.flags.writeable = False
+            memo.weights, memo.projections = weights, projections
+        return projections
 
     @staticmethod
     def masked_distribution(logits: Tensor, feasible) -> Tensor:
@@ -715,6 +759,7 @@ class PolicyNetwork:
                             embed_dim=h["d_e"], norm_kind=h["norm_kind"])
         dec = DecoderConfig(heads=h["m_heads"], context_kind=h["context_kind"],
                             clip=h["clip"], context_dim=h["d_c"])
+        check_flag("shared_encoder", h["shared_encoder"])
         net = cls.__new__(cls)
         net._configure(cg, enc, dec, h["n_max"], h["shared_encoder"], seed)
         for section, what in (("params", "parameter"), ("buffers", "buffer")):
@@ -755,9 +800,13 @@ def _stored_array(a, entry, version):
             values = _float64le(name, entry["float64le"])
             stated = tuple(entry["shape"])
     except KeyError as exc:
-        raise CheckpointError(f"'{name}' lacks the key {exc}") from None
+        raise CheckpointError(
+            f"'{name}' lacks the key {exc} of a version {version} entry") \
+            from None
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"'{name}' is malformed: {exc}") from None
+        raise CheckpointError(
+            f"'{name}' is malformed as a version {version} entry: {exc}") \
+            from None
     if stated != want or values.size != math.prod(want):
         raise CheckpointError(
             f"'{name}' has shape {stated} and {values.size} values, the "

@@ -11,7 +11,8 @@ qubits, so only the gates of those qubits change cost, and a move is
 scored by its cost delta as in Taillard's robust tabu search. The search
 keeps one state for its whole run: the assignment as a list, its
 seat -> qubit inverse, per-qubit weighted neighbour lists and the rows of
-``CostModel.edge_costs`` as lists. The full cost is computed once, for the
+``CostModel.edge_costs`` as tuples (``CostModel.rows``, built once per
+device and cost mode). The full cost is computed once, for the
 start layout; the running cost is the start cost plus the deltas of the
 accepted moves.
 
@@ -211,7 +212,7 @@ def neighbor(assign, owner, kind: str, draws: Draws):
 
 def move_delta(move, assign, nbrs, rows):
     """Exact cost change of ``move`` (as ``neighbor`` returns it) on the
-    layout ``assign``; ``rows`` are the rows of ``CostModel.edge_costs``.
+    layout ``assign``; ``rows`` are ``CostModel.rows``.
     The gate between a swapped pair keeps its cost, because seat-pair costs
     are symmetric."""
     qubit, seat, displaced = move
@@ -312,8 +313,8 @@ def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
     seen. A ``stats`` object, when given, is filled in."""
     initial.validate(cg.num_physical)
     check_covers(initial, pg)
-    cm = CostModel(cfg.cost_mode, cg.distances)
-    rows = cm.edge_costs.tolist()
+    cm = CostModel.for_graph(cg, cfg.cost_mode)
+    rows = cm.rows
     nbrs = weighted_neighbours(pg)
     draws = Draws(np.random.default_rng(cfg.seed))
     kind, n_iters, patience = cfg.neighborhood, cfg.n_iters, cfg.patience

@@ -1,7 +1,8 @@
 """Device coupling graphs and all-pairs hop distances.
 
 Graphs are immutable after construction; the distance matrix is computed
-eagerly by BFS from every source (N is at most ``MAX_QUBITS``).
+eagerly by one BFS from every source at once (N is at most
+``MAX_QUBITS``).
 """
 
 from __future__ import annotations
@@ -16,20 +17,27 @@ import numpy as np
 from .errors import TopologyError, read_input, shown
 
 # the most physical qubits a device may have. A device keeps N x N
-# distance and cost tables, and local search holds the cost rows as
-# Python lists, so memory grows with N squared (about 0.2 GB at this
-# bound); the largest superconducting devices built have about 1100.
+# distance and cost tables, and its cost rows as Python tuples
+# (``CostModel.rows``, which local search reads), so memory grows with N
+# squared (about 0.2 GB at this bound); the largest superconducting
+# devices built have about 1100.
 MAX_QUBITS = 2048
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric matrix of shortest-path hop counts between physical qubits."""
+    """Symmetric matrix of shortest-path hop counts between physical
+    qubits. ``entries`` is a read-only copy, so the cost models kept in
+    ``cost_models`` (by ``CostModel.for_graph``, one per mode) stay
+    true to it."""
 
     entries: np.ndarray
+    cost_models: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.int64)
+        e = np.array(self.entries, dtype=np.int64)
+        e.flags.writeable = False
         object.__setattr__(self, "entries", e)
 
     def __getitem__(self, key):
@@ -40,41 +48,51 @@ class DistanceMatrix:
         return self.entries.shape[0]
 
 
-def _adjacency_lists(num_physical, edges):
-    adj = [[] for _ in range(num_physical)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
 def bfs_distances(num_physical, edges):
-    """All-pairs hop distances by BFS from every source.
+    """All-pairs hop distances by one level-synchronous BFS from every
+    source at once.
+
+    Node v holds a bitset of the sources whose search has reached it, as
+    little-endian uint64 words. Level d's frontier of v is the OR of its
+    neighbours' level d - 1 frontiers (``np.bitwise_or.reduceat`` over the
+    edges sorted by target) less the sources that reached v before, and
+    its bits, unpacked, are the sources at distance d from v.
 
     Raises TopologyError if the graph is disconnected (an infinite
     distance has no representation here).
     """
-    adj = _adjacency_lists(num_physical, edges)
-    dist = np.full((num_physical, num_physical), -1, dtype=np.int64)
-    for src in range(num_physical):
-        row = dist[src]
-        row[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if row[v] < 0:
-                        row[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        if (row < 0).any():
-            raise TopologyError(
-                f"coupling graph is disconnected (source {src} cannot reach "
-                f"{int((row < 0).sum())} nodes)"
-            )
+    n = num_physical
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    # both directions of every edge, tail -> head, sorted by head
+    tail, head = pairs.ravel(), pairs[:, ::-1].ravel()
+    order = np.argsort(head, kind="stable")
+    tail, head = tail[order], head[order]
+    targets, firsts = np.unique(head, return_index=True)
+    nodes = np.arange(n)
+    frontier = np.zeros((n, (n + 63) // 64), dtype="<u8")
+    frontier[nodes, nodes // 64] = np.left_shift(
+        np.uint64(1), (nodes % 64).astype(np.uint64))
+    reached = frontier.copy()
+    dist = np.full((n, n), -1, dtype=np.int64)
+    dist[nodes, nodes] = 0
+    level = 0
+    while len(targets) and frontier.any():
+        level += 1
+        nxt = np.zeros_like(frontier)
+        nxt[targets] = np.bitwise_or.reduceat(frontier[tail], firsts, axis=0)
+        nxt &= ~reached
+        reached |= nxt
+        # row v, column s: s is at distance ``level`` from v (and v from s)
+        bits = np.unpackbits(nxt.view(np.uint8), axis=1, count=n,
+                             bitorder="little")
+        dist[bits.view(bool)] = level
+        frontier = nxt
+    unreached = int((dist[0] < 0).sum())
+    if unreached:
+        raise TopologyError(
+            f"coupling graph is disconnected (source 0 cannot reach "
+            f"{unreached} nodes)"
+        )
     return dist
 
 
@@ -226,6 +244,9 @@ def coupling_graph_from_dict(data) -> CouplingGraph:
     if not isinstance(data, dict):
         raise TopologyError("the device document is not a JSON object")
     try:
+        if not isinstance(data["edges"], list):
+            raise TopologyError(f"\"edges\" must be a list of node pairs, "
+                                f"not {shown(data['edges'])}")
         return CouplingGraph(data["n"], data["edges"],
                              name=str(data.get("name", "custom")))
     except (KeyError, TypeError, TopologyError) as exc:

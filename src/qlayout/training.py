@@ -25,7 +25,9 @@ near tie in its row could round to an equal pair (``TIE_MARGIN``). A
 sampled step inverts the CDF with one uniform, exactly as
 ``Generator.choice`` does, and the uniforms are drawn up front: a batch's
 sampled rollout draws all of them from its one ``rng`` in episode order,
-and each decode start from its own stream. ``choice`` draws one double per
+and each decode start from its own stream, whose uniforms are kept by
+(seed, start, count) for later decodes (``_start_uniforms``, at most
+``UNIFORMS_CACHED`` of them). ``choice`` draws one double per
 call, so the seats and the state of every stream are the same as with one
 ``choice`` per step. A walk holds at most ``WALK_ELEMENT_BUDGET``
 elements: ``check_walk_budget`` bounds a decode's starts, and a training
@@ -38,6 +40,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import astuple, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +59,9 @@ ROLLOUT_MODES = ("greedy", "sample")
 # much memory as START_ELEMENTS more.
 WALK_ELEMENT_BUDGET = 2**25
 START_ELEMENTS = 100
+# decode starts whose uniforms are kept, keyed by (seed, start, count); a
+# start draws at most MAX_QUBITS of them, so the cache holds at most 4 MiB
+UNIFORMS_CACHED = 256
 # Logits further apart than this give strictly ordered probabilities,
 # whatever the clip, so a greedy step over a row without closer logits
 # takes the argmax of its probabilities from the logits.
@@ -81,7 +87,7 @@ class TrainConfig:
         check_positive_float("lr", self.lr)
         check_cost_mode(self.cost_mode)
         check_probability("edge_prob", self.edge_prob)
-        check_integer("n_min", self.n_min, 2)
+        check_integer("n_min", self.n_min, 2, MAX_QUBITS)
         check_integer("n_max", self.n_max, self.n_min, MAX_QUBITS)
         check_integer("seed", self.seed, 0)
 
@@ -346,6 +352,15 @@ def _start_rng(seed, start):
     return np.random.default_rng([int(seed), int(start)])
 
 
+@lru_cache(maxsize=UNIFORMS_CACHED)
+def _start_uniforms(seed, start, count):
+    """The first ``count`` uniforms of ``_start_rng(seed, start)``, as a
+    read-only array kept for the next decode that draws them."""
+    uniforms = _start_rng(seed, start).random(count)
+    uniforms.flags.writeable = False
+    return uniforms
+
+
 def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
            strategy: DecodeStrategy, cost_model=None):
     """Decode one instance under the given strategy; returns (Layout, cost).
@@ -375,7 +390,7 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
             count = int(start > 0) if "greedy" in one.kind else n
             keys.append((int(one.seed), start, count) if count else None)
     unique = list(dict.fromkeys(keys))
-    uniforms = [() if key is None else _start_rng(*key[:2]).random(key[2])
+    uniforms = [() if key is None else _start_uniforms(*key)
                 for key in unique]
     seats = _walk(table.data, [0] * len(unique), [n] * len(unique), uniforms)
     costs = [cost_fn(assign) for assign in seats]
@@ -431,7 +446,7 @@ def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
     for name in ("batch_size", "val_size"):
         check_walk_budget(name, getattr(cfg, name), cfg.n_max,
                           cg.num_physical)
-    cost_model = CostModel(cfg.cost_mode, cg.distances)
+    cost_model = CostModel.for_graph(cg, cfg.cost_mode)
     inst_rng = np.random.default_rng([cfg.seed, 0])
     episode_rng = np.random.default_rng([cfg.seed, 1])
     val_rng = np.random.default_rng([cfg.seed, 2])

@@ -9,12 +9,14 @@ relative for every norm kind, context kind and encoder sharing.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qlayout import diffcore as dc
 from qlayout.diffcore import Tensor
 from qlayout.policy import CONTEXT_KINDS, NORM_KINDS, _Pads, _Pairs
 from qlayout.topology import build_grid
@@ -149,3 +151,31 @@ class TestKernels:
         assert_close(pol.pointer_logits(Tensor(ctx), Tensor(phys)).data, ref)
         one = pol.pointer_logits(Tensor(ctx[0]), Tensor(phys)).data
         assert_close(one, ref[0])
+
+
+class TestEluOverflow:
+    """``np.expm1`` overflows above ~709, where the ELU is its input: no
+    RuntimeWarning may escape there (as under ``python -W error``)."""
+
+    def test_gat_layer_with_aggregates_above_709(self):
+        pol = make_policy("graph", "concat_project", False)
+        prefix = "enc.phys.l0"
+        w = pol.store[f"{prefix}.W"].data
+        w[...] = np.abs(w)
+        n, d_e = 3, pol.enc_cfg.embed_dim
+        adj = np.ones((1, n, n), dtype=bool)
+        # every projected entry, so every aggregate, is above 709
+        h = np.full((1, n, d_e), 1e4)
+        assert (h[0] @ w.T).min() > 709
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pol._gat_layer(Tensor(h), _Pairs(adj, pol.enc_cfg.heads),
+                                 prefix, pol.store.lookup(False), False,
+                                 _Pads([n]))
+        assert np.isfinite(out.data).all()
+
+    def test_diffcore_elu_above_709(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dc.elu(Tensor(np.array([-800.0, 0.0, 800.0, 1e300])))
+        assert np.array_equal(out.data, [np.expm1(-800.0), 0.0, 800.0, 1e300])

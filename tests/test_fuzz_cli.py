@@ -17,15 +17,19 @@ Each example hands one command one mutated input:
 The property: the command exits 0 with a self-consistent result (a total,
 injective, in-range layout whose cost equals a recompute from the device's
 edges, or output files that read back), or exits 1 with exactly one
-``error:`` line on stderr and nothing on stdout. A value that is not an
-integer at all never reaches qlayout: click refuses it with its own usage
-error (exit 2), which is checked as such.
+``error:`` line on stderr and nothing on stdout. That line names what it
+rejects (``names``): the option; for a field of a JSON file, the field;
+for a document that is not an object, its kind; and for a file that is no
+JSON at all, its path. A value that is not an integer at all never reaches
+qlayout: click refuses it with its own usage error (exit 2), which is
+checked as such.
 """
 
 import contextlib
 import csv
 import io
 import json
+import re
 import sys
 from collections import deque
 from unittest import mock
@@ -64,9 +68,9 @@ def run(*args):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
-def check(result, verify):
+def check(result, verify, names):
     """The property: exit 0 and ``verify(stdout)`` holds, or exit 1 with
-    one ``error:`` line and nothing else."""
+    one ``error:`` line, which names one of ``names``, and nothing else."""
     code, out, err = result
     if code == 0:
         verify(out)
@@ -74,6 +78,8 @@ def check(result, verify):
         assert code == 1, err
         assert out == "", out
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert any(re.search(rf"(?<!\w){re.escape(str(name))}(?!\w)", err)
+                   for name in names), (names, err)
 
 
 def distances(cg):
@@ -145,24 +151,68 @@ def children(node):
     return []
 
 
+# Besides its key, the words an error line may name a file field by: the
+# name its message gives it, or, for a value that is valid on its own, the
+# fields it is checked against. A checkpoint header configures the network,
+# whose declared arrays the stored ones must match; the stored device must
+# match the header's N and topology_hash, and its edges must lie within
+# and connect its n nodes.
+HEADER = ("configured network",)
+FIELD_WORDS = {
+    "assign": ("assignment", "unassigned", "layout"),
+    "n": ("physical qubit", "physical qubits", "edge", "disconnected",
+          "N", "topology_hash"),
+    "edges": ("edge", "disconnected", "topology_hash"),
+    "d_e": ("embed_dim", *HEADER),
+    "d_c": ("context_dim", *HEADER),
+    "layers": HEADER,
+    "heads": HEADER,
+    "m_heads": ("heads", *HEADER),
+    "norm_kind": ("norm kind", *HEADER),
+    "context_kind": ("context kind", "stack_project", *HEADER),
+    "n_max": HEADER,
+    "shared_encoder": HEADER,
+    "params": ("parameter",),
+    "buffers": ("buffer",),
+}
+
+
+def field_names(path, replaced):
+    """The words that name a field at ``path``, whose value was
+    ``replaced``: its key, every key above it and, for an object, every
+    key in it, each with its ``FIELD_WORDS``."""
+    keys = [k for k in path if isinstance(k, str)]
+    if isinstance(replaced, dict):
+        keys += list(replaced)
+    return tuple(keys) + tuple(w for k in keys for w in FIELD_WORDS.get(k, ()))
+
+
 @st.composite
-def mutated_json(draw, doc):
-    """The bytes of ``doc`` after one mutation."""
+def mutated_json(draw, doc, what):
+    """The bytes of ``doc``, a ``what`` file, after one mutation, and the
+    names an error line may give it: the field's (``field_names``), the
+    word ``what`` for a document that is not an object, or None for a
+    file that is no JSON (whose path names it)."""
     doc = json.loads(json.dumps(doc))
     kind = draw(st.sampled_from(["field", "field", "document", "deep",
                                  "bytes", "truncated"]))
+    names = None
     if kind in ("field", "deep"):
         # walk from the root to a node, and replace one of its entries
-        node = doc
+        node, path = doc, []
         while True:
             keys = children(node)
             key = draw(st.sampled_from(keys))
+            path.append(key)
             if not children(node[key]) or draw(st.booleans()):
                 break
             node = node[key]
+        if kind == "field":
+            names = field_names(path, node[key])
         node[key] = draw(VALUES) if kind == "field" else DEEP
     elif kind == "document":
         doc = draw(VALUES.filter(lambda v: not isinstance(v, dict)))
+        names = (what,)
     text = json.dumps(doc)
     if kind == "deep":
         depth = draw(st.integers(10_000, 40_000))
@@ -177,7 +227,7 @@ def mutated_json(draw, doc):
         data = data[:at] + junk + data[at:]
     elif kind == "truncated":
         data = data[:draw(st.integers(0, len(data) - 1))]
-    return data
+    return data, names
 
 
 def postprocess_check(circuit_path, cg_of):
@@ -192,23 +242,27 @@ def postprocess_check(circuit_path, cg_of):
 @given(data=st.data())
 def test_layout_files(base, data):
     layout = base / "fuzzed_layout.json"
-    layout.write_bytes(data.draw(mutated_json(LAYOUT)))
+    fuzzed, names = data.draw(mutated_json(LAYOUT, "layout"))
+    layout.write_bytes(fuzzed)
     circuit = base / "data" / "ghz_3.qasm"
     check(run("postprocess", "--layout", layout, "--circuit", circuit,
               "--device", base / "device.json", *SEARCH),
           postprocess_check(circuit,
-                            lambda: load_coupling_graph(base / "device.json")))
+                            lambda: load_coupling_graph(base / "device.json")),
+          names or [layout])
 
 
 @SETTINGS
 @given(data=st.data())
 def test_device_files(base, data):
     device = base / "fuzzed_device.json"
-    device.write_bytes(data.draw(mutated_json(DEVICE)))
+    fuzzed, names = data.draw(mutated_json(DEVICE, "device"))
+    device.write_bytes(fuzzed)
     circuit = base / "data" / "ghz_3.qasm"
     check(run("postprocess", "--layout", base / "layout.json", "--circuit",
               circuit, "--device", device, *SEARCH),
-          postprocess_check(circuit, lambda: load_coupling_graph(device)))
+          postprocess_check(circuit, lambda: load_coupling_graph(device)),
+          names or [device])
 
 
 @settings(SETTINGS, max_examples=100)
@@ -216,14 +270,16 @@ def test_device_files(base, data):
 def test_checkpoint_files(base, data):
     saved = json.loads((base / "policy.json").read_text())
     ckpt = base / "fuzzed_policy.json"
-    ckpt.write_bytes(data.draw(mutated_json(saved)))
+    fuzzed, names = data.draw(mutated_json(saved, "checkpoint"))
+    ckpt.write_bytes(fuzzed)
     circuit = base / "data" / "ghz_3.qasm"
 
     def verify(out):
         doc = json.loads(out)
         check_layout(doc, read_qasm(circuit), PolicyNetwork.load(ckpt).cg,
                      doc["cost"])
-    check(run("map", "--circuit", circuit, "--ckpt", ckpt), verify)
+    check(run("map", "--circuit", circuit, "--ckpt", ckpt), verify,
+          names or [ckpt])
 
 
 # --- baseline CSV -----------------------------------------------------
@@ -267,7 +323,7 @@ def test_baseline_files(base, data):
         assert "baseline_cost" in rows[0]
     check(run("bench", "--dataset", base / "data", "--ckpt",
               base / "policy.json", "--no-pp", "--baseline", baseline,
-              "--out", report), verify)
+              "--out", report), verify, ["instance", "cost", baseline])
 
 
 # --- QASM with whole-register operands --------------------------------
@@ -312,7 +368,8 @@ def test_whole_register_circuits(base, source, command):
             circuit, lambda: load_coupling_graph(base / "device.json"))
         args = ["postprocess", "--layout", base / "layout.json", "--circuit",
                 circuit, "--device", base / "device.json", *SEARCH]
-    check(run(*args), verify)
+    # a QASM error names its line, or the circuit as a whole
+    check(run(*args), verify, ["line", "circuit", "program graph"])
 
 
 # --- count options ----------------------------------------------------
@@ -335,6 +392,17 @@ COUNTS = {
     "postprocess": ([], ["--iters", "--patience"]),
     "features": ([], ["--walk-radius"]),
 }
+
+
+# the names an option's error may give it, where it is not the option's
+# own name with underscores for dashes
+OPTION_FIELDS = {"--d-e": ("encoder embed_dim",),
+                 "--d-c": ("decoder context_dim",),
+                 "--heads": ("encoder heads",),
+                 "--m-heads": ("decoder heads",),
+                 "--batches": ("batches_per_epoch",),
+                 "--iters": ("n_iters",),
+                 "--test-size": ("test_size", "test instance")}
 
 
 @st.composite
@@ -394,4 +462,5 @@ def test_count_options(base, case):
         assert err.splitlines()[-1].startswith(
             f"Error: Invalid value for '{option}'"), err
     else:
-        check(result, verify)
+        check(result, verify, OPTION_FIELDS.get(
+            option, [option[2:].replace("-", "_")]))

@@ -17,11 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qlayout.diffcore as dc
+import reference_decoder
 from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.objective import CostModel, fast_cost_fn
 from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
 from qlayout.topology import build_grid
-from qlayout.training import DecodeStrategy, _start_rng, decode, rollout
+from qlayout.training import (UNIFORMS_CACHED, DecodeStrategy, _start_rng,
+                              _start_uniforms, decode, rollout)
 
 from conftest import tiny_policy
 
@@ -220,3 +222,85 @@ class TestDeviceMemo:
         after = pol.encode(self.pg).physical.data
         assert not np.array_equal(before, after)
         assert np.array_equal(after, self.recomputed(pol))
+
+    def logits(self, pol):
+        emb = pol.encode(self.pg)
+        return pol.stacked_logit_table(emb.program, emb.physical, [3]).data
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_signed_zero_flip_re_encodes(self, shared):
+        """-0.0 equals +0.0 by value, not by bytes: flipping the sign of a
+        zero the device encoding reads must re-encode."""
+        pol = make_policy("graph", "concat_project", shared)
+        first = pol.encode(self.pg).physical
+        bias = pol.store[f"{pol._enc_prefix('phys')}.l0.norm.b"].data
+        assert bias[0] == 0.0 and not np.signbit(bias[0])
+        bias[0] = -0.0
+        after = pol.encode(self.pg).physical
+        assert after is not first
+        fresh = self.recomputed(pol)
+        assert np.array_equal(after.data, fresh)
+        assert (np.signbit(after.data) == np.signbit(fresh)).all()
+
+    @pytest.mark.parametrize("name", ["ptr.W_K", "ptr.W_V", "ptr.W_Kf"])
+    def test_pointer_weight_edit_refreshes_projections_only(self, name):
+        pol = make_policy("batch", "concat_project", False)
+        physical = pol.encode(self.pg).physical
+        before = self.logits(pol)
+        pol.store[name].data[0, 1] += 0.25
+        after = self.logits(pol)
+        assert pol.encode(self.pg).physical is physical
+        assert not np.array_equal(before, after)
+        fresh = copy.deepcopy(pol)
+        fresh._device_memo = None
+        assert np.array_equal(after, self.logits(fresh))
+
+    def test_projections_are_read_only(self):
+        pol = make_policy("graph", "stack_project", True)
+        self.logits(pol)
+        assert pol.encode(self.pg).physical.data.flags.writeable is False
+        for arr in pol._device_memo.projections:
+            assert arr.flags.writeable is False
+
+    @pytest.mark.parametrize("norm,context,shared", VARIANTS)
+    def test_one_step_after_a_table_rounds_as_the_reference(self, norm,
+                                                            context, shared):
+        """The memoised projections serve the one-step view too, which
+        must still give the frozen composed decoder's bits."""
+        pol = make_policy(norm, context, shared)
+        emb = pol.encode(self.pg)
+        table = pol.stacked_logit_table(emb.program, emb.physical, [3]).data
+        order = [2, 0, 1]
+        for t in range(3):
+            ctx = pol.make_context(emb, t, order)
+            rows = dc.gather(emb.program, np.asarray(order[:t + 1]))
+            want_ctx = dc.gather(reference_decoder.contexts(pol, rows, [0]), t)
+            assert np.array_equal(ctx.data, want_ctx.data)
+            got = pol.pointer_logits(ctx, emb.physical).data
+            want = reference_decoder.pointer_logits(pol, want_ctx,
+                                                    emb.physical).data
+            assert np.array_equal(got, want)
+            assert (np.signbit(got) == np.signbit(want)).all()
+        want_table = reference_decoder.pointer_logits(
+            pol, reference_decoder.contexts(pol, emb.program, [0]),
+            emb.physical).data
+        assert np.array_equal(table, want_table)
+
+
+class TestStartUniforms:
+    @pytest.mark.parametrize("seed,start,count", [(0, 0, 1), (0, 3, 1),
+                                                  (42, 1, 7), (2**40, 9, 40)])
+    def test_equal_a_fresh_stream_and_read_only(self, seed, start, count):
+        got = _start_uniforms(seed, start, count)
+        want = np.random.default_rng([seed, start]).random(count)
+        assert np.array_equal(got, want)
+        assert got.flags.writeable is False
+        with pytest.raises(ValueError):
+            got[0] = 0.5
+        assert _start_uniforms(seed, start, count) is got
+
+    def test_cache_is_bounded(self):
+        assert _start_uniforms.cache_info().maxsize == UNIFORMS_CACHED
+        for start in range(UNIFORMS_CACHED + 5):
+            _start_uniforms(7, start, 1)
+        assert _start_uniforms.cache_info().currsize <= UNIFORMS_CACHED

@@ -150,6 +150,33 @@ class TestCostTable:
         assert type(cost) is float and cost == plain
 
 
+class TestCostModelPerDevice:
+    @pytest.mark.parametrize("mode", ["literal", "adjacent-free"])
+    def test_one_model_per_distances_and_mode(self, mode):
+        cg = build_grid(3, 3)
+        cm = CostModel.for_graph(cg, mode)
+        assert CostModel.for_graph(cg, mode) is cm
+        assert cm.mode == mode and cm.distance is cg.distances
+        other = "literal" if mode == "adjacent-free" else "adjacent-free"
+        assert CostModel.for_graph(cg, other) is not cm
+        assert CostModel.for_graph(build_grid(3, 3), mode) is not cm
+        assert np.array_equal(cm.edge_costs,
+                              CostModel(mode, cg.distances).edge_costs)
+
+    def test_rows_are_the_table_and_nothing_is_writable(self):
+        cm = CostModel.for_graph(build_grid(2, 3), "literal")
+        assert cm.rows == tuple(map(tuple, cm.edge_costs.tolist()))
+        assert cm.rows is cm.rows
+        with pytest.raises(ValueError):
+            cm.edge_costs[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            cm.distance.entries[0, 1] = 0
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ConfigError, match="unknown cost mode"):
+            CostModel.for_graph(build_grid(2, 2), "fast")
+
+
 def per_gate_cost(pg, cg, mode, assign):
     """Independent reference: 2*d or 2*(d-1) per gate on two distinct
     qubits; a self-pair needs no SWAP."""

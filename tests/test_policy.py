@@ -857,6 +857,23 @@ class TestStrictCheckpoint:
         with pytest.raises(CheckpointError, match="header seed"):
             self.load_edited(tmp_path, edit)
 
+    @pytest.mark.parametrize("value", [1, 0, "true", None])
+    def test_header_shared_encoder_not_a_flag(self, tmp_path, value):
+        def edit(doc):
+            doc["header"]["shared_encoder"] = value
+        with pytest.raises(CheckpointError,
+                           match="shared_encoder must be True or False"):
+            self.load_edited(tmp_path, edit)
+
+    def test_an_entry_error_names_the_version_it_was_read_as(self, tmp_path):
+        other = 3 - self.version
+
+        def edit(doc):
+            doc["header"]["version"] = other
+        with pytest.raises(CheckpointError,
+                           match=f"(of|as) a version {other} entry"):
+            self.load_edited(tmp_path, edit)
+
     def test_header_without_seed_loads_as_0(self, tmp_path):
         def edit(doc):
             del doc["header"]["seed"]

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_bfs
 from qlayout import topology
 from qlayout.errors import TopologyError
 from qlayout.policy import PolicyNetwork
 from qlayout.topology import (
     MAX_QUBITS,
     CouplingGraph,
+    DistanceMatrix,
     all_pairs_distances,
     bfs_distances,
     build_grid,
@@ -209,6 +211,12 @@ class TestEdgeListJson:
             coupling_graph_from_dict(doc)
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize("edges", [None, {}, {"0": 1}, "01", 3])
+    def test_edges_that_are_not_a_list_are_named(self, edges):
+        with pytest.raises(TopologyError,
+                           match='"edges" must be a list of node pairs'):
+            coupling_graph_from_dict({"n": 2, "edges": edges})
+
 
 class TestShortErrorLines:
     """An error line echoes a deep or long value shortened, not whole."""
@@ -307,3 +315,88 @@ class TestAgainstNetworkx:
         assert np.array_equal(
             cg.distances.entries,
             networkx_distances(cg.num_physical, cg.edge_list))
+
+
+@st.composite
+def wide_graphs(draw, connected):
+    """A graph on 1-200 nodes, so that the bitsets span up to four 64-bit
+    words and a word boundary falls inside most graphs; a connected one is
+    a random tree (each node joins an earlier one) plus extra edges, a
+    disconnected-or-not one joins only some nodes."""
+    n = draw(st.integers(1, 200))
+    edges = set()
+    for v in range(1, n):
+        if connected or draw(st.integers(0, 9)):
+            u = draw(st.integers(0, v - 1))
+            edges.add((u, v))
+    node = st.integers(0, n - 1)
+    edges |= set(draw(st.lists(st.tuples(node, node).filter(
+        lambda e: e[0] != e[1]), max_size=n)))
+    return n, sorted(edges)
+
+
+def outcome(bfs, n, edges):
+    """The distances ``bfs`` gives, or the text of its TopologyError."""
+    try:
+        return bfs(n, edges)
+    except TopologyError as exc:
+        return str(exc)
+
+
+class TestBitsetBfs:
+    """The all-sources bitset BFS against the frozen per-source BFS
+    (``tests/reference_bfs.py``) and networkx."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(wide_graphs(connected=True))
+    def test_connected_graphs_match_both_oracles(self, case):
+        n, edges = case
+        got = bfs_distances(n, edges)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_bfs.bfs_distances(n, edges))
+        assert np.array_equal(got, networkx_distances(n, edges))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(wide_graphs(connected=False))
+    def test_error_text_is_the_reference_text(self, case):
+        n, edges = case
+        got = outcome(bfs_distances, n, edges)
+        want = outcome(reference_bfs.bfs_distances, n, edges)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_error_names_source_0_and_its_unreachable_count(self):
+        # 0-1 and 2-3-4: source 0 misses three nodes
+        with pytest.raises(TopologyError) as exc:
+            CouplingGraph(5, frozenset({(0, 1), (2, 3), (3, 4)}))
+        assert str(exc.value) == ("coupling graph is disconnected (source 0 "
+                                  "cannot reach 3 nodes)")
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (1, 65), (1, 200),
+                                       (8, 8), (9, 15), (16, 16)])
+    def test_grids_match_the_reference(self, shape):
+        g = build_grid(*shape)
+        assert np.array_equal(
+            g.distances.entries,
+            reference_bfs.bfs_distances(g.num_physical, g.edge_list))
+
+    def test_heavy_hex_matches_the_reference(self):
+        g = build_heavy_hex()
+        assert np.array_equal(g.distances.entries, reference_bfs.bfs_distances(
+            g.num_physical, g.edge_list))
+
+
+class TestReadOnlyDistances:
+    def test_entries_are_a_read_only_copy(self):
+        given_entries = np.array([[0, 1], [1, 0]])
+        dm = DistanceMatrix(given_entries)
+        given_entries[0, 1] = 7
+        assert dm[0, 1] == 1
+        with pytest.raises(ValueError):
+            dm.entries[0, 1] = 5
+
+    def test_device_distances_are_read_only(self):
+        with pytest.raises(ValueError):
+            build_heavy_hex().distances.entries[0, 1] = 0
