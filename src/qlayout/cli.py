@@ -206,7 +206,7 @@ def postprocess(layout_path, circuit_path, device, op, iters, patience, seed,
     circ = read_qasm(circuit_path)
     check_qubit_count(circ.num_qubits, cg.num_physical, "the device's N")
     pg = build_program_graph(circ)
-    layout = Layout.load(layout_path)
+    layout = Layout.load(layout_path, cg.num_physical)
     cfg = SearchConfig(neighborhood=op, n_iters=iters, patience=patience,
                        seed=seed, cost_mode=cost_mode,
                        reset_patience=reset_patience)

@@ -82,7 +82,10 @@ class Layout:
         return d
 
     @classmethod
-    def from_dict(cls, data):
+    def from_dict(cls, data, num_physical=None):
+        """The layout of a document written by ``to_dict``. Its "n", if
+        stated, must count the seats of "assign", and with
+        ``num_physical`` its "N", if stated, must be that."""
         assign = data.get("assign") if isinstance(data, dict) else None
         if not isinstance(assign, list):
             raise ParseError(
@@ -94,15 +97,24 @@ class Layout:
             raise ParseError(
                 f"\"assign\" must hold integers only, got {shown(bad[0])}"
             )
+        for key, want, what in (
+                ("n", len(assign), "the number of seats in \"assign\""),
+                ("N", num_physical, "the device's qubit count")):
+            stated = data.get(key, want)
+            if want is not None and (type(stated) is not int
+                                     or stated != want):
+                raise ParseError(f"\"{key}\" must be {want}, {what}, not "
+                                 f"{shown(stated)}")
         try:
             return cls(np.asarray(assign, dtype=np.int64))
         except OverflowError:
             raise ParseError("\"assign\" holds a seat beyond int64")
 
     @classmethod
-    def load(cls, path):
+    def load(cls, path, num_physical=None):
         return cls.from_dict(read_input(
-            path, ParseError, f"cannot read layout {path}", json.load))
+            path, ParseError, f"cannot read layout {path}", json.load),
+            num_physical)
 
     def save(self, path, num_physical=None):
         with open(path, "w") as fh:
@@ -151,16 +163,19 @@ class CostModel:
 
 
 def fast_cost_fn(pg: ProgramGraph, cm: CostModel):
-    """Closure evaluating the SWAP cost of a total assignment array.
+    """Closure evaluating the SWAP cost of a total assignment array, or
+    the (k,) costs of a (k, n) stack of them.
 
     Skips layout validation; callers own the invariants. Used in the hot
-    loops of local search and decoding.
+    loops of local search and decoding. The entries are small integers,
+    so every sum is exact, in whatever order it is taken.
     """
     ei, ej = pg.gate_pairs
     table = cm.edge_costs
 
     def cost(assign):
-        return float(table[assign[ei], assign[ej]].sum())
+        costs = table[assign[..., ei], assign[..., ej]].sum(axis=-1)
+        return costs if costs.ndim else float(costs)
     return cost
 
 

@@ -211,12 +211,14 @@ class _Array(NamedTuple):
     """One parameter or norm buffer. ``init`` is the fan-in of a uniform
     draw in +-1/sqrt(fan-in), or "ones" or "zeros"; ``section`` is "params"
     or "buffers", as in ``ParamStore`` and the checkpoint, and ``device``
-    marks what the device embedding reads."""
+    marks what the device embedding reads. ``sizes`` names the checkpoint
+    header's keys that set the shape, ``d_e`` alone unless stated."""
     name: str
     shape: tuple
     init: object
     section: str = "params"
     device: bool = False
+    sizes: tuple = ("d_e",)
 
     def initial(self, rng):
         if isinstance(self.init, str):  # np.ones or np.zeros
@@ -273,16 +275,19 @@ class PolicyNetwork:
             raise ConfigError(
                 "stack_project requires context_dim == embed_dim")
         n_max, n_phys = self.prog_feature_dim, self.cg.num_physical
-        arrays = [_Array("in.prog.W", (d_e, n_max), n_max),
-                  _Array("in.phys.W", (d_e, n_phys), n_phys, device=True)]
+        arrays = [_Array("in.prog.W", (d_e, n_max), n_max,
+                         sizes=("d_e", "n_max")),
+                  _Array("in.phys.W", (d_e, n_phys), n_phys, device=True,
+                         sizes=("d_e", "N"))]
         stats = ((("mean", "zeros"), ("var", "ones"))
                  if e.norm_kind == "batch" else ())
         for which in ("shared",) if self.shared_encoder else ("prog", "phys"):
             dev = which != "prog"
             for p in (f"enc.{which}.l{layer}" for layer in range(e.layers)):
                 arrays += [_Array(f"{p}.W", (d_e, d_e), d_e, device=dev),
-                           _Array(f"{p}.a_src", (e.heads, dh), dh, device=dev),
-                           _Array(f"{p}.a_dst", (e.heads, dh), dh, device=dev),
+                           *(_Array(f"{p}.{a}", (e.heads, dh), dh, device=dev,
+                                    sizes=("heads", "d_e"))
+                             for a in ("a_src", "a_dst")),
                            _Array(f"{p}.norm.g", (d_e,), "ones", device=dev),
                            _Array(f"{p}.norm.b", (d_e,), "zeros", device=dev)]
                 arrays += [_Array(f"{p}.norm.{stat}", (d_e,), init, "buffers",
@@ -292,12 +297,15 @@ class PolicyNetwork:
         ctx_in = 2 * d_e if kind == "concat_project" else d_e
         arrays.append(_Array(
             "ctx.W", (d_c // 2 if kind == "project_concat" else d_c, ctx_in),
-            ctx_in))
+            ctx_in, sizes=("d_c", "d_e")))
         if kind != "stack_project":
             arrays.append(_Array("ctx.start", (d_e,), d_e))
+        by_c, by_e = (d_c, ("d_c",)), (d_e, ("d_c", "d_e"))
         return arrays + [
-            _Array(f"ptr.W_{name}", (d_c, fan_in), fan_in) for name, fan_in
-            in (("Q", d_c), ("K", d_e), ("V", d_e), ("G", d_c), ("Kf", d_e))]
+            _Array(f"ptr.W_{name}", (d_c, fan_in), fan_in, sizes=sizes)
+            for name, (fan_in, sizes) in (("Q", by_c), ("K", by_e),
+                                          ("V", by_e), ("G", by_c),
+                                          ("Kf", by_e))]
 
     def program_graph(self, circ) -> ProgramGraph:
         """The program graph this policy reads for ``circ``; a circuit wider
@@ -768,9 +776,11 @@ class PolicyNetwork:
                               sorted(set(doc[section]) - want))
             if missing or extra:
                 raise CheckpointError(
-                    f"checkpoint {what} names differ from the configured "
-                    f"network: missing {missing}, unexpected {extra}")
-        net._fill(lambda a: _stored_array(a, doc[a.section][a.name], version))
+                    f"checkpoint {what} names differ from those the header's "
+                    f"layers, norm_kind, context_kind and shared_encoder "
+                    f"give: missing {missing}, unexpected {extra}")
+        net._fill(lambda a: _stored_array(a, doc[a.section][a.name], version,
+                                          h))
         return net
 
 
@@ -782,12 +792,13 @@ def _encoded(arr):
             "float64le": base64.b64encode(raw).decode("ascii")}
 
 
-def _stored_array(a, entry, version):
+def _stored_array(a, entry, version, header):
     """Checkpoint entry ``entry`` of the declared array ``a`` as a finite,
     writable float64 array of its shape. A version-2 entry holds base64 of
     the values' little-endian float64 bytes, a version-1 entry a list of
     values, and a version-1 buffer is that list alone. A malformed entry
-    raises ``CheckpointError`` naming the array."""
+    raises ``CheckpointError`` naming the array, and for a shape that
+    differs, the keys of ``header`` that set it."""
     name, want = a.name, a.shape
     try:
         if version == 1 and a.section == "buffers":
@@ -808,10 +819,10 @@ def _stored_array(a, entry, version):
             f"'{name}' is malformed as a version {version} entry: {exc}") \
             from None
     if stated != want or values.size != math.prod(want):
+        sizes = " and ".join(f"{key} {header[key]}" for key in a.sizes)
         raise CheckpointError(
-            f"'{name}' has shape {stated} and {values.size} values, the "
-            f"configured network needs shape {want}"
-        )
+            f"'{name}' has shape {stated} and {values.size} values, but the "
+            f"header's {sizes} give shape {want}")
     arr = values.reshape(want)
     if not np.isfinite(arr).all():
         raise CheckpointError(f"'{name}' holds non-finite values")

@@ -55,8 +55,10 @@ def bfs_distances(num_physical, edges):
     Node v holds a bitset of the sources whose search has reached it, as
     little-endian uint64 words. Level d's frontier of v is the OR of its
     neighbours' level d - 1 frontiers (``np.bitwise_or.reduceat`` over the
-    edges sorted by target) less the sources that reached v before, and
-    its bits, unpacked, are the sources at distance d from v.
+    edges sorted by target) less the sources that reached v before. A
+    source s is at distance d from v when it is still unreached at levels
+    1 to d, so each level adds the unpacked unreached bits into the
+    distances.
 
     Raises TopologyError if the graph is disconnected (an infinite
     distance has no representation here).
@@ -73,27 +75,27 @@ def bfs_distances(num_physical, edges):
     frontier[nodes, nodes // 64] = np.left_shift(
         np.uint64(1), (nodes % 64).astype(np.uint64))
     reached = frontier.copy()
-    dist = np.full((n, n), -1, dtype=np.int64)
-    dist[nodes, nodes] = 0
-    level = 0
-    while len(targets) and frontier.any():
-        level += 1
+    # hop counts are below MAX_QUBITS, so uint16 holds them
+    dist = np.zeros((n, n), dtype=np.uint16)
+    while len(targets):
         nxt = np.zeros_like(frontier)
         nxt[targets] = np.bitwise_or.reduceat(frontier[tail], firsts, axis=0)
         nxt &= ~reached
+        if not nxt.any():
+            break
+        # row v, column s: s is unreached from v (and v from s) so far
+        dist += np.unpackbits((~reached).view(np.uint8), axis=1, count=n,
+                              bitorder="little")
         reached |= nxt
-        # row v, column s: s is at distance ``level`` from v (and v from s)
-        bits = np.unpackbits(nxt.view(np.uint8), axis=1, count=n,
-                             bitorder="little")
-        dist[bits.view(bool)] = level
         frontier = nxt
-    unreached = int((dist[0] < 0).sum())
+    unreached = n - int(np.unpackbits(reached[0].view(np.uint8), count=n,
+                                      bitorder="little").sum())
     if unreached:
         raise TopologyError(
             f"coupling graph is disconnected (source 0 cannot reach "
             f"{unreached} nodes)"
         )
-    return dist
+    return dist.astype(np.int64)
 
 
 def _check_size(n):

@@ -19,7 +19,8 @@ per-episode losses.
 
 Every rollout and decode chooses its seats with one lockstep walk over the
 plain logit table (``_walk``), every episode or start at once (a decode's
-every start of every strategy) with a mask per episode. A greedy step
+every start of every strategy), each on its own copy of its rows, into
+which every step writes its seats as -inf ahead. A greedy step
 takes the argmax of its masked logits, or of its probabilities where a
 near tie in its row could round to an equal pair (``TIE_MARGIN``). A
 sampled step inverts the CDF with one uniform, exactly as
@@ -235,6 +236,10 @@ def _walk(logits, firsts, sizes, uniforms):
     ties) after that. The argmax of a step is that of its probabilities,
     read from the masked logits wherever that is exact (``TIE_MARGIN``).
     Returns the seats.
+
+    The walk copies its episodes' rows step-major and masks forward: the
+    seats a step takes are set to -inf in its episodes' later rows, so a
+    step's rows are its masked logits, one contiguous block.
     """
     # finite logits give finite probabilities at every step
     if not np.isfinite(logits).all():
@@ -245,41 +250,46 @@ def _walk(logits, firsts, sizes, uniforms):
     sizes = np.asarray(sizes)[order]
     rows = np.asarray(firsts, dtype=np.intp)[order]
     n_sampled = np.array([len(uniforms[e]) for e in order])
-    n_eps = len(order)
-    draws = np.zeros((n_eps, sizes[0]))
+    n_eps, n_steps = len(order), int(sizes[0])
+    draws = np.zeros((n_steps, n_eps))
     for i, e in enumerate(order):
-        draws[i, :n_sampled[i]] = uniforms[e]
+        draws[:n_sampled[i], i] = uniforms[e]
     # each episode's step-t row, clipped for the steps it does not take
-    at = np.minimum(rows[:, None] + np.arange(sizes[0]), len(logits) - 1)
+    step = np.arange(n_steps)[:, None]
+    at = np.minimum(step + rows, len(logits) - 1)
     steps = logits[at]
-    # A greedy step reads the argmax of its probabilities from its logits,
-    # unless two logits of its table row are within TIE_MARGIN of each
-    # other: then its probabilities might round to a tie. A walk that
-    # samples every step (a training batch) never reads it.
-    if (n_sampled < sizes).any():
-        tied = (np.diff(np.sort(logits, axis=1), axis=1) <= TIE_MARGIN).any(
+    # Per step, over the episodes still running: their count, whether all
+    # of them sample, and whether any takes the softmax form (``soft``).
+    # A sampled step does; a greedy step reads the argmax of its
+    # probabilities from its logits, unless two logits of its table row
+    # are within TIE_MARGIN of each other: then its probabilities might
+    # round to a tie. A walk that samples every step (a training batch)
+    # never looks for ties.
+    running = sizes > step
+    soft = n_sampled > step
+    live = running.sum(axis=1).tolist()
+    all_drawn = (soft | ~running).all(axis=1).tolist()
+    if not all(all_drawn):
+        soft |= (np.diff(np.sort(logits, axis=1), axis=1) <= TIE_MARGIN).any(
             axis=1)[at]
+    slow = (soft & running).any(axis=1).tolist()
     eps = np.arange(n_eps)
-    live = (sizes > np.arange(sizes[0])[:, None]).sum(axis=1)
-    free = np.ones((n_eps, logits.shape[1]), dtype=bool)
-    seats = np.zeros((n_eps, sizes[0]), dtype=np.int64)
+    seats = np.zeros((n_eps, n_steps), dtype=np.int64)
     for t, m in enumerate(live):
-        masked = np.where(free[:m], steps[:m, t], -np.inf)
-        drawn = n_sampled[:m] > t
-        if drawn.all():  # every step of a sampled rollout
-            actions = _draw(dc.softmax_array(masked, 1), draws[:m, t])
+        masked = steps[t, :m]
+        if all_drawn[t]:  # every step of a sampled rollout
+            actions = _draw(dc.softmax_array(masked, 1), draws[t, :m])
         else:
-            actions = np.argmax(masked, axis=1)
-            slow = drawn | tied[:m, t]
-            if slow.any():
-                redo = np.flatnonzero(slow)
+            actions = masked.argmax(axis=1)
+            if slow[t]:
+                redo = np.flatnonzero(soft[t, :m])
                 probs = dc.softmax_array(masked[redo], 1)
-                actions[redo] = np.argmax(probs, axis=1)
-                sampled = drawn[redo]
+                actions[redo] = probs.argmax(axis=1)
+                sampled = n_sampled[redo] > t
                 actions[redo[sampled]] = _draw(probs[sampled],
-                                               draws[redo[sampled], t])
+                                               draws[t, redo[sampled]])
         seats[:m, t] = actions
-        free[eps[:m], actions] = False
+        steps[t + 1:, eps[:m], actions] = -np.inf
     back = np.argsort(order)
     return [seats[i, :sizes[i]] for i in back]
 
@@ -393,12 +403,12 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     uniforms = [() if key is None else _start_uniforms(*key)
                 for key in unique]
     seats = _walk(table.data, [0] * len(unique), [n] * len(unique), uniforms)
-    costs = [cost_fn(assign) for assign in seats]
+    costs = cost_fn(np.stack(seats)).tolist()
     walk_of = {key: i for i, key in enumerate(unique)}
     results, lo = [], 0
     for one in strategies:
         walks = [walk_of[key] for key in keys[lo:lo + one.k]]
-        best = walks[int(np.argmin([costs[w] for w in walks]))]
+        best = min(walks, key=costs.__getitem__)
         results.append((Layout(seats[best]), costs[best]))
         lo += one.k
     return results if isinstance(strategy, list) else results[0]

@@ -255,6 +255,27 @@ class TestInputBoundaries:
                               "--device", "grid2x2")
         self.assert_one_line_error(code, err, '"assign"')
 
+    @pytest.mark.parametrize("doc,fragment", [
+        ({"n": 7, "N": 99, "assign": [0, 1, 3]}, '"n" must be 3,'),
+        ({"N": 99, "assign": [0, 1, 3]}, '"N" must be 4,'),
+        ({"n": 3, "N": "4", "assign": [0, 1, 3]}, '"N" must be 4,'),
+        ({"n": True, "assign": [0, 1, 3]}, '"n" must be 3,')])
+    def test_postprocess_checks_the_sizes_a_layout_states(
+            self, monkeypatch, capsys, qasm_file, layout_file, doc, fragment):
+        layout_file.write_text(json.dumps(doc))
+        code, err = run_entry(monkeypatch, capsys, "postprocess", "--layout",
+                              layout_file, "--circuit", qasm_file,
+                              "--device", "grid2x2")
+        self.assert_one_line_error(code, err, fragment)
+
+    def test_postprocess_reads_a_layout_that_states_no_sizes(
+            self, monkeypatch, capsys, qasm_file, layout_file):
+        layout_file.write_text(json.dumps({"assign": [0, 1, 3]}))
+        code, err = run_entry(monkeypatch, capsys, "postprocess", "--layout",
+                              layout_file, "--circuit", qasm_file,
+                              "--device", "grid2x2")
+        assert (code, err) == (0, "")
+
     def test_postprocess_rejects_a_malformed_device(
             self, monkeypatch, capsys, tmp_path, qasm_file, layout_file):
         bad_json = tmp_path / "bad.json"

@@ -153,25 +153,20 @@ def children(node):
 
 # Besides its key, the words an error line may name a file field by: the
 # name its message gives it, or, for a value that is valid on its own, the
-# fields it is checked against. A checkpoint header configures the network,
-# whose declared arrays the stored ones must match; the stored device must
-# match the header's N and topology_hash, and its edges must lie within
-# and connect its n nodes.
-HEADER = ("configured network",)
+# fields it is checked against. The stored device must match the header's
+# N and topology_hash, and its edges must lie within and connect its n
+# nodes. A checkpoint header key that sets the stored arrays' names or
+# shapes is named by the error of an array that does not match.
 FIELD_WORDS = {
     "assign": ("assignment", "unassigned", "layout"),
     "n": ("physical qubit", "physical qubits", "edge", "disconnected",
           "N", "topology_hash"),
     "edges": ("edge", "disconnected", "topology_hash"),
-    "d_e": ("embed_dim", *HEADER),
-    "d_c": ("context_dim", *HEADER),
-    "layers": HEADER,
-    "heads": HEADER,
-    "m_heads": ("heads", *HEADER),
-    "norm_kind": ("norm kind", *HEADER),
-    "context_kind": ("context kind", "stack_project", *HEADER),
-    "n_max": HEADER,
-    "shared_encoder": HEADER,
+    "d_e": ("embed_dim",),
+    "d_c": ("context_dim",),
+    "m_heads": ("heads",),
+    "norm_kind": ("norm kind",),
+    "context_kind": ("context kind", "stack_project"),
     "params": ("parameter",),
     "buffers": ("buffer",),
 }
@@ -243,6 +238,21 @@ def postprocess_check(circuit_path, cg_of):
 def test_layout_files(base, data):
     layout = base / "fuzzed_layout.json"
     fuzzed, names = data.draw(mutated_json(LAYOUT, "layout"))
+    layout.write_bytes(fuzzed)
+    circuit = base / "data" / "ghz_3.qasm"
+    check(run("postprocess", "--layout", layout, "--circuit", circuit,
+              "--device", base / "device.json", *SEARCH),
+          postprocess_check(circuit,
+                            lambda: load_coupling_graph(base / "device.json")),
+          names or [layout])
+
+
+@SETTINGS
+@given(data=st.data())
+def test_layout_files_that_state_the_device_size(base, data):
+    """A layout as ``map`` writes it, whose "N" must be the device's."""
+    layout = base / "fuzzed_sized_layout.json"
+    fuzzed, names = data.draw(mutated_json({**LAYOUT, "N": 4}, "layout"))
     layout.write_bytes(fuzzed)
     circuit = base / "data" / "ghz_3.qasm"
     check(run("postprocess", "--layout", layout, "--circuit", circuit,

@@ -336,6 +336,18 @@ class TestLayoutJson:
         with pytest.raises(ParseError):
             Layout.from_dict(doc)
 
+    def test_stated_sizes_are_checked(self):
+        doc = {"n": 3, "N": 64, "assign": [7, 12, 3]}
+        assert Layout.from_dict(doc, 64).assign.tolist() == [7, 12, 3]
+        assert Layout.from_dict(doc).n == 3  # no device to check "N" by
+        with pytest.raises(ParseError, match='"n" must be 2,'):
+            Layout.from_dict({"n": 3, "assign": [7, 12]})
+        with pytest.raises(ParseError, match='"N" must be 65,'):
+            Layout.from_dict(doc, 65)
+        for value in (3.0, "3", None):
+            with pytest.raises(ParseError, match="not "):
+                Layout.from_dict({**doc, "n": value})
+
     def test_a_deep_seat_is_echoed_shortened(self):
         seat = 0
         for _ in range(980):

@@ -804,6 +804,30 @@ class TestStrictCheckpoint:
         with pytest.raises(CheckpointError, match=key):
             self.load_edited(tmp_path, edit)
 
+    @pytest.mark.parametrize("key,value,array", [
+        ("d_e", 4, "in.prog.W"), ("n_max", 3, "in.prog.W"),
+        ("heads", 4, "enc.prog.l0.a_src"), ("d_c", 4, "ctx.W")])
+    def test_a_header_size_the_arrays_do_not_fit_is_named(
+            self, tmp_path, key, value, array):
+        """A size valid on its own names itself in the error of the first
+        array whose shape it changes."""
+        def edit(doc):
+            doc["header"][key] = value
+        with pytest.raises(CheckpointError) as exc:
+            self.load_edited(tmp_path, edit)
+        assert str(exc.value).startswith(f"'{array}' has shape")
+        assert f"{key} {value}" in str(exc.value).split("header's")[1]
+
+    @pytest.mark.parametrize("key,value", [
+        ("layers", 1), ("norm_kind", "graph"),
+        ("context_kind", "stack_project"), ("shared_encoder", True)])
+    def test_a_header_key_that_renames_the_arrays_is_named(
+            self, tmp_path, key, value):
+        def edit(doc):
+            doc["header"][key] = value
+        with pytest.raises(CheckpointError, match=f"names differ.*{key}"):
+            self.load_edited(tmp_path, edit)
+
     def test_a_parameter_that_is_not_an_entry(self, tmp_path):
         def edit(doc):
             doc["params"]["ptr.W_K"] = [0.0] * 64

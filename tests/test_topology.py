@@ -367,6 +367,13 @@ class TestBitsetBfs:
         else:
             assert np.array_equal(got, want)
 
+    def test_distances_beyond_a_byte_are_exact(self):
+        # a 600-node path: hop counts up to 599 per level sum
+        n = 600
+        got = bfs_distances(n, [(i, i + 1) for i in range(n - 1)])
+        nodes = np.arange(n)
+        assert np.array_equal(got, np.abs(nodes[:, None] - nodes))
+
     def test_error_names_source_0_and_its_unreachable_count(self):
         # 0-1 and 2-3-4: source 0 misses three nodes
         with pytest.raises(TopologyError) as exc:
