@@ -83,11 +83,11 @@ def family_from_name(stem):
 
 
 def _gate_bucket(count):
+    """The label of the first bucket whose upper bound is above ``count``;
+    the buckets cover every count from 0 up."""
     for lo, hi in GATE_BUCKETS:
         if hi is None or count < hi:
-            if count >= lo:
-                return f"[{lo},{hi if hi is not None else 'inf'})"
-    return "unknown"
+            return f"[{lo},{hi if hi is not None else 'inf'})"
 
 
 def load_dataset(path, policy):

@@ -45,7 +45,7 @@ from .training import (
     STRATEGY_KINDS,
     DecodeStrategy,
     TrainConfig,
-    check_walk_budget,
+    check_training_sizes,
     decode,
     gen_random_instance,
     train_new,
@@ -287,11 +287,8 @@ def ablate_context(device, n_min, n_max, epochs, batches, batch_size,
     cfg = TrainConfig(epochs=epochs, batches_per_epoch=batches,
                       batch_size=batch_size, n_min=n_min, n_max=n_max,
                       seed=seed, val_size=val_size)
-    # all three before the test set is drawn; ``train`` checks the first
-    # two only after it
-    for name, count in (("batch_size", batch_size), ("val_size", val_size),
-                        ("test_size", test_size)):
-        check_walk_budget(name, count, n_max, cg.num_physical)
+    # here, before the test set is drawn; ``train`` checks only after it
+    check_training_sizes(cfg, cg.num_physical, test_size=test_size)
     enc = EncoderConfig(layers=layers, heads=heads, embed_dim=d_e)
     dec = DecoderConfig(heads=m_heads, context_dim=d_e)
     rng = np.random.default_rng([seed, 99])

@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, QLayoutError, ShapeError
 
 
 class Tensor:
@@ -402,36 +402,28 @@ def adam_init(params):
 def adam_step(params, grads, state, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
     """Standard Adam update with bias correction; mutates params in place.
 
-    The update is computed once over the concatenated gradient and
-    subtracted from each parameter; a name missing from ``grads`` keeps its
-    moments and its parameter. The arithmetic is elementwise, so every
-    value is that of one update per parameter."""
+    Every name in ``params`` needs a gradient: the first one missing from
+    ``grads`` is named in a QLayoutError raised before anything changes.
+    The update is computed once over the concatenated gradient; it is
+    elementwise, so every value is that of one update per parameter."""
+    names = sorted(params)
+    missing = [name for name in names if grads.get(name) is None]
+    if missing:
+        raise QLayoutError(f"no gradient for '{missing[0]}'")
     state["t"] += 1
     t = state["t"]
-    names = sorted(params)
-    offsets = np.cumsum([0] + [np.size(params[name]) for name in names])
-    present = [(name, lo, hi) for name, lo, hi
-               in zip(names, offsets[:-1], offsets[1:])
-               if grads.get(name) is not None]
-    if not present:
-        return params, state
-    g = np.concatenate([np.ravel(grads[name]) for name, _, _ in present])
+    g = np.concatenate([np.ravel(grads[name]) for name in names])
     if not np.isfinite(g).all():
-        bad = next(name for name, _, _ in present
+        bad = next(name for name in names
                    if not np.all(np.isfinite(grads[name])))
         raise NumericError(f"non-finite gradient for '{bad}'")
-    cols = slice(None) if len(present) == len(names) else np.concatenate(
-        [np.arange(lo, hi) for _, lo, hi in present])
-    m, v = state["m"][cols], state["v"][cols]
+    m, v = state["m"], state["v"]
     m += (1 - beta1) * (g - m)
     v += (1 - beta2) * (g * g - v)
-    state["m"][cols], state["v"][cols] = m, v
     m_hat = m / (1 - beta1**t)
     v_hat = v / (1 - beta2**t)
     step = lr * m_hat / (np.sqrt(v_hat) + eps)
-    done = 0  # step holds the present names' updates back to back
-    for name, lo, hi in present:
-        size = hi - lo
-        params[name] -= step[done:done + size].reshape(np.shape(params[name]))
-        done += size
+    offsets = np.cumsum([0] + [np.size(params[name]) for name in names])
+    for name, lo, hi in zip(names, offsets[:-1], offsets[1:]):
+        params[name] -= step[lo:hi].reshape(np.shape(params[name]))
     return params, state

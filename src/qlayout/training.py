@@ -31,9 +31,9 @@ and each decode start from its own stream, whose uniforms are kept by
 ``UNIFORMS_CACHED`` of them). ``choice`` draws one double per
 call, so the seats and the state of every stream are the same as with one
 ``choice`` per step. A walk holds at most ``WALK_ELEMENT_BUDGET``
-elements: ``check_walk_budget`` bounds a decode's starts, and a training
-batch and validation set (at ``n_max`` qubits each) before any instance
-is drawn.
+elements: ``check_walk_budget`` bounds a decode's starts, and
+``check_training_sizes`` a training batch and validation set (at ``n_max``
+qubits each) before any instance is drawn.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .circuit import ProgramGraph, check_qubit_count, onehot_features
-from .errors import (ConfigError, NumericError, check_integer,
-                     check_positive_float, check_probability)
+from .errors import (ConfigError, NumericError, TooManyQubitsError,
+                     check_integer, check_positive_float, check_probability)
 from .objective import CostModel, Layout, check_cost_mode, fast_cost_fn
 from .policy import DecoderConfig, EncoderConfig, PolicyNetwork
 from .topology import MAX_QUBITS, CouplingGraph
@@ -358,6 +358,19 @@ def check_walk_budget(name, count, n, n_phys, what="episodes"):
             f"the walk's budget of {WALK_ELEMENT_BUDGET} elements")
 
 
+def check_training_sizes(cfg, n_phys, **counts):
+    """Raise ConfigError if instances of up to ``cfg.n_max`` qubits can be
+    wider than the device's ``n_phys`` qubits, or if the batch, the
+    validation set or a set of ``counts`` (name: size) is too large for the
+    walk."""
+    if cfg.n_max > n_phys:
+        raise TooManyQubitsError(
+            f"n_max {cfg.n_max} is more than the device's {n_phys} qubits")
+    counts = {"batch_size": cfg.batch_size, "val_size": cfg.val_size, **counts}
+    for name, count in counts.items():
+        check_walk_budget(name, count, cfg.n_max, n_phys)
+
+
 def _start_rng(seed, start):
     return np.random.default_rng([int(seed), int(start)])
 
@@ -431,8 +444,8 @@ def _batch_gradient(batch, cg, policy, cost_model, rng, baseline):
 
     The batch's episodes share one tape, and the loss is one dot of their
     log-probability vector with -advantages, so one backward runs and
-    each row's log receives exactly its episode's -advantage. Each
-    parameter's gradient is an array, zero if the tape does not reach it.
+    each row's log receives exactly its episode's -advantage. Every
+    parameter is on the tape, so every one gets a gradient.
     """
     episodes = rollout(batch, cg, policy, mode="sample", rng=rng,
                        cost_model=cost_model, train=True)
@@ -440,22 +453,17 @@ def _batch_gradient(batch, cg, policy, cost_model, rng, baseline):
     advantages = np.array(rewards) - baseline
     policy.store.zero_grad()
     dc.matmul(episodes.log_probs, -advantages).backward()
-    reached = policy.store.grads()
-    grads = {name: reached[name] / len(batch) if name in reached
-             else np.zeros_like(t.data)
-             for name, t in policy.store.params.items()}
+    grads = {name: g / len(batch) for name, g in policy.store.grads().items()}
     return rewards, grads
 
 
 def train(cfg: TrainConfig, policy: PolicyNetwork, cg: CouplingGraph,
           log_fn=None):
     """REINFORCE with a greedy-rollout baseline; returns per-epoch metrics.
-    A batch or validation set too large for the walk is rejected before
-    any instance is drawn."""
+    An ``n_max`` wider than the device, or a batch or validation set too
+    large for the walk, is rejected before any instance is drawn."""
     policy.check_device(cg)
-    for name in ("batch_size", "val_size"):
-        check_walk_budget(name, getattr(cfg, name), cfg.n_max,
-                          cg.num_physical)
+    check_training_sizes(cfg, cg.num_physical)
     cost_model = CostModel.for_graph(cg, cfg.cost_mode)
     inst_rng = np.random.default_rng([cfg.seed, 0])
     episode_rng = np.random.default_rng([cfg.seed, 1])

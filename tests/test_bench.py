@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from qlayout.bench import (
+    GATE_BUCKETS,
     BenchRun,
+    _gate_bucket,
     baseline_summary,
     family_from_name,
     gen_embeddable_instance,
@@ -235,6 +237,14 @@ class TestSummaries:
         counts = sum(g["rl_cost"]["count"]
                      for g in summary["by_gate_bucket"].values())
         assert counts == summary["overall"]["rl_cost"]["count"]
+
+    def test_every_gate_count_has_exactly_one_bucket(self):
+        labels = {f"[{lo},{'inf' if hi is None else hi})": (lo, hi)
+                  for lo, hi in GATE_BUCKETS}
+        for count in range(201):
+            holding = [label for label, (lo, hi) in labels.items()
+                       if lo <= count and (hi is None or count < hi)]
+            assert holding == [_gate_bucket(count)], count
 
     def test_empty_rows_summary(self):
         summary = summarize([], skipped=2)

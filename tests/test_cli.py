@@ -683,11 +683,15 @@ class TestInputBoundaries:
         ("train", "--batch-size", "1000000000", "batch_size: 1000000000 "
          "episodes of 3 qubits on 4 qubits exceed the walk's budget"),
         ("train", "--val-size", str(2**64), f"val_size: {2**64} episodes"),
+        ("train", "--n-max", "8",
+         "n_max 8 is more than the device's 4 qubits"),
         ("ablate-context", "--n-max", "1000000000",
          "n_max must be at most 2048"),
         ("ablate-context", "--batch-size", "1000000000", "batch_size: "),
         ("ablate-context", "--val-size", "1000000000", "val_size: "),
         ("ablate-context", "--test-size", "1000000000", "test_size: "),
+        ("ablate-context", "--n-max", "8",
+         "n_max 8 is more than the device's 4 qubits"),
     ])
     def test_sizes_are_bounded_before_any_instance_is_drawn(
             self, monkeypatch, capsys, tmp_path, command, option, value,

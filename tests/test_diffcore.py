@@ -3,7 +3,7 @@ import pytest
 
 import qlayout.diffcore as dc
 from qlayout.diffcore import Tensor, adam_init, adam_step
-from qlayout.errors import NumericError, ShapeError
+from qlayout.errors import NumericError, QLayoutError, ShapeError
 
 from conftest import fd_gradient
 
@@ -379,10 +379,10 @@ class TestAdam:
         assert all(np.array_equal(params[k], before[k]) for k in params)
 
     def test_flat_moments_equal_one_update_per_parameter(self):
-        """50 steps over parameters of several shapes, some names missing
-        from some steps' gradients, equal bit for bit the update computed
+        """50 steps over parameters of several shapes, every name with a
+        gradient at every step, equal bit for bit the update computed
         parameter by parameter (the loop Adam was before its moments were
-        flat): a missing name keeps its moments and its parameter."""
+        flat)."""
         rng = np.random.default_rng(4)
         shapes = {"b": (3, 4), "a": (5,), "c": (2, 2, 2), "z": (7, 3)}
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
@@ -393,7 +393,7 @@ class TestAdam:
         lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
         for t in range(1, 51):
             grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-8, 3)
-                     for k, s in shapes.items() if rng.random() > 0.3}
+                     for k, s in shapes.items()}
             adam_step(params, grads, state, lr=lr)
             for k in sorted(grads):
                 g = grads[k]
@@ -406,8 +406,20 @@ class TestAdam:
                 assert np.array_equal(params[k], ref[k]), (t, k)
         assert state["t"] == 50
 
-    def test_no_gradient_changes_nothing(self):
-        params = {"w": np.array([1.0, 2.0])}
+    @pytest.mark.parametrize("given", [{"a", "d"}, {"a", "c", "d"}, set()])
+    def test_a_missing_gradient_raises_and_changes_nothing(self, given):
+        """A name missing from ``grads`` raises, naming the first missing
+        parameter, and leaves every parameter, both moments and the step
+        count as they were."""
+        rng = np.random.default_rng(5)
+        params = {k: rng.normal(size=3) for k in "dcba"}
         state = adam_init(params)
-        adam_step(params, {}, state)
-        assert params["w"].tolist() == [1.0, 2.0] and state["t"] == 1
+        adam_step(params, {k: rng.normal(size=3) for k in params}, state)
+        before = {k: v.copy() for k, v in params.items()}
+        m, v = state["m"].copy(), state["v"].copy()
+        first = min(set(params) - given)
+        with pytest.raises(QLayoutError, match=f"no gradient for '{first}'"):
+            adam_step(params, {k: np.ones(3) for k in given}, state)
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+        assert np.array_equal(state["m"], m) and np.array_equal(state["v"], v)
+        assert state["t"] == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlayout.circuit import ProgramGraph, onehot_features
-from qlayout.errors import ConfigError
+from qlayout.errors import ConfigError, QLayoutError
 from qlayout.objective import CostModel
 from qlayout.topology import CouplingGraph, build_grid
 from qlayout.training import (
@@ -292,6 +292,19 @@ class TestTrain:
                                               "qubits on 4 qubits exceed"):
             train(self.small_cfg(**{field: 5}), tiny_policy(cg=cg, n_max=3),
                   cg)
+
+    def test_a_parameter_off_the_tape_is_an_error(self):
+        """A parameter that no op reads gets no gradient: the first Adam
+        step names it instead of giving it a zero gradient."""
+        import qlayout.diffcore as dc
+
+        cg = build_grid(2, 2)
+        pol = tiny_policy(cg=cg, n_max=3)
+        pol.store.params["unread.W"] = dc.Tensor(np.ones(3),
+                                                 requires_grad=True)
+        with pytest.raises(QLayoutError, match="no gradient for 'unread.W'"):
+            train(self.small_cfg(), pol, cg)
+        assert pol.store["unread.W"].data.tolist() == [1.0, 1.0, 1.0]
 
     def test_advantage_scales_gradient_linearly(self, rng):
         import qlayout.diffcore as dc
