@@ -41,24 +41,22 @@ move: the literal cost is the adjacent-free cost plus 2 per gate pair, a
 constant of the program, so every delta, and the layout a seed gives, is
 the same in both modes.
 
-The moves are drawn from a ``Draws`` source over ``default_rng(seed)``.
-It reads only the generator's bit generator, whose raw 64-bit stream
-numpy keeps fixed across releases (NEP 19), in blocks of ``BLOCK`` words,
-and turns each word into one bounded draw by Lemire's multiply-shift.
-No ``Generator`` method is called, so the layout a seed gives does not
-depend on the numpy release. A swap draws its first qubit below ``n`` and
-its second below ``n - 1``, skipping the first. With two or more qubits
-every move takes exactly two words (see ``neighbor``), so a block of
-``k`` moves reads the next ``2k`` words, and the words after the accepted
-move go back to the source unread.
+The moves are drawn from a ``DrawTable``. It reads only ``random_raw`` of
+``PCG64(seed)``, a stream numpy keeps fixed across releases (NEP 19), so
+the layout a seed gives does not depend on the numpy release. Every move
+takes two words, so move ``t`` reads words ``2t`` and ``2t + 1`` whatever
+the layout does, and the table turns them into bounded draws (Lemire's
+multiply-shift) ahead of the search, in chunks of the iterations it is
+sure to run: each iteration improves or counts against patience, so with
+``p`` counted at least ``patience - p + 1`` more run, within the budget.
+A one-qubit move on a taken seat reads two words where one would do; a
+one-qubit program has no gate pair, so every delta is 0 and this changes
+no result.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from operator import length_hint
 
 import numpy as np
 
@@ -104,110 +102,103 @@ class SearchStats:
     final_cost: float = 0.0
 
 
-# raw 64-bit words fetched per refill of a Draws source; one refill costs
-# about one per-call draw, and a search takes at most two words per
-# iteration, so a refill serves at least a hundred iterations
-BLOCK = 256
 # rejections in a row after which a search scores its moves in blocks,
 # and the first and largest block; a block costs about as much as ten
 # single moves, and refine searches accept about one move in 24
 LONG_RUN = 32
 FIRST_SCAN = 32
 LAST_SCAN = 256
+# the fewest and most iterations a DrawTable resolves at once; a chunk
+# costs about as much as ten single moves plus 0.1 us per iteration
+MIN_CHUNK = 64
+MAX_CHUNK = 4096
 
 
-class Draws:
-    """Uniform integers from blocks of ``rng.bit_generator``'s raw 64-bit
-    words, ``random_raw(BLOCK)`` at a time. Nothing else of ``rng`` is
-    read, so the values depend on its bit generator's stream alone."""
-
-    def __init__(self, rng):
-        self._raw = rng.bit_generator.random_raw
-        self._refill(np.empty(0, dtype=np.uint64))
-
-    def _refill(self, block):
-        self._block = block
-        self._words = iter(block.tolist())
-
-    def below(self, m: int) -> int:
-        """A uniform integer in ``[0, m)`` for ``1 <= m <= 2**64``:
-        Lemire's multiply-shift ``(w * m) >> 64`` of the next word ``w``,
-        without rejection, so each value's probability is within
-        ``2**-64`` of ``1 / m``. Every draw takes one word, ``below(1)``
-        too."""
-        try:
-            w = next(self._words)
-        except StopIteration:
-            self._refill(self._raw(BLOCK))
-            w = next(self._words)
-        return (w * m) >> 64
-
-    def peek(self, k: int) -> np.ndarray:
-        """The next ``k`` words as a uint64 array, left unread."""
-        ahead = self._block[len(self._block) - length_hint(self._words):]
-        if len(ahead) < k:
-            self._refill(np.concatenate(
-                (ahead, self._raw(max(BLOCK, k - len(ahead))))))
-            ahead = self._block
-        return ahead[:k]
-
-    def skip(self, k: int):
-        """Read the next ``k`` words, at most as many as the last
-        ``peek`` returned, as ``k`` calls of ``below`` would."""
-        deque(islice(self._words, k), maxlen=0)
-
-
-def below_each(halves: np.ndarray, m) -> np.ndarray:
-    """``Draws.below`` of many words at once, for moduli ``m`` (an integer
-    or an array that broadcasts) below ``2**32``. ``halves`` holds the
-    words' low and high 32 bits on its last axis (see ``split_words``).
-    ``(w * m) >> 64`` is taken on the halves, which keeps every product
-    below ``2**64`` and gives the same integer."""
+def below_each(words: np.ndarray, m) -> np.ndarray:
+    """Lemire's multiply-shift ``(w * m) >> 64`` of each uint64 word ``w``,
+    a uniform integer in ``[0, m)`` without rejection (each value's
+    probability is within ``2**-64`` of ``1 / m``), for moduli ``m`` (an
+    integer or an array that broadcasts) below ``2**32``. It is taken on
+    the words' 32-bit halves, which keeps every product below ``2**64``
+    and gives the same integer."""
     m = np.asarray(m, dtype=np.uint64)
-    lo, hi = halves[..., 0], halves[..., 1]
-    return ((hi * m + ((lo * m) >> 32)) >> 32).astype(np.intp)
+    hi, lo = words >> np.uint64(32), words & np.uint64(0xFFFFFFFF)
+    return ((hi * m + ((lo * m) >> np.uint64(32)))
+            >> np.uint64(32)).astype(np.intp)
 
 
-def split_words(words: np.ndarray, *shape) -> np.ndarray:
-    """The uint64 ``words`` in ``shape``, as pairs of 32-bit halves, low
-    half first."""
-    return words.astype("<u8", copy=False).view("<u4").reshape(*shape, 2)
+class DrawTable:
+    """The draws of every iteration of one search, resolved ahead from the
+    raw words of ``PCG64(seed)`` (see the module docstring).
+
+    The row of iteration ``t`` is ``[first, below_n, below_n1]``: word
+    ``2t`` below ``first_modulus``, and word ``2t + 1`` below ``n`` and
+    below ``n - 1``. ``rows`` (lists, for single moves) and ``draws`` (an
+    array, for block scans) hold the rows of the iterations from ``base``
+    to ``end``, never past iteration ``budget``."""
+
+    def __init__(self, seed: int, first_modulus: int, n: int, budget: int):
+        self._raw = np.random.PCG64(seed).random_raw
+        self._moduli = np.array([first_modulus, n, n - 1], dtype=np.uint64)
+        self._budget = budget
+        self.base = self.end = 0
+        self.draws = np.empty((0, 3), dtype=np.intp)
+        self.rows = []
+
+    def hold(self, it: int, stop: int):
+        """Hold at least the rows of iterations ``it`` to ``stop - 1``
+        (``it >= base``), reading at least ``MIN_CHUNK`` iterations when
+        the table grows and dropping the rows before ``it``."""
+        if stop <= self.end:
+            return
+        k = min(self._budget, max(stop, self.end + MIN_CHUNK)) - self.end
+        words = self._raw(2 * k).reshape(k, 2)[:, [0, 1, 1]]
+        new = below_each(words, self._moduli)
+        drop = it - self.base
+        self.draws = np.concatenate((self.draws, new))[drop:]
+        self.rows = (self.rows + new.tolist())[drop:]
+        self.base, self.end = it, self.end + k
+
+    def ahead(self, it: int, k: int) -> np.ndarray:
+        """The rows of iterations ``it`` to ``it + k - 1`` as a ``(k, 3)``
+        array."""
+        self.hold(it, it + k)
+        return self.draws[it - self.base:it - self.base + k]
 
 
-def neighbor(assign, owner, kind: str, draws: Draws):
-    """Draw one random neighbourhood move from ``draws`` for the layout
+def neighbor(assign, owner, kind: str, row):
+    """The random neighbourhood move of one iteration for the layout
     ``assign`` (a list, qubit -> seat) whose inverse is ``owner`` (a list,
-    seat -> qubit, -1 for a free seat). Reads but never changes either
-    list. With two or more qubits every move takes two draws.
+    seat -> qubit, -1 for a free seat), from the iteration's ``DrawTable``
+    row. Reads but never changes either list. A one-qubit move on an
+    occupied seat needs only the row's first word (see the module
+    docstring).
 
     Returns ``(qubit, seat, displaced)``: ``qubit`` moves to ``seat``, and
     ``displaced``, the qubit on ``seat`` or None if it is free, moves to
     ``qubit``'s old seat, so the moved layout is total and injective.
-    Returns None when the layout has no move of this kind (one qubit).
+    Returns None when the layout has no move of this kind: one qubit
+    under a swap, or on an occupied seat.
     """
-    n = len(assign)
+    first, below_n, below_n1 = row
     if kind == "random_swap":
-        if n < 2:
+        if len(assign) < 2:
             return None
-        i = draws.below(n)
-        j = draws.below(n - 1)
-        if j >= i:
-            j += 1
-        return i, assign[j], j
+        if below_n1 >= first:
+            below_n1 += 1
+        return first, assign[below_n1], below_n1
     if kind != "random_assignment":
         raise ConfigError(f"unknown neighborhood '{kind}'")
 
-    seat = draws.below(len(owner))
-    j = owner[seat]
+    j = owner[first]
     if j < 0:
-        return draws.below(n), seat, None
+        return below_n, first, None
     # occupied seat: fall back to swapping with another assigned pair
-    if n < 2:
+    if len(assign) < 2:
         return None
-    i = draws.below(n - 1)
-    if i >= j:
-        i += 1
-    return i, seat, j
+    if below_n1 >= j:
+        below_n1 += 1
+    return below_n1, first, j
 
 
 def move_delta(move, assign, nbrs, rows):
@@ -248,45 +239,46 @@ class GainTable:
     """Scores blocks of moves of one unchanged layout of at least two
     qubits from Taillard's gain table (see the module docstring)."""
 
-    def __init__(self, nbrs, edge_costs: np.ndarray, kind: str):
-        n = len(nbrs)
-        # gate counts, with a zero row and column n for "no displaced qubit"
-        self.weights = np.zeros((n + 1, n + 1))
-        for q, partners in enumerate(nbrs):
-            for r, w in partners:
-                self.weights[q, r] = w
+    def __init__(self, pg: ProgramGraph, edge_costs: np.ndarray, kind: str):
+        n = pg.num_logical
+        # gate counts per qubit pair in both directions, with a zero row
+        # and column n for "no displaced qubit"
+        ei, ej = pg.gate_pairs
+        counts = np.bincount(ei * (n + 1) + ej, minlength=(n + 1) ** 2
+                             ).reshape(n + 1, n + 1)
+        self.weights = (counts + counts.T).astype(float)
         self.costs = edge_costs
         self.twice_diagonal = 2.0 * edge_costs[0, 0]
         self.kind = kind
 
-    def scan(self, assign, owner, draws: Draws, limit: int):
-        """Draw and score up to ``limit`` moves of the layout ``assign``
-        (inverse ``owner``), reading two words of ``draws`` per move.
+    def scan(self, assign, owner, draws: DrawTable, it: int, limit: int):
+        """Score up to ``limit`` moves of the layout ``assign`` (inverse
+        ``owner``), those of iterations ``it`` on, from ``draws``.
 
         Returns ``(skipped, move, delta)``: ``move`` is the first move
         with a negative ``delta``, or the ``limit``-th move if none is,
-        and ``skipped`` moves, all rejected, came before it. The words of
-        the moves after ``move`` are left unread."""
+        and ``skipped`` moves, all rejected, came before it."""
         n, big_n = len(assign), len(owner)
         seats = np.array(assign)
         holder = np.full(big_n, n)
         holder[seats] = np.arange(n)
         gain = self.weights[:, :n] @ self.costs[seats]
-        swap_moduli = np.array([n, n - 1], dtype=np.uint64)
+        # the search runs all limit moves, whichever of them is accepted
+        draws.hold(it, it + min(limit, MAX_CHUNK))
         done, size = 0, FIRST_SCAN
         while True:
             k = min(size, limit - done)
-            draw = split_words(draws.peek(2 * k), k, 2)
+            first, below_n, below_n1 = draws.ahead(it + done, k).T
             if self.kind == "random_swap":
-                qubit, displaced = below_each(draw, swap_moduli).T
-                displaced += displaced >= qubit
+                qubit = first
+                displaced = below_n1 + (below_n1 >= qubit)
                 seat = seats[displaced]
             else:
-                seat = below_each(draw[:, 0], big_n)
+                seat = first
                 displaced = holder[seat]
                 # below n for a free seat, else below n - 1 skipping its
                 # holder; a free seat's holder n skips nothing
-                qubit = below_each(draw[:, 1], n - (displaced < n))
+                qubit = np.where(displaced < n, below_n1, below_n)
                 qubit += qubit >= displaced
             old = seats[qubit]
             delta = (gain[qubit, seat] - gain[qubit, old]
@@ -297,11 +289,9 @@ class GainTable:
             i = int(better.argmax())
             if better[i] or done + k == limit:
                 i = i if better[i] else k - 1
-                draws.skip(2 * (i + 1))
                 d = int(displaced[i])
                 move = int(qubit[i]), int(seat[i]), (d if d < n else None)
                 return done + i, move, float(delta[i])
-            draws.skip(2 * k)
             done += k
             size = min(2 * size, LAST_SCAN)
 
@@ -316,7 +306,6 @@ def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
     cm = CostModel.for_graph(cg, cfg.cost_mode)
     rows = cm.rows
     nbrs = weighted_neighbours(pg)
-    draws = Draws(np.random.default_rng(cfg.seed))
     kind, n_iters, patience = cfg.neighborhood, cfg.n_iters, cfg.patience
 
     assign = initial.assign.tolist()
@@ -326,24 +315,32 @@ def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
     n = len(assign)
     c_start = c_curr = fast_cost_fn(pg, cm)(initial.assign)
     # one qubit has no move under a swap, nor on a device without a free
-    # seat, and no block phase: its moves take one or two words
+    # seat, and no block phase
     no_move = n < 2 and (kind == "random_swap" or n == len(owner))
     budget = 0 if no_move else n_iters
     long_run = LONG_RUN if n >= 2 else n_iters + 1
+    draws = DrawTable(cfg.seed, n if kind == "random_swap" else len(owner),
+                      n, budget)
+    # the rows of iterations base to end - 1; a scan may grow the table,
+    # and these stay valid until the search reaches end
+    drawn, base, end = draws.rows, draws.base, draws.end
     table = None
     it = p = run = accepted = 0
     while it < budget and p <= patience:
         if run < long_run:
+            if it >= end:
+                draws.hold(it, it + min(patience - p + 1, MAX_CHUNK))
+                drawn, base, end = draws.rows, draws.base, draws.end
+            move = neighbor(assign, owner, kind, drawn[it - base])
             it += 1
-            move = neighbor(assign, owner, kind, draws)
             delta = 0.0 if move is None else move_delta(move, assign, nbrs,
                                                         rows)
         else:
             if table is None:
-                table = GainTable(nbrs, cm.edge_costs, kind)
+                table = GainTable(pg, cm.edge_costs, kind)
             # at most the moves before the budget or patience runs out
             skipped, move, delta = table.scan(
-                assign, owner, draws, min(budget - it, patience - p + 1))
+                assign, owner, draws, it, min(budget - it, patience - p + 1))
             it += skipped + 1
             p += skipped
         if delta < 0:

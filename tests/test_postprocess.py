@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,8 +19,9 @@ from qlayout.objective import (
     weighted_neighbours,
 )
 from qlayout.postprocess import (
+    FIRST_SCAN,
     NEIGHBORHOODS,
-    Draws,
+    DrawTable,
     GainTable,
     SearchConfig,
     SearchStats,
@@ -28,7 +30,6 @@ from qlayout.postprocess import (
     local_search,
     move_delta,
     neighbor,
-    split_words,
 )
 from qlayout.topology import CouplingGraph, build_grid, build_heavy_hex
 
@@ -67,15 +68,21 @@ def owners(assign, big_n):
     return owner
 
 
-@pytest.fixture
-def draws(rng):
-    return Draws(rng)
+def first_modulus(kind, n, big_n):
+    """The modulus of a move's first draw: a qubit or a seat."""
+    return n if kind == "random_swap" else big_n
 
 
-def propose(layout, cg, kind, draws):
+def table_rows(seed, kind, n, big_n, count):
+    """The ``DrawTable`` rows of a search's first ``count`` iterations."""
+    table = DrawTable(seed, first_modulus(kind, n, big_n), n, count)
+    return table.ahead(0, count).tolist()
+
+
+def propose(layout, cg, kind, row):
     """One ``neighbor`` move of ``layout``, from fresh state lists."""
     assign = layout.assign.tolist()
-    return neighbor(assign, owners(assign, cg.num_physical), kind, draws)
+    return neighbor(assign, owners(assign, cg.num_physical), kind, row)
 
 
 def applied(layout, move):
@@ -90,36 +97,37 @@ def applied(layout, move):
 
 
 class TestNeighbor:
-    def test_swap_on_two_qubits_is_the_transposition(self, draws):
+    def test_swap_on_two_qubits_is_the_transposition(self):
         cg = build_grid(2, 2)
         lay = Layout(np.array([0, 3]))
-        out = applied(lay, propose(lay, cg, "random_swap", draws))
-        assert out.assign.tolist() == [3, 0]
+        for row in table_rows(0, "random_swap", 2, 4, 20):
+            out = applied(lay, propose(lay, cg, "random_swap", row))
+            assert out.assign.tolist() == [3, 0]
 
-    def test_swap_single_qubit_noop(self, draws):
+    def test_swap_single_qubit_noop(self):
         cg = build_grid(2, 2)
         lay = Layout(np.array([2]))
-        move = propose(lay, cg, "random_swap", draws)
+        move = propose(lay, cg, "random_swap", [0, 0, 0])
         assert move is None
         assert applied(lay, move).assign.tolist() == [2]
 
-    def test_full_device_always_swaps(self, draws):
+    def test_full_device_always_swaps(self):
         cg = build_grid(2, 2)
         lay = Layout(np.array([0, 1, 2, 3]))
-        for _ in range(50):
-            move = propose(lay, cg, "random_assignment", draws)
+        for row in table_rows(1, "random_assignment", 4, 4, 50):
+            move = propose(lay, cg, "random_assignment", row)
             out = applied(lay, move)
             assert sorted(out.assign.tolist()) == [0, 1, 2, 3]
             # every seat is occupied, so the move swaps two qubits
             assert move[2] is not None
             assert (out.assign != lay.assign).sum() == 2
 
-    def test_random_assignment_can_use_free_seat(self, draws):
+    def test_random_assignment_can_use_free_seat(self):
         cg = build_grid(3, 3)
         lay = Layout(np.array([0, 1]))
         used_free_seat = False
-        for _ in range(200):
-            move = propose(lay, cg, "random_assignment", draws)
+        for row in table_rows(2, "random_assignment", 2, 9, 200):
+            move = propose(lay, cg, "random_assignment", row)
             out = applied(lay, move)
             assert out.is_total() and out.is_injective()
             if set(out.assign.tolist()) != {0, 1}:
@@ -130,24 +138,29 @@ class TestNeighbor:
     def test_injective_under_stress(self, rng):
         cg = build_grid(3, 3)
         lay = random_layout(5, 9, rng)
-        draws = Draws(rng)
         for kind in NEIGHBORHOODS:
             cur = lay
-            for _ in range(5000):
-                cur = applied(cur, propose(cur, cg, kind, draws))
+            for row in table_rows(3, kind, 5, 9, 5000):
+                cur = applied(cur, propose(cur, cg, kind, row))
                 assert cur.is_total() and cur.is_injective()
 
-    def test_does_not_mutate_input(self, draws):
+    def test_does_not_mutate_input(self):
         for kind in NEIGHBORHOODS:
             assign, owner = [0, 3], [0, -1, -1, 1]
-            for _ in range(20):
-                neighbor(assign, owner, kind, draws)
+            for row in table_rows(4, kind, 2, 4, 20):
+                neighbor(assign, owner, kind, row)
             assert assign == [0, 3] and owner == [0, -1, -1, 1]
 
-    def test_single_qubit_on_an_occupied_seat_is_no_move(self):
-        # seat 0 is the only draw of below(1), and qubit 0 holds it
-        draws = Draws(np.random.default_rng(0))
-        assert neighbor([0], [0], "random_assignment", draws) is None
+    def test_single_qubit_moves_only_to_a_free_seat(self):
+        # qubit 0 holds seat 1 of three: a draw of seat 1 is no move,
+        # another seat takes it there, whatever the second word says
+        assign, owner = [1], [-1, 0, -1]
+        for below_n1 in (0, 5):
+            assert neighbor(assign, owner, "random_assignment",
+                            [1, 0, below_n1]) is None
+            assert neighbor(assign, owner, "random_assignment",
+                            [2, 0, below_n1]) == (0, 2, None)
+        assert neighbor([0], [0], "random_assignment", [0, 0, 0]) is None
 
 
 def reference_below(bit_generator, m):
@@ -156,67 +169,108 @@ def reference_below(bit_generator, m):
     return (bit_generator.random_raw() * m) >> 64
 
 
-class TestDraws:
-    """The draw source reads one raw 64-bit word of the bit generator per
-    draw, in stream order, and nothing of the ``Generator`` around it."""
+def reference_rows(seed, kind, n, big_n, count):
+    """Rows ``[first, below_n, below_n1]`` of ``count`` iterations, each
+    from the multiply-shift of words ``2t`` and ``2t + 1`` of the raw
+    stream in Python integers."""
+    words = np.random.PCG64(seed).random_raw(2 * count).tolist()
+    m = first_modulus(kind, n, big_n)
+    return [[(a * m) >> 64, (b * n) >> 64, (b * (n - 1)) >> 64]
+            for a, b in zip(words[::2], words[1::2])]
 
-    @pytest.fixture(autouse=True)
-    def tiny_block(self, monkeypatch):
-        # three words per refill, so a run of draws crosses many refills
-        monkeypatch.setattr(postprocess, "BLOCK", 3)
+
+@st.composite
+def table_shapes(draw):
+    """A draw table's seed, neighbourhood, ``n``, ``N`` and budget."""
+    n = draw(st.integers(1, 70))
+    return (draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from(
+        NEIGHBORHOODS)), n, draw(st.integers(n, 2**32 - 1)),
+        draw(st.integers(1, 700)))
+
+
+class TestDrawTable:
+    """Iteration ``t`` reads words ``2t`` and ``2t + 1`` of the raw stream
+    of ``PCG64(seed)``, however the table grows, and nothing else."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(table_shapes(), st.integers(1, 40),
+           st.lists(st.tuples(st.integers(0, 40), st.integers(1, 300)),
+                    min_size=1, max_size=30))
+    def test_rows_are_the_multiply_shift_of_their_words(self, shape,
+                                                         min_chunk, plan):
+        # a plan of requests that start at or after the last one, as a
+        # search makes them, crossing many chunk boundaries
+        seed, kind, n, big_n, budget = shape
+        table = DrawTable(seed, first_modulus(kind, n, big_n), n, budget)
+        expected = reference_rows(seed, kind, n, big_n, budget)
+        it = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(postprocess, "MIN_CHUNK", min_chunk)
+            for step, k in plan:
+                it = min(it + step, budget - 1)
+                k = min(k, budget - it)
+                assert table.ahead(it, k).tolist() == expected[it:it + k]
+                assert table.rows[it - table.base:it - table.base + k] == \
+                    expected[it:it + k]
+                assert table.base <= it and table.end <= budget
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_below_matches_one_word_per_call(self, seed):
-        bounds = [1, 2, 3, 65, 2**32]
-        order = np.random.default_rng(10**6 + seed).permutation(4 * bounds)
-        draws = Draws(np.random.default_rng(seed))
-        twin = np.random.PCG64(seed)
-        for m in order.tolist():
-            assert draws.below(m) == reference_below(twin, m)
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_only_the_bit_generator_is_read(self, seed):
-        bare = Draws(SimpleNamespace(bit_generator=np.random.PCG64(seed)))
-        draws = Draws(np.random.default_rng(seed))
-        for m in list(range(1, 40)) * 3:
-            assert bare.below(m) == draws.below(m)
-
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_peek_and_skip_follow_the_stream(self, seed):
-        # peeked words are the next words of the stream; skipped ones are
-        # read as though drawn, and the rest stay unread
+    def test_chunks_reach_the_request_and_drop_what_was_read(
+            self, seed, monkeypatch):
+        monkeypatch.setattr(postprocess, "MIN_CHUNK", 16)
         plan = np.random.default_rng(10**6 + seed)
-        draws = Draws(np.random.default_rng(seed))
-        twin = np.random.PCG64(seed)
-        for _ in range(60):
-            if plan.random() < 0.4:
-                assert draws.below(2**64) == twin.random_raw()
-                continue
-            k = int(plan.integers(1, 9))
-            used = int(plan.integers(0, k + 1))
-            ahead = draws.peek(k)
-            assert ahead.dtype == np.uint64 and len(ahead) == k
-            assert ahead[:used].tolist() == twin.random_raw(used).tolist()
-            draws.skip(used)
+        n, big_n, budget = 7, 12, 3000
+        table = DrawTable(seed, big_n, n, budget)
+        expected = reference_rows(seed, "random_assignment", n, big_n,
+                                  budget)
+        it = 0
+        while it < budget:
+            k = min(int(plan.integers(1, 40)), budget - it)
+            end = table.end
+            assert table.ahead(it, k).tolist() == expected[it:it + k]
+            if it + k > end:
+                # one chunk, as long as the request needs and at least
+                # MIN_CHUNK, within the budget; the rows before it go
+                assert table.end == min(budget, max(it + k, end + 16))
+                assert table.base == it
+            else:
+                assert table.end == end
+            assert len(table.rows) == len(table.draws) <= 40 + 16
+            it += int(plan.integers(1, k + 1))
+        assert table.end == budget
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_moves_read_the_stream_as_one_word_per_draw(self, seed):
+        # with two or more qubits every move draws twice, so the table's
+        # moves are those of one fresh raw word per draw, in stream order
+        rng = np.random.default_rng(seed)
+        cg = build_grid(3, 4)
+        n = int(rng.integers(2, 13))
+        layout = random_layout(n, 12, rng)
+        for kind in NEIGHBORHOODS:
+            twin = np.random.PCG64(seed)
+            for row in table_rows(seed, kind, n, 12, 40):
+                assert applied(layout, propose(layout, cg, kind, row)
+                               ).assign.tolist() == reference_neighbor(
+                    layout, cg, kind, twin).assign.tolist()
 
     def test_below_each_is_the_multiply_shift_of_each_word(self):
         words = np.concatenate((
             np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1],
                      dtype=np.uint64),
             np.random.PCG64(3).random_raw(300)))
-        halves = split_words(words, len(words))
         for m in (1, 2, 3, 65, 2**31 + 5, 2**32 - 1):
-            assert below_each(halves, m).tolist() == [
+            assert below_each(words, m).tolist() == [
                 (w * m) >> 64 for w in words.tolist()]
         moduli = np.random.default_rng(4).integers(1, 2**32, len(words))
-        assert below_each(halves, moduli).tolist() == [
+        assert below_each(words, moduli).tolist() == [
             (w * m) >> 64 for w, m in zip(words.tolist(), moduli.tolist())]
-        # one modulus per column of a (moves, 2) block
-        pairs = split_words(words, len(words) // 2, 2)
-        assert below_each(pairs, np.array([65, 64], dtype=np.uint64)
-                          ).ravel().tolist() == [
-            (w * m) >> 64 for w, m in zip(words.tolist(), [65, 64] * 153)]
+        # one modulus per column of a (moves, 3) block
+        triples = words.reshape(-1, 2)[:, [0, 1, 1]]
+        assert below_each(triples, np.array([65, 64, 63], dtype=np.uint64)
+                          ).tolist() == [
+            [(a * 65) >> 64, (b * 64) >> 64, (b * 63) >> 64]
+            for a, b in words.reshape(-1, 2).tolist()]
 
 
 def reference_neighbor(layout, cg, kind, bit_generator):
@@ -341,6 +395,26 @@ class TestAgainstCopyAndRecompute:
         cfg = SearchConfig(neighborhood=kind, n_iters=500, patience=40,
                            seed=n, cost_mode=mode, reset_patience=reset)
         assert_same_search(initial, pg, cg, cfg)
+
+    @pytest.mark.parametrize("cg", [build_grid(1, 2), build_grid(3, 3),
+                                    build_heavy_hex()],
+                             ids=["grid1x2", "grid3x3", "heavyhex65"])
+    @pytest.mark.parametrize("mode", COST_MODES)
+    @pytest.mark.parametrize("n_iters,patience,stop", [
+        (400, 30, "patience"), (30, 400, "budget"), (31, 30, "patience")])
+    def test_one_qubit_on_a_multi_seat_device(self, cg, mode, n_iters,
+                                              patience, stop):
+        # a one-qubit move reads two words even when its seat is taken,
+        # where the oracle reads one; no delta is ever negative, so the
+        # search ends as the oracle's does
+        pg = make_pg(1, [(0, 0)] * 3)
+        for seat in range(min(cg.num_physical, 4)):
+            cfg = SearchConfig(neighborhood="random_assignment",
+                               n_iters=n_iters, patience=patience, seed=seat,
+                               cost_mode=mode)
+            stats = assert_same_search(Layout(np.array([seat])), pg, cg, cfg)
+            assert (stats.iterations, stats.accepted, stats.stop_reason) == (
+                min(n_iters, patience + 1), 0, stop)
 
     @pytest.mark.parametrize("kind", NEIGHBORHOODS)
     @pytest.mark.parametrize("mode", COST_MODES)
@@ -472,8 +546,9 @@ class TestLongRuns:
         scans = []
         scan = GainTable.scan
 
-        def spy(self, assign, owner, draws, limit):
-            skipped, move, delta = scan(self, assign, owner, draws, limit)
+        def spy(self, assign, owner, draws, it, limit):
+            skipped, move, delta = scan(self, assign, owner, draws, it,
+                                        limit)
             scans.append((limit, skipped, delta))
             return skipped, move, delta
 
@@ -499,31 +574,47 @@ class TestGainTable:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(search_cases(), st.sampled_from(NEIGHBORHOODS),
            st.sampled_from(COST_MODES), st.integers(1, 700),
-           st.integers(0, 2**32))
+           st.integers(0, 2**32), st.integers(0, 50),
+           st.integers(1, FIRST_SCAN - 1), st.integers(1, 300))
     def test_scan_finds_the_first_improving_single_move(
-            self, case, kind, mode, limit, seed):
+            self, case, kind, mode, limit, seed, it, cut, max_chunk):
+        # the scan starts at iteration it, the table's first chunk ends
+        # cut moves into its first block, and past max_chunk moves the
+        # table grows block by block
         cg, pg, layout = case
         assume(layout.n >= 2)
         cm = CostModel(mode, cg.distances)
         nbrs, rows = weighted_neighbours(pg), cm.edge_costs.tolist()
         assign = layout.assign.tolist()
         owner = owners(assign, cg.num_physical)
-        draws = Draws(np.random.default_rng(seed))
-        twin = Draws(np.random.default_rng(seed))
-        skipped, move, delta = GainTable(nbrs, cm.edge_costs, kind).scan(
-            assign, owner, draws, limit)
+        n, big_n, budget = layout.n, cg.num_physical, it + limit
+        draws = DrawTable(seed, first_modulus(kind, n, big_n), n, budget)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(postprocess, "MIN_CHUNK", 1)
+            patch.setattr(postprocess, "MAX_CHUNK", max_chunk)
+            draws.hold(0, min(it + cut, budget))
+            skipped, move, delta = GainTable(pg, cm.edge_costs, kind).scan(
+                assign, owner, draws, it, limit)
         assert assign == layout.assign.tolist()
         assert owner == owners(assign, cg.num_physical)
-        for _ in range(skipped):
-            single = neighbor(assign, owner, kind, twin)
+        singles = table_rows(seed, kind, n, big_n, budget)[it:]
+        for row in singles[:skipped]:
+            single = neighbor(assign, owner, kind, row)
             assert move_delta(single, assign, nbrs, rows) >= 0
-        single = neighbor(assign, owner, kind, twin)
+        single = neighbor(assign, owner, kind, singles[skipped])
         assert single == move
         assert move_delta(single, assign, nbrs, rows) == delta
         assert delta < 0 or skipped + 1 == limit
-        # the words of the moves after the returned one are left unread
-        for _ in range(5):
-            assert draws.below(2**64) == twin.below(2**64)
+
+    def test_weights_count_the_gates_of_each_pair(self):
+        pg = make_pg(4, [(0, 1), (1, 0), (0, 1), (2, 2), (1, 2), (3, 1)])
+        cm = CostModel("literal", build_grid(2, 2).distances)
+        weights = GainTable(pg, cm.edge_costs, "random_swap").weights
+        expected = np.zeros((5, 5))
+        for q, partners in enumerate(weighted_neighbours(pg)):
+            for r, w in partners:
+                expected[q, r] = w
+        assert np.array_equal(weights, expected)
 
 
 class TestMoveDelta:
@@ -532,20 +623,24 @@ class TestMoveDelta:
            st.sampled_from(COST_MODES), st.integers(0, 2**32))
     def test_walk_matches_the_oracle_move_by_move(self, case, kind, mode,
                                                   seed):
-        # every proposed move, better or worse, is scored and applied
+        # every proposed move, better or worse, is scored and applied; the
+        # oracle's move t draws from words 2t and 2t + 1, as the table's
+        # does (one qubit too, where the oracle's own search reads one
+        # word for a seat that is taken)
         cg, pg, layout = case
         cm = CostModel(mode, cg.distances)
         cost_fn = fast_cost_fn(pg, cm)
         nbrs, rows = weighted_neighbours(pg), cm.edge_costs.tolist()
-        draws = Draws(np.random.default_rng(seed))
         twin = np.random.PCG64(seed)
         assign = layout.assign.tolist()
         owner = owners(assign, cg.num_physical)
-        for _ in range(60):
+        for row in table_rows(seed, kind, layout.n, cg.num_physical, 60):
+            words = iter(twin.random_raw(2).tolist())
             before = cost_fn(np.asarray(assign))
-            expected = reference_neighbor(Layout(np.asarray(assign)), cg,
-                                          kind, twin)
-            move = neighbor(assign, owner, kind, draws)
+            expected = reference_neighbor(
+                Layout(np.asarray(assign)), cg, kind,
+                SimpleNamespace(random_raw=lambda: next(words)))
+            move = neighbor(assign, owner, kind, row)
             delta = 0.0
             if move is not None:
                 delta = move_delta(move, assign, nbrs, rows)
@@ -626,6 +721,25 @@ class TestLocalSearch:
         # must terminate quickly despite the huge iteration budget
         out = local_search(random_layout(4, 9, rng), pg, cg, cfg)
         assert out.is_total()
+
+    @pytest.mark.parametrize("kind", NEIGHBORHOODS)
+    def test_huge_budget_draws_only_what_the_search_runs(self, kind):
+        # n_iters and patience bound the draw table, but neither sizes
+        # it: a table of one MAX_CHUNK of iterations takes 0.7 MB
+        initial, pg, cg, _ = heavyhex_case(10)
+        cfg = SearchConfig(neighborhood=kind, n_iters=10**9, patience=10,
+                           seed=1)
+        local_search(initial, pg, cg, cfg)  # builds the device's cost rows
+        tracemalloc.start()
+        try:
+            stats = SearchStats()
+            local_search(initial, pg, cg, cfg, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.stop_reason == "patience"
+        assert stats.iterations < 100
+        assert peak < 2**16
 
     def test_sandwich_against_brute_force(self, rng):
         # final cost between the brute-force optimum and the initial cost
