@@ -29,6 +29,7 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,9 @@ _GATE_RE = re.compile(r"\s*(\w+)(?:\s*\([^)]*\)\s*|\s+)"
                       r"(?:\s*,\s*(\w+)\s*\[\s*(\d{1,9})\s*\])?\s*")
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """An immutable gate, equal to the tuple ``(kind, qubits)``."""
+
     kind: str
     qubits: tuple
 
@@ -96,7 +98,7 @@ def parse_qasm(source: str) -> Circuit:
     text = _COMMENT_RE.sub("", "\n".join(source.splitlines()))
     *pieces, tail = text.split(";")
     doc = _Document()
-    qreg, gates = doc.qregs.get, doc.gates
+    qreg, gates, new = doc.qregs.get, doc.gates, tuple.__new__
     line, counted, pos = 1, 0, 0  # line holds at offset counted
     for piece in pieces:
         start, pos = pos, pos + len(piece) + 1
@@ -107,12 +109,12 @@ def parse_qasm(source: str) -> Circuit:
             if a and i < a[1]:
                 if not rb:
                     if kind in SINGLE_QUBIT_GATES:
-                        gates.append(Gate(kind, (a[0] + i,)))
+                        gates.append(new(Gate, (kind, (a[0] + i,))))
                         continue
                 elif kind in TWO_QUBIT_GATES:
                     b, j = qreg(rb), int(ib)
                     if b and j < b[1] and a[0] + i != b[0] + j:
-                        gates.append(Gate(kind, (a[0] + i, b[0] + j)))
+                        gates.append(new(Gate, (kind, (a[0] + i, b[0] + j))))
                         continue
         stmt = piece.strip()
         if stmt:
@@ -332,6 +334,17 @@ class ProgramGraph:
         pairs.flags.writeable = False
         return pairs
 
+    @cached_property
+    def pair_counts(self):
+        """Read-only symmetric (n, n) int64 gate count of every pair of
+        distinct qubits: one ``bincount`` of ``gate_pairs`` both ways."""
+        n = self.num_logical
+        ei, ej = self.gate_pairs
+        counts = np.bincount(np.concatenate((ei * n + ej, ej * n + ei)),
+                             minlength=n * n).reshape(n, n)
+        counts.flags.writeable = False
+        return counts
+
 
 def _checked_edge(edge, n):
     """``edge`` as a pair of Python ints in 0..n-1."""
@@ -357,7 +370,7 @@ def onehot_features(n, n_max=None):
 def build_program_graph(c: Circuit, n_max=None):
     """One directed edge (control -> target) per two-qubit gate occurrence;
     one-hot node features padded to ``n_max``."""
-    edges = tuple(g.qubits for g in c.gates if g.is_two_qubit)
+    edges = tuple(q for _, q in c.gates if len(q) == 2)
     feats = onehot_features(c.num_qubits, n_max)
     return ProgramGraph(c.num_qubits, edges, feats)
 
@@ -389,13 +402,10 @@ def _pagerank(adj_counts, damping=0.85, tol=1e-9, max_iter=200):
     trans[nz] = adj_counts[nz] / out_deg[nz, None]
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        nxt = (1 - damping) / n + damping * (
-            trans.T @ x + x[dangling].sum() / n
-        )
-        if np.abs(nxt - x).sum() < tol:
-            x = nxt
+        x, last = (1 - damping) / n + damping * (
+            trans.T @ x + x[dangling].sum() / n), x
+        if np.abs(x - last).sum() < tol:
             break
-        x = nxt
     return x
 
 
@@ -410,19 +420,13 @@ def extract_features(c: Circuit, walk_radius: int = 4):
     if eta == 0:
         raise EmptyCircuitError("circuit has no gates")
 
-    singles = np.zeros(n)
-    controls = np.zeros(n)
-    targets = np.zeros(n)
+    two_qubit_gates = [g.qubits for g in c.gates if g.is_two_qubit]
+    singles = np.bincount([g.qubits[0] for g in c.gates
+                           if not g.is_two_qubit], minlength=n)
     adj_counts = np.zeros((n, n))
-    two_qubit_gates = []
-    for g in c.gates:
-        if g.is_two_qubit:
-            controls[g.control] += 1
-            targets[g.target] += 1
-            adj_counts[g.control, g.target] += 1
-            two_qubit_gates.append(g.qubits)
-        else:
-            singles[g.qubits[0]] += 1
+    for control, target in two_qubit_gates:
+        adj_counts[control, target] += 1
+    controls, targets = adj_counts.sum(axis=1), adj_counts.sum(axis=0)
 
     pr = _pagerank(adj_counts)
 
@@ -430,28 +434,20 @@ def extract_features(c: Circuit, walk_radius: int = 4):
     und = adj_counts + adj_counts.T > 0
 
     def influence(j):
-        if n == 1:
-            return 0.0
-        reached = {j}
-        frontier = {j}
+        reached = frontier = {j}
         for _ in range(walk_radius):
-            nxt = set()
-            for u in frontier:
-                for v in np.nonzero(und[u])[0]:
-                    if v not in reached:
-                        reached.add(int(v))
-                        nxt.add(int(v))
-            if not nxt:
+            frontier = {int(v) for u in frontier
+                        for v in np.nonzero(und[u])[0]} - reached
+            if not frontier:
                 break
-            frontier = nxt
-        return (len(reached) - 1) / (n - 1)
+            reached = reached | frontier
+        return (len(reached) - 1) / (n - 1) if n > 1 else 0.0
 
     def causal_cone(j):
         cone = {j}
         for a, b in two_qubit_gates:
             if a in cone or b in cone:
-                cone.add(a)
-                cone.add(b)
+                cone.update((a, b))
         return len(cone) / n
 
     return [

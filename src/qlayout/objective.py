@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -181,14 +180,13 @@ def fast_cost_fn(pg: ProgramGraph, cm: CostModel):
 
 def weighted_neighbours(pg: ProgramGraph):
     """Per qubit, ``(other qubit, gate count)`` over the undirected pairs of
-    its gates in ``pg.gate_pairs``, in order of first appearance."""
-    nbrs = [[] for _ in range(pg.num_logical)]
-    ei, ej = pg.gate_pairs.tolist()
-    pairs = Counter((a, b) if a < b else (b, a) for a, b in zip(ei, ej))
-    for (a, b), w in pairs.items():
-        nbrs[a].append((b, w))
-        nbrs[b].append((a, w))
-    return nbrs
+    its gates, in ascending order of the other qubit, read from
+    ``pg.pair_counts``."""
+    n, flat = pg.num_logical, pg.pair_counts.ravel()
+    at = flat.nonzero()[0]  # qubit * n + other, ascending
+    pairs = list(zip((at % n).tolist(), flat[at].tolist()))
+    ends = np.searchsorted(at, np.arange(n, n * n + 1, n)).tolist()
+    return [pairs[i:j] for i, j in zip([0, *ends], ends)]
 
 
 def check_covers(layout: Layout, pg: ProgramGraph):

@@ -10,10 +10,11 @@ multiplicity times the cost of the seat pair. A move relocates one or two
 qubits, so only the gates of those qubits change cost, and a move is
 scored by its cost delta as in Taillard's robust tabu search. The search
 keeps one state for its whole run: the assignment as a list, its
-seat -> qubit inverse, per-qubit weighted neighbour lists and the rows of
-``CostModel.edge_costs`` as tuples (``CostModel.rows``, built once per
-device and cost mode). The full cost is computed once, for the
-start layout; the running cost is the start cost plus the deltas of the
+seat -> qubit inverse, per-qubit weighted neighbour lists (read, as the
+``GainTable`` weights are, from ``ProgramGraph.pair_counts``) and the
+rows of ``CostModel.edge_costs`` as tuples (``CostModel.rows``, built once
+per device and cost mode). The full cost is computed once, for the start
+layout; the running cost is the start cost plus the deltas of the
 accepted moves.
 
 A search runs in two phases. Moves come one at a time (``neighbor``,
@@ -49,6 +50,10 @@ the layout does, and the table turns them into bounded draws (Lemire's
 multiply-shift) ahead of the search, in chunks of the iterations it is
 sure to run: each iteration improves or counts against patience, so with
 ``p`` counted at least ``patience - p + 1`` more run, within the budget.
+Block scans slice the draws as an array; single moves index them in three
+column lists, not one small list per row: rows took ~3.5x as long to
+build for a 2000-row chunk and set off about two garbage collections a
+search.
 A one-qubit move on a taken seat reads two words where one would do; a
 one-qubit program has no gate pair, so every delta is 0 and this changes
 no result.
@@ -133,9 +138,9 @@ class DrawTable:
 
     The row of iteration ``t`` is ``[first, below_n, below_n1]``: word
     ``2t`` below ``first_modulus``, and word ``2t + 1`` below ``n`` and
-    below ``n - 1``. ``rows`` (lists, for single moves) and ``draws`` (an
-    array, for block scans) hold the rows of the iterations from ``base``
-    to ``end``, never past iteration ``budget``."""
+    below ``n - 1``. ``columns`` (three lists, for single moves) and
+    ``draws`` (an array, for block scans) hold the rows of the iterations
+    from ``base`` to ``end``, never past iteration ``budget``."""
 
     def __init__(self, seed: int, first_modulus: int, n: int, budget: int):
         self._raw = np.random.PCG64(seed).random_raw
@@ -143,7 +148,7 @@ class DrawTable:
         self._budget = budget
         self.base = self.end = 0
         self.draws = np.empty((0, 3), dtype=np.intp)
-        self.rows = []
+        self.columns = [], [], []
 
     def hold(self, it: int, stop: int):
         """Hold at least the rows of iterations ``it`` to ``stop - 1``
@@ -156,7 +161,8 @@ class DrawTable:
         new = below_each(words, self._moduli)
         drop = it - self.base
         self.draws = np.concatenate((self.draws, new))[drop:]
-        self.rows = (self.rows + new.tolist())[drop:]
+        self.columns = tuple((held + fresh)[drop:] for held, fresh
+                             in zip(self.columns, new.T.tolist()))
         self.base, self.end = it, self.end + k
 
     def ahead(self, it: int, k: int) -> np.ndarray:
@@ -240,13 +246,10 @@ class GainTable:
     qubits from Taillard's gain table (see the module docstring)."""
 
     def __init__(self, pg: ProgramGraph, edge_costs: np.ndarray, kind: str):
-        n = pg.num_logical
-        # gate counts per qubit pair in both directions, with a zero row
-        # and column n for "no displaced qubit"
-        ei, ej = pg.gate_pairs
-        counts = np.bincount(ei * (n + 1) + ej, minlength=(n + 1) ** 2
-                             ).reshape(n + 1, n + 1)
-        self.weights = (counts + counts.T).astype(float)
+        # gate counts per qubit pair, with a zero row and column n for
+        # "no displaced qubit"
+        self.weights = np.zeros(np.add(pg.pair_counts.shape, 1))
+        self.weights[:-1, :-1] = pg.pair_counts
         self.costs = edge_costs
         self.twice_diagonal = 2.0 * edge_costs[0, 0]
         self.kind = kind
@@ -321,17 +324,20 @@ def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
     long_run = LONG_RUN if n >= 2 else n_iters + 1
     draws = DrawTable(cfg.seed, n if kind == "random_swap" else len(owner),
                       n, budget)
-    # the rows of iterations base to end - 1; a scan may grow the table,
-    # and these stay valid until the search reaches end
-    drawn, base, end = draws.rows, draws.base, draws.end
+    # single moves read the columns of iterations base to end - 1; a scan
+    # may grow the table, and they stay valid until the search reaches end
+    base = end = 0
     table = None
     it = p = run = accepted = 0
     while it < budget and p <= patience:
         if run < long_run:
             if it >= end:
                 draws.hold(it, it + min(patience - p + 1, MAX_CHUNK))
-                drawn, base, end = draws.rows, draws.base, draws.end
-            move = neighbor(assign, owner, kind, drawn[it - base])
+                (first, below_n, below_n1), base, end = (
+                    draws.columns, draws.base, draws.end)
+            i = it - base
+            move = neighbor(assign, owner, kind,
+                            (first[i], below_n[i], below_n1[i]))
             it += 1
             delta = 0.0 if move is None else move_delta(move, assign, nbrs,
                                                         rows)

@@ -6,6 +6,8 @@ import pytest
 
 from qlayout.circuit import (
     MAX_REGISTER_GATES,
+    Circuit,
+    Gate,
     ProgramGraph,
     build_program_graph,
     check_qubit_count,
@@ -301,6 +303,47 @@ class TestReadQasm:
             read_qasm(f)
 
 
+class TestGate:
+    def test_fields_cannot_be_assigned(self):
+        gate = Gate("cx", (0, 1))
+        for name, value in (("kind", "cz"), ("qubits", (1, 0)),
+                            ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(gate, name, value)
+        assert gate == Gate("cx", (0, 1))
+
+    def test_equality_and_hash_among_gates(self):
+        gates = [Gate("cx", (0, 1)), Gate("cx", (1, 0)), Gate("cz", (0, 1)),
+                 Gate("h", (0,)), Gate("h", (1,))]
+        for i, a in enumerate(gates):
+            twin = Gate(a.kind, tuple(a.qubits))
+            assert a == twin and not a != twin
+            # a frozen dataclass hashed its fields as one tuple, too
+            assert hash(a) == hash(twin) == hash((a.kind, a.qubits))
+            assert all(a != b for b in gates[i + 1:])
+        assert len(set(gates + [Gate("cx", (0, 1))])) == len(gates)
+        # new: a gate also equals the plain tuple of its fields
+        assert Gate("cx", (0, 1)) == ("cx", (0, 1))
+
+    def test_repr_and_properties(self):
+        cx, h = Gate(kind="cx", qubits=(0, 1)), Gate("h", (2,))
+        assert repr(cx) == "Gate(kind='cx', qubits=(0, 1))"
+        assert (cx.kind, cx.qubits) == ("cx", (0, 1))
+        assert cx.is_two_qubit and (cx.control, cx.target) == (0, 1)
+        assert not h.is_two_qubit and (h.control, h.target) == (None, 2)
+
+    def test_both_parser_paths_build_gates(self):
+        # "h q" takes the general path, the indexed gates the fast one
+        c = parse_qasm("qreg q[2]; h q; cx q[0],q[1]; x q[1]; CX q[1],q[0];")
+        assert all(type(g) is Gate for g in c.gates)
+        assert c == Circuit(2, (Gate("h", (0,)), Gate("h", (1,)),
+                                Gate("cx", (0, 1)), Gate("x", (1,)),
+                                Gate("CX", (1, 0))))
+        assert c != Circuit(2, c.gates[:-1] + (Gate("CX", (0, 1)),))
+        assert c == parse_qasm("qreg q[2]; h q[0]; h q[1]; cx q[0], q[1];"
+                               " x q[1]; CX q[1], q[0];")
+
+
 class TestProgramGraph:
     def test_edge_multiplicity(self):
         c = parse_qasm("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
@@ -334,6 +377,13 @@ class TestProgramGraph:
         assert pg.edges == ((2, 0), (1, 2))
         assert all(type(q) is int for e in pg.edges for q in e)
 
+    def test_pair_counts_count_each_pair_either_way(self):
+        pg = ProgramGraph(3, ((0, 1), (1, 0), (2, 2), (1, 2), (0, 1)),
+                          onehot_features(3))
+        assert pg.pair_counts.tolist() == [[0, 3, 0], [3, 0, 1], [0, 1, 0]]
+        assert pg.pair_counts is pg.pair_counts
+        assert not pg.pair_counts.flags.writeable
+
     def test_gate_on_one_qubit_twice_accepted(self):
         pg = ProgramGraph(2, ((1, 1), (0, 1)), onehot_features(2))
         assert pg.edges == ((1, 1), (0, 1))
@@ -363,7 +413,78 @@ class TestProgramGraph:
         check_qubit_count(65, 65, "the device's N")
 
 
+def reference_features(c, walk_radius):
+    """Each qubit's six features by the per-gate loops and set walks that
+    ``extract_features`` first used. Frozen as an oracle: every count is
+    an integer, so the features must come out identical."""
+    n, eta = c.num_qubits, len(c.gates)
+    singles, controls, targets = np.zeros(n), np.zeros(n), np.zeros(n)
+    adj = np.zeros((n, n))
+    pairs = []
+    for g in c.gates:
+        if g.is_two_qubit:
+            controls[g.control] += 1
+            targets[g.target] += 1
+            adj[g.control, g.target] += 1
+            pairs.append(g.qubits)
+        else:
+            singles[g.qubits[0]] += 1
+    out_deg = adj.sum(axis=1)
+    dangling = out_deg == 0
+    trans = np.zeros_like(adj)
+    trans[~dangling] = adj[~dangling] / out_deg[~dangling, None]
+    x = np.full(n, 1.0 / n)
+    for _ in range(200):
+        nxt = (1 - 0.85) / n + 0.85 * (trans.T @ x + x[dangling].sum() / n)
+        if np.abs(nxt - x).sum() < 1e-9:
+            x = nxt
+            break
+        x = nxt
+    und = adj + adj.T > 0
+    rows = []
+    for j in range(n):
+        reached, frontier = {j}, {j}
+        for _ in range(walk_radius):
+            nxt = set()
+            for u in frontier:
+                for v in np.nonzero(und[u])[0]:
+                    if v not in reached:
+                        reached.add(int(v))
+                        nxt.add(int(v))
+            if not nxt:
+                break
+            frontier = nxt
+        cone = {j}
+        for a, b in pairs:
+            if a in cone or b in cone:
+                cone.add(a)
+                cone.add(b)
+        rows.append((singles[j] / eta, controls[j] / eta, targets[j] / eta,
+                     (len(reached) - 1) / (n - 1) if n > 1 else 0.0,
+                     float(x[j]), len(cone) / n))
+    return rows
+
+
 class TestFeatures:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_match_the_loop_reference(self, seed):
+        # no two-qubit gate, some, or only two-qubit gates
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 16))
+        share = (0.0, 0.5, 1.0)[seed % 3] if n > 1 else 0.0
+        gates = []
+        for _ in range(int(rng.integers(1, 60))):
+            if rng.random() < share:
+                a, b = rng.choice(n, 2, replace=False).tolist()
+                gates.append(Gate("cx", (a, b)))
+            else:
+                gates.append(Gate("h", (int(rng.integers(n)),)))
+        c = Circuit(n, tuple(gates))
+        radius = int(rng.integers(0, 6))
+        got = [(f.mu_s, f.mu_c, f.mu_t, f.influence, f.pagerank,
+                f.causal_cone) for f in extract_features(c, radius)]
+        assert got == reference_features(c, radius)
+
     def test_single_op_density(self):
         c = parse_qasm("qreg q[2]; h q[0]; x q[1]; cx q[0],q[1]; z q[1];")
         f = extract_features(c)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qlayout.objective import (
     fast_cost_fn,
     reward,
     swap_cost,
+    weighted_neighbours,
 )
 from qlayout.topology import CouplingGraph, build_grid
 
@@ -234,6 +236,54 @@ class TestSelfPairs:
             # first minimum in lexicographic enumeration order
             assert lay.assign.tolist() == list(
                 min(p for p, c in costs.items() if c == best))
+
+
+def reference_weighted_neighbours(pg):
+    """Per qubit, ``(other qubit, gate count)`` as a ``Counter`` over the
+    gates builds them, in order of first appearance. Frozen as an oracle:
+    ``weighted_neighbours`` may order the lists differently, but must hold
+    the same pairs."""
+    nbrs = [[] for _ in range(pg.num_logical)]
+    ei, ej = pg.gate_pairs.tolist()
+    pairs = Counter((a, b) if a < b else (b, a) for a, b in zip(ei, ej))
+    for (a, b), w in pairs.items():
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    return nbrs
+
+
+@st.composite
+def repeated_programs(draw):
+    """A program whose gates repeat a few qubit pairs, each gate in either
+    direction, self-pairs among them."""
+    n = draw(st.integers(1, 12))
+    qubit = st.integers(0, n - 1)
+    pool = draw(st.lists(st.tuples(qubit, qubit), min_size=1, max_size=8))
+    edges = draw(st.lists(st.sampled_from(pool).flatmap(
+        lambda e: st.sampled_from([e, e[::-1]])), max_size=40))
+    return make_pg(n, edges)
+
+
+class TestWeightedNeighbours:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(repeated_programs())
+    def test_same_pairs_as_the_counter_in_ascending_order(self, pg):
+        got = weighted_neighbours(pg)
+        assert ([set(partners) for partners in got]
+                == [set(partners) for partners in
+                    reference_weighted_neighbours(pg)])
+        for partners in got:
+            others = [r for r, _ in partners]
+            assert others == sorted(set(others))
+            assert all(type(r) is int and type(w) is int
+                       for r, w in partners)
+
+    def test_repeats_directions_and_self_pairs(self):
+        pg = make_pg(4, [(2, 0), (0, 2), (1, 1), (3, 0), (2, 0), (1, 1)])
+        assert weighted_neighbours(pg) == [[(2, 3), (3, 1)], [], [(0, 3)],
+                                           [(0, 1)]]
+        assert reference_weighted_neighbours(pg) == [[(2, 3), (3, 1)], [],
+                                                     [(0, 3)], [(0, 1)]]
 
 
 class TestReward:

@@ -210,7 +210,9 @@ class TestDrawTable:
                 it = min(it + step, budget - 1)
                 k = min(k, budget - it)
                 assert table.ahead(it, k).tolist() == expected[it:it + k]
-                assert table.rows[it - table.base:it - table.base + k] == \
+                held = slice(it - table.base, it - table.base + k)
+                assert [list(row) for row in zip(
+                    *(column[held] for column in table.columns))] == \
                     expected[it:it + k]
                 assert table.base <= it and table.end <= budget
 
@@ -235,7 +237,9 @@ class TestDrawTable:
                 assert table.base == it
             else:
                 assert table.end == end
-            assert len(table.rows) == len(table.draws) <= 40 + 16
+            assert ([len(column) for column in table.columns]
+                    == [len(table.draws)] * 3)
+            assert len(table.draws) <= 40 + 16
             it += int(plan.integers(1, k + 1))
         assert table.end == budget
 
