@@ -334,17 +334,6 @@ class ProgramGraph:
         pairs.flags.writeable = False
         return pairs
 
-    @cached_property
-    def pair_counts(self):
-        """Read-only symmetric (n, n) int64 gate count of every pair of
-        distinct qubits: one ``bincount`` of ``gate_pairs`` both ways."""
-        n = self.num_logical
-        ei, ej = self.gate_pairs
-        counts = np.bincount(np.concatenate((ei * n + ej, ej * n + ei)),
-                             minlength=n * n).reshape(n, n)
-        counts.flags.writeable = False
-        return counts
-
 
 def _checked_edge(edge, n):
     """``edge`` as a pair of Python ints in 0..n-1."""

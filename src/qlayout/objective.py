@@ -180,11 +180,13 @@ def fast_cost_fn(pg: ProgramGraph, cm: CostModel):
 
 def weighted_neighbours(pg: ProgramGraph):
     """Per qubit, ``(other qubit, gate count)`` over the undirected pairs of
-    its gates, in ascending order of the other qubit, read from
-    ``pg.pair_counts``."""
-    n, flat = pg.num_logical, pg.pair_counts.ravel()
-    at = flat.nonzero()[0]  # qubit * n + other, ascending
-    pairs = list(zip((at % n).tolist(), flat[at].tolist()))
+    its gates, in ascending order of the other qubit: one ``np.unique`` of
+    ``pg.gate_pairs`` both ways, so the work follows the gates, not n^2."""
+    n, (ei, ej) = pg.num_logical, pg.gate_pairs
+    # qubit * n + other, ascending
+    at, counts = np.unique(np.concatenate((ei * n + ej, ej * n + ei)),
+                           return_counts=True)
+    pairs = list(zip((at % n).tolist(), counts.tolist()))
     ends = np.searchsorted(at, np.arange(n, n * n + 1, n)).tolist()
     return [pairs[i:j] for i, j in zip([0, *ends], ends)]
 

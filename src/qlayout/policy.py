@@ -143,6 +143,21 @@ def _adjacency(pairs, m_rows):
     return adj
 
 
+def _stack(feats, pairs, heads):
+    """The zero-padded (B, M, F) features of graphs with the (n, F)
+    features ``feats`` and the edges ``pairs``, each a (2, m) array of
+    node pairs as in ``ProgramGraph.gate_pairs``, their ``_Pads`` and
+    their attended ``_Pairs``. A stack of one graph views its features."""
+    pads = _Pads([len(f) for f in feats])
+    m_rows = max(pads.sizes)
+    x = np.ascontiguousarray(feats[0])[None]
+    if len(feats) > 1:
+        x = np.zeros((len(feats), m_rows, x.shape[2]))
+        for i, f in enumerate(feats):
+            x[i, :len(f)] = f
+    return x, pads, _Pairs(_adjacency(pairs, m_rows), heads)
+
+
 class _Pairs:
     """The attended entries of the (B, heads, M, M) attention scores of a
     stack with adjacency ``adj``, in row order: ``flat`` indexes the
@@ -252,6 +267,9 @@ class PolicyNetwork:
         self._arrays = self._declared()
         self._cg_pairs = np.array(cg.edge_list, dtype=np.int64).reshape(-1, 2).T
         self._phys_feats = np.eye(cg.num_physical)
+        # the device never changes, so its stack is built once
+        self._device_stack = _stack([self._phys_feats], [self._cg_pairs],
+                                    enc_cfg.heads)
         self._device_memo = None  # a _DeviceMemo once eval encodes
 
     def _fill(self, array_of):
@@ -438,30 +456,19 @@ class PolicyNetwork:
 
         return dc.fused(h_hat * gain + bias, inputs, backward)
 
-    def _encode_stack(self, feats, pairs, which, train):
-        """Encode graphs as one zero-padded (B, M, .) stack, M the largest
-        node count, each graph's edges a (2, m) array of node pairs as in
-        ``ProgramGraph.gate_pairs``; returns the (sum of n, d_e) real rows
-        in graph order.
+    def _encode_stack(self, stack, which, train):
+        """Encode the graphs of a ``_stack`` as one zero-padded (B, M, .)
+        stack, M the largest node count; returns the (sum of n, d_e) real
+        rows in graph order.
 
         A pad row attends only to itself and never enters a real row or a
         graph's statistics, so each graph's rows are its own encoding.
         """
+        x, pads, attended = stack
+        n_graphs, m_rows, _ = x.shape
         p = self.store.lookup(train)
-        w_in = p(f"in.{which}.W")
-        for f in feats:
-            if f.shape[1] != w_in.shape[1]:
-                raise ShapeError(
-                    "feature dimension does not match the input projection",
-                    f.shape, w_in.shape,
-                )
-        pads = _Pads([len(f) for f in feats])
-        n_graphs, m_rows = len(feats), max(pads.sizes)
-        x = np.zeros((n_graphs, m_rows, w_in.shape[1]))
-        for i, f in enumerate(feats):
-            x[i, :len(f)] = f
-        attended = _Pairs(_adjacency(pairs, m_rows), self.enc_cfg.heads)
-        h = dc.matmul(Tensor(x.reshape(n_graphs * m_rows, -1)), w_in.T)
+        h = dc.matmul(Tensor(x.reshape(n_graphs * m_rows, -1)),
+                      p(f"in.{which}.W").T)
         h = h.reshape(n_graphs, m_rows, -1)
         prefix = self._enc_prefix(which)
         for layer in range(self.enc_cfg.layers):
@@ -471,8 +478,7 @@ class PolicyNetwork:
                          np.flatnonzero(pads.real))
 
     def _encode_device(self, train):
-        return self._encode_stack([self._phys_feats], [self._cg_pairs],
-                                  "phys", train)
+        return self._encode_stack(self._device_stack, "phys", train)
 
     def _device_embedding(self):
         """Eval-mode embedding of the device graph, memoised by bytes.
@@ -504,9 +510,16 @@ class PolicyNetwork:
         shared encoder all of them update one buffer set).
         """
         batch = graphs if isinstance(graphs, list) else [graphs]
-        program = self._encode_stack([pg.node_features for pg in batch],
-                                     [pg.gate_pairs for pg in batch],
-                                     "prog", train)
+        feats = [pg.node_features for pg in batch]
+        w_in = self.store["in.prog.W"]
+        for f in feats:
+            if f.shape[1] != w_in.shape[1]:
+                raise ShapeError(
+                    "feature dimension does not match the input projection",
+                    f.shape, w_in.shape)
+        program = self._encode_stack(
+            _stack(feats, [pg.gate_pairs for pg in batch],
+                   self.enc_cfg.heads), "prog", train)
         physical = (self._encode_device(True) if train
                     else self._device_embedding())
         return NodeEmbeddings(program, physical)

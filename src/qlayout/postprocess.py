@@ -10,10 +10,10 @@ multiplicity times the cost of the seat pair. A move relocates one or two
 qubits, so only the gates of those qubits change cost, and a move is
 scored by its cost delta as in Taillard's robust tabu search. The search
 keeps one state for its whole run: the assignment as a list, its
-seat -> qubit inverse, per-qubit weighted neighbour lists (read, as the
-``GainTable`` weights are, from ``ProgramGraph.pair_counts``) and the
-rows of ``CostModel.edge_costs`` as tuples (``CostModel.rows``, built once
-per device and cost mode). The full cost is computed once, for the start
+seat -> qubit inverse, per-qubit weighted neighbour lists (counted from
+the gates, as the ``GainTable`` weights are) and the rows of
+``CostModel.edge_costs`` as tuples (``CostModel.rows``, built once per
+device and cost mode). The full cost is computed once, for the start
 layout; the running cost is the start cost plus the deltas of the
 accepted moves.
 
@@ -246,10 +246,12 @@ class GainTable:
     qubits from Taillard's gain table (see the module docstring)."""
 
     def __init__(self, pg: ProgramGraph, edge_costs: np.ndarray, kind: str):
-        # gate counts per qubit pair, with a zero row and column n for
-        # "no displaced qubit"
-        self.weights = np.zeros(np.add(pg.pair_counts.shape, 1))
-        self.weights[:-1, :-1] = pg.pair_counts
+        # gate counts per qubit pair, one bincount of the gates both ways,
+        # with a zero row and column n for "no displaced qubit"
+        m, (ei, ej) = pg.num_logical + 1, pg.gate_pairs
+        counts = np.bincount(np.concatenate((ei * m + ej, ej * m + ei)),
+                             minlength=m * m)
+        self.weights = counts.reshape(m, m).astype(float)
         self.costs = edge_costs
         self.twice_diagonal = 2.0 * edge_costs[0, 0]
         self.kind = kind

@@ -106,10 +106,12 @@ def _check_size(n):
             f"supported")
 
 
-def _integer(value, what):
+def _integer(value, what, *args):
     """``value`` as a Python int: an integer, numpy's too, but not a bool;
-    anything else raises TopologyError."""
+    anything else raises TopologyError naming ``what``, whose fields are
+    filled with ``shown`` of ``args`` only then."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        what = what.format(*map(shown, args))
         raise TopologyError(f"{what} must be an integer, not {shown(value)}")
     return int(value)
 
@@ -134,7 +136,7 @@ class CouplingGraph:
         canon = set()
         for e in self.edges:
             try:
-                a, b = (_integer(q, f"edge {shown(e)}'s node") for q in e)
+                a, b = (_integer(q, "edge {}'s node", e) for q in e)
             except (TypeError, ValueError):
                 raise TopologyError(
                     f"edge {shown(e)} is not a pair of nodes") from None

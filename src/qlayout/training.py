@@ -7,15 +7,16 @@ each epoch the current policy is decoded greedily over a fixed validation
 set, in one batched rollout as for a training batch, and the scalar mean
 reward becomes the baseline for every episode of that epoch. Each training
 batch builds one tape: one encode call embeds the batch's program graphs
-as one padded stack and the device graph once, every episode's rows join
-one stacked logit table, one masked softmax over that table (every row's
-mask built in one pass) and one indicator matmul give the batch's (B,)
-vector of log-probabilities, and the loss is one dot of that vector with
--advantages. The contexts, the pointer pass and the log-probabilities are
-three tape nodes with hand-written backwards (``diffcore.fused``). One
-backward gives the batch's gradient; each row's log receives exactly its
-episode's -advantage, so the gradient is bit for bit that of a sum of
-per-episode losses.
+as one padded stack and the device graph once (its padding and attended
+pairs built once per policy), every episode's rows join one stacked
+logit table, the masked softmax rows the walk computed and one indicator
+matmul give the batch's (B,) vector of log-probabilities, and the loss is
+one dot of that vector with -advantages. The contexts, the pointer pass
+and the log-probabilities are three tape nodes with hand-written
+backwards (``diffcore.fused``). One backward gives the batch's gradient;
+each row's log receives exactly its episode's -advantage, so the gradient
+is bit for bit that of a sum of per-episode losses. A rollout scores
+every episode in one gather of the cost table, summed per episode.
 
 Every rollout and decode chooses its seats with one lockstep walk over the
 plain logit table (``_walk``), every episode or start at once (a decode's
@@ -166,8 +167,8 @@ class RolloutBatch(list):
 def _episodes(batch, cg, policy, cost_model, train):
     """The stacked logit table of one episode per program graph in
     ``batch``, each placing its logical qubits in ascending order (so its
-    table rows are its program rows), and the cost functions their
-    layouts are scored by.
+    table rows are its program rows), and the cost model its layouts are
+    scored by (``cg``'s adjacent-free one unless given).
 
     One ``encode`` call embeds every program graph, as one padded stack,
     and the device graph; one pointer pass scores every episode's rows.
@@ -180,8 +181,7 @@ def _episodes(batch, cg, policy, cost_model, train):
     emb = policy.encode(batch, train=train)
     table = policy.stacked_logit_table(
         emb.program, emb.physical, [pg.num_logical for pg in batch])
-    cost_model = cost_model or CostModel.for_graph(cg)
-    return table, [fast_cost_fn(pg, cost_model) for pg in batch]
+    return table, cost_model or CostModel.for_graph(cg)
 
 
 def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
@@ -207,24 +207,35 @@ def rollout(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
         raise ConfigError("a training rollout takes a list of program "
                           "graphs: its log-probabilities are the batch's")
     batch = pg if isinstance(pg, list) else [pg]
-    table, cost_fns = _episodes(batch, cg, policy, cost_model, train)
+    table, cost_model = _episodes(batch, cg, policy, cost_model, train)
     sizes = [one.num_logical for one in batch]
     firsts = np.cumsum([0] + sizes[:-1])
     if mode == "sample":
         uniforms = np.split(rng.random(sum(sizes)), firsts[1:])
     else:
         uniforms = [()] * len(batch)
-    seats = _walk(table.data, firsts, sizes, uniforms)
     results = RolloutBatch()
     if train:
-        results.log_probs = _log_probs(table, seats)
-    for assign, cost_fn in zip(seats, cost_fns):
-        cost = cost_fn(assign)
+        seats, probs, feasible = _walk(table.data, firsts, sizes, uniforms,
+                                       keep=True)
+        results.log_probs = _log_probs(table, seats, probs, feasible)
+    else:
+        seats = _walk(table.data, firsts, sizes, uniforms)
+    # every episode's cost from one gather at its gates' seats, summed per
+    # episode: sums of small integers are exact (bincount returns integer
+    # zeros when no episode has a gate)
+    pairs = [one.gate_pairs for one in batch]
+    ends = np.concatenate(seats)[np.concatenate(
+        [p + first for p, first in zip(pairs, firsts)], axis=1)]
+    episode = np.repeat(np.arange(len(batch)), [p.shape[1] for p in pairs])
+    costs = np.bincount(episode, cost_model.edge_costs[ends[0], ends[1]],
+                        len(batch)).astype(float).tolist()
+    for assign, cost in zip(seats, costs):
         results.append(RolloutResult(Layout(assign), -cost, cost))
     return results if isinstance(pg, list) else results[0]
 
 
-def _walk(logits, firsts, sizes, uniforms):
+def _walk(logits, firsts, sizes, uniforms, keep=False):
     """Advance every episode in lockstep over a plain logit table; each
     step's probabilities are those of ``masked_distribution``, computed
     without a tape.
@@ -240,6 +251,10 @@ def _walk(logits, firsts, sizes, uniforms):
     The walk copies its episodes' rows step-major and masks forward: the
     seats a step takes are set to -inf in its episodes' later rows, so a
     step's rows are its masked logits, one contiguous block.
+
+    With ``keep`` (episodes that cover the table's rows once each), every
+    step takes the softmax form, and the walk also returns every row's
+    probabilities and feasible seats as (rows, N) arrays in table order.
     """
     # finite logits give finite probabilities at every step
     if not np.isfinite(logits).all():
@@ -269,16 +284,20 @@ def _walk(logits, firsts, sizes, uniforms):
     soft = n_sampled > step
     live = running.sum(axis=1).tolist()
     all_drawn = (soft | ~running).all(axis=1).tolist()
-    if not all(all_drawn):
+    if keep:
+        soft[:] = True
+    elif not all(all_drawn):
         soft |= (np.diff(np.sort(logits, axis=1), axis=1) <= TIE_MARGIN).any(
             axis=1)[at]
     slow = (soft & running).any(axis=1).tolist()
     eps = np.arange(n_eps)
     seats = np.zeros((n_eps, n_steps), dtype=np.int64)
+    kept = np.empty(logits.shape) if keep else None
     for t, m in enumerate(live):
         masked = steps[t, :m]
         if all_drawn[t]:  # every step of a sampled rollout
-            actions = _draw(dc.softmax_array(masked, 1), draws[t, :m])
+            probs = dc.softmax_array(masked, 1)
+            actions = _draw(probs, draws[t, :m])
         else:
             actions = masked.argmax(axis=1)
             if slow[t]:
@@ -288,10 +307,17 @@ def _walk(logits, firsts, sizes, uniforms):
                 sampled = n_sampled[redo] > t
                 actions[redo[sampled]] = _draw(probs[sampled],
                                                draws[t, redo[sampled]])
+        if keep:  # every row is soft, so ``probs`` holds all m rows
+            kept[rows[:m] + t] = probs
         seats[:m, t] = actions
         steps[t + 1:, eps[:m], actions] = -np.inf
     back = np.argsort(order)
-    return [seats[i, :sizes[i]] for i in back]
+    seats = [seats[i, :sizes[i]] for i in back]
+    if not keep:
+        return seats
+    feasible = np.empty(logits.shape, dtype=bool)
+    feasible[(step + rows)[running]] = steps[running] > -np.inf
+    return seats, kept, feasible
 
 
 def _draw(probs, u):
@@ -304,34 +330,20 @@ def _draw(probs, u):
     return (cdf <= u[:, None]).sum(axis=1)
 
 
-def _step_masks(seats, n_phys):
-    """The feasible seats of every row of a stacked table whose episode i
-    takes ``seats[i]`` in its rows, one row per step; and the episode of
-    each row. Step t may take a seat its episode takes at step t or
-    later, so the mask compares the step that takes each seat with the
-    row's step."""
-    sizes = [len(assign) for assign in seats]
-    episode = np.repeat(np.arange(len(seats)), sizes)
-    step = np.arange(len(episode)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    taken = np.full((len(seats), n_phys), n_phys)  # no step reaches N
-    taken[episode, np.concatenate(seats)] = step
-    return taken[episode] >= step[:, None], episode
-
-
-def _log_probs(table, seats):
+def _log_probs(table, seats, probs, feasible):
     """The (B,) tape of the B episodes' log-probabilities. ``table`` stacks
     the episodes' rows and ``seats[i]`` holds episode i's chosen seats;
-    every step's masked softmax is one (rows, N) array, read at the chosen
-    seats, and one indicator matmul sums each episode's rows.
+    ``probs`` and ``feasible`` are every row's masked softmax and feasible
+    seats, as the walk keeps them. ``probs`` is read at the chosen seats,
+    and one indicator matmul sums each episode's rows.
 
     One tape node over ``table``, whose backward gives bit for bit the
     gradient of the composed ops it replaced: the gradient of a weighted
     sum of the result reaches each row's log as exactly its episode's
     weight, which indexing reads without the matmul's exact zeros."""
     rows, n_phys = table.shape
-    feasible, episode = _step_masks(seats, n_phys)
+    episode = np.repeat(np.arange(len(seats)), [len(a) for a in seats])
     at = np.arange(rows), np.concatenate(seats)
-    probs = dc.softmax_array(np.where(feasible, table.data, -np.inf), -1)
     chosen = probs[at]
     member = np.arange(len(seats))[:, None] == episode
 
@@ -403,7 +415,7 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     n = pg.num_logical
     check_walk_budget("k", sum(one.k for one in strategies), n,
                       cg.num_physical, "starts")
-    table, (cost_fn,) = _episodes([pg], cg, policy, cost_model, False)
+    table, cost_model = _episodes([pg], cg, policy, cost_model, False)
     # each start's uniforms: None if it draws none, else (seed, start,
     # count); a greedy kind samples the first step of every start but the
     # first
@@ -416,7 +428,7 @@ def decode(pg: ProgramGraph, cg: CouplingGraph, policy: PolicyNetwork,
     uniforms = [() if key is None else _start_uniforms(*key)
                 for key in unique]
     seats = _walk(table.data, [0] * len(unique), [n] * len(unique), uniforms)
-    costs = cost_fn(np.stack(seats)).tolist()
+    costs = fast_cost_fn(pg, cost_model)(np.stack(seats)).tolist()
     walk_of = {key: i for i, key in enumerate(unique)}
     results, lo = [], 0
     for one in strategies:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlayout.policy import DecoderConfig, EncoderConfig, PolicyNetwork
+from qlayout.policy import DecoderConfig, EncoderConfig, PolicyNetwork, _stack
 from qlayout.topology import build_grid
 
 
@@ -19,8 +19,9 @@ def program_rows(pol, pg, train):
     """A program graph's (n, d_e) rows, encoded on its own as a stack of
     one, with the running statistics moved once for it as ``encode`` moves
     them for each graph."""
-    return pol._encode_stack([pg.node_features], [pg.gate_pairs], "prog",
-                             train)
+    return pol._encode_stack(
+        _stack([pg.node_features], [pg.gate_pairs], pol.enc_cfg.heads),
+        "prog", train)
 
 
 def device_rows(pol, train):

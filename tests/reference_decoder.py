@@ -1,7 +1,9 @@
 """A frozen copy of ``PolicyNetwork._contexts``,
 ``PolicyNetwork.pointer_logits`` and ``training._log_probs`` as they were
 before each became one tape node (commit 2e88ae5), kept as the oracle of
-the fused decoder's bit-identity test.
+the fused decoder's bit-identity test, with the mask construction
+``training._step_masks`` that ``_log_probs`` read then (since deleted:
+the walk now hands its feasible seats to ``_log_probs``).
 
 Each step is its own ``diffcore`` op, so ``Tape.run`` accumulates the
 gradients of the shared intermediates in the order the fused backwards
@@ -16,7 +18,20 @@ import numpy as np
 from qlayout import diffcore as dc
 from qlayout.diffcore import Tensor
 from qlayout.policy import PolicyNetwork
-from qlayout.training import _step_masks
+
+
+def _step_masks(seats, n_phys):
+    """The feasible seats of every row of a stacked table whose episode i
+    takes ``seats[i]`` in its rows, one row per step; and the episode of
+    each row. Step t may take a seat its episode takes at step t or
+    later, so the mask compares the step that takes each seat with the
+    row's step."""
+    sizes = [len(assign) for assign in seats]
+    episode = np.repeat(np.arange(len(seats)), sizes)
+    step = np.arange(len(episode)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    taken = np.full((len(seats), n_phys), n_phys)  # no step reaches N
+    taken[episode, np.concatenate(seats)] = step
+    return taken[episode] >= step[:, None], episode
 
 
 def contexts(pol, program, starts):

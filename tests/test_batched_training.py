@@ -13,6 +13,7 @@ cover every norm kind, context kind and encoder sharing.
 
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import qlayout.diffcore as dc
 import qlayout.training as training
 from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.errors import ConfigError, NumericError
-from qlayout.objective import CostModel, fast_cost_fn
+from qlayout.objective import COST_MODES, CostModel, fast_cost_fn
 from qlayout.policy import (
     CONTEXT_KINDS,
     NORM_KINDS,
@@ -38,7 +39,6 @@ from qlayout.training import (
     TrainConfig,
     _batch_gradient,
     _start_rng,
-    _step_masks,
     _walk,
     decode,
     gen_random_instance,
@@ -232,13 +232,65 @@ def seat_batches(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=seat_batches())
-def test_step_masks_equal_the_per_episode_construction(case):
+@given(case=seat_batches(), sampled=st.booleans())
+def test_walk_feasible_rows_equal_the_per_episode_construction(case,
+                                                               sampled):
+    """The feasible seats the walk keeps for every row, sampled or greedy.
+    Each episode's rows rank its seats in its order, 1000 apart, so that
+    the first seat still free has probability 1 and the walk takes the
+    episode's seats."""
     n_phys, seats = case
-    feasible, episode = _step_masks(seats, n_phys)
-    assert feasible.tolist() == reference_masks(seats, n_phys).tolist()
-    assert episode.tolist() == [e for e, assign in enumerate(seats)
-                                for _ in assign]
+    sizes = [len(assign) for assign in seats]
+    table = np.full((sum(sizes), n_phys), -1000.0 * n_phys)
+    firsts = np.cumsum([0] + sizes[:-1])
+    for lo, assign in zip(firsts, seats):
+        table[lo:lo + len(assign), assign] = -1000.0 * np.arange(len(assign))
+    uniforms = [np.full(n, 0.5) if sampled else () for n in sizes]
+    got, probs, feasible = _walk(table, firsts, sizes, uniforms, keep=True)
+    assert [a.tolist() for a in got] == [a.tolist() for a in seats]
+    want = reference_masks(seats, n_phys)
+    assert feasible.tolist() == want.tolist()
+    assert np.array_equal(
+        probs, dc.softmax_array(np.where(want, table, -np.inf), -1))
+
+
+@st.composite
+def gate_batches(draw):
+    """1-5 programs of 1..N_MAX qubits whose gates repeat a few qubit
+    pairs, each gate in either direction, self-pairs among them."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, N_MAX))
+        qubit = st.integers(0, n - 1)
+        pool = draw(st.lists(st.tuples(qubit, qubit), min_size=1,
+                             max_size=4))
+        edges = draw(st.lists(st.sampled_from(pool).flatmap(
+            lambda e: st.sampled_from([e, e[::-1]])), max_size=12))
+        out.append(ProgramGraph(n, tuple(edges), onehot_features(n, N_MAX)))
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(batch=gate_batches(), cost_mode=st.sampled_from(COST_MODES),
+       mode=st.sampled_from(["sample", "greedy"]), train_mode=st.booleans(),
+       seed=st.integers(0, 50))
+def test_batched_costs_equal_each_episodes_cost_fn(batch, cost_mode, mode,
+                                                   train_mode, seed):
+    """A rollout scores its episodes in one gather; each cost and reward is
+    the Python float of the episode's own ``fast_cost_fn``, sign of zero
+    included."""
+    pol = make_policy("graph", "concat_project", False)
+    cm = CostModel.for_graph(pol.cg, cost_mode)
+    results = rollout(batch, pol.cg, pol, mode=mode,
+                      rng=np.random.default_rng(seed), cost_model=cm,
+                      train=train_mode)
+    assert len(results) == len(batch)
+    for pg, res in zip(batch, results):
+        want = fast_cost_fn(pg, cm)(res.layout.assign)
+        assert type(res.cost) is float and type(res.reward) is float
+        assert res.cost == want and res.reward == -want
+        assert math.copysign(1.0, res.reward) == math.copysign(1.0, -want)
 
 
 def reference_walk(logits, rngs, n_sampled):

@@ -377,13 +377,6 @@ class TestProgramGraph:
         assert pg.edges == ((2, 0), (1, 2))
         assert all(type(q) is int for e in pg.edges for q in e)
 
-    def test_pair_counts_count_each_pair_either_way(self):
-        pg = ProgramGraph(3, ((0, 1), (1, 0), (2, 2), (1, 2), (0, 1)),
-                          onehot_features(3))
-        assert pg.pair_counts.tolist() == [[0, 3, 0], [3, 0, 1], [0, 1, 0]]
-        assert pg.pair_counts is pg.pair_counts
-        assert not pg.pair_counts.flags.writeable
-
     def test_gate_on_one_qubit_twice_accepted(self):
         pg = ProgramGraph(2, ((1, 1), (0, 1)), onehot_features(2))
         assert pg.edges == ((1, 1), (0, 1))

@@ -2,12 +2,14 @@
 
 ``PolicyNetwork._contexts``, ``PolicyNetwork.pointer_logits`` and
 ``training._log_probs`` each run as one tape node whose backward is written
-by hand. ``reference_decoder`` is a frozen copy of the composed ``diffcore``
-ops they replaced. Both must give equal values and equal gradients of every
-input, compared with ``np.array_equal`` and no tolerance: for every context
-kind and norm kind, with separate and shared encoders, in training and in
-eval, over stacked tables of 1-4 episodes of 1..N_MAX steps and over the
-one-step form.
+by hand; ``_log_probs`` reads the softmax rows and feasible seats that the
+walk kept. ``reference_decoder`` is a frozen copy of the composed
+``diffcore`` ops they replaced, which build every mask and softmax anew.
+Both must give equal values and equal gradients of every input, compared
+with ``np.array_equal`` and no tolerance: for every context kind and norm
+kind, with separate and shared encoders, in training and in eval, over
+stacked tables of 1-4 episodes of 1..N_MAX steps and over the one-step
+form.
 """
 
 import copy
@@ -22,7 +24,7 @@ from qlayout.circuit import ProgramGraph, onehot_features
 from qlayout.diffcore import Tensor
 from qlayout.policy import CONTEXT_KINDS, NORM_KINDS
 from qlayout.topology import build_grid
-from qlayout.training import _log_probs
+from qlayout.training import _log_probs, _walk
 
 from conftest import tiny_policy
 
@@ -84,22 +86,28 @@ variants = dict(norm=st.sampled_from(NORM_KINDS),
 def test_batch_log_probs_are_bit_identical(data, norm, context, shared,
                                            train, seed):
     """The training path: one stacked table of 1-4 episodes, each placing
-    its program's rows in order, and the batch's log-probabilities, dotted
-    with a cotangent as the REINFORCE loss is."""
+    its program's rows in order, walked with sampled or greedy steps, and
+    the batch's log-probabilities from the rows the walk kept, dotted with
+    a cotangent as the REINFORCE loss is."""
     sizes = data.draw(st.lists(st.integers(1, N_MAX), min_size=1,
                                max_size=4))
     graphs = [program_graph(data.draw, n) for n in sizes]
-    n_phys = 6
-    seats = [np.asarray(data.draw(st.permutations(range(n_phys)))[:n])
-             for n in sizes]
-    cot = np.random.default_rng(seed + 1).standard_normal(len(sizes))
+    sampled = data.draw(st.booleans())
+    rng = np.random.default_rng(seed + 1)
+    cot = rng.standard_normal(len(sizes))
+    uniforms = [rng.random(n) if sampled else () for n in sizes]
+    firsts = np.cumsum([0] + sizes[:-1])
     pol, ref = twin_policies(norm, context, shared, seed)
     results = []
-    for net, log_probs in ((pol, _log_probs),
-                           (ref, reference_decoder.log_probs)):
+    for net in (pol, ref):
         emb = embeddings(net, graphs, train)
         table = net.stacked_logit_table(emb.program, emb.physical, sizes)
-        lp = log_probs(table, seats)
+        if net is pol:
+            seats, probs, feasible = _walk(table.data, firsts, sizes,
+                                           uniforms, keep=True)
+            lp = _log_probs(table, seats, probs, feasible)
+        else:
+            lp = reference_decoder.log_probs(table, seats)
         dc.matmul(lp, cot).backward()
         results.append([table.data, lp.data] + gradients(net, emb))
     assert_same(*results)

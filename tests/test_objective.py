@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -284,6 +285,23 @@ class TestWeightedNeighbours:
                                            [(0, 1)]]
         assert reference_weighted_neighbours(pg) == [[(2, 3), (3, 1)], [],
                                                      [(0, 3)], [(0, 1)]]
+
+
+def test_neighbour_lists_of_a_wide_program_allocate_by_its_gates():
+    """2025 qubits and 4000 gates: an (n, n) table of pair counts would
+    take 32 MB, the lists from the gates about 1 MB."""
+    rng = np.random.default_rng(0)
+    pairs = rng.integers(0, 2025, size=(4000, 2)).tolist()
+    pg = ProgramGraph(2025, tuple(map(tuple, pairs)), np.zeros((2025, 1)))
+    tracemalloc.start()
+    try:
+        nbrs = weighted_neighbours(pg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert [set(p) for p in nbrs] == [set(p) for p in
+                                      reference_weighted_neighbours(pg)]
 
 
 class TestReward:

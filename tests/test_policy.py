@@ -634,6 +634,38 @@ class TestInitialArrays:
                 assert after is memo, name
 
 
+@pytest.mark.parametrize("shared", [False, True])
+def test_device_pairs_are_built_once_per_policy(shared, monkeypatch):
+    """The device's attended pairs are built once, with the policy, and
+    read by every encode, in training and in eval, with the rows of a
+    stack built anew; its padded features view the one-hot features."""
+    built = []
+
+    class CountedPairs(qlayout.policy._Pairs):
+        def __init__(self, adj, heads):
+            built.append(adj.shape)
+            super().__init__(adj, heads)
+
+    monkeypatch.setattr(qlayout.policy, "_Pairs", CountedPairs)
+    pol = tiny_policy(cg=build_grid(2, 3), n_max=5, shared=shared)
+    pg = make_pg(3, [(0, 1), (1, 2)], n_max=5)
+    rows = []
+    for _ in range(3):
+        for train in (True, False):
+            pol._device_memo = None  # so that eval encodes the device too
+            rows.append((train, pol.encode([pg, pg], train).physical.data))
+    device = (1, 6, 6)
+    assert built.count(device) == 1
+    assert built == [device] + [(2, 3, 3)] * 6
+    assert np.shares_memory(pol._device_stack[0], pol._phys_feats)
+    monkeypatch.undo()
+    for train, got in rows:
+        want = pol._encode_stack(qlayout.policy._stack(
+            [pol._phys_feats], [pol._cg_pairs], pol.enc_cfg.heads), "phys",
+            train)
+        assert np.array_equal(got, want.data)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         pol = batch_norm_policy()

@@ -250,6 +250,31 @@ class TestIntegerNodes:
         with pytest.raises(TopologyError):
             CouplingGraph(n, frozenset(edges))
 
+    @pytest.mark.parametrize("make", [
+        build_heavy_hex, lambda: build_grid(3, 4),
+        lambda: coupling_graph_from_dict({"n": 3, "edges": [[0, 1], [2, 1]]}),
+        lambda: CouplingGraph(np.int64(3), frozenset(
+            {(np.int64(0), np.int32(1)), (np.uint8(2), np.int64(1))})),
+    ], ids=["heavy-hex", "grid", "document", "numpy-ints"])
+    def test_a_valid_device_formats_no_error_text(self, make, monkeypatch):
+        def refuse(value):
+            raise AssertionError(f"error text formatted for {value!r}")
+
+        monkeypatch.setattr(topology, "shown", refuse)
+        make()
+
+    def test_a_non_integer_endpoint_names_its_edge(self):
+        with pytest.raises(TopologyError) as exc:
+            CouplingGraph(3, frozenset({(0, 1.5)}))
+        assert str(exc.value) == \
+            "edge (0, 1.5)'s node must be an integer, not 1.5"
+        with pytest.raises(TopologyError) as exc:
+            coupling_graph_from_dict({"n": 3, "edges": [[0, 1],
+                                                        [1, np.float64(2.5)]]})
+        assert str(exc.value) == (
+            "malformed edge-list document: edge [1, np.float64(2.5)]'s node "
+            "must be an integer, not np.float64(2.5)")
+
     def test_numpy_integers_are_stored_as_python_ints(self, tmp_path):
         g = CouplingGraph(np.int64(3), frozenset({(np.int64(0), np.int32(1)),
                                                   (np.uint8(2), np.int64(1))}))
