@@ -27,6 +27,7 @@ from .errors import (
     IncompleteLayoutError,
     ParseError,
     SearchSpaceTooLargeError,
+    ShapeError,
     read_input,
     shown,
 )
@@ -44,7 +45,11 @@ class Layout:
     assign: np.ndarray
 
     def __post_init__(self):
-        self.assign = np.asarray(self.assign, dtype=np.int64)
+        seats = self.assign
+        # a 1-D int64 array is kept as it is, without a copy
+        if not (isinstance(seats, np.ndarray) and seats.dtype == np.int64
+                and seats.ndim == 1):
+            self.assign = _seats(seats)
 
     @property
     def n(self):
@@ -120,6 +125,30 @@ class Layout:
             json.dump(self.to_dict(num_physical), fh)
 
 
+def _seats(assign):
+    """``assign`` as a 1-D int64 array of seats, or a ``QLayoutError``
+    that names why it is not one: a float, even 1.0, a bool or a value
+    beyond int64 is not a seat, as in a layout file."""
+    try:
+        seats = np.asarray(assign)
+    except ValueError:
+        raise ShapeError("a layout needs a 1-D sequence of seats, not a "
+                         "ragged nesting") from None
+    if seats.ndim != 1:
+        raise ShapeError("a layout needs a 1-D sequence of seats, not an "
+                         f"array of shape {seats.shape}")
+    values = seats.tolist()
+    bad = [a for a in values if type(a) is not int]
+    if bad:
+        raise ConstraintViolationError(
+            f"a layout's seats must be integers, got {shown(bad[0])}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ConstraintViolationError(
+            "a layout holds a seat beyond int64") from None
+
+
 def check_cost_mode(mode):
     if mode not in COST_MODES:
         raise ConfigError(f"unknown cost mode '{mode}'")
@@ -178,14 +207,23 @@ def fast_cost_fn(pg: ProgramGraph, cm: CostModel):
     return cost
 
 
-def weighted_neighbours(pg: ProgramGraph):
-    """Per qubit, ``(other qubit, gate count)`` over the undirected pairs of
-    its gates, in ascending order of the other qubit: one ``np.unique`` of
-    ``pg.gate_pairs`` both ways, so the work follows the gates, not n^2."""
+def pair_counts(pg: ProgramGraph):
+    """The gate counts of the program's qubit pairs, each pair both ways:
+    the ascending keys ``qubit * n + other`` of the pairs with a gate and
+    their counts, from one ``np.unique`` of ``pg.gate_pairs``, so the work
+    follows the gates, not n^2."""
     n, (ei, ej) = pg.num_logical, pg.gate_pairs
-    # qubit * n + other, ascending
-    at, counts = np.unique(np.concatenate((ei * n + ej, ej * n + ei)),
-                           return_counts=True)
+    return np.unique(np.concatenate((ei * n + ej, ej * n + ei)),
+                     return_counts=True)
+
+
+def weighted_neighbours(pg: ProgramGraph, counted=None):
+    """Per qubit, ``(other qubit, gate count)`` over the undirected pairs of
+    its gates, in ascending order of the other qubit, from ``counted``,
+    the ``pair_counts(pg)`` of a caller that reads them too, or counted
+    here."""
+    n = pg.num_logical
+    at, counts = pair_counts(pg) if counted is None else counted
     pairs = list(zip((at % n).tolist(), counts.tolist()))
     ends = np.searchsorted(at, np.arange(n, n * n + 1, n)).tolist()
     return [pairs[i:j] for i, j in zip([0, *ends], ends)]

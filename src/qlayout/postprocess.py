@@ -10,12 +10,12 @@ multiplicity times the cost of the seat pair. A move relocates one or two
 qubits, so only the gates of those qubits change cost, and a move is
 scored by its cost delta as in Taillard's robust tabu search. The search
 keeps one state for its whole run: the assignment as a list, its
-seat -> qubit inverse, per-qubit weighted neighbour lists (counted from
-the gates, as the ``GainTable`` weights are) and the rows of
-``CostModel.edge_costs`` as tuples (``CostModel.rows``, built once per
-device and cost mode). The full cost is computed once, for the start
-layout; the running cost is the start cost plus the deltas of the
-accepted moves.
+seat -> qubit inverse, per-qubit weighted neighbour lists (from one count
+of the gate pairs, ``pair_counts``, which also gives the ``GainTable``
+weights) and the rows of ``CostModel.edge_costs`` as tuples
+(``CostModel.rows``, built once per device and cost mode). The full cost
+is computed once, for the start layout; the running cost is the start
+cost plus the deltas of the accepted moves.
 
 A search runs in two phases. Moves come one at a time (``neighbor``,
 ``move_delta``, a delta summed in plain Python, since numpy calls per move
@@ -68,7 +68,7 @@ import numpy as np
 from .circuit import ProgramGraph
 from .errors import ConfigError, check_flag, check_integer
 from .objective import (CostModel, Layout, check_cost_mode, check_covers,
-                        fast_cost_fn, weighted_neighbours)
+                        fast_cost_fn, pair_counts, weighted_neighbours)
 from .topology import CouplingGraph
 
 NEIGHBORHOODS = ("random_swap", "random_assignment")
@@ -245,13 +245,16 @@ class GainTable:
     """Scores blocks of moves of one unchanged layout of at least two
     qubits from Taillard's gain table (see the module docstring)."""
 
-    def __init__(self, pg: ProgramGraph, edge_costs: np.ndarray, kind: str):
-        # gate counts per qubit pair, one bincount of the gates both ways,
-        # with a zero row and column n for "no displaced qubit"
-        m, (ei, ej) = pg.num_logical + 1, pg.gate_pairs
-        counts = np.bincount(np.concatenate((ei * m + ej, ej * m + ei)),
-                             minlength=m * m)
-        self.weights = counts.reshape(m, m).astype(float)
+    def __init__(self, pg: ProgramGraph, edge_costs: np.ndarray, kind: str,
+                 counted=None):
+        # gate counts per qubit pair from ``counted`` (pair_counts(pg),
+        # counted here if not given), with a zero row and column n for "no
+        # displaced qubit": key q * n + r is entry q * (n + 1) + r
+        n = pg.num_logical
+        at, counts = pair_counts(pg) if counted is None else counted
+        weights = np.zeros((n + 1) * (n + 1))
+        weights[at + at // n] = counts
+        self.weights = weights.reshape(n + 1, n + 1)
         self.costs = edge_costs
         self.twice_diagonal = 2.0 * edge_costs[0, 0]
         self.kind = kind
@@ -310,7 +313,8 @@ def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
     check_covers(initial, pg)
     cm = CostModel.for_graph(cg, cfg.cost_mode)
     rows = cm.rows
-    nbrs = weighted_neighbours(pg)
+    counted = pair_counts(pg)
+    nbrs = weighted_neighbours(pg, counted)
     kind, n_iters, patience = cfg.neighborhood, cfg.n_iters, cfg.patience
 
     assign = initial.assign.tolist()
@@ -345,7 +349,7 @@ def local_search(initial: Layout, pg: ProgramGraph, cg: CouplingGraph,
                                                         rows)
         else:
             if table is None:
-                table = GainTable(pg, cm.edge_costs, kind)
+                table = GainTable(pg, cm.edge_costs, kind, counted)
             # at most the moves before the budget or patience runs out
             skipped, move, delta = table.scan(
                 assign, owner, draws, it, min(budget - it, patience - p + 1))

@@ -13,7 +13,9 @@ from qlayout.errors import (
     ConstraintViolationError,
     IncompleteLayoutError,
     ParseError,
+    QLayoutError,
     SearchSpaceTooLargeError,
+    ShapeError,
 )
 from qlayout.objective import (
     CostModel,
@@ -380,6 +382,41 @@ class TestBruteForce:
         for _ in range(50):
             lay = Layout(rng.permutation(6)[:4])
             assert swap_cost(lay, pg, cm) >= opt
+
+
+class TestLayoutSeats:
+    def test_a_fractional_seat_is_not_truncated(self):
+        with pytest.raises(ConstraintViolationError,
+                           match="must be integers, got 1.9"):
+            Layout([1.9, 0])
+
+    def test_a_bool_is_not_a_seat(self):
+        with pytest.raises(ConstraintViolationError,
+                           match="must be integers, got True"):
+            Layout([True, False])
+
+    def test_a_nested_layout_is_rejected(self):
+        with pytest.raises(ShapeError, match=r"1-D .* shape \(2, 2\)"):
+            Layout([[0, 1], [2, 3]])
+        with pytest.raises(ShapeError, match="ragged"):
+            Layout([[0], [1, 2]])
+
+    def test_nan_names_the_seat(self):
+        with pytest.raises(QLayoutError, match="must be integers, got nan"):
+            Layout([np.nan, 1])
+
+    def test_a_seat_beyond_int64_is_rejected(self):
+        with pytest.raises(ConstraintViolationError, match="beyond int64"):
+            Layout(np.array([2**64 - 1], dtype=np.uint64))
+
+    def test_integer_seats_are_kept(self):
+        seats = np.array([3, 0, 2])
+        assert Layout(seats).assign is seats
+        narrow = Layout(seats.astype(np.int32)).assign
+        assert narrow.dtype == np.int64 and narrow.tolist() == [3, 0, 2]
+        assert Layout((3, 0)).assign.tolist() == [3, 0]
+        empty = Layout([]).assign
+        assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 class TestLayoutJson:
